@@ -36,13 +36,17 @@ CACHE_BYTES = 8 * 1024 * 1024
 
 def make_service(maintenance: str, cache_bytes: int = CACHE_BYTES):
     instance = random_instance(INSTANCE_SEED, size=INSTANCE_SIZE)
-    return instance, DirectoryService(
-        instance,
-        page_size=16,
-        buffer_pages=8,
-        cache_bytes=cache_bytes,
-        cache_maintenance=maintenance,
+    service = DirectoryService(
+        instance, page_size=16, buffer_pages=8, cache_bytes=cache_bytes
     )
+    if maintenance == "evict" and service.cache is not None:
+        # The reference arm lives here, where it is used: wholesale
+        # footprint invalidation in place of the service's maintainer.
+        service._maintainer.detach()
+        service.directory.add_record_listener(
+            lambda record: service.cache.invalidate(record.dn, subtree=record.subtree)
+        )
+    return instance, service
 
 
 def make_script(instance):

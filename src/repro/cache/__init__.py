@@ -15,17 +15,16 @@ external-memory pipeline.  This package adds the missing layer:
   and cost-aware eviction (GreedyDual-Size over saved logical page I/Os,
   so expensive aggregates outlive cheap lookups);
 - :mod:`~repro.cache.invalidation` -- subscribes a cache to an
-  :class:`~repro.storage.maintenance.UpdatableDirectory`'s update log:
-  the baseline invalidator evicts exactly the entries whose footprint
-  intersects the updated dn's range, the incremental maintainer patches
-  locally-decidable results in place; everything else survives
-  compaction;
+  :class:`~repro.storage.maintenance.UpdatableDirectory`'s change-record
+  stream: results whose footprint intersects the updated dn's range are
+  patched in place when locally decidable and evicted otherwise;
+  everything else survives compaction;
 - :mod:`~repro.cache.stats` -- hit/miss/eviction/invalidation counters
   and saved-I/O accounting.
 """
 
 from .footprint import Footprint, query_footprint
-from .invalidation import IncrementalCacheMaintainer, UpdateLogInvalidator
+from .invalidation import IncrementalCacheMaintainer
 from .keys import atomic_fingerprint, canonical_text, fingerprint
 from .stats import CacheStats
 from .store import CachedResult, QueryCache
@@ -36,7 +35,6 @@ __all__ = [
     "Footprint",
     "IncrementalCacheMaintainer",
     "QueryCache",
-    "UpdateLogInvalidator",
     "atomic_fingerprint",
     "canonical_text",
     "fingerprint",

@@ -1,24 +1,24 @@
-"""Cache maintenance from the update log: evict precisely, or patch.
+"""Cache maintenance from the change-record stream: patch, else evict.
 
 The :class:`~repro.storage.maintenance.UpdatableDirectory` publishes every
-validated mutation to its update listeners as ``(kind, dn, subtree)``:
-``kind`` is ``"add"``/``"delete"``/``"modify"``, and ``subtree`` is True
-only for recursive deletes (the updated region is the dn's whole
-subtree).  Two maintenance policies consume that stream:
+committed mutation to its record listeners as one
+:class:`~repro.txn.records.ChangeRecord` (``subtree`` is True only for
+recursive deletes: the updated region is the dn's whole subtree).
+:class:`IncrementalCacheMaintainer` is the one consumer that keeps a
+:class:`~repro.cache.store.QueryCache` current, and this module is the one
+place that decides what happens to a cached result when a write touches
+its footprint:
 
-- :class:`UpdateLogInvalidator` (the baseline) forwards each event to a
-  :class:`~repro.cache.store.QueryCache`, which evicts exactly the cached
-  results whose footprint touches the updated region;
-- :class:`IncrementalCacheMaintainer` subscribes to the richer
-  change-record stream and *patches* touched results in place whenever
-  membership is locally decidable: an L0 query (atomic + boolean) admits
-  or rejects one entry by re-evaluating ``scope_admits`` and the filter
-  against the record's post-image, so an add inserts one row (at its
-  reverse-dn position, preserving run order), a delete removes rows, and
-  a modify replaces one -- no re-evaluation, no eviction.  Results whose
-  query is unknown or not locally decidable (hierarchy, aggregates,
-  embedded references) fall back to precise eviction; so does a patched
-  result that outgrows the byte budget.
+- membership is locally decidable -- an L0 query (atomic + boolean)
+  admits or rejects one entry by re-evaluating ``scope_admits`` and the
+  filter against the record's post-image -- so the result is *patched* in
+  place: an add inserts one row (at its reverse-dn position, preserving
+  run order), a delete removes rows, a modify replaces one.  No
+  re-evaluation, no eviction;
+- anything else (hierarchy, aggregates, embedded references, a resident
+  admitted without its query AST, a patched result that outgrows the byte
+  budget) is *evicted* -- exactly the residents whose footprint
+  intersects the updated region, never the rest.
 
 Because maintenance happens at *log-append* time -- not at compaction --
 a cached result that survives a burst of updates is still valid after the
@@ -29,10 +29,10 @@ wholesale.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
-from ..model.dn import DN
 from ..model.entry import Entry
 from ..obs.metrics import get_registry
 from ..query.ast import And, AtomicQuery, Diff, Or, Query
@@ -40,26 +40,7 @@ from ..storage.maintenance import UpdatableDirectory
 from ..txn.records import ChangeRecord
 from .store import CachedResult, QueryCache
 
-__all__ = ["IncrementalCacheMaintainer", "UpdateLogInvalidator"]
-
-
-class UpdateLogInvalidator:
-    """Subscribes a query cache to a directory's update log."""
-
-    def __init__(self, directory: UpdatableDirectory, cache: QueryCache):
-        self.directory = directory
-        self.cache = cache
-        directory.add_update_listener(self._on_update)
-
-    def _on_update(self, kind: str, dn: Union[DN, str], subtree: bool) -> None:
-        self.cache.invalidate(dn, subtree=subtree)
-
-    def detach(self) -> None:
-        """Stop receiving updates (idempotent)."""
-        self.directory.remove_update_listener(self._on_update)
-
-    def __repr__(self) -> str:
-        return "UpdateLogInvalidator(%r -> %r)" % (self.directory, self.cache)
+__all__ = ["IncrementalCacheMaintainer"]
 
 
 class IncrementalCacheMaintainer:
@@ -67,8 +48,9 @@ class IncrementalCacheMaintainer:
 
     The decision rule, per touched resident:
 
-    1. no parsed query attached, or the query is not L0 -> **evict**
-       (membership cannot be re-decided from one entry);
+    1. no parsed query attached, the query is not L0, or the record
+       arrived behind a newer one -> **evict** (membership cannot be
+       re-decided from this one entry);
     2. the delta provably leaves the result unchanged (an add/modify the
        query rejects and no resident row removed) -> **keep** untouched;
     3. otherwise -> **patch**: apply the one-row delta in place
@@ -86,10 +68,12 @@ class IncrementalCacheMaintainer:
         self.schema = directory.schema
         registry = metrics if metrics is not None else get_registry()
         self._m_actions = registry.counter(
-            "repro_cache_maintenance_total",
+            "repro_cache_maintainer_actions_total",
             "Incremental cache maintenance outcomes per touched resident",
             labelnames=("action",),
         )
+        self._lock = threading.Lock()
+        self._applied_lsn = 0
         directory.add_record_listener(self._on_record)
 
     def detach(self) -> None:
@@ -99,17 +83,30 @@ class IncrementalCacheMaintainer:
     # -- record application --------------------------------------------------
 
     def _on_record(self, record: ChangeRecord) -> None:
-        for cached in self.cache:  # iteration snapshots under the lock
-            if not cached.footprint.touches(record.dn, subtree=record.subtree):
-                continue
-            action, rows = self._delta(cached, record)
-            if action == "evict":
-                self.cache.drop(cached.key)
-                self._m_actions.inc(action="evicted")
-            elif action == "keep":
-                self._m_actions.inc(action="kept")
-            else:
-                if self.cache.patch(cached.key, rows) is not None:
+        # Writers notify outside the directory's write lock, so records
+        # arrive concurrently and possibly out of lsn order.  They are
+        # applied one at a time (a patch is a read-modify-write of the
+        # resident), and a record older than one already applied cannot
+        # be ordered against it: what it touches is evicted, not patched.
+        with self._lock:
+            # Every write fences the cache, whether or not a resident is
+            # touched: a search that pinned its snapshot before this
+            # record must not be admitted after it (``QueryCache.put``).
+            self.cache.advance_epoch()
+            late = record.lsn < self._applied_lsn
+            self._applied_lsn = max(self._applied_lsn, record.lsn)
+            for cached in self.cache:  # iteration snapshots under the lock
+                if not cached.footprint.touches(record.dn, subtree=record.subtree):
+                    continue
+                action, rows = (
+                    ("evict", None) if late else self._delta(cached, record)
+                )
+                if action == "evict":
+                    self.cache.drop(cached.key)
+                    self._m_actions.inc(action="evicted")
+                elif action == "keep":
+                    self._m_actions.inc(action="kept")
+                elif self.cache.patch(cached.key, rows) is not None:
                     self._m_actions.inc(action="patched")
                 else:
                     self._m_actions.inc(action="evicted")
@@ -120,23 +117,17 @@ class IncrementalCacheMaintainer:
         query = cached.query
         if query is None or not _locally_decidable(query):
             return ("evict", None)
-        rows = list(cached.entries)
-        if record.kind == "delete":
-            if record.subtree:
-                kept = [e for e in rows if not record.dn.is_prefix_of(e.dn)]
-            else:
-                kept = [e for e in rows if e.dn != record.dn]
-            if len(kept) == len(rows):
-                return ("keep", None)
-            return ("patch", kept)
+        rows = cached.entries
+        if record.subtree:
+            kept = [e for e in rows if not record.dn.is_prefix_of(e.dn)]
+        else:
+            kept = [e for e in rows if e.dn != record.dn]
         # add / modify: the record carries the post-image.
-        admitted = _admits(query, record.entry, self.schema)
-        kept = [e for e in rows if e.dn != record.dn]
-        if admitted:
+        if record.kind != "delete" and _admits(query, record.entry, self.schema):
             keys = [e.dn.key() for e in kept]
             kept.insert(bisect_left(keys, record.entry.dn.key()), record.entry)
         elif len(kept) == len(rows):
-            return ("keep", None)  # rejected and was not resident: no-op
+            return ("keep", None)  # nothing resident removed, nothing admitted
         return ("patch", kept)
 
     def __repr__(self) -> str:

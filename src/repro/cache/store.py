@@ -201,6 +201,12 @@ class QueryCache:
         with self._lock:
             return self._invalidation_epoch
 
+    def advance_epoch(self) -> None:
+        """Fence out in-flight evaluations: a write happened, so any
+        ``put(..., if_epoch=)`` holding an earlier epoch is rejected."""
+        with self._lock:
+            self._invalidation_epoch += 1
+
     # -- admission ----------------------------------------------------------
 
     def put(

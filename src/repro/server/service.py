@@ -14,21 +14,20 @@ Everything the repository builds, behind one LDAP-shaped interface:
   sizeLimitExceeded, insufficientAccessRights, ...).
 
 The service owns an :class:`~repro.storage.maintenance.UpdatableDirectory`
-and rebuilds its engine view only when updates intervened, so repeated
-searches keep their I/O bounds.
+and compacts it only when updates intervened, so repeated searches keep
+their I/O bounds; every evaluation gets its own engine over its own
+pinned view, so concurrent searches share no per-run state.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Tuple, Union
 
-import threading
 import time
 
 from ..cache import (
     IncrementalCacheMaintainer,
     QueryCache,
-    UpdateLogInvalidator,
     fingerprint,
     query_footprint,
 )
@@ -131,13 +130,15 @@ class _Evaluation:
     ``via`` is one of ``engine`` / ``cache`` / ``superset`` /
     ``federation``, and ``key`` the normal-form fingerprint when one was
     computed on the way (the digest table reuses it instead of hashing
-    the query a second time)."""
+    the query a second time).  ``qerror`` and ``rewrites`` are the
+    executed plan's Q-error and applied rewrite rules (None / empty when
+    no plan ran)."""
 
     __slots__ = ("entries", "cached", "cost", "warnings", "retries", "qerror",
-                 "via", "key")
+                 "via", "key", "rewrites")
 
     def __init__(self, entries, cached, cost, warnings, retries, qerror,
-                 via, key):
+                 via, key, rewrites=()):
         self.entries = entries
         self.cached = cached
         self.cost = cost
@@ -146,6 +147,7 @@ class _Evaluation:
         self.qerror = qerror
         self.via = via
         self.key = key
+        self.rewrites = rewrites
 
 
 class DirectoryService:
@@ -167,7 +169,6 @@ class DirectoryService:
         budget=None,
         trace_sampler=None,
         durable_dir: Optional[str] = None,
-        cache_maintenance: str = "evict",
         wal_fsync: bool = False,
         planner: str = "cost",
         digest_capacity: int = 256,
@@ -272,11 +273,6 @@ class DirectoryService:
         self.acl = acl or AccessControlList(default_allow=True)
         self.credential_attribute = credential_attribute
         self._bound_subject: Optional[str] = None
-        self._engine: Optional[QueryEngine] = None
-        #: The pinned (store, snapshot) view the current engine reads --
-        #: compaction cannot free its master run from under it.
-        self._engine_view: Optional[StoreView] = None
-        self._engine_lock = threading.Lock()
         self._maintenance: Optional[MaintenanceAgent] = None
         #: Semantic query cache over *pre-ACL* results; visibility is
         #: re-filtered per bound subject on every hit.  ``cache_bytes=0``
@@ -284,19 +280,15 @@ class DirectoryService:
         self.cache: Optional[QueryCache] = (
             QueryCache(byte_budget=cache_bytes, log=self.log) if cache_bytes else None
         )
-        if cache_maintenance not in ("evict", "incremental"):
-            raise ValueError(
-                "cache_maintenance must be 'evict' or 'incremental'"
+        #: Keeps the cache current from the directory's change records:
+        #: touched L0 residents are patched in place, the rest evicted.
+        self._maintainer: Optional[IncrementalCacheMaintainer] = (
+            IncrementalCacheMaintainer(
+                self.directory, self.cache, metrics=self.metrics
             )
-        self.cache_maintenance = cache_maintenance
-        self._invalidator = None
-        if self.cache is not None:
-            if cache_maintenance == "incremental":
-                self._invalidator = IncrementalCacheMaintainer(
-                    self.directory, self.cache, metrics=self.metrics
-                )
-            else:
-                self._invalidator = UpdateLogInvalidator(self.directory, self.cache)
+            if self.cache is not None
+            else None
+        )
         #: (federation, coordinator name) once :meth:`attach_federation`
         #: makes this service a federation frontend.
         self._federation: Optional[Tuple[Any, str]] = None
@@ -388,50 +380,24 @@ class DirectoryService:
 
     # -- read operations -----------------------------------------------------
 
-    def _engine_now(self) -> QueryEngine:
-        engine, guard = self._pinned_engine()
-        guard.close()
-        return engine
-
     def _pinned_engine(self) -> Tuple[QueryEngine, StoreView]:
-        """The current engine plus a *caller-owned* pin on its store.
-        The shared ``self._engine_view`` pin is not enough for a reader:
-        a concurrent writer can compact, swap the engine and close that
-        view mid-evaluation, freeing the run's pages under the scan.
-        Close the returned guard when the evaluation is done."""
+        """A fresh engine over a *caller-owned* pinned view of the
+        compacted directory.  The pin keeps a concurrent compaction from
+        freeing the run's pages under the scan, and the engine's per-run
+        state (budget tracker, skip counts, Q-error) belongs to this one
+        evaluation.  Close the returned view when the evaluation is
+        done."""
         pending = self.directory.pending()
         if pending:
             with self.tracer.span("compact", pending=pending):
                 self.directory.compact()
-        with self._engine_lock:
-            view = self.directory.acquire_view()
-            if (
-                self._engine is not None
-                and self._engine_view is not None
-                and self._engine_view.store is view.store
-            ):
-                # `view` already pins the engine's store: hand it to the
-                # caller as its guard.
-                return self._engine, view
-            stale = self._engine_view
-            self._engine_view = view
-            if self.planner == "cost":
-                self._engine = PlannedEngine(
-                    view.store,
-                    stats=self._live_stats,
-                    tracer=self.tracer,
-                    log=self.log,
-                    metrics=self.metrics,
-                    heatmap=self.heatmap,
-                )
-            else:
-                self._engine = QueryEngine(
-                    view.store, tracer=self.tracer, log=self.log,
-                    heatmap=self.heatmap,
-                )
-            if stale is not None:
-                stale.close()
-            return self._engine, view.clone()
+        view = self.directory.acquire_view()
+        options = dict(tracer=self.tracer, log=self.log, heatmap=self.heatmap)
+        if self.planner == "cost":
+            return PlannedEngine(
+                view.store, stats=self._live_stats, metrics=self.metrics, **options
+            ), view
+        return QueryEngine(view.store, **options), view
 
     @property
     def cache_stats(self):
@@ -486,20 +452,16 @@ class DirectoryService:
             # entirely (a served result costs nothing).
             with self.tracer.span("cache-lookup") as span:
                 key = fingerprint(query)
-                hit = self.cache.get(key)
-                span.set(hit=hit is not None)
-            if hit is not None:
-                self._m_cache_lookups.inc(outcome="hit")
-                return _Evaluation(
-                    list(hit.entries), True, hit.cost_io, [], 0, None,
-                    "cache", key,
-                )
-            self._m_cache_lookups.inc(outcome="miss")
+                served = self._from_cache(key)
+                span.set(hit=served is not None)
+            if served is not None:
+                return served
         # Captured before the engine's snapshot is pinned: a write that
         # lands after this point bumps the epoch, and the put below is
         # rejected rather than admitting a result that may predate it.
         epoch = self.cache.invalidation_epoch if self.cache is not None else None
         engine, guard = self._pinned_engine()
+        rewrites, qerror = [], None
         try:
             if isinstance(engine, PlannedEngine):
                 with self.tracer.span("plan") as span:
@@ -514,27 +476,17 @@ class DirectoryService:
                         planned_key = fingerprint(planned)
                         if planned_key != key:
                             key = planned_key
-                            hit = self.cache.get(key)
-                            if hit is not None:
-                                self._m_cache_lookups.inc(outcome="hit")
-                                return _Evaluation(
-                                    list(hit.entries), True, hit.cost_io,
-                                    [], 0, None, "cache", key,
-                                )
-                            self._m_cache_lookups.inc(outcome="miss")
-                    superset = self._from_superset(planned)
-                    if superset is not None:
-                        entries, saved = superset
-                        return _Evaluation(
-                            entries, True, saved, [], 0, None, "superset", key
-                        )
-                engine.last_rewrites = rewrites
+                            served = self._from_cache(key)
+                            if served is not None:
+                                return served
+                    served = self._from_superset(planned, key)
+                    if served is not None:
+                        return served
                 result = engine.run_planned(planned, budget=budget)
                 qerror = engine.last_qerror
                 query = planned
             else:
                 result = engine.run(query, budget=budget)
-                qerror = None
         finally:
             guard.close()
         cost = result.io.logical_reads + result.io.logical_writes
@@ -545,14 +497,25 @@ class DirectoryService:
                 query=query, if_epoch=epoch,
             )
         return _Evaluation(
-            result.entries, False, cost, [], 0, qerror, "engine", key
+            result.entries, False, cost, [], 0, qerror, "engine", key,
+            rewrites=rewrites,
         )
 
-    def _from_superset(self, planned: Query) -> Optional[Tuple[List[Entry], int]]:
+    def _from_cache(self, key: str) -> Optional[_Evaluation]:
+        """Probe the cache for an exact fingerprint, counting the outcome."""
+        hit = self.cache.get(key)
+        self._m_cache_lookups.inc(outcome="miss" if hit is None else "hit")
+        if hit is None:
+            return None
+        return _Evaluation(
+            list(hit.entries), True, hit.cost_io, [], 0, None, "cache", key
+        )
+
+    def _from_superset(self, planned: Query, key: str) -> Optional[_Evaluation]:
         """Cache-aware planning: serve an atomic sub-scoped plan from a
         resident whose subtree provably contains it, by restricting the
-        resident's entries to the narrower base -- no page I/O at all.
-        Returns (entries, saved logical I/O) or None."""
+        resident's entries to the narrower base -- no page I/O at all
+        (the resident's cost is the I/O saved)."""
         from ..query.ast import AtomicQuery, Scope
 
         if not (isinstance(planned, AtomicQuery) and planned.scope == Scope.SUB):
@@ -565,7 +528,9 @@ class DirectoryService:
             entry for entry in superset.entries
             if planned.base.is_prefix_of(entry.dn)
         ]
-        return entries, superset.cost_io
+        return _Evaluation(
+            entries, True, superset.cost_io, [], 0, None, "superset", key
+        )
 
     def search(
         self,
@@ -609,12 +574,6 @@ class DirectoryService:
                     return result
             try:
                 evaluation = self._result_entries(query, budget=active_budget)
-                entries, cached, cost = (
-                    evaluation.entries, evaluation.cached, evaluation.cost
-                )
-                warnings, retries, qerror = (
-                    evaluation.warnings, evaluation.retries, evaluation.qerror
-                )
             except BudgetExceeded as exc:
                 exc.query_text = str(query)
                 exc.trace_id = getattr(search_span, "trace_id", None)
@@ -630,8 +589,9 @@ class DirectoryService:
                     query, result, started, io_before, search_span=search_span
                 )
                 return result
+            cached = evaluation.cached
             with self.tracer.span("acl-filter"):
-                visible = self._visible(entries)
+                visible = self._visible(evaluation.entries)
             total = len(visible)
             if size_limit is not None and total > size_limit:
                 visible = visible[:size_limit]
@@ -648,25 +608,27 @@ class DirectoryService:
                 visible,
                 total_size=total,
                 cached=cached,
-                saved_io=cost if cached else 0,
-                warnings=warnings,
+                saved_io=evaluation.cost if cached else 0,
+                warnings=evaluation.warnings,
             )
         self._observe_search(
-            query, result, started, io_before, retries=retries,
-            search_span=search_span, qerror=qerror, evaluation=evaluation,
+            query, result, started, io_before, search_span=search_span,
+            evaluation=evaluation,
         )
         return result
 
     def _observe_search(self, query, result: SearchResult, started: float,
-                        io_before, retries: int = 0, search_span=None,
-                        qerror: Optional[float] = None,
+                        io_before, search_span=None,
                         evaluation: Optional[_Evaluation] = None) -> None:
         """Fold one finished search into metrics, the slow-query log, the
         event log, the tail sampler, the workload digest and the metric
         history.  ``search_span`` (when tracing) supplies the trace id
         that joins them; ``evaluation`` (absent for protocol errors and
-        budget breaches, which evaluated nothing) feeds the digest."""
+        budget breaches, which evaluated nothing) supplies retries and
+        Q-error and feeds the digest."""
         elapsed = time.perf_counter() - started
+        retries = evaluation.retries if evaluation is not None else 0
+        qerror = evaluation.qerror if evaluation is not None else None
         pager_stats = self.directory.store.pager.stats
         io_delta = pager_stats.since(io_before)
         trace_id = getattr(search_span, "trace_id", None)
@@ -890,7 +852,6 @@ class DirectoryService:
             dn = DN.parse(dn)
         if not self.acl.readable(self._bound_subject, dn):
             return ResultCode.INSUFFICIENT_ACCESS
-        self._engine_now()  # fold in pending updates first
         entry = self.directory.lookup(dn)
         if entry is None:
             return ResultCode.NO_SUCH_OBJECT
@@ -961,8 +922,8 @@ class DirectoryService:
         return None
 
     def close(self) -> None:
-        """Release the engine's pinned view, stop maintenance, and close
-        the WAL (for a durable directory)."""
+        """Stop maintenance, detach the service's listeners, and close the
+        WAL (for a durable directory)."""
         self.stop_maintenance()
         if self._heat_listener is not None:
             self.directory.remove_record_listener(self._heat_listener)
@@ -970,11 +931,8 @@ class DirectoryService:
         if self._live_stats is not None:
             self._live_stats.detach()
             self._live_stats = None
-        with self._engine_lock:
-            if self._engine_view is not None:
-                self._engine_view.close()
-                self._engine_view = None
-            self._engine = None
+        if self._maintainer is not None:
+            self._maintainer.detach()
         if isinstance(self.directory, DurableDirectory):
             self.directory.close()
 

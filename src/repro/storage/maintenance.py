@@ -26,6 +26,12 @@ or on a :class:`~repro.txn.agent.MaintenanceAgent` attached via
 :meth:`UpdatableDirectory.attach_maintenance` -- then writers only
 *request* compaction and never pay the merge themselves.
 
+Observers subscribe to one of two streams, both dispatched through one
+guarded loop: *record listeners* get every committed
+:class:`~repro.txn.records.ChangeRecord` (cache maintenance, live
+statistics, heat map and replication all read it), *compaction listeners*
+get each freshly installed master store.
+
 Supported mutations:
 
 - :meth:`~UpdatableDirectory.add` -- insert a new entry (validated against
@@ -61,7 +67,6 @@ __all__ = [
     "StoreView",
     "UpdatableDirectory",
     "UpdateError",
-    "UpdateListener",
     "RecordListener",
 ]
 
@@ -96,14 +101,10 @@ class ReplayError(RuntimeError):
     surface the same failure shape."""
 
 
-#: An update-log observer: called as ``listener(kind, dn, subtree)`` for
-#: every validated mutation (kind in "add"/"delete"/"modify"; subtree is
-#: True only for recursive deletes).
-UpdateListener = Callable[[str, DN, bool], None]
-
 #: A change-record observer: called with the committed
-#: :class:`~repro.txn.records.ChangeRecord` (lsn assigned).  The
-#: incremental cache maintainer and the live statistics hook in here.
+#: :class:`~repro.txn.records.ChangeRecord` (lsn assigned) -- the one
+#: stream every mutation is published on.  The cache maintainer, the live
+#: statistics, the heat map and replication hook in here.
 #: Online mutations attach the pre-image entry for deletes/modifies
 #: (``record.pre_image``); replayed records carry None there.
 RecordListener = Callable[[ChangeRecord], None]
@@ -154,18 +155,6 @@ class StoreView:
             if dn.is_parent_of(entry.dn) and not self.snapshot.is_deleted(entry.dn):
                 yield entry.dn
 
-    def clone(self) -> "StoreView":
-        """A second, independently-closeable pin on the same (master run,
-        snapshot) pair.  Only valid while this view is still open -- the
-        extra pin keeps the run alive after the original closes."""
-        if self._closed:
-            raise RuntimeError("cannot clone a closed view")
-        with self._directory._state_lock:
-            self._directory._pins[id(self.store)] = (
-                self._directory._pins.get(id(self.store), 0) + 1
-            )
-        return StoreView(self._directory, self.store, self.snapshot)
-
     def close(self) -> None:
         if not self._closed:
             self._closed = True
@@ -213,11 +202,10 @@ class UpdatableDirectory:
         self.compactions = 0
         #: Superseded master runs whose free was deferred behind a pin.
         self.deferred_frees = 0
-        self._listeners: List[UpdateListener] = []
         self._record_listeners: List[RecordListener] = []
         self._compaction_listeners: List[CompactionListener] = []
         #: Count of listener callbacks that raised (dispatch continues
-        #: past failures; see :meth:`_notify`).
+        #: past failures; see :meth:`_dispatch`).
         self.listener_errors = 0
         self.log = log if log is not None else NULL_LOGGER
         self.metrics = metrics if metrics is not None else get_registry()
@@ -247,21 +235,13 @@ class UpdatableDirectory:
 
     # -- update log observers ---------------------------------------------
 
-    def add_update_listener(self, listener: UpdateListener) -> None:
-        """Subscribe to validated mutations (query caches hook in here)."""
-        self._listeners.append(listener)
-
-    def remove_update_listener(self, listener: UpdateListener) -> None:
-        """Unsubscribe (idempotent)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def add_record_listener(self, listener: RecordListener) -> None:
-        """Subscribe to committed change records (lsn included) -- the
-        richer form of :meth:`add_update_listener`."""
+        """Subscribe to committed change records (lsn included); query
+        caches, statistics and replication hook in here."""
         self._record_listeners.append(listener)
 
     def remove_record_listener(self, listener: RecordListener) -> None:
+        """Unsubscribe (idempotent)."""
         if listener in self._record_listeners:
             self._record_listeners.remove(listener)
 
@@ -274,29 +254,16 @@ class UpdatableDirectory:
         if listener in self._compaction_listeners:
             self._compaction_listeners.remove(listener)
 
-    def _notify_compaction(self, store: DirectoryStore) -> None:
-        for listener in list(self._compaction_listeners):
-            try:
-                listener(store)
-            except Exception:
-                self.listener_errors += 1
-                self._listener_errors_metric.inc(kind="compact")
-
-    def _notify(self, record: ChangeRecord) -> None:
+    def _dispatch(self, listeners: List[Callable], event, kind: str) -> None:
         # A broken listener must not abort the (already committed) update
-        # or starve the listeners after it: record the failure and move on.
-        for listener in list(self._listeners):
+        # or compaction, nor starve the listeners after it: record the
+        # failure and move on.
+        for listener in list(listeners):
             try:
-                listener(record.kind, record.dn, record.subtree)
+                listener(event)
             except Exception:
                 self.listener_errors += 1
-                self._listener_errors_metric.inc(kind=record.kind)
-        for listener in list(self._record_listeners):
-            try:
-                listener(record)
-            except Exception:
-                self.listener_errors += 1
-                self._listener_errors_metric.inc(kind=record.kind)
+                self._listener_errors_metric.inc(kind=kind)
 
     # -- building ------------------------------------------------------------
 
@@ -483,18 +450,24 @@ class UpdatableDirectory:
 
     # -- the commit pipeline -------------------------------------------------
 
+    def _advance(self, record: ChangeRecord):
+        """Commit the record's delta as one new version of the chain."""
+        if record.kind != "delete":
+            return self._chain.advance(adds={record.dn: record.entry})
+        if record.subtree:
+            return self._chain.advance(delete_subtrees=(record.dn,))
+        return self._chain.advance(deletes=(record.dn,))
+
     def _commit(self, record: ChangeRecord) -> ChangeRecord:
-        """Advance the version chain with the record's delta and assign its
-        lsn; runs under the write lock so lsn order equals commit order."""
-        if record.kind == "delete":
-            if record.subtree:
-                version = self._chain.advance(delete_subtrees=(record.dn,))
-            else:
-                version = self._chain.advance(deletes=(record.dn,))
-        else:
-            version = self._chain.advance(adds={record.dn: record.entry})
-        record.lsn = version.lsn
+        """Assign the record's lsn, log it, then advance the version chain
+        with its delta; runs under the write lock so lsn order equals
+        commit order.  Logging comes first so a record the log cannot
+        take (an encode failure) aborts the write with nothing visible --
+        the chain never runs ahead of the log."""
+        record.lsn = self._chain.head_lsn + 1
         self._log_record(record)
+        version = self._advance(record)
+        assert version.lsn == record.lsn
         return record
 
     # -- the replay path (crash recovery and replication) --------------------
@@ -511,7 +484,7 @@ class UpdatableDirectory:
         prefix and applying more would corrupt the replica.
 
         Returns True when the record advanced the chain, False when it was
-        a duplicate.  ``notify`` forwards applied records to the update
+        a duplicate.  ``notify`` forwards applied records to the record
         listeners (replicas keep their caches fresh through the same hook
         the online path uses); recovery leaves it off because listeners
         attach after open.
@@ -521,13 +494,7 @@ class UpdatableDirectory:
         with self._write_lock:
             if record.lsn <= self.head_lsn:
                 return False
-            if record.kind == "delete":
-                if record.subtree:
-                    version = self._chain.advance(delete_subtrees=(record.dn,))
-                else:
-                    version = self._chain.advance(deletes=(record.dn,))
-            else:
-                version = self._chain.advance(adds={record.dn: record.entry})
+            version = self._advance(record)
             if version.lsn != record.lsn:
                 raise ReplayError(
                     "lsn gap in replay: log says %d, chain says %d"
@@ -535,7 +502,7 @@ class UpdatableDirectory:
                 )
         if notify:
             self._updates_metric.inc(kind=record.kind)
-            self._notify(record)
+            self._dispatch(self._record_listeners, record, record.kind)
         return True
 
     def apply_records(
@@ -549,8 +516,9 @@ class UpdatableDirectory:
         return applied
 
     def _log_record(self, record: ChangeRecord) -> None:
-        """Durability hook, called under the write lock right after the
-        chain advanced (a WAL buffers the record here)."""
+        """Durability hook, called under the write lock with the lsn
+        assigned, right before the chain advances (a WAL buffers the
+        record here); raising aborts the commit."""
 
     def _after_commit(self, record: ChangeRecord) -> None:
         """Durability hook, called *outside* the write lock -- a WAL
@@ -559,7 +527,7 @@ class UpdatableDirectory:
     def _finish(self, record: ChangeRecord) -> None:
         self._after_commit(record)
         self._updates_metric.inc(kind=record.kind)
-        self._notify(record)
+        self._dispatch(self._record_listeners, record, record.kind)
         self._maybe_compact()
 
     # -- compaction ----------------------------------------------------------
@@ -651,7 +619,7 @@ class UpdatableDirectory:
                     lsn=fold_lsn,
                     entries=len(new_store),
                 )
-                self._notify_compaction(new_store)
+                self._dispatch(self._compaction_listeners, new_store, "compact")
                 return new_store
             finally:
                 view.close()

@@ -117,7 +117,10 @@ class Pager:
         self._pool: "OrderedDict[int, List[Any]]" = OrderedDict()
         self._dirty: Dict[int, bool] = {}
         self._next_page = 0
-        self._freed: set = set()
+        #: Ids allocated and not yet freed.  Ids are never reused, so this
+        #: both detects use-after-free and stays bounded by what is
+        #: resident (a set of *freed* ids would grow for the pager's life).
+        self._live: set = set()
 
     # -- allocation ---------------------------------------------------------
 
@@ -130,6 +133,7 @@ class Pager:
             page_id = self._next_page
             self._next_page += 1
             self.stats.allocated += 1
+            self._live.add(page_id)
             self._install(page_id, [], dirty=True)
             return page_id
 
@@ -141,7 +145,7 @@ class Pager:
             self._pool.pop(page_id, None)
             self._dirty.pop(page_id, None)
             self._disk.pop(page_id, None)
-            self._freed.add(page_id)
+            self._live.remove(page_id)
 
     # -- page access ----------------------------------------------------------
 
@@ -212,9 +216,9 @@ class Pager:
         self._disk[page_id] = list(self._pool[page_id])
 
     def _check_id(self, page_id: int) -> None:
-        if page_id in self._freed:
-            raise PagerError("use after free of page %d" % page_id)
-        if not (0 <= page_id < self._next_page):
+        if page_id not in self._live:
+            if 0 <= page_id < self._next_page:
+                raise PagerError("use after free of page %d" % page_id)
             raise PagerError("unknown page id %d" % page_id)
 
     # -- introspection ---------------------------------------------------------
@@ -234,7 +238,7 @@ class Pager:
         :class:`~repro.obs.budget.BudgetExceeded` -- this must return to
         its pre-query value."""
         with self.lock:
-            return self._next_page - len(self._freed)
+            return len(self._live)
 
     def __repr__(self) -> str:
         return "Pager(B=%d, pool=%d/%d, %r)" % (

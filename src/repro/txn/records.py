@@ -18,7 +18,9 @@ replay path and the online path cannot drift apart.
 
 Serialisation is JSON (schema validation already happened before a record
 exists, so replay applies records verbatim): attribute values survive as
-the ``int``/``str`` values the schema coerced them to.
+the ``int``/``str`` values the schema coerced them to, and dn-valued
+attributes (the references Section 7's ``vd``/``dv`` join on) as a tagged
+``{"dn": text}`` object that decodes back to a :class:`~repro.model.dn.DN`.
 """
 
 from __future__ import annotations
@@ -82,7 +84,10 @@ class ChangeRecord:
         if self.entry is not None:
             payload["classes"] = sorted(self.entry.classes)
             payload["attributes"] = {
-                attr: list(self.entry.values(attr))
+                attr: [
+                    {"dn": str(v)} if isinstance(v, DN) else v
+                    for v in self.entry.values(attr)
+                ]
                 for attr in self.entry.attributes()
             }
         return payload
@@ -98,8 +103,14 @@ class ChangeRecord:
         entry = None
         if kind in ("add", "modify"):
             try:
-                entry = Entry(dn, payload["classes"], payload.get("attributes", {}))
-            except (KeyError, TypeError, ValueError) as exc:
+                attributes = {
+                    attr: [
+                        DN.parse(v["dn"]) if isinstance(v, dict) else v for v in values
+                    ]
+                    for attr, values in payload.get("attributes", {}).items()
+                }
+                entry = Entry(dn, payload["classes"], attributes)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise RecordError("malformed %s payload: %s" % (kind, exc)) from exc
         return cls(
             kind,

@@ -5,6 +5,8 @@ the cached entry list is bit-identical to a fresh evaluation of the same
 query against the post-update directory.
 """
 
+import threading
+
 from repro.cache import (
     IncrementalCacheMaintainer,
     QueryCache,
@@ -255,3 +257,65 @@ class TestComposite:
         directory.compact()
         assert key in cache
         assert_exact(cache, directory, key, "(name=r1 ? sub ? kind=alpha)")
+
+
+class TestConcurrentRecords:
+    """Writers notify listeners outside the directory's write lock: records
+    reach the maintainer from several threads, possibly out of lsn order."""
+
+    TEXT = "(name=r1 ? sub ? kind=alpha)"
+
+    def test_overlapping_records_do_not_lose_a_patch(self):
+        directory = make_directory()
+        cache = QueryCache()
+        maintainer = IncrementalCacheMaintainer(directory, cache)
+        key, _ = seed_cache(cache, directory, self.TEXT)
+        real = maintainer._delta
+        a_in_delta, b_done = threading.Event(), threading.Event()
+
+        def gated(cached, record):
+            delta = real(cached, record)  # computed from the rows before B
+            if threading.current_thread().name == "writer-a":
+                a_in_delta.set()
+                # B finishes first only if records are not serialised;
+                # when they are, this times out and A goes first.
+                b_done.wait(0.3)
+            return delta
+
+        maintainer._delta = gated
+
+        def write(name):
+            directory.add(
+                "name=%s, name=r1" % name, ["node"], name=name, kind="alpha"
+            )
+
+        def write_b():
+            write("b")
+            b_done.set()
+
+        a = threading.Thread(target=write, args=("a",), name="writer-a")
+        b = threading.Thread(target=write_b, name="writer-b")
+        a.start()
+        assert a_in_delta.wait(10)
+        b.start()
+        a.join(10)
+        b.join(10)
+        assert not a.is_alive() and not b.is_alive()
+        assert cache.stats.patched == 2
+        assert_exact(cache, directory, key, self.TEXT)
+
+    def test_late_record_evicts_instead_of_patching_over_newer_state(self):
+        directory = make_directory()
+        cache = QueryCache()
+        maintainer = IncrementalCacheMaintainer(directory, cache)
+        maintainer.detach()  # deliver by hand, in the wrong order
+        records = []
+        directory.add_record_listener(records.append)
+        key, _ = seed_cache(cache, directory, self.TEXT)
+        directory.modify("name=r1-c0, name=r1", replace={"level": [5]})
+        directory.modify("name=r1-c0, name=r1", replace={"level": [9]})
+        first, second = records
+        maintainer._on_record(second)
+        assert_exact(cache, directory, key, self.TEXT)
+        maintainer._on_record(first)  # must not roll the row back to level=5
+        assert key not in cache

@@ -31,7 +31,8 @@ class TestDifferential:
         schema = instance.schema
         service = DirectoryService(instance, page_size=8)
         mirror = {entry.dn: entry for entry in instance}
-        pool = [RandomQueries(instance, seed=9).any_level() for _ in range(12)]
+        queries = RandomQueries(instance, seed=9)  # one stream: 12 distinct shapes
+        pool = [queries.any_level() for _ in range(12)]
         rng = random.Random(17)
         fresh = 0
 
@@ -43,7 +44,9 @@ class TestDifferential:
 
             if step % 4 != 3:
                 continue
-            action = rng.choice(["add", "modify", "delete", "compact"])
+            action = rng.choice(
+                ["add", "modify", "delete", "delete-subtree", "re-add", "compact"]
+            )
             if action == "add":
                 parent = rng.choice(sorted(mirror, key=lambda d: d.key()))
                 name = "zz%d" % fresh
@@ -76,12 +79,44 @@ class TestDifferential:
                 dn = rng.choice(sorted(leaves, key=lambda d: d.key()))
                 assert service.delete(dn) == ResultCode.SUCCESS
                 del mirror[dn]
+            elif action == "delete-subtree":
+                inner = [
+                    dn for dn in mirror
+                    if dn.depth() > 1
+                    and any(dn.is_ancestor_of(other) for other in mirror)
+                ]
+                if not inner:
+                    continue
+                dn = rng.choice(sorted(inner, key=lambda d: d.key()))
+                assert service.delete(dn, recursive=True) == ResultCode.SUCCESS
+                for doomed in [d for d in mirror if dn.is_prefix_of(d)]:
+                    del mirror[doomed]
+            elif action == "re-add":
+                leaves = [
+                    dn for dn, e in mirror.items()
+                    if "node" in e.classes
+                    and not any(dn.is_ancestor_of(other) for other in mirror)
+                ]
+                if not leaves:
+                    continue
+                dn = rng.choice(sorted(leaves, key=lambda d: d.key()))
+                old = mirror[dn]
+                assert service.delete(dn) == ResultCode.SUCCESS
+                code = service.add(
+                    dn, ["node"], name=old.values("name")[0], kind="omega",
+                    level=rng.randint(0, 9),
+                )
+                assert code == ResultCode.SUCCESS
+                mirror[dn] = service.directory.lookup(dn)
             else:
                 service.directory.compact()
 
         stats = service.cache_stats
         assert stats.hits > 0, "workload never exercised a cache hit"
-        assert stats.invalidations > 0, "workload never exercised invalidation"
+        assert stats.patched > 0, "workload never exercised an in-place patch"
+        assert stats.invalidations > 0, "workload never exercised the evict fallback"
+        cache = service.cache
+        assert cache.resident_bytes == sum(r.size_bytes for r in cache)
 
 
 def make_secured_service() -> DirectoryService:

@@ -1,6 +1,8 @@
 """Per-query resource budgets: tracker semantics, leak-free engine
 cancellation, and the service/federation surfacing of adminLimitExceeded."""
 
+import threading
+
 import pytest
 
 from repro.dist import FederatedDirectory
@@ -156,6 +158,40 @@ class TestServiceSurface:
         # A per-search budget overrides the default.
         ok = service.search(QUERY, budget=QueryBudget(max_pages=10_000))
         assert ok.code == ResultCode.SUCCESS
+
+    def test_concurrent_search_cannot_disarm_this_searches_budget(self, monkeypatch):
+        """Search A blocks inside its first atomic leaf while search B (no
+        budget) runs to completion on another thread: A's budget tracker
+        is per-evaluation state and must still be armed when A resumes."""
+        from repro.engine import optimizer
+
+        service, _ = self.make_service(cache_bytes=0)
+        real = optimizer.evaluate_atomic
+        a_in_leaf, b_done = threading.Event(), threading.Event()
+
+        def gated(store, query, *args, **kwargs):
+            if threading.current_thread().name == "search-a":
+                a_in_leaf.set()
+                assert b_done.wait(10)
+            return real(store, query, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "evaluate_atomic", gated)
+        results = {}
+
+        def search_a():
+            results["a"] = service.search(QUERY, budget=QueryBudget(max_pages=1))
+
+        thread = threading.Thread(target=search_a, name="search-a")
+        thread.start()
+        try:
+            assert a_in_leaf.wait(10)
+            results["b"] = service.search(MERGE_QUERY)
+        finally:
+            b_done.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert results["b"].code == ResultCode.SUCCESS
+        assert results["a"].code == ResultCode.ADMIN_LIMIT_EXCEEDED
 
     def test_cache_hits_are_never_charged(self):
         service, _ = self.make_service()

@@ -1,5 +1,5 @@
 """DirectoryService observability: search spans, metrics, the slow-query
-log, and hardened update-listener dispatch."""
+log, and hardened listener dispatch."""
 
 import pytest
 
@@ -128,20 +128,30 @@ class TestListenerHardening:
         )
         seen = []
 
-        def broken(kind, dn, subtree):
+        def broken(record):
             raise RuntimeError("boom")
 
-        def recorder(kind, dn, subtree):
-            seen.append((kind, str(dn), subtree))
+        def recorder(record):
+            seen.append((record.kind, str(record.dn), record.subtree))
 
-        directory.add_update_listener(broken)
-        directory.add_update_listener(recorder)  # registered *after* broken
+        directory.add_record_listener(broken)
+        directory.add_record_listener(recorder)  # registered *after* broken
         directory.delete("uid=u0, dc=com")
         assert seen == [("delete", "uid=u0, dc=com", False)]
         assert directory.lookup("uid=u0, dc=com") is None
         assert directory.listener_errors == 1
         metric = registry.get("repro_update_listener_errors_total")
         assert metric.value(kind="delete") == 1
+
+        # Compaction listeners go through the same guarded dispatch.
+        compacted = []
+        directory.add_compaction_listener(broken)
+        directory.add_compaction_listener(compacted.append)
+        new_store = directory.compact()
+        assert compacted == [new_store]
+        assert directory.store is new_store
+        assert directory.listener_errors == 2
+        assert metric.value(kind="compact") == 1
 
     def test_compactions_counted(self):
         registry = MetricsRegistry()

@@ -173,6 +173,24 @@ class TestCompare:
         )
 
 
+    def test_reads_pending_writes_without_compacting(self, service):
+        service.bind("uid=alice, dc=com", "wonder")
+        directory = service.directory
+        compactions = directory.compactions
+        nested = "uid=eve, uid=bob, dc=com"
+        assert service.add(nested, ["account"], uid="eve", grade=3) == ResultCode.SUCCESS
+        assert service.compare(nested, "grade", 3) == ResultCode.COMPARE_TRUE
+        service.modify("uid=bob, dc=com", replace={"grade": [9]})
+        assert service.compare("uid=bob, dc=com", "grade", 9) == ResultCode.COMPARE_TRUE
+        assert service.compare("uid=bob, dc=com", "grade", 5) == ResultCode.COMPARE_FALSE
+        assert service.delete("uid=bob, dc=com", recursive=True) == ResultCode.SUCCESS
+        assert service.compare("uid=bob, dc=com", "grade", 9) == ResultCode.NO_SUCH_OBJECT
+        assert service.compare(nested, "grade", 3) == ResultCode.NO_SUCH_OBJECT
+        # The MVCC overlay answered every compare: nothing was folded.
+        assert directory.compactions == compactions
+        assert directory.pending() > 0
+
+
 class TestMutations:
     def test_add_then_visible(self, service):
         service.bind("uid=alice, dc=com", "wonder")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine.engine import QueryEngine
 from repro.engine.optimizer import PlannedEngine
+from repro.query.parser import parse_query
 from repro.server import DirectoryService, ResultCode
 from repro.workload import balanced_instance
 
@@ -18,18 +19,25 @@ def make_service(instance, **kw):
     return DirectoryService(instance, page_size=8, **kw)
 
 
+def pinned_engine(service):
+    """The engine one evaluation would get (its view released at once)."""
+    engine, view = service._pinned_engine()
+    view.close()
+    return engine
+
+
 class TestEngineChoice:
     def test_cost_planner_is_the_default(self, instance):
         service = make_service(instance)
         try:
-            assert isinstance(service._engine_now(), PlannedEngine)
+            assert isinstance(pinned_engine(service), PlannedEngine)
         finally:
             service.close()
 
     def test_planner_none_keeps_literal_engine(self, instance):
         service = make_service(instance, planner="none")
         try:
-            engine = service._engine_now()
+            engine = pinned_engine(service)
             assert isinstance(engine, QueryEngine)
             assert not isinstance(engine, PlannedEngine)
         finally:
@@ -42,13 +50,13 @@ class TestEngineChoice:
     def test_rewrites_applied_in_service_path(self, instance):
         service = make_service(instance, cache_bytes=0)
         try:
-            result = service.search(
+            text = (
                 "(ac ( ? sub ? name=e5) ( ? sub ? name=e1)"
                 " ( ? sub ? objectClass=*))"
             )
-            assert result.code == ResultCode.SUCCESS
-            engine = service._engine_now()
-            assert any("R1" in rule for rule in engine.last_rewrites)
+            assert service.search(text).code == ResultCode.SUCCESS
+            evaluation = service._result_entries(parse_query(text))
+            assert any("R1" in rule for rule in evaluation.rewrites)
         finally:
             service.close()
 
@@ -57,7 +65,7 @@ class TestLiveStatisticsWiring:
     def test_estimates_track_service_writes(self, instance):
         service = make_service(instance)
         try:
-            engine = service._engine_now()
+            engine = pinned_engine(service)
             before = engine.estimator.stats.total_entries
             assert before == 300
             for i in range(20):
@@ -67,7 +75,7 @@ class TestLiveStatisticsWiring:
                      "level": [1], "weight": [i]},
                 ) == ResultCode.SUCCESS
             service.search("( ? sub ? kind=alpha)")  # compacts + replans
-            engine = service._engine_now()
+            engine = pinned_engine(service)
             assert engine.estimator.stats.total_entries == 320
         finally:
             service.close()

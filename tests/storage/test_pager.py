@@ -30,6 +30,21 @@ class TestAllocation:
         with pytest.raises(PagerError):
             pager.read(pid)
 
+    def test_free_bookkeeping_is_bounded_by_live_pages(self):
+        pager = Pager(page_size=4, buffer_pages=2)
+        keep = [pager.append_page([i]) for i in range(3)]
+        for i in range(100_000):
+            pager.free(pager.append_page([i]))
+        assert pager.live_pages == 3
+        assert len(pager._live) == 3  # O(live), not O(ever freed)
+        assert [pager.read(pid) for pid in keep] == [[0], [1], [2]]
+        with pytest.raises(PagerError, match="use after free"):
+            pager.read(keep[-1] + 1)  # freed in the loop
+        with pytest.raises(PagerError, match="use after free"):
+            pager.free(keep[-1] + 1)  # double free
+        with pytest.raises(PagerError, match="unknown page"):
+            pager.read(pager.stats.allocated)  # never allocated
+
     def test_bad_parameters(self):
         with pytest.raises(PagerError):
             Pager(page_size=0)

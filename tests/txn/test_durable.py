@@ -5,9 +5,10 @@ import shutil
 
 import pytest
 
+from repro.model.dn import DN
 from repro.txn.durable import DurableDirectory
 from repro.txn.wal import CrashPlan, SimulatedCrash
-from repro.workload import random_instance
+from repro.workload import balanced_instance, random_instance
 
 
 def _open(data_dir, instance=None, **options):
@@ -130,6 +131,67 @@ class TestOpenReplay:
         assert status["checkpoint_lsn"] == 0
         assert status["wal_appends"] == 1
         directory.close()
+
+
+class TestDnValuedAttributes:
+    """Entries holding a ``ref`` (dn-valued) attribute go through the WAL
+    like any other: logged, replayed, and joinable after reopen."""
+
+    L3 = "(vd ( ? sub ? kind=alpha) ( ? sub ? objectClass=*) ref)"
+
+    def _ref_holder(self, directory):
+        with directory.acquire_view() as view:
+            return next(
+                e for e in view.store.scan_all()
+                if e.values("ref") and "node" in e.classes
+            )
+
+    def test_modify_of_ref_entry_survives_reopen(self, tmp_path):
+        data_dir = tmp_path / "d"
+        directory = _open(data_dir, balanced_instance(200, seed=3))
+        holder = self._ref_holder(directory)
+        directory.modify(holder.dn, replace={"weight": [77]})
+        root = next(iter(directory.store.scan_all())).dn
+        directory.add(
+            root.child("name=later"), ["node"], name="later", kind="alpha",
+            ref=[holder.dn],
+        )
+        before = _materialise(directory)
+        answer = directory.engine().run(self.L3).dns()
+        assert answer, "the L3 probe must join on at least one reference"
+        directory.close()
+
+        reopened = _open(data_dir)
+        assert reopened.recovered_records == 2
+        assert _materialise(reopened) == before
+        recovered = reopened.lookup(holder.dn)
+        assert recovered.values("weight") == (77,)
+        assert all(isinstance(v, DN) for v in recovered.values("ref"))
+        assert reopened.engine().run(self.L3).dns() == answer
+        reopened.close()
+
+    def test_unloggable_write_is_not_half_committed(self, tmp_path):
+        data_dir = tmp_path / "d"
+        directory = _open(data_dir, random_instance(5, size=30))
+        root = next(iter(directory.store.scan_all())).dn
+        head = directory.head_lsn
+
+        def refuse(record):
+            raise TypeError("cannot encode")
+
+        append, directory.wal.append = directory.wal.append, refuse
+        with pytest.raises(TypeError):
+            directory.add(root.child("name=lost"), ["node"], name="lost")
+        directory.wal.append = append
+        # Nothing visible, no lsn consumed: the log and the chain agree.
+        assert directory.lookup(root.child("name=lost")) is None
+        assert directory.head_lsn == head
+        directory.add(root.child("name=kept"), ["node"], name="kept")
+        directory.close()
+        reopened = _open(data_dir)
+        assert reopened.recovered_records == 1
+        assert reopened.lookup(root.child("name=kept")) is not None
+        reopened.close()
 
 
 class TestCrashRecovery:

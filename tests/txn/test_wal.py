@@ -54,6 +54,21 @@ class TestFrameFormat:
         assert records[0].kind == "delete"
         assert records[0].subtree is True
 
+    def test_dn_valued_attribute_roundtrips_as_dn(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        dn = DN.parse("name=x, dc=com")
+        target = DN.parse("name=y, dc=com")
+        entry = Entry(dn, ["node"], {"name": ["x"], "level": [3], "ref": [target]})
+        wal = WriteAheadLog(path, fsync=False)
+        wal.commit(ChangeRecord("add", dn, entry=entry, lsn=1))
+        wal.close()
+        records, _, torn = scan_wal(path)
+        assert not torn
+        (ref,) = records[0].entry.values("ref")
+        assert isinstance(ref, DN) and ref == target
+        assert records[0].entry.values("level") == (3,)
+        assert records[0].entry.values("name") == ("x",)
+
     def test_torn_tail_detected_and_prefix_kept(self, tmp_path):
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(path, fsync=False)
