@@ -16,6 +16,12 @@ of the query by the cumulative size ``|L|`` of the atomic results
 
 Either way the result is a sorted, duplicate-free run -- the contract every
 operator above relies on.
+
+``store`` is anything with the store's read interface: a
+:class:`~repro.storage.store.DirectoryStore`, or a pinned
+:class:`~repro.storage.maintenance.StoreView`, whose ``scan_subtree`` and
+``fetch_positions`` merge the pending-update overlay into the same sorted
+stream (the service path; nothing here changes).
 """
 
 from __future__ import annotations

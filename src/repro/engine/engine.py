@@ -88,7 +88,9 @@ class QueryResult:
 
 
 class QueryEngine:
-    """External-memory query evaluation over a :class:`DirectoryStore`."""
+    """External-memory query evaluation over a :class:`DirectoryStore` --
+    or over a pinned :class:`~repro.storage.maintenance.StoreView`, which
+    offers the same read interface with pending updates merged in."""
 
     def __init__(
         self,

@@ -277,29 +277,10 @@ class LiveDirectoryStatistics:
     # -- listeners ----------------------------------------------------------
 
     def _rebuild(self) -> None:
-        """Collect from a pinned view: the master-run scan plus the folded
-        overlay, so a rebuild is exact even with mutations still pending."""
+        """Collect from a pinned view's overlay-merged scan, so a rebuild
+        is exact even with mutations still pending."""
         with self.directory.acquire_view() as view:
-            stats = DirectoryStatistics.collect(view.store)
-            adds, deletes, subtrees = view.snapshot.folded()
-
-            def in_deleted_subtree(dn) -> bool:
-                return any(root.is_prefix_of(dn) for root in subtrees)
-
-            for root in subtrees:
-                for entry in view.store.scan_subtree(root):
-                    stats.apply_entry(entry, -1)
-            for dn in deletes:
-                if in_deleted_subtree(dn):
-                    continue
-                pre = _stored_entry(view.store, dn)
-                if pre is not None:
-                    stats.apply_entry(pre, -1)
-            for dn, entry in adds.items():
-                pre = _stored_entry(view.store, dn)
-                if pre is not None and not in_deleted_subtree(dn):
-                    stats.apply_entry(pre, -1)  # overlay modify replaces it
-                stats.apply_entry(entry, 1)
+            stats = DirectoryStatistics.collect(view)
         self._stats = stats
         self._stale = False
         self.rebuilds += 1
@@ -335,15 +316,6 @@ class LiveDirectoryStatistics:
                 # paid one co-scan; the statistics scan rides along instead
                 # of surprising a later query.
                 self._rebuild()
-
-
-def _stored_entry(store, dn):
-    """The master-run entry at ``dn``, or None (overlay ignored)."""
-    for entry in store.scan_subtree(dn):
-        if entry.dn == dn:
-            return entry
-        break
-    return None
 
 
 class CardinalityEstimator:

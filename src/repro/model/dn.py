@@ -33,6 +33,7 @@ __all__ = [
     "ROOT_DN",
     "DNSyntaxError",
     "escape_value",
+    "subtree_upper_bound",
     "unescape_value",
 ]
 
@@ -46,6 +47,40 @@ _SPECIAL = {",", "+", "=", "\\", ";"}
 
 class DNSyntaxError(ValueError):
     """Raised when a DN or RDN string cannot be parsed."""
+
+
+class _AboveEveryRDN:
+    """A key component that sorts above every canonical RDN string."""
+
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __le__(self, other) -> bool:
+        return other is self
+
+    def __gt__(self, other) -> bool:
+        return other is not self
+
+    def __ge__(self, other) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "<above every RDN>"
+
+
+_ABOVE_EVERY_RDN = _AboveEveryRDN()
+
+
+def subtree_upper_bound(key: tuple) -> tuple:
+    """The key successor of a subtree: for a reverse-dn ``key`` (see
+    :meth:`DN.key`), a bound ``u`` such that ``key <= k < u`` holds exactly
+    for the keys ``k`` that have ``key`` as a prefix.  Sorted key lists
+    are cut to one subtree with two bisections, ``key`` and this; no
+    sibling whose RDN string merely *extends* the root's (``ou=a`` /
+    ``ou=ab``) and no character above the BMP falls inside."""
+    return key + (_ABOVE_EVERY_RDN,)
 
 
 def escape_value(value: str) -> str:

@@ -9,14 +9,16 @@ Everything the repository builds, behind one LDAP-shaped interface:
   an AST), honouring access control, a size limit and paged retrieval;
 - **compare** -- LDAP's attribute-value assertion on one entry;
 - **add / delete / modify** -- mutations through the differential update
-  log (compaction is automatic before the next search);
+  log (visible to the next search at once; folded into the master run by
+  threshold maintenance, never by a read);
 - result codes in the style of LDAP (success, noSuchObject,
   sizeLimitExceeded, insufficientAccessRights, ...).
 
 The service owns an :class:`~repro.storage.maintenance.UpdatableDirectory`
-and compacts it only when updates intervened, so repeated searches keep
-their I/O bounds; every evaluation gets its own engine over its own
-pinned view, so concurrent searches share no per-run state.
+and never folds its overlay on a read: every evaluation gets its own
+engine over its own pinned view -- master run and pending overlay merged
+in one sorted co-scan -- so searches keep their I/O bounds and concurrent
+searches share no per-run state.
 """
 
 from __future__ import annotations
@@ -381,23 +383,20 @@ class DirectoryService:
     # -- read operations -----------------------------------------------------
 
     def _pinned_engine(self) -> Tuple[QueryEngine, StoreView]:
-        """A fresh engine over a *caller-owned* pinned view of the
-        compacted directory.  The pin keeps a concurrent compaction from
-        freeing the run's pages under the scan, and the engine's per-run
-        state (budget tracker, skip counts, Q-error) belongs to this one
-        evaluation.  Close the returned view when the evaluation is
-        done."""
-        pending = self.directory.pending()
-        if pending:
-            with self.tracer.span("compact", pending=pending):
-                self.directory.compact()
+        """A fresh engine over a *caller-owned* pinned view.  The engine
+        reads through the view -- master run and pending overlay merged
+        as of the view's lsn -- so no read waits for maintenance; the pin
+        keeps a concurrent compaction from freeing the run's pages under
+        the scan, and the engine's per-run state (budget tracker, skip
+        counts, Q-error) belongs to this one evaluation.  Close the
+        returned view when the evaluation is done."""
         view = self.directory.acquire_view()
         options = dict(tracer=self.tracer, log=self.log, heatmap=self.heatmap)
         if self.planner == "cost":
             return PlannedEngine(
-                view.store, stats=self._live_stats, metrics=self.metrics, **options
+                view, stats=self._live_stats, metrics=self.metrics, **options
             ), view
-        return QueryEngine(view.store, **options), view
+        return QueryEngine(view, **options), view
 
     @property
     def cache_stats(self):
@@ -448,7 +447,7 @@ class DirectoryService:
             )
         key = None
         if self.cache is not None:
-            # As-written lookup first: a hit skips compaction and planning
+            # As-written lookup first: a hit skips the view and planning
             # entirely (a served result costs nothing).
             with self.tracer.span("cache-lookup") as span:
                 key = fingerprint(query)
@@ -603,6 +602,8 @@ class DirectoryService:
 
                 visible = project(visible, attributes)
             search_span.set(code=code, rows=total, cached=cached)
+            if self.tracer.enabled:
+                search_span.set(pending=self.directory.pending())
             result = SearchResult(
                 code,
                 visible,

@@ -3,11 +3,24 @@
 Directories are read-mostly (the paper's engine is built around a
 clustered, sorted master run), so updates follow the classic differential
 scheme of that era: mutations accumulate in a validated overlay ahead of
-the master; :meth:`UpdatableDirectory.compact` merges the overlay into a
-fresh master run in one co-scan -- ``O((N + |log|)/B)`` page transfers
-plus the log sort -- and rebuilds the secondary indices.  Queries always
-run against a compacted image (:meth:`UpdatableDirectory.engine` compacts
-on demand), so every complexity bound of the query engine is preserved.
+the master, and :meth:`UpdatableDirectory.compact` merges the overlay into
+a fresh master run in one co-scan -- ``O((N + |log|)/B)`` page transfers
+-- and rebuilds the secondary indices.
+
+Queries do **not** wait for that merge.  The overlay is one more sorted
+list, and the engine's own technique -- sorted-list merging over
+reverse-dn order -- reads through it: a :class:`StoreView` co-scans the
+master range of a subtree with the slice of the overlay that falls inside
+it, ``O(range + delta)``, with the overlay's share charged to the pager as
+``ceil(k / B)`` logical page reads so the engine's I/O bounds stay whole.
+Compaction is maintenance only: it runs when ``auto_compact_at`` pending
+actions have accumulated (inside the writer that crossed the threshold,
+or on a :class:`~repro.txn.agent.MaintenanceAgent` attached via
+:meth:`UpdatableDirectory.attach_maintenance`), at checkpoints, on
+replica resync and on explicit calls -- never from a read.
+(:meth:`UpdatableDirectory.engine` is the explicit compact-then-read
+convenience, and the reference arm the overlay differential suite
+compares merged reads against.)
 
 The overlay itself is a :class:`~repro.txn.mvcc.VersionChain`: every
 validated mutation becomes one :class:`~repro.txn.records.ChangeRecord`,
@@ -16,15 +29,11 @@ the version's lsn.  Readers take a :class:`StoreView` -- a (master run,
 overlay snapshot) pair captured atomically -- and keep answering as of
 that lsn no matter what writers or compactions do next:
 
-- the snapshot's version list is immutable (see :mod:`repro.txn.mvcc`);
+- the snapshot's cumulative delta is never mutated once published (see
+  :mod:`repro.txn.mvcc`);
 - the master run a view pins is *deferred-freed*: compaction installs the
   merged run immediately but the superseded run's pages are only
   returned to the pager when the last pinning view closes.
-
-Compaction may run synchronously (the seed behaviour, still the default)
-or on a :class:`~repro.txn.agent.MaintenanceAgent` attached via
-:meth:`UpdatableDirectory.attach_maintenance` -- then writers only
-*request* compaction and never pay the merge themselves.
 
 Observers subscribe to one of two streams, both dispatched through one
 guarded loop: *record listeners* get every committed
@@ -47,9 +56,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
 
-from ..model.dn import DN
+from ..model.dn import DN, subtree_upper_bound
 from ..model.entry import Entry
 from ..model.instance import DirectoryInstance, InstanceError
 from ..model.schema import OBJECT_CLASS, DirectorySchema
@@ -118,21 +127,125 @@ CompactionListener = Callable[[DirectoryStore], None]
 class StoreView:
     """A pinned, immutable read view: one master run + one overlay
     snapshot, captured atomically.  Close it (or use it as a context
-    manager) to release the pin so superseded runs can be freed."""
+    manager) to release the pin so superseded runs can be freed.
 
-    __slots__ = ("store", "snapshot", "_directory", "_closed")
+    The view offers the store's read interface (:meth:`scan_subtree`,
+    :meth:`fetch_positions`, :meth:`page_range_for_subtree`, ``pager``,
+    ``schema``, the secondary indices), so a query engine runs over it
+    and reads *through* the overlay: the master range is co-scanned with
+    the slice of the overlay's sorted dns that falls inside it.  With
+    nothing pending inside the range it hands back the store's own scan --
+    no added work, identical page I/O."""
+
+    __slots__ = (
+        "store", "snapshot", "pager", "schema", "int_indices", "string_indices",
+        "_directory", "_closed",
+    )
 
     def __init__(
         self, directory: "UpdatableDirectory", store: DirectoryStore, snapshot: Snapshot
     ):
         self.store = store
         self.snapshot = snapshot
+        # The store's read interface, as of this view (plain attributes:
+        # scans read ``schema`` once per entry).
+        self.pager = store.pager
+        self.schema = store.schema
+        self.int_indices = store.int_indices
+        self.string_indices = store.string_indices
         self._directory = directory
         self._closed = False
 
     @property
     def lsn(self) -> int:
         return self.snapshot.lsn
+
+    def page_range_for_subtree(self, base: DN):
+        """The *master* page range of the subtree (what the planner costs
+        a scan by; the overlay is memory-resident and bounded)."""
+        return self.store.page_range_for_subtree(base)
+
+    def scan_subtree(self, base: DN) -> Iterator[Entry]:
+        """Entries of the subtree at ``base`` as of this view's lsn, in
+        order: ``O(range + delta)``."""
+        delta = self.snapshot.delta
+        if not delta:
+            return self.store.scan_subtree(base)
+        low, high = delta.span(base)
+        if delta.covering_root(base) is not None:
+            # The whole master range is deleted; only newer adds remain.
+            return self._merged((), low, high, ())
+        roots = delta.roots_under(base)
+        if low == high and not roots:
+            return self.store.scan_subtree(base)
+        return self._merged(self.store.scan_subtree(base), low, high, roots)
+
+    def scan_all(self) -> Iterator[Entry]:
+        """Every entry as of this view's lsn, in order (what compaction
+        writes out)."""
+        delta = self.snapshot.delta
+        if not delta:
+            return self.store.scan_all()
+        return self._merged(
+            self.store.scan_all(), 0, len(delta.order), delta.roots
+        )
+
+    def fetch_positions(self, positions: List[int]) -> List[Entry]:
+        """The secondary-index path: master entries at ``positions`` the
+        overlay has not replaced or deleted, merged with the overlay's own
+        entries (which no index covers -- the caller's scope and filter
+        test sifts them like any fetched entry)."""
+        fetched = self.store.fetch_positions(positions)
+        delta = self.snapshot.delta
+        if not delta:
+            return fetched
+        return list(self._merged(fetched, 0, len(delta.order), delta.roots))
+
+    def _merged(
+        self, master: Iterable[Entry], low: int, high: int, roots
+    ) -> Iterator[Entry]:
+        """Sorted-list merge of master entries with ``order[low:high]`` of
+        the overlay.  Precedence: an overlay image wins over the master
+        entry at the same dn (an entry replaces it, a point delete drops
+        it); a master entry under one of the deleted ``roots`` is dropped;
+        overlay entries are always kept -- one under a deleted root was
+        added after the delete."""
+        delta = self.snapshot.delta
+        point, order = delta.point, delta.order
+        spans = [(key, subtree_upper_bound(key)) for key, _ in roots]
+        span_at = 0
+        at = low
+        next_key = order[at][0] if at < high else None
+        try:
+            for entry in master:
+                key = entry.dn.key()
+                replaced = False
+                while next_key is not None and next_key <= key:
+                    replaced = next_key == key  # sorted: only the last can be
+                    image = point[order[at][1]]
+                    at += 1
+                    next_key = order[at][0] if at < high else None
+                    if image is not None:
+                        yield image
+                if replaced:
+                    continue
+                while span_at < len(spans) and key >= spans[span_at][1]:
+                    span_at += 1
+                if span_at == len(spans) or key < spans[span_at][0]:
+                    yield entry
+            while at < high:
+                image = point[order[at][1]]
+                at += 1
+                if image is not None:
+                    yield image
+        finally:
+            # Charged when the scan ends or is abandoned (a base-scope
+            # probe stops after one entry): what it walked, not the slice.
+            self._directory._charge_overlay(
+                at - low + span_at + (span_at < len(spans))
+            )
+
+    # -- point reads ----------------------------------------------------------
 
     def lookup(self, dn: DN) -> Optional[Entry]:
         verdict = self.snapshot.overlay_lookup(dn)
@@ -144,15 +257,10 @@ class StoreView:
             break
         return None
 
-    def children(self, dn: DN):
-        """Dns of the entry's current children (adds first, then stored
-        entries that the overlay has not deleted)."""
-        adds, _deletes, _subtrees = self.snapshot.folded()
-        for child_dn in adds:
-            if dn.is_parent_of(child_dn):
-                yield child_dn
-        for entry in self.store.scan_subtree(dn):
-            if dn.is_parent_of(entry.dn) and not self.snapshot.is_deleted(entry.dn):
+    def children(self, dn: DN) -> Iterator[DN]:
+        """Dns of the entry's current children, in order."""
+        for entry in self.scan_subtree(dn):
+            if dn.is_parent_of(entry.dn):
                 yield entry.dn
 
     def close(self) -> None:
@@ -167,7 +275,9 @@ class StoreView:
         self.close()
 
     def __repr__(self) -> str:
-        return "StoreView(lsn=%d, %d stored)" % (self.lsn, len(self.store))
+        return "StoreView(lsn=%d, %d stored, %d pending)" % (
+            self.lsn, len(self.store), len(self.snapshot.delta),
+        )
 
 
 class UpdatableDirectory:
@@ -226,6 +336,15 @@ class UpdatableDirectory:
             "repro_update_errors_total",
             "Rejected directory updates by structured error code",
             labelnames=("code",),
+        )
+        self._pending_metric = self.metrics.gauge(
+            "repro_overlay_pending",
+            "Overlay actions committed but not yet compacted into the master run",
+        )
+        self._overlay_merged_metric = self.metrics.counter(
+            "repro_overlay_merged_entries_total",
+            "Overlay entries walked by overlay-merged scans (searches, write "
+            "validation and compaction alike)",
         )
         self._listener_errors_metric = self.metrics.counter(
             "repro_update_listener_errors_total",
@@ -309,6 +428,16 @@ class UpdatableDirectory:
         if doomed is not None:
             doomed.master.free()
 
+    def _charge_overlay(self, consumed: int) -> None:
+        """Account one merged scan's overlay share: the overlay is memory
+        resident, so the ``consumed`` entries the scan walked cost
+        ceil(consumed / B) logical page reads (buffer hits) -- the
+        sorted-list merge's second operand, charged like the first."""
+        if consumed:
+            pager = self.store.pager  # one pager for the directory's life
+            pager.charge_reads(-(-consumed // pager.page_size))
+            self._overlay_merged_metric.inc(consumed)
+
     @property
     def head_lsn(self) -> int:
         """The lsn of the newest committed update."""
@@ -329,18 +458,23 @@ class UpdatableDirectory:
             return view.lookup(dn)
 
     def pending(self) -> int:
-        return self._chain.snapshot().pending()
+        """Distinct overlay actions not yet folded into the master, O(1)."""
+        return self._chain.pending()
 
     def __len__(self) -> int:
-        """Exact only right after compaction; otherwise an O(pending)
-        adjustment over the stored count (subtree deletes force compaction
-        first)."""
+        """The stored count adjusted by the overlay, without compacting:
+        pending entries less pending point deletes (O(pending)) less the
+        master entries under each pending subtree delete (one range scan
+        each).
+        Exact right after compaction; in between, a modify counts its dn
+        twice."""
         with self.acquire_view() as view:
-            adds, deletes, subtrees = view.snapshot.folded()
-            if not subtrees:
-                return len(view.store) + len(adds) - len(deletes)
-        self.compact()
-        return len(self.store)
+            delta = view.snapshot.delta
+            live = sum(image is not None for image in delta.point.values())
+            doomed = sum(
+                1 for _, root in delta.roots for _entry in view.store.scan_subtree(root)
+            )
+            return len(view.store) + 2 * live - len(delta.point) - doomed
 
     # -- mutations ----------------------------------------------------------
 
@@ -542,7 +676,9 @@ class UpdatableDirectory:
         self._agent = None
 
     def _maybe_compact(self) -> None:
-        if self.pending() < self.auto_compact_at:
+        pending = self.pending()
+        self._pending_metric.set(pending)
+        if pending < self.auto_compact_at:
             return
         agent = self._agent
         if agent is not None:
@@ -553,43 +689,20 @@ class UpdatableDirectory:
         self.compact()
 
     def compact(self) -> DirectoryStore:
-        """Merge the committed overlay into a fresh master run (one
-        co-scan).  Readers are never blocked: they keep the view they
-        pinned; the superseded run is freed when its last pin drops."""
+        """Merge the committed overlay into a fresh master run -- the
+        view's own overlay-merged full scan, written out.  Readers are
+        never blocked: they keep the view they pinned; the superseded run
+        is freed when its last pin drops."""
         with self._compact_lock:
             view = self.acquire_view()
             try:
-                adds_map, deletes, subtrees = view.snapshot.folded()
-                if not (adds_map or deletes or subtrees):
+                folded = view.snapshot.pending()
+                if not folded:
                     return view.store
                 started = time.perf_counter()
-                folded = len(adds_map) + len(deletes) + len(subtrees)
-
-                def is_deleted(dn: DN) -> bool:
-                    if dn in deletes:
-                        return True
-                    return any(root.is_prefix_of(dn) for root in subtrees)
-
-                pager = view.store.pager
-                adds = sorted(adds_map.values(), key=lambda e: e.dn.key())
+                pager = view.pager
                 writer = RunWriter(pager)
-                add_index = 0
-                for entry in view.store.scan_all():
-                    while (
-                        add_index < len(adds)
-                        and adds[add_index].dn.key() < entry.dn.key()
-                    ):
-                        writer.append(adds[add_index])
-                        add_index += 1
-                    if add_index < len(adds) and adds[add_index].dn == entry.dn:
-                        writer.append(adds[add_index])  # modify: new version wins
-                        add_index += 1
-                        continue
-                    if not is_deleted(entry.dn):
-                        writer.append(entry)
-                while add_index < len(adds):
-                    writer.append(adds[add_index])
-                    add_index += 1
+                writer.extend(view.scan_all())
                 new_master = writer.close()
 
                 int_attrs = tuple(view.store.int_indices)
@@ -611,6 +724,7 @@ class UpdatableDirectory:
                 elapsed = time.perf_counter() - started
                 self.compactions += 1
                 self._compactions_metric.inc()
+                self._pending_metric.set(self.pending())
                 self._compaction_seconds.observe(elapsed)
                 self.log.info(
                     "maintenance.compact",

@@ -167,6 +167,14 @@ class Pager:
             self._install(page_id, records, dirty=False)
             return records
 
+    def charge_reads(self, pages: int) -> None:
+        """Count ``pages`` logical reads of memory-resident data that is
+        not laid out on this device (the pending-update overlay a scan
+        merges in): buffer hits, so no transfer -- but the model-level
+        cost of a read stays complete."""
+        with self.lock:
+            self.stats.logical_reads += pages
+
     def write(self, page_id: int, records: List[Any]) -> None:
         """Replace a page's records (write-back is deferred to eviction or
         flush)."""

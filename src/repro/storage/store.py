@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator, List, Optional, Tuple
 
-from ..model.dn import DN
+from ..model.dn import DN, subtree_upper_bound
 from ..model.entry import Entry
 from ..model.instance import DirectoryInstance
 from ..model.schema import DirectorySchema
@@ -134,10 +134,7 @@ class DirectoryStore:
         start = bisect_right(self._page_first_keys, prefix) - 1
         if start < 0:
             start = 0
-        # Upper sentinel: smallest key strictly above every key with this
-        # prefix.
-        sentinel = prefix[:-1] + (prefix[-1] + "￿",)
-        end = bisect_right(self._page_first_keys, sentinel)
+        end = bisect_right(self._page_first_keys, subtree_upper_bound(prefix))
         return start, end
 
     def scan_subtree(self, base: DN) -> Iterator[Entry]:

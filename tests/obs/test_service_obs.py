@@ -69,6 +69,22 @@ class TestSearchSpans:
         assert root.attrs["cached"] is True
 
 
+    def test_search_after_write_carries_pending_and_no_compact_span(self, observed):
+        service, tracer, registry = observed
+        assert service.add(
+            "uid=late, dc=com", ["account"], uid="late", grade=5
+        ) == ResultCode.SUCCESS
+        result = service.search(QUERY)
+        assert "uid=late, dc=com" in result.dns()
+        root = tracer.last_root()
+        assert root.attrs["pending"] == 1
+        assert root.find("compact") is None
+        assert "execute" in [child.name for child in root.children]
+        assert registry.get("repro_overlay_pending").value() == 1
+        assert registry.get("repro_overlay_merged_entries_total").value() >= 1
+        assert registry.get("repro_compactions_total").value() == 0
+
+
 class TestSearchMetrics:
     def test_counters_and_histograms_populate(self, observed):
         service, _tracer, registry = observed

@@ -74,7 +74,13 @@ class TestLiveStatisticsWiring:
                     {"name": ["new%d" % i], "kind": ["alpha"],
                      "level": [1], "weight": [i]},
                 ) == ResultCode.SUCCESS
-            service.search("( ? sub ? kind=alpha)")  # compacts + replans
+            # The search replans over the pending overlay: the record
+            # listener kept the statistics current, nothing compacted.
+            result = service.search("( ? sub ? kind=alpha)")
+            assert sum(e.dn.rdn.canonical().startswith("name=new")
+                       for e in result.entries) == 20
+            assert service.directory.compactions == 0
+            assert service.directory.pending() == 20
             engine = pinned_engine(service)
             assert engine.estimator.stats.total_entries == 320
         finally:

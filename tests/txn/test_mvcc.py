@@ -153,3 +153,40 @@ class TestFolding:
         chain.advance(adds={dn_a: _entry("name=a, dc=com", name="a")},
                       deletes={dn_b}, delete_subtrees={_dn("o=gone, dc=com")})
         assert chain.snapshot().pending() == 3
+
+
+class TestPython39Bisect:
+    def test_delta_bisects_without_the_key_keyword(self, monkeypatch):
+        """``bisect``'s ``key=`` exists only from Python 3.10 and 3.9 is
+        supported: the delta must bisect plain tuples.  Swap in 3.9's
+        signatures and drive every bisecting path."""
+        import bisect
+
+        from repro.txn import mvcc
+
+        def py39(function):
+            def without_key(a, x, lo=0, hi=None):
+                return function(a, x, lo, len(a) if hi is None else hi)
+            return without_key
+
+        for name in ("bisect_left", "bisect_right", "insort"):
+            monkeypatch.setattr(mvcc, name, py39(getattr(bisect, name)))
+
+        chain = VersionChain()
+        root = _dn("o=unit, dc=com")
+        names = ["name=%s, o=unit, dc=com" % n for n in ("b", "a", "ab", "c")]
+        for text in names:
+            chain.advance(adds={_dn(text): _entry(text, name="x")})
+        chain.advance(deletes={_dn(names[0])})
+        delta = chain.snapshot().delta
+        assert [dn for _, dn in delta.order] == sorted(map(_dn, names))
+        assert delta.span(root) == (0, 4)
+        assert delta.span(_dn(names[1])) == (0, 1)  # "a" excludes "ab"
+        chain.advance(delete_subtrees={root})
+        chain.advance(delete_subtrees={_dn(names[3])})  # nested: not kept
+        delta = chain.snapshot().delta
+        assert not delta.order
+        assert [dn for _, dn in delta.roots] == [root]
+        assert delta.covering_root(_dn(names[2])) == root
+        assert delta.covering_root(_dn("o=other, dc=com")) is None
+        assert [dn for _, dn in delta.roots_under(_dn("dc=com"))] == [root]
