@@ -275,7 +275,7 @@ def _cmd_metrics(args) -> int:
                     if record.trace_id is not None else ""
                 )
                 print("--   %.2fms io=%d%s %s" % (
-                    record.elapsed * 1e3, record.io_total, trace,
+                    record.elapsed * 1e3, record.pages, trace,
                     record.query_text),
                     file=sys.stderr)
     return 0

@@ -45,27 +45,18 @@ __all__ = ["QueryEngine", "QueryResult"]
 
 
 class QueryResult:
-    """The outcome of one engine run: entries plus observed cost.
-
-    ``cached``/``saved_io`` are filled in by result-cache layers (see
-    :mod:`repro.cache`) when a result is served without evaluation; a
-    plain engine run always reports ``cached=False``.
-    """
+    """The outcome of one engine run: entries plus observed cost."""
 
     def __init__(
         self,
         entries: List[Entry],
         io: IOStats,
         elapsed: float,
-        cached: bool = False,
-        saved_io: int = 0,
         eval_errors: int = 0,
     ):
         self.entries = entries
         self.io = io
         self.elapsed = elapsed
-        self.cached = cached
-        self.saved_io = saved_io
         #: Records skipped by operators because a value could not be
         #: evaluated (e.g. an embedded reference failing dn coercion).
         #: Zero for a clean answer; non-zero means the result silently

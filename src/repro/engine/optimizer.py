@@ -541,7 +541,6 @@ class PlannedEngine(QueryEngine):
         store: DirectoryStore,
         stats=None,
         tracer=None,
-        reorder: bool = True,
         short_circuit: bool = True,
         metrics=None,
         **engine_options,
@@ -552,7 +551,6 @@ class PlannedEngine(QueryEngine):
         # scan inside the first query's measured I/O window.
         self.estimator.stats
         self.planner = AccessPlanner(store, self.estimator)
-        self.reorder = reorder
         self.short_circuit = short_circuit
         self.last_rewrites: List[str] = []
         #: Q-error of the most recent :meth:`run` (root estimate vs
@@ -573,8 +571,7 @@ class PlannedEngine(QueryEngine):
 
             query = parse_query(query)
         query, applied = rewrite(query)
-        if self.reorder:
-            query = reorder_operands(query, self.estimator, applied)
+        query = reorder_operands(query, self.estimator, applied)
         return query, applied
 
     def run(self, query, budget=None):

@@ -12,6 +12,8 @@ The paper proves per-operator I/O bounds; this package makes them
 - :mod:`repro.obs.metrics` -- a process-wide registry of counters,
   gauges and fixed-bucket histograms with Prometheus text and JSON
   exposition;
+- :mod:`repro.obs.event` -- the one record per finished search that
+  every sink below reads;
 - :mod:`repro.obs.slowlog` -- the bounded slow-query log;
 - :mod:`repro.obs.telemetry` -- the ``BENCH_<experiment>.json`` emitter
   behind the benchmark suite, plus the bench-regression gate
@@ -46,6 +48,7 @@ from .alerts import (
 )
 from .budget import BudgetExceeded, BudgetTracker, QueryBudget
 from .digest import QueryDigest, QueryDigestTable
+from .event import SearchEvent
 from .heatmap import SubtreeHeatMap
 from .history import MetricHistory, MetricSample
 from .httpd import AdminServer
@@ -58,7 +61,7 @@ from .metrics import (
     get_registry,
     set_registry,
 )
-from .slowlog import SlowQueryLog, SlowQueryRecord
+from .slowlog import SlowQueryLog
 from .stats import StatCounters
 from .telemetry import (
     BenchEmitter,
@@ -93,8 +96,8 @@ __all__ = [
     "QueryDigestTable",
     "RateRule",
     "RatioRule",
+    "SearchEvent",
     "SlowQueryLog",
-    "SlowQueryRecord",
     "Span",
     "StatCounters",
     "SubtreeHeatMap",

@@ -30,6 +30,8 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from .event import SearchEvent
+
 __all__ = ["QueryDigest", "QueryDigestTable"]
 
 #: How a search was served, as recorded by the service.
@@ -186,29 +188,30 @@ class QueryDigestTable:
         #: Rows pushed out by the fewest-calls bound.
         self.evicted = 0
 
-    def observe(
-        self,
-        key: str,
-        text: str,
-        elapsed_s: float,
-        pages: int = 0,
-        entries: int = 0,
-        via: str = "engine",
-        qerror: Optional[float] = None,
-    ) -> QueryDigest:
-        """Fold one finished search into the row for ``key`` (creating and
-        possibly evicting to make room).  Returns the updated row."""
+    def observe(self, event: SearchEvent) -> Optional[QueryDigest]:
+        """Fold one finished search into the row for ``event.key``
+        (creating and possibly evicting to make room).  Returns the
+        updated row -- or None for a search that evaluated nothing
+        (``via`` None: a protocol error or budget breach has no cost to
+        attribute to a shape).  The query text is only read when the row
+        is new, so a search whose row exists is never rendered for it."""
+        via = event.via
+        if via is None:
+            return None
         if via not in VIAS:
             raise ValueError("via must be one of %s, got %r" % (VIAS, via))
+        key = event.key
         now = self._clock()
         with self._lock:
             row = self._rows.get(key)
             if row is None:
                 if len(self._rows) >= self.capacity:
                     self._evict_locked()
-                row = QueryDigest(key, text, now)
+                row = QueryDigest(key, event.query_text, now)
                 self._rows[key] = row
-            row.observe(elapsed_s, pages, entries, via, qerror, now)
+            row.observe(
+                event.elapsed, event.pages, event.rows, via, event.qerror, now
+            )
             self.observed += 1
             return row
 

@@ -2,89 +2,24 @@
 threshold.
 
 Aggregates (the latency histogram) tell you the tail exists; the slow log
-tells you *which queries* are in it.  :class:`DirectoryService` records
-every search here; entries past the threshold are kept (newest last, the
-ring drops the oldest) with the query text, latency, page I/O and cache
-disposition -- enough to re-run the offender under EXPLAIN ``--analyze``.
+tells you *which queries* are in it.  :class:`DirectoryService` offers
+every finished search's :class:`~repro.obs.event.SearchEvent` here; the
+ones past the threshold are marked ``slow`` and kept (newest last, the
+ring drops the oldest).  The ring retains the event itself -- query text,
+latency, page I/O, cache disposition, degradation notes, trace id and
+Q-error, and no result entries -- enough to re-run the offender under
+EXPLAIN ``--analyze``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional
 
-__all__ = ["SlowQueryLog", "SlowQueryRecord"]
+from .event import SearchEvent
 
-
-class SlowQueryRecord:
-    """One over-threshold search.
-
-    ``retries`` and ``warnings`` carry the federated degradation story
-    (remote attempts beyond the first; stale/replica/partial notes) --
-    zero/empty for ordinary local searches, and omitted from
-    :meth:`as_dict` in that case so existing consumers see no change.
-    ``trace_id`` (set when the service runs under a live tracer) joins a
-    slow-log hit to its sampled span tree in the ``/traces`` export; it
-    is likewise omitted when absent.
-    """
-
-    __slots__ = (
-        "query_text", "elapsed", "io_total", "cached", "result_size",
-        "retries", "warnings", "trace_id", "qerror",
-    )
-
-    def __init__(
-        self,
-        query_text: str,
-        elapsed: float,
-        io_total: int,
-        cached: bool,
-        result_size: int,
-        retries: int = 0,
-        warnings: Tuple[str, ...] = (),
-        trace_id: Optional[str] = None,
-        qerror: Optional[float] = None,
-    ):
-        self.query_text = query_text
-        self.elapsed = elapsed
-        self.io_total = io_total
-        self.cached = cached
-        self.result_size = result_size
-        self.retries = retries
-        self.warnings = tuple(warnings)
-        self.trace_id = trace_id
-        #: Planner Q-error of the run (None when the search bypassed the
-        #: planner: cache hits, federated fan-outs, planner="none").  A
-        #: slow query with a high Q-error is a *mis-planned* query --
-        #: re-run it under ``repro plan`` / EXPLAIN ``--analyze`` for the
-        #: routed rewrite hint.
-        self.qerror = qerror
-
-    def as_dict(self) -> Dict[str, Any]:
-        payload = {
-            "query": self.query_text,
-            "elapsed_s": self.elapsed,
-            "io_total": self.io_total,
-            "cached": self.cached,
-            "result_size": self.result_size,
-        }
-        if self.retries:
-            payload["retries"] = self.retries
-        if self.warnings:
-            payload["warnings"] = list(self.warnings)
-        if self.trace_id is not None:
-            payload["trace_id"] = self.trace_id
-        if self.qerror is not None:
-            payload["qerror"] = self.qerror
-        return payload
-
-    def __repr__(self) -> str:
-        return "SlowQueryRecord(%r, %.3fms, io=%d)" % (
-            self.query_text,
-            self.elapsed * 1e3,
-            self.io_total,
-        )
+__all__ = ["SlowQueryLog"]
 
 
 class SlowQueryLog:
@@ -100,7 +35,7 @@ class SlowQueryLog:
             raise ValueError("capacity must be positive")
         self.threshold_seconds = threshold_seconds
         self._lock = threading.Lock()
-        self._records: Deque[SlowQueryRecord] = deque(maxlen=capacity)
+        self._records: Deque[SearchEvent] = deque(maxlen=capacity)
         #: Total over-threshold searches ever seen (the ring may have
         #: dropped some).
         self.total = 0
@@ -109,34 +44,20 @@ class SlowQueryLog:
     def enabled(self) -> bool:
         return self.threshold_seconds is not None
 
-    def record(
-        self,
-        query_text: str,
-        elapsed: float,
-        io_total: int = 0,
-        cached: bool = False,
-        result_size: int = 0,
-        retries: int = 0,
-        warnings: Tuple[str, ...] = (),
-        trace_id: Optional[str] = None,
-        qerror: Optional[float] = None,
-    ) -> Optional[SlowQueryRecord]:
-        """Log the search if it crossed the threshold; returns the record
-        (or None when under threshold / disabled)."""
-        if self.threshold_seconds is None or elapsed < self.threshold_seconds:
+    def record(self, event: SearchEvent) -> Optional[SearchEvent]:
+        """Keep the search if it crossed the threshold, marking it
+        ``slow``; returns the event (or None when under threshold /
+        disabled)."""
+        if self.threshold_seconds is None or event.elapsed < self.threshold_seconds:
             return None
-        record = SlowQueryRecord(
-            query_text, elapsed, io_total, cached, result_size,
-            retries=retries, warnings=warnings, trace_id=trace_id,
-            qerror=qerror,
-        )
+        event.slow = True
         with self._lock:
-            self._records.append(record)
+            self._records.append(event)
             self.total += 1
-        return record
+        return event
 
-    def records(self) -> List[SlowQueryRecord]:
-        """The retained records, oldest first."""
+    def records(self) -> List[SearchEvent]:
+        """The retained events, oldest first."""
         with self._lock:
             return list(self._records)
 

@@ -39,7 +39,9 @@ import random
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional
+
+from .event import SearchEvent
 
 __all__ = ["Span", "Tracer", "TraceSampler", "NullTracer", "NULL_TRACER"]
 
@@ -353,10 +355,11 @@ class TraceSampler:
     production default: the sampler then does no RNG draw at all on the
     clean path.
 
-    Retention is a ring of ``capacity`` sampled traces (newest wins);
-    each sample carries the query text, latency, reasons and -- when the
-    service traces -- the full span tree, so ``/traces`` exports
-    joinable evidence for every slow-log line.
+    Retention is a ring of ``capacity`` sampled searches (newest wins):
+    the ring keeps the :class:`~repro.obs.event.SearchEvent` itself, and
+    :meth:`traces` renders each as a sample -- query text, latency,
+    reasons and, when the service traces, the full span tree -- so
+    ``/traces`` exports joinable evidence for every slow-log line.
     """
 
     def __init__(self, capacity: int = 64, sample_rate: float = 0.0, seed: int = 0):
@@ -368,48 +371,45 @@ class TraceSampler:
         self.sample_rate = sample_rate
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+        self._ring: Deque[SearchEvent] = deque(maxlen=capacity)
         #: Queries offered / retained since construction.
         self.offered = 0
         self.kept = 0
 
-    def offer(
-        self,
-        root: Optional["Span"],
-        elapsed: float,
-        query_text: str = "",
-        trace_id: Optional[str] = None,
-        reasons: Sequence[str] = (),
-    ) -> bool:
-        """Tail-decide one finished query; returns whether it was kept.
+    def offer(self, event: SearchEvent) -> bool:
+        """Tail-decide one finished search; returns whether it was kept.
 
-        ``root`` is the query's root span (None when tracing is off --
-        the sample then carries metadata only); ``reasons`` is the
-        outcome evidence ("slow", "degraded", "budget", ...)."""
-        keep_reasons = list(reasons)
+        The outcome evidence is the event's own classification (``slow``
+        / ``degraded`` / ``budget``); ``event.root`` is the search's root
+        span (None when tracing is off -- the sample then carries
+        metadata only)."""
         with self._lock:
             self.offered += 1
-            if not keep_reasons:
+            if not event.reasons:
                 if self.sample_rate <= 0.0:
                     return False
                 if self._rng.random() >= self.sample_rate:
                     return False
-                keep_reasons = ["sampled"]
-            sample: Dict[str, Any] = {
-                "trace_id": trace_id or (root.trace_id if root is not None else None),
-                "query": query_text,
-                "elapsed_s": elapsed,
-                "reasons": keep_reasons,
-                "spans": root.as_dict() if root is not None else None,
-            }
-            self._ring.append(sample)
+            self._ring.append(event)
             self.kept += 1
             return True
 
     def traces(self) -> List[Dict[str, Any]]:
-        """The retained samples, oldest first."""
+        """The retained samples, oldest first.  A clean search is only
+        ever in the ring because the rate draw kept it, hence
+        ``["sampled"]``."""
         with self._lock:
-            return [dict(sample) for sample in self._ring]
+            events = list(self._ring)
+        return [
+            {
+                "trace_id": event.trace_id,
+                "query": event.query_text,
+                "elapsed_s": event.elapsed,
+                "reasons": event.reasons or ["sampled"],
+                "spans": event.root.as_dict() if event.root is not None else None,
+            }
+            for event in events
+        ]
 
     def clear(self) -> None:
         with self._lock:

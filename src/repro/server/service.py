@@ -19,6 +19,12 @@ and never folds its overlay on a read: every evaluation gets its own
 engine over its own pinned view -- master run and pending overlay merged
 in one sorted co-scan -- so searches keep their I/O bounds and concurrent
 searches share no per-run state.
+
+Every read -- :meth:`~DirectoryService.search` on any of its exits and
+:meth:`~DirectoryService.search_paged` -- goes through one pipeline
+(``_serve``) that fills one :class:`~repro.obs.event.SearchEvent` and
+publishes it to a flat list of sinks fixed at construction: observability
+is one loop over callables, not a per-sink hand-off.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from ..model.instance import DirectoryInstance
 from ..obs.alerts import AlertEngine, AlertRule, default_rules
 from ..obs.budget import BudgetExceeded
 from ..obs.digest import QueryDigestTable
+from ..obs.event import SearchEvent
 from ..obs.heatmap import SubtreeHeatMap
 from ..obs.history import MetricHistory
 from ..obs.httpd import AdminServer
@@ -126,32 +133,6 @@ class SearchResult:
         return "SearchResult(%s, %d entries)" % (self.code, len(self.entries))
 
 
-class _Evaluation:
-    """One query's pre-ACL evaluation outcome, as :meth:`_result_entries`
-    hands it to :meth:`search`: the entries plus how they were served --
-    ``via`` is one of ``engine`` / ``cache`` / ``superset`` /
-    ``federation``, and ``key`` the normal-form fingerprint when one was
-    computed on the way (the digest table reuses it instead of hashing
-    the query a second time).  ``qerror`` and ``rewrites`` are the
-    executed plan's Q-error and applied rewrite rules (None / empty when
-    no plan ran)."""
-
-    __slots__ = ("entries", "cached", "cost", "warnings", "retries", "qerror",
-                 "via", "key", "rewrites")
-
-    def __init__(self, entries, cached, cost, warnings, retries, qerror,
-                 via, key, rewrites=()):
-        self.entries = entries
-        self.cached = cached
-        self.cost = cost
-        self.warnings = warnings
-        self.retries = retries
-        self.qerror = qerror
-        self.via = via
-        self.key = key
-        self.rewrites = rewrites
-
-
 class DirectoryService:
     """One logical directory server."""
 
@@ -166,7 +147,6 @@ class DirectoryService:
         tracer=None,
         metrics=None,
         slow_query_seconds: Optional[float] = None,
-        slow_log_capacity: int = 64,
         log=None,
         budget=None,
         trace_sampler=None,
@@ -175,7 +155,6 @@ class DirectoryService:
         planner: str = "cost",
         digest_capacity: int = 256,
         heatmap_depth: int = 2,
-        heatmap_half_life_s: float = 300.0,
     ):
         #: Span tracer for per-search phase timing and I/O attribution
         #: (disabled -- and free -- by default).
@@ -196,7 +175,7 @@ class DirectoryService:
         self.sampler = trace_sampler
         #: Searches slower than ``slow_query_seconds`` land here (None
         #: disables the log).
-        self.slow_queries = SlowQueryLog(slow_query_seconds, slow_log_capacity)
+        self.slow_queries = SlowQueryLog(slow_query_seconds)
         if durable_dir is not None:
             #: Checkpoint + WAL on disk: every acknowledged mutation
             #: survives a crash; recovery replays on open.
@@ -310,9 +289,7 @@ class DirectoryService:
         #: attached via :meth:`attach_federation` feeds its shipped-entry
         #: counts in as well when constructed with the same map.
         self.heatmap: Optional[SubtreeHeatMap] = (
-            SubtreeHeatMap(depth=heatmap_depth, half_life_s=heatmap_half_life_s)
-            if heatmap_depth
-            else None
+            SubtreeHeatMap(depth=heatmap_depth) if heatmap_depth else None
         )
         self._heat_listener = None
         if self.heatmap is not None:
@@ -324,6 +301,20 @@ class DirectoryService:
         self.history: Optional[MetricHistory] = None
         self.alerts: Optional[AlertEngine] = None
         self._history_interval_s = 1.0
+        #: What every finished search's :class:`SearchEvent` is handed to,
+        #: in order, fixed here from what is enabled.  The slow log goes
+        #: first: it owns the threshold, so it is what marks an event
+        #: ``slow`` for the sinks after it.
+        self._sinks = []
+        if self.slow_queries.enabled:
+            self._sinks.append(self.slow_queries.record)
+        self._sinks.append(self._count)
+        if self.digest is not None:
+            self._sinks.append(self.digest.observe)
+        if self.log.enabled:
+            self._sinks.append(self._log_search)
+        if self.sampler is not None:
+            self._sinks.append(self.sampler.offer)
 
     # -- federation frontend ------------------------------------------------
 
@@ -415,17 +406,17 @@ class DirectoryService:
             query = parse_query(query)
         return query
 
-    def _result_entries(self, query: Query, budget=None) -> _Evaluation:
+    def _evaluate(self, query: Query, budget, event: SearchEvent) -> List[Entry]:
         """The query's full pre-ACL result, served from the semantic cache
-        when possible.  Returns an :class:`_Evaluation`: the entries, was
-        it a cache hit, the logical page I/O the evaluation cost / a hit
-        saved, degradation warnings, remote retries, the planner Q-error,
-        plus how the result was served (``via``) and the normal-form
-        fingerprint when one was computed (``key``).  The Q-error is None
-        whenever no plan executed (cache hits, federation,
-        ``planner="none"``).  ``budget`` caps the evaluation; a breach
-        propagates as :class:`~repro.obs.budget.BudgetExceeded` (cache
-        hits are never charged -- a served result costs no page I/O)."""
+        when possible.  How it was served is recorded on ``event``:
+        ``via``, the normal-form fingerprint when one was computed
+        (``key``), the logical page I/O the evaluation cost (``pages``) or
+        a hit saved (``saved_io``), degradation warnings, remote retries,
+        the applied rewrites and the planner Q-error -- None whenever no
+        plan executed (cache hits, federation, ``planner="none"``).
+        ``budget`` caps the evaluation; a breach propagates as
+        :class:`~repro.obs.budget.BudgetExceeded` (cache hits are never
+        charged -- a served result costs no page I/O)."""
         if self._federation is not None:
             # Federation frontend: the distributed evaluation brings its
             # own leaf cache, retries and degradation ladder; the local
@@ -433,25 +424,18 @@ class DirectoryService:
             # updates, not remote ones).
             federation, at = self._federation
             fed_result = federation.query(at, query, budget=budget)
-            cost = fed_result.io.logical_reads + fed_result.io.logical_writes
-            self._m_search_io.observe(cost)
-            return _Evaluation(
-                fed_result.entries,
-                False,
-                cost,
-                list(fed_result.warnings),
-                fed_result.retries,
-                None,
-                "federation",
-                None,
-            )
+            event.via = "federation"
+            event.pages = fed_result.io.logical_total
+            event.warnings = tuple(fed_result.warnings)
+            event.retries = fed_result.retries
+            return fed_result.entries
         key = None
         if self.cache is not None:
             # As-written lookup first: a hit skips the view and planning
             # entirely (a served result costs nothing).
             with self.tracer.span("cache-lookup") as span:
-                key = fingerprint(query)
-                served = self._from_cache(key)
+                event.key = key = fingerprint(query)
+                served = self._from_cache(key, event)
                 span.set(hit=served is not None)
             if served is not None:
                 return served
@@ -460,7 +444,6 @@ class DirectoryService:
         # rejected rather than admitting a result that may predate it.
         epoch = self.cache.invalidation_epoch if self.cache is not None else None
         engine, guard = self._pinned_engine()
-        rewrites, qerror = [], None
         try:
             if isinstance(engine, PlannedEngine):
                 with self.tracer.span("plan") as span:
@@ -474,43 +457,43 @@ class DirectoryService:
                         # order), so a second resident can answer.
                         planned_key = fingerprint(planned)
                         if planned_key != key:
-                            key = planned_key
-                            served = self._from_cache(key)
+                            event.key = key = planned_key
+                            served = self._from_cache(key, event)
                             if served is not None:
                                 return served
-                    served = self._from_superset(planned, key)
+                    served = self._from_superset(planned, event)
                     if served is not None:
                         return served
                 result = engine.run_planned(planned, budget=budget)
-                qerror = engine.last_qerror
+                event.qerror = engine.last_qerror
+                event.rewrites = tuple(rewrites)
                 query = planned
             else:
                 result = engine.run(query, budget=budget)
         finally:
             guard.close()
-        cost = result.io.logical_reads + result.io.logical_writes
-        self._m_search_io.observe(cost)
+        event.via = "engine"
+        event.pages = cost = result.io.logical_total
         if self.cache is not None:
             self.cache.put(
                 key, str(query), result.entries, query_footprint(query), cost,
                 query=query, if_epoch=epoch,
             )
-        return _Evaluation(
-            result.entries, False, cost, [], 0, qerror, "engine", key,
-            rewrites=rewrites,
-        )
+        return result.entries
 
-    def _from_cache(self, key: str) -> Optional[_Evaluation]:
+    def _from_cache(self, key: str, event: SearchEvent) -> Optional[List[Entry]]:
         """Probe the cache for an exact fingerprint, counting the outcome."""
         hit = self.cache.get(key)
         self._m_cache_lookups.inc(outcome="miss" if hit is None else "hit")
         if hit is None:
             return None
-        return _Evaluation(
-            list(hit.entries), True, hit.cost_io, [], 0, None, "cache", key
-        )
+        event.via = "cache"
+        event.saved_io = hit.cost_io
+        return list(hit.entries)
 
-    def _from_superset(self, planned: Query, key: str) -> Optional[_Evaluation]:
+    def _from_superset(
+        self, planned: Query, event: SearchEvent
+    ) -> Optional[List[Entry]]:
         """Cache-aware planning: serve an atomic sub-scoped plan from a
         resident whose subtree provably contains it, by restricting the
         resident's entries to the narrower base -- no page I/O at all
@@ -523,13 +506,12 @@ class DirectoryService:
         if superset is None:
             return None
         self._m_cache_lookups.inc(outcome="superset")
-        entries = [
+        event.via = "superset"
+        event.saved_io = superset.cost_io
+        return [
             entry for entry in superset.entries
             if planned.base.is_prefix_of(entry.dn)
         ]
-        return _Evaluation(
-            entries, True, superset.cost_io, [], 0, None, "superset", key
-        )
 
     def search(
         self,
@@ -554,173 +536,179 @@ class DirectoryService:
         :attr:`SearchResult.budget_error` -- it never raises."""
         if size_limit is not None and size_limit < 1:
             raise ValueError("size_limit must be positive")
-        active_budget = budget if budget is not None else self.budget
+        event, visible = self._serve(query, budget, strict, size_limit, attributes)
+        return SearchResult(
+            event.code,
+            visible,
+            total_size=event.rows,
+            cached=event.cached,
+            saved_io=event.saved_io,
+            warnings=event.warnings,
+            budget_error=event.budget_error,
+        )
+
+    def search_paged(
+        self, query: Union[str, Query, QueryBuilder], page_entries: int
+    ) -> Iterable[List[Entry]]:
+        """Paged retrieval.  Accepts the same query forms as :meth:`search`
+        (string, builder or AST) and is the same pipeline -- evaluated
+        eagerly at call time under the service-wide budget, observed by
+        every sink; pages chunk the visibility-filtered result, so every
+        page but the last is full.  A page generator has no result code,
+        so a budget breach raises the
+        :class:`~repro.obs.budget.BudgetExceeded`."""
+        if page_entries < 1:
+            raise ValueError("page_entries must be positive")
+        event, visible = self._serve(query)
+        error = event.budget_error
+        if error is not None:
+            # A copy: raising the event's own error would hang the
+            # caller's frames on an object the rings may retain.
+            raise BudgetExceeded(
+                error.resource, error.limit, error.used,
+                query_text=error.query_text, trace_id=error.trace_id,
+            )
+        return (
+            visible[start : start + page_entries]
+            for start in range(0, len(visible), page_entries)
+        )
+
+    def _serve(
+        self,
+        query: Union[str, Query, QueryBuilder],
+        budget=None,
+        strict: bool = False,
+        size_limit: Optional[int] = None,
+        attributes: Optional[List[str]] = None,
+    ) -> Tuple[SearchEvent, List[Entry]]:
+        """The one read path: parse, (type-check,) evaluate, ACL-filter,
+        limit and project under one ``search`` span, filling one
+        :class:`~repro.obs.event.SearchEvent` on the way, then publish it
+        -- whichever way the search ended.  Returns the event and the
+        visible entries (empty unless the search evaluated)."""
+        event = SearchEvent()
+        visible: List[Entry] = []
+        problems = None
         started = time.perf_counter()
-        io_before = self.directory.store.pager.stats.snapshot()
         with self.tracer.span("search") as search_span:
+            if self.tracer.enabled:
+                event.root = search_span
+                event.trace_id = search_span.trace_id
             with self.tracer.span("parse"):
-                query = self._as_query(query)
+                event.query = query = self._as_query(query)
             if strict:
                 from ..query.typecheck import validate_query
 
                 with self.tracer.span("typecheck"):
                     problems = validate_query(query, self.directory.schema)
-                if problems:
-                    result = SearchResult(ResultCode.PROTOCOL_ERROR, [], total_size=0)
-                    self._observe_search(
-                        query, result, started, io_before, search_span=search_span
-                    )
-                    return result
-            try:
-                evaluation = self._result_entries(query, budget=active_budget)
-            except BudgetExceeded as exc:
-                exc.query_text = str(query)
-                exc.trace_id = getattr(search_span, "trace_id", None)
-                search_span.set(code=ResultCode.ADMIN_LIMIT_EXCEEDED)
-                result = SearchResult(
-                    ResultCode.ADMIN_LIMIT_EXCEEDED,
-                    [],
-                    total_size=0,
-                    budget_error=exc,
-                    warnings=["query cancelled: %s" % exc],
-                )
-                self._observe_search(
-                    query, result, started, io_before, search_span=search_span
-                )
-                return result
-            cached = evaluation.cached
-            with self.tracer.span("acl-filter"):
-                visible = self._visible(evaluation.entries)
-            total = len(visible)
-            if size_limit is not None and total > size_limit:
-                visible = visible[:size_limit]
-                code = ResultCode.SIZE_LIMIT_EXCEEDED
+            if problems:
+                event.code = ResultCode.PROTOCOL_ERROR
             else:
-                code = ResultCode.SUCCESS
-            if attributes:
-                from ..model.projection import project
+                try:
+                    entries = self._evaluate(
+                        query, budget if budget is not None else self.budget, event
+                    )
+                except BudgetExceeded as exc:
+                    exc.query_text = event.query_text
+                    exc.trace_id = event.trace_id
+                    # The rings may retain the event: without its
+                    # traceback the error pins no engine frame (and no
+                    # intermediate result in one).
+                    event.budget_error = exc.with_traceback(None)
+                    event.code = ResultCode.ADMIN_LIMIT_EXCEEDED
+                    event.warnings = ("query cancelled: %s" % exc,)
+                    if exc.resource == BudgetExceeded.PAGES:
+                        # What the cancelled evaluation had read, as its
+                        # own tracker counted it.
+                        event.pages = exc.used
+                    search_span.set(code=event.code)
+                else:
+                    with self.tracer.span("acl-filter"):
+                        visible = self._visible(entries)
+                    event.rows = len(visible)
+                    if size_limit is not None and event.rows > size_limit:
+                        visible = visible[:size_limit]
+                        event.code = ResultCode.SIZE_LIMIT_EXCEEDED
+                    else:
+                        event.code = ResultCode.SUCCESS
+                    if attributes:
+                        from ..model.projection import project
 
-                visible = project(visible, attributes)
-            search_span.set(code=code, rows=total, cached=cached)
-            if self.tracer.enabled:
-                search_span.set(pending=self.directory.pending())
-            result = SearchResult(
-                code,
-                visible,
-                total_size=total,
-                cached=cached,
-                saved_io=evaluation.cost if cached else 0,
-                warnings=evaluation.warnings,
-            )
-        self._observe_search(
-            query, result, started, io_before, search_span=search_span,
-            evaluation=evaluation,
-        )
-        return result
+                        visible = project(visible, attributes)
+                    search_span.set(
+                        code=event.code, rows=event.rows, cached=event.cached
+                    )
+                    if self.tracer.enabled:
+                        search_span.set(pending=self.directory.pending())
+                    if event.key is None and self.digest is not None:
+                        event.key = fingerprint(query)
+        self._publish(event, started)
+        return event, visible
 
-    def _observe_search(self, query, result: SearchResult, started: float,
-                        io_before, search_span=None,
-                        evaluation: Optional[_Evaluation] = None) -> None:
-        """Fold one finished search into metrics, the slow-query log, the
-        event log, the tail sampler, the workload digest and the metric
-        history.  ``search_span`` (when tracing) supplies the trace id
-        that joins them; ``evaluation`` (absent for protocol errors and
-        budget breaches, which evaluated nothing) supplies retries and
-        Q-error and feeds the digest."""
-        elapsed = time.perf_counter() - started
-        retries = evaluation.retries if evaluation is not None else 0
-        qerror = evaluation.qerror if evaluation is not None else None
-        pager_stats = self.directory.store.pager.stats
-        io_delta = pager_stats.since(io_before)
-        trace_id = getattr(search_span, "trace_id", None)
-        budget_breach = result.budget_error is not None
-        self._m_search_seconds.observe(elapsed)
-        self._m_result_entries.observe(result.total_size)
-        self._m_searches.inc(code=result.code)
-        if result.warnings and not budget_breach:
-            self._m_degraded.inc()
-        if budget_breach:
-            self._m_budget_exceeded.inc(resource=result.budget_error.resource)
-        self._m_buffer_hit_rate.set(pager_stats.buffer_hit_rate)
-        if self.digest is not None and evaluation is not None:
-            digest_key = evaluation.key
-            if digest_key is None:
-                digest_key = fingerprint(query)
-            self.digest.observe(
-                digest_key,
-                str(query),
-                elapsed,
-                pages=0 if evaluation.cached else evaluation.cost,
-                entries=result.total_size,
-                via=evaluation.via,
-                qerror=qerror,
-            )
-        slow = self.slow_queries.record(
-            str(query),
-            elapsed,
-            io_total=io_delta.logical_total,
-            cached=result.cached,
-            result_size=result.total_size,
-            retries=retries,
-            warnings=tuple(result.warnings),
-            trace_id=trace_id,
-            qerror=qerror,
-        )
-        if slow is not None:
+    def _publish(self, event: SearchEvent, started: float) -> None:
+        """Close the event and hand it to every sink."""
+        event.elapsed = time.perf_counter() - started
+        for sink in self._sinks:
+            sink(event)
+
+    # -- sinks (the ones that are not another object's method) -----------------
+
+    def _count(self, event: SearchEvent) -> None:
+        """The metric instruments."""
+        self._m_search_seconds.observe(event.elapsed)
+        self._m_result_entries.observe(event.rows)
+        self._m_searches.inc(code=event.code)
+        if event.via == "engine" or event.via == "federation":
+            self._m_search_io.observe(event.pages)
+        if event.slow:
             self._m_slow.inc()
-        if self.log.enabled:
-            self.log.info(
-                "search",
-                code=result.code,
-                rows=result.total_size,
-                elapsed_s=round(elapsed, 6),
-                pages=io_delta.logical_total,
-                cached=result.cached or None,
-                retries=retries or None,
-                warnings=len(result.warnings) or None,
-                trace_id=trace_id,
+        if event.degraded:
+            self._m_degraded.inc()
+        if event.budget:
+            self._m_budget_exceeded.inc(resource=event.budget_error.resource)
+        self._m_buffer_hit_rate.set(self.directory.store.pager.stats.buffer_hit_rate)
+
+    def _log_search(self, event: SearchEvent) -> None:
+        """The structured event log: one ``search`` line per search, plus
+        ``slow_query`` / ``budget_exceeded`` warnings."""
+        elapsed_s = round(event.elapsed, 6)
+        self.log.info(
+            "search",
+            code=event.code,
+            rows=event.rows,
+            elapsed_s=elapsed_s,
+            pages=event.pages,
+            cached=event.cached or None,
+            retries=event.retries or None,
+            warnings=len(event.warnings) or None,
+            trace_id=event.trace_id,
+        )
+        if event.slow:
+            self.log.warning(
+                "slow_query",
+                query=event.query_text,
+                elapsed_s=elapsed_s,
+                pages=event.pages,
+                trace_id=event.trace_id,
             )
-            if slow is not None:
-                self.log.warning(
-                    "slow_query",
-                    query=str(query),
-                    elapsed_s=round(elapsed, 6),
-                    pages=io_delta.logical_total,
-                    trace_id=trace_id,
-                )
-            if budget_breach:
-                error = result.budget_error
-                self.log.warning(
-                    "budget_exceeded",
-                    query=str(query),
-                    trace_id=trace_id,
-                    resource=error.resource,
-                    limit=error.limit,
-                    used=error.used,
-                )
-        if self.sampler is not None:
-            reasons = []
-            if slow is not None:
-                reasons.append("slow")
-            if result.warnings and not budget_breach:
-                reasons.append("degraded")
-            if budget_breach:
-                reasons.append("budget")
-            root = search_span if getattr(search_span, "trace_id", None) else None
-            self.sampler.offer(
-                root,
-                elapsed,
-                query_text=str(query),
-                trace_id=trace_id,
-                reasons=reasons,
+        if event.budget:
+            error = event.budget_error
+            self.log.warning(
+                "budget_exceeded",
+                query=event.query_text,
+                trace_id=event.trace_id,
+                resource=error.resource,
+                limit=error.limit,
+                used=error.used,
             )
-        if self.history is not None:
-            # Opportunistic, rate-limited: history accrues on the search
-            # path with no background thread; each new point re-evaluates
-            # the alert rules so transitions track the workload.
-            sample = self.history.maybe_sample(self._history_interval_s)
-            if sample is not None and self.alerts is not None:
-                self.alerts.evaluate()
+
+    def _sample_history(self, event: SearchEvent) -> None:
+        """Opportunistic, rate-limited: history accrues on the search
+        path with no background thread; each new point re-evaluates the
+        alert rules so transitions track the workload."""
+        sample = self.history.maybe_sample(self._history_interval_s)
+        if sample is not None and self.alerts is not None:
+            self.alerts.evaluate()
 
     # -- workload observability ----------------------------------------------
 
@@ -741,6 +729,8 @@ class DirectoryService:
                 else MetricHistory(self.metrics, capacity=capacity)
             )
             self._history_interval_s = min_interval_s
+            # Last, so each sample sees this search's metrics.
+            self._sinks.append(self._sample_history)
         return self.history
 
     def attach_alerts(
@@ -831,21 +821,6 @@ class DirectoryService:
             alerts=self.alerts,
         )
         return server.start()
-
-    def search_paged(
-        self, query: Union[str, Query, QueryBuilder], page_entries: int
-    ) -> Iterable[List[Entry]]:
-        """Paged retrieval.  Accepts the same query forms as :meth:`search`
-        (string, builder or AST); pages chunk the visibility-filtered
-        result, so every page but the last is full."""
-        if page_entries < 1:
-            raise ValueError("page_entries must be positive")
-        query = self._as_query(query)
-        visible = self._visible(self._result_entries(query).entries)
-        return (
-            visible[start : start + page_entries]
-            for start in range(0, len(visible), page_entries)
-        )
 
     def compare(self, dn: Union[DN, str], attribute: str, value: Any) -> str:
         """LDAP compare: does the entry hold (attribute, value)?"""

@@ -264,17 +264,9 @@ class WriteAheadLog:
         self._m_bytes = registry.counter(
             "repro_wal_bytes_total", "Bytes written to the WAL"
         )
-        self._m_group = registry.histogram(
-            "repro_wal_group_size",
-            "Records per group-commit flush batch",
-            buckets=(1, 2, 4, 8, 16, 32, 64),
-        )
         self._m_fsync = registry.histogram(
             "repro_wal_fsync_seconds", "Wall time of one WAL flush+fsync"
         )
-        #: The write-path batching metric by its conventional name; kept
-        #: alongside the original ``repro_wal_group_size`` series (same
-        #: observations) so existing dashboards and tests stay valid.
         self._m_group_commit = registry.histogram(
             "repro_wal_group_commit_batch",
             "Records folded into one group-commit flush",
@@ -378,7 +370,6 @@ class WriteAheadLog:
         self.flushes += 1
         self._m_flushes.inc()
         self._m_bytes.inc(len(batch))
-        self._m_group.observe(batch_records)
         self._m_group_commit.observe(batch_records)
         self._m_fsync.observe(time.perf_counter() - started)
         if self.log is not None and self.log.enabled_for("debug"):

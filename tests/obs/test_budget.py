@@ -206,7 +206,7 @@ class TestServiceSurface:
         service.search(QUERY, budget=QueryBudget(max_pages=0))
         records = service.slow_queries.records()
         assert len(records) == 1
-        assert records[0].result_size == 0
+        assert records[0].rows == 0
 
     def test_breach_does_not_poison_later_searches(self):
         service, registry = self.make_service()

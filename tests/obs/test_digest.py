@@ -4,6 +4,13 @@ fewest-calls eviction bound, orderings, and the snapshot shape."""
 import pytest
 
 from repro.obs.digest import QueryDigestTable
+from repro.obs.event import SearchEvent
+
+
+def event(key, text, elapsed, pages=0, entries=0, via="engine", qerror=None):
+    """The finished search the service would hand the table."""
+    return SearchEvent(key=key, query_text=text, elapsed=elapsed, pages=pages,
+                       rows=entries, via=via, qerror=qerror)
 
 
 class FakeClock:
@@ -18,11 +25,11 @@ class TestAggregation:
     def test_one_row_per_fingerprint_with_running_aggregates(self):
         clock = FakeClock()
         table = QueryDigestTable(clock=clock)
-        table.observe("k1", "(q1)", 0.010, pages=4, entries=3, via="engine",
-                      qerror=2.0)
+        table.observe(event("k1", "(q1)", 0.010, pages=4, entries=3,
+                            via="engine", qerror=2.0))
         clock.now += 5
-        table.observe("k1", "(q1 rewritten)", 0.030, pages=8, entries=5,
-                      via="engine", qerror=4.0)
+        table.observe(event("k1", "(q1 rewritten)", 0.030, pages=8, entries=5,
+                            via="engine", qerror=4.0))
         row = table.get("k1")
         assert row.calls == 2
         assert row.text == "(q1)"  # first spelling wins
@@ -37,7 +44,7 @@ class TestAggregation:
     def test_vias_split_into_hit_counters(self):
         table = QueryDigestTable()
         for via in ("engine", "cache", "cache", "superset", "federation"):
-            table.observe("k", "(q)", 0.001, via=via)
+            table.observe(event("k", "(q)", 0.001, via=via))
         row = table.get("k")
         assert row.cache_hits == 2
         assert row.superset_hits == 1
@@ -47,11 +54,11 @@ class TestAggregation:
 
     def test_unknown_via_is_rejected(self):
         with pytest.raises(ValueError, match="via"):
-            QueryDigestTable().observe("k", "(q)", 0.001, via="disk")
+            QueryDigestTable().observe(event("k", "(q)", 0.001, via="disk"))
 
     def test_qerror_none_does_not_count(self):
         table = QueryDigestTable()
-        table.observe("k", "(q)", 0.001, qerror=None)
+        table.observe(event("k", "(q)", 0.001, qerror=None))
         row = table.get("k")
         assert row.qerror_count == 0
         assert row.mean_qerror is None
@@ -63,10 +70,10 @@ class TestBound:
         clock = FakeClock()
         table = QueryDigestTable(capacity=2, clock=clock)
         for _ in range(3):
-            table.observe("hot", "(hot)", 0.001)
-        table.observe("warm", "(warm)", 0.001)
-        table.observe("warm", "(warm)", 0.001)
-        table.observe("new", "(new)", 0.001)  # warm (2 calls) < hot (3)
+            table.observe(event("hot", "(hot)", 0.001))
+        table.observe(event("warm", "(warm)", 0.001))
+        table.observe(event("warm", "(warm)", 0.001))
+        table.observe(event("new", "(new)", 0.001))  # warm (2 calls) < hot (3)
         assert table.evicted == 1
         assert table.get("hot") is not None
         assert table.get("new") is not None
@@ -75,18 +82,18 @@ class TestBound:
     def test_ties_evict_least_recently_seen(self):
         clock = FakeClock()
         table = QueryDigestTable(capacity=2, clock=clock)
-        table.observe("old", "(old)", 0.001)
+        table.observe(event("old", "(old)", 0.001))
         clock.now += 1
-        table.observe("young", "(young)", 0.001)
+        table.observe(event("young", "(young)", 0.001))
         clock.now += 1
-        table.observe("new", "(new)", 0.001)
+        table.observe(event("new", "(new)", 0.001))
         assert table.get("old") is None
         assert table.get("young") is not None
 
     def test_observed_counts_survive_eviction(self):
         table = QueryDigestTable(capacity=1)
-        table.observe("a", "(a)", 0.001)
-        table.observe("b", "(b)", 0.001)
+        table.observe(event("a", "(a)", 0.001))
+        table.observe(event("b", "(b)", 0.001))
         assert table.observed == 2 and table.evicted == 1 and len(table) == 1
 
     def test_capacity_must_be_positive(self):
@@ -98,8 +105,8 @@ class TestRanking:
     def _table(self):
         table = QueryDigestTable()
         for _ in range(5):
-            table.observe("many", "(many)", 0.001, pages=1, qerror=1.0)
-        table.observe("slow", "(slow)", 0.900, pages=50, qerror=8.0)
+            table.observe(event("many", "(many)", 0.001, pages=1, qerror=1.0))
+        table.observe(event("slow", "(slow)", 0.900, pages=50, qerror=8.0))
         return table
 
     def test_top_by_calls_and_by_time_disagree(self):

@@ -7,6 +7,7 @@ import urllib.request
 
 import pytest
 
+from repro.obs.event import SearchEvent
 from repro.obs.httpd import AdminServer
 from repro.obs.log import CapturingLogger
 from repro.obs.metrics import MetricsRegistry
@@ -30,14 +31,15 @@ def stack():
     )
     for value in (0.002, 0.003, 0.004, 0.02):
         latency.observe(value)
-    slowlog = SlowQueryLog(threshold_seconds=0.0)
-    slowlog.record("(slow)", elapsed=0.02, io_total=40, trace_id="t1")
     tracer = Tracer()
     with tracer.span("search") as span:
         span.set(code="success")
+    event = SearchEvent(query_text="(slow)", elapsed=0.02, pages=40, trace_id="t1",
+                        root=tracer.last_root())
+    slowlog = SlowQueryLog(threshold_seconds=0.0)
+    slowlog.record(event)
     sampler = TraceSampler(capacity=8)
-    sampler.offer(tracer.last_root(), elapsed=0.02, query_text="(slow)",
-                  trace_id="t1", reasons=("slow",))
+    sampler.offer(event)
     server = AdminServer(
         registry=registry,
         slow_queries=slowlog,
@@ -125,9 +127,12 @@ class TestWorkloadEndpoints:
         registry = MetricsRegistry()
         registry.gauge("repro_lag", "lag").set(9)
         digest = QueryDigestTable(capacity=8, clock=lambda: 100.0)
-        digest.observe("k1", "(q1)", 0.010, pages=4, via="engine", qerror=2.0)
-        digest.observe("k1", "(q1)", 0.001, via="cache")
-        digest.observe("k2", "(q2)", 0.500, pages=50, via="engine")
+        digest.observe(SearchEvent(key="k1", query_text="(q1)", elapsed=0.010,
+                                   pages=4, via="engine", qerror=2.0))
+        digest.observe(SearchEvent(key="k1", query_text="(q1)", elapsed=0.001,
+                                   via="cache"))
+        digest.observe(SearchEvent(key="k2", query_text="(q2)", elapsed=0.500,
+                                   pages=50, via="engine"))
         heatmap = SubtreeHeatMap(depth=2, clock=lambda: 100.0)
         heatmap.record_read(DN.parse("dc=att, dc=com"), pages=7)
         history = MetricHistory(registry=registry, capacity=8,

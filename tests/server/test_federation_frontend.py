@@ -9,6 +9,7 @@ from repro.dist import (
     FederatedDirectory,
     RetryPolicy,
 )
+from repro.obs.log import CapturingLogger
 from repro.obs.metrics import MetricsRegistry
 from repro.query.semantics import evaluate
 from repro.query.parser import parse_query
@@ -16,7 +17,7 @@ from repro.server import DirectoryService
 from repro.workload import random_instance
 
 
-def make_frontend(plan=None, slow_query_seconds=None):
+def make_frontend(plan=None, slow_query_seconds=None, log=None):
     registry = MetricsRegistry()
     instance = random_instance(29, size=100, forest_roots=2)
     roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
@@ -34,7 +35,7 @@ def make_frontend(plan=None, slow_query_seconds=None):
         retry=RetryPolicy(max_attempts=2, backoff_s=0.01), serve_stale=False
     )
     service = DirectoryService(
-        instance, metrics=registry, slow_query_seconds=slow_query_seconds
+        instance, metrics=registry, slow_query_seconds=slow_query_seconds, log=log
     )
     service.attach_federation(fed, "server0")
     remote_query = "(%s ? sub ? objectClass=*)" % roots[1]
@@ -78,6 +79,25 @@ class TestFrontend:
         assert records[-1].warnings and "unreachable" in records[-1].warnings[0]
         payload = records[-1].as_dict()
         assert payload["warnings"] == list(records[-1].warnings)
+
+    def test_every_sink_reports_the_coordinator_side_page_cost(self):
+        # The evaluation ran on the coordinator's pager, not the
+        # frontend's local one: a bracket around the local pager reads 0.
+        log = CapturingLogger()
+        _, service, _, query, registry = make_frontend(
+            slow_query_seconds=0.0, log=log
+        )
+        service.search(query)
+        (record,) = service.slow_queries.records()
+        (line,) = log.events("search")
+        (slow_line,) = log.events("slow_query")
+        row = service.digest.top(1)[0]
+        pages = record.as_dict()["io_total"]
+        assert row.federated == 1
+        assert pages > 0
+        assert line["pages"] == slow_line["pages"] == pages
+        assert row.pages_total == pages
+        assert registry.get("repro_search_logical_io").sum() == pages
 
     def test_mutations_keep_using_the_local_directory(self):
         instance, service, network, query, _ = make_frontend()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.engine.engine import QueryEngine
 from repro.engine.optimizer import PlannedEngine
-from repro.query.parser import parse_query
 from repro.server import DirectoryService, ResultCode
 from repro.workload import balanced_instance
 
@@ -48,15 +47,15 @@ class TestEngineChoice:
             make_service(instance, planner="magic")
 
     def test_rewrites_applied_in_service_path(self, instance):
-        service = make_service(instance, cache_bytes=0)
+        service = make_service(instance, cache_bytes=0, slow_query_seconds=0.0)
         try:
             text = (
                 "(ac ( ? sub ? name=e5) ( ? sub ? name=e1)"
                 " ( ? sub ? objectClass=*))"
             )
             assert service.search(text).code == ResultCode.SUCCESS
-            evaluation = service._result_entries(parse_query(text))
-            assert any("R1" in rule for rule in evaluation.rewrites)
+            event = service.slow_queries.records()[-1]
+            assert any("R1" in rule for rule in event.rewrites)
         finally:
             service.close()
 

@@ -13,6 +13,7 @@ import threading
 from repro.cache import Footprint, QueryCache
 from repro.model.dn import DN
 from repro.model.entry import Entry
+from repro.obs.event import SearchEvent
 from repro.obs.metrics import MetricsRegistry, set_registry, use_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.storage.pager import Pager
@@ -144,7 +145,7 @@ class TestSlowLogHammer:
         per_thread = 3_000
         _hammer(
             lambda i: [
-                log.record("q%d" % i, elapsed=1.0, io_total=j)
+                log.record(SearchEvent(query_text="q%d" % i, elapsed=1.0, pages=j))
                 for j in range(per_thread)
             ]
         )

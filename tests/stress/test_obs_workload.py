@@ -1,14 +1,22 @@
 """Threaded hammers for the workload observability plane: the digest
 table and heat map sit directly on the (parallel) search path, so their
-counters must stay exact under concurrent updates from many threads."""
+counters must stay exact under concurrent updates from many threads --
+and every sink must keep reading the *same* search event when eight
+threads publish at once."""
 
+import sys
 import threading
 
+from tests.obs.test_budget import make_instance
+from tests.obs.test_digest import event
 from repro.model.dn import DN
 from repro.obs.digest import QueryDigestTable
 from repro.obs.heatmap import SubtreeHeatMap
 from repro.obs.history import MetricHistory
+from repro.obs.log import CapturingLogger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer, TraceSampler
+from repro.server import DirectoryService
 
 THREADS = 8
 ROUNDS = 200
@@ -40,11 +48,11 @@ class TestDigestHammer:
 
         def worker(index):
             for round_ in range(ROUNDS):
-                table.observe(
+                table.observe(event(
                     "k%d" % (round_ % 4), "(q%d)" % (round_ % 4),
                     0.001, pages=1, entries=2,
                     via="cache" if round_ % 2 else "engine", qerror=1.5,
-                )
+                ))
 
         _hammer(worker)
         total = THREADS * ROUNDS
@@ -60,7 +68,7 @@ class TestDigestHammer:
 
         def worker(index):
             for round_ in range(ROUNDS):
-                table.observe("k%d-%d" % (index, round_), "(q)", 0.001)
+                table.observe(event("k%d-%d" % (index, round_), "(q)", 0.001))
 
         _hammer(worker)
         assert table.observed == THREADS * ROUNDS
@@ -133,3 +141,73 @@ class TestHistoryHammer:
         _hammer(worker)
         assert history.taken == THREADS * (ROUNDS // 4)
         assert len(history) == 16
+
+
+class TestSearchEventHammer:
+    SEARCHES = 40  # per thread
+
+    def test_sinks_agree_per_event_under_contention(self):
+        log = CapturingLogger(min_level="info")
+        registry = MetricsRegistry()
+        service = DirectoryService(
+            make_instance(), page_size=4, tracer=Tracer(), metrics=registry,
+            slow_query_seconds=0.0, log=log,
+            trace_sampler=TraceSampler(capacity=48, sample_rate=1.0),
+        )
+        service.enable_workload_history(min_interval_s=0.0)
+        service.attach_alerts()
+        service.bind_anonymous()
+
+        def worker(index):
+            for round_ in range(self.SEARCHES):
+                hot = "(dc=com ? sub ? grade=%d)" % (4 + round_ % 3)
+                cold = "(dc=com ? sub ? uid=t%dr%d)" % (index, round_)
+                kind = round_ % 4
+                if kind == 0:
+                    service.search(hot)  # cached after its first run
+                elif kind == 1:
+                    service.search(cold)  # a shape nobody asked before
+                elif kind == 2:
+                    list(service.search_paged(hot, 3))
+                else:
+                    list(service.search_paged(cold, 3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+
+        total = THREADS * self.SEARCHES
+        slow, sampler = service.slow_queries, service.sampler
+        # Ring invariants: exact totals, bounded retention.
+        assert slow.total == total and slow.total >= len(slow) == 64
+        assert sampler.offered == sampler.kept == total
+        assert len(sampler) == 48
+        assert service.digest.observed == total
+        assert registry.get("repro_searches_total").value(code="success") == total
+        assert registry.get("repro_search_seconds").count() == total
+        lines = {line["trace_id"]: line for line in log.events("search")}
+        assert len(lines) == total  # one line per search, ids never shared
+        assert len(log.events("slow_query")) == total
+        # Per retained event: slow-log record == sampler sample == log line.
+        records = {record.trace_id: record for record in slow.records()}
+        samples = {sample["trace_id"]: sample for sample in sampler.traces()}
+        assert len(records) == 64 and len(samples) == 48
+        assert set(records) & set(samples)  # the rings overlap at the tail
+        for trace_id, record in records.items():
+            line = lines[trace_id]
+            assert (line["rows"], line["code"]) == (record.rows, record.code)
+            assert line["pages"] == record.pages
+            assert bool(line.get("cached")) == record.cached
+        for trace_id, sample in samples.items():
+            line, attrs = lines[trace_id], sample["spans"]["attrs"]
+            assert sample["reasons"] == ["slow"]
+            assert (attrs["rows"], attrs["code"]) == (line["rows"], line["code"])
+            # The tree was closed before the event was published.
+            assert sample["elapsed_s"] >= sample["spans"]["elapsed_s"] > 0
+            if trace_id in records:
+                assert sample["query"] == records[trace_id].query_text
+                assert sample["elapsed_s"] == records[trace_id].elapsed
