@@ -376,11 +376,6 @@ class QueryCache:
 
 
 def _approx_bytes(entries: Sequence[Entry]) -> int:
-    """A stable, platform-independent byte estimate of a result list:
-    per entry a fixed overhead plus the text sizes of its dn and pairs."""
-    total = 0
-    for entry in entries:
-        total += 64 + len(str(entry.dn))
-        for attr, value in entry.pairs():
-            total += len(attr) + len(str(value)) + 16
-    return total
+    """A stable, platform-independent byte estimate of a result list (see
+    :meth:`Entry.approx_bytes`; each entry is sized once, not per put)."""
+    return sum(map(Entry.approx_bytes, entries))

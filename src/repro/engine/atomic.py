@@ -7,8 +7,11 @@ of the query by the cumulative size ``|L|`` of the atomic results
 (Theorem 8.3).  This module provides both concrete paths:
 
 - **clustered scan**: the master run is ordered by reverse-dn key, so the
-  subtree of the base dn is a contiguous page range located through the
-  in-memory sparse index; the scan reads only that range;
+  subtree of the base dn is a contiguous key range located through the
+  in-memory sparse index; the scope is the scan's depth bound
+  (``scan_subtree(base, max_depth)``), not a filter over its output --
+  ``sub`` reads exactly that range, ``one`` seeks past each child's
+  subtree, ``base`` reads one page;
 - **secondary index**: comparison filters on indexed int attributes use the
   B+tree, equality/presence/wildcard filters on indexed string attributes
   use the string index; matching master positions (ascending = dn order)
@@ -26,11 +29,10 @@ stream (the service path; nothing here changes).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from ..filters.ast import Comparison, Equality, Filter, MatchAll, Presence, Substring
 from ..model.dn import DN
-from ..model.entry import Entry
 from ..query.ast import AtomicQuery, Scope
 from ..storage.runs import Run, RunWriter
 from ..storage.store import DirectoryStore
@@ -61,25 +63,11 @@ def evaluate_atomic(
                 if scope_admits(query.base, query.scope, entry.dn) and query.filter.matches(entry, store.schema):
                     writer.append(entry)
             return writer.close()
-    for entry in _scoped_scan(store, query):
-        if query.filter.matches(entry, store.schema):
-            writer.append(entry)
+    matches, schema, append = query.filter.matches, store.schema, writer.append
+    for entry in store.scan_subtree(query.base, Scope.MAX_DEPTH[query.scope]):
+        if matches(entry, schema):
+            append(entry)
     return writer.close()
-
-
-def _scoped_scan(store: DirectoryStore, query: AtomicQuery) -> Iterator[Entry]:
-    """Clustered scan of exactly the page range the scope can touch."""
-    base, scope = query.base, query.scope
-    if scope == Scope.BASE:
-        base_key = base.key()
-        for entry in store.scan_subtree(base):
-            if entry.dn.key() == base_key:
-                yield entry
-            break  # the base entry is first in its subtree range
-        return
-    for entry in store.scan_subtree(base):
-        if scope == Scope.SUB or scope_admits(base, scope, entry.dn):
-            yield entry
 
 
 def _index_positions(store: DirectoryStore, filter_: Filter) -> Optional[List[int]]:

@@ -495,12 +495,24 @@ class AccessPlanner:
             return "strindex(%s)" % filter_.attribute
         return None
 
+    def _scan_pages(self, query: AtomicQuery) -> int:
+        """Estimated pages the scoped clustered scan reads: the subtree's
+        page range for ``sub``, one page for ``base``, and for ``one`` a
+        page per estimated child (the scan seeks past each child's
+        subtree) but never more than the range."""
+        if query.scope == Scope.BASE:
+            return 1
+        start, end = self.store.page_range_for_subtree(query.base)
+        pages = max(end - start, 1)
+        if query.scope == Scope.ONE:
+            pages = min(pages, self.estimator.scope_size(query.base, Scope.ONE))
+        return pages
+
     def plan_leaf(self, query: AtomicQuery) -> Tuple[bool, str, float]:
         """Returns (use_index, access-path label, estimated result size)."""
         page_size = self.store.pager.page_size
         estimated = self.estimator.atomic_cardinality(query)
-        start, end = self.store.page_range_for_subtree(query.base)
-        scan_pages = max(end - start, 1)
+        scan_pages = self._scan_pages(query)
         index_label = self._index_available(query.filter)
         if index_label is None:
             return False, "scan[%d pages]" % scan_pages, estimated

@@ -52,20 +52,10 @@ class LDAPQuery:
 
 def evaluate_ldap(store: DirectoryStore, query: LDAPQuery) -> Run:
     """Evaluate an LDAP query on the store: one clustered scan of the
-    base's subtree range, with the boolean filter applied per entry."""
+    base's subtree range, bounded by the scope, with the boolean filter
+    applied per entry."""
     writer = RunWriter(store.pager)
-    base, scope = query.base, query.scope
-    for entry in store.scan_subtree(base):
-        if scope == Scope.BASE:
-            if entry.dn != base:
-                break  # the base entry leads its subtree range
-            if query.filter.matches(entry, store.schema):
-                writer.append(entry)
-            break
-        if scope == Scope.ONE and not (
-            entry.dn == base or base.is_parent_of(entry.dn)
-        ):
-            continue
+    for entry in store.scan_subtree(query.base, Scope.MAX_DEPTH[query.scope]):
         if query.filter.matches(entry, store.schema):
             writer.append(entry)
     return writer.close()

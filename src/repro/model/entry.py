@@ -32,7 +32,7 @@ class Entry:
     Definition 3.2).
     """
 
-    __slots__ = ("_dn", "_classes", "_values")
+    __slots__ = ("_dn", "_classes", "_values", "_approx_bytes")
 
     def __init__(
         self,
@@ -52,6 +52,7 @@ class Entry:
         # Condition (c2): objectClass values are exactly the classes.
         store[OBJECT_CLASS] = tuple(sorted(self._classes))
         self._values = store
+        self._approx_bytes: Optional[int] = None
 
     # -- the three components ----------------------------------------------
 
@@ -95,6 +96,19 @@ class Entry:
         return len(self._values.get(attribute, ()))
 
     # -- derived -----------------------------------------------------------
+
+    def approx_bytes(self) -> int:
+        """A stable, platform-independent size estimate: a fixed overhead
+        plus the text sizes of the dn and of every pair (what the result
+        cache budgets by).  Rendered once -- entries are immutable."""
+        size = self._approx_bytes
+        if size is None:
+            size = 64 + len(str(self._dn))
+            for attr, vals in self._values.items():
+                for value in vals:
+                    size += len(attr) + len(str(value)) + 16
+            self._approx_bytes = size
+        return size
 
     def rdn_consistent(self) -> bool:
         """Condition (d-ii) of Definition 3.2: ``rdn(r) subseteq val(r)``.

@@ -55,6 +55,9 @@ class Scope:
     ONE = "one"
     SUB = "sub"
     ALL = (BASE, ONE, SUB)
+    #: How many levels below the base each scope reaches (None: all) --
+    #: the ``max_depth`` of the store's scoped scan.
+    MAX_DEPTH = {BASE: 0, ONE: 1, SUB: None}
 
 
 #: Binary hierarchical operators and the ternary path-constrained ones.

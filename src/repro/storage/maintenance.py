@@ -54,6 +54,7 @@ Supported mutations:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
@@ -165,20 +166,29 @@ class StoreView:
         a scan by; the overlay is memory-resident and bounded)."""
         return self.store.page_range_for_subtree(base)
 
-    def scan_subtree(self, base: DN) -> Iterator[Entry]:
+    def scan_subtree(
+        self, base: DN, max_depth: Optional[int] = None
+    ) -> Iterator[Entry]:
         """Entries of the subtree at ``base`` as of this view's lsn, in
-        order: ``O(range + delta)``."""
+        order, no further than ``max_depth`` levels below it (see
+        :meth:`DirectoryStore.scan_subtree`): ``O(range + delta)``."""
         delta = self.snapshot.delta
         if not delta:
-            return self.store.scan_subtree(base)
+            return self.store.scan_subtree(base, max_depth)
         low, high = delta.span(base)
+        limit = sys.maxsize
+        if max_depth is not None:
+            limit = len(base.key()) + max_depth
+            if max_depth == 0:
+                high = min(high, low + 1)  # the base's own image leads the span
         if delta.covering_root(base) is not None:
             # The whole master range is deleted; only newer adds remain.
-            return self._merged((), low, high, ())
+            return self._merged((), low, high, (), limit)
         roots = delta.roots_under(base)
+        master = self.store.scan_subtree(base, max_depth)
         if low == high and not roots:
-            return self.store.scan_subtree(base)
-        return self._merged(self.store.scan_subtree(base), low, high, roots)
+            return master
+        return self._merged(master, low, high, roots, limit)
 
     def scan_all(self) -> Iterator[Entry]:
         """Every entry as of this view's lsn, in order (what compaction
@@ -202,14 +212,20 @@ class StoreView:
         return list(self._merged(fetched, 0, len(delta.order), delta.roots))
 
     def _merged(
-        self, master: Iterable[Entry], low: int, high: int, roots
+        self,
+        master: Iterable[Entry],
+        low: int,
+        high: int,
+        roots,
+        limit: int = sys.maxsize,
     ) -> Iterator[Entry]:
         """Sorted-list merge of master entries with ``order[low:high]`` of
         the overlay.  Precedence: an overlay image wins over the master
         entry at the same dn (an entry replaces it, a point delete drops
         it); a master entry under one of the deleted ``roots`` is dropped;
         overlay entries are always kept -- one under a deleted root was
-        added after the delete."""
+        added after the delete -- unless their key is longer than
+        ``limit`` (a depth-bounded scan: ``master`` is bounded already)."""
         delta = self.snapshot.delta
         point, order = delta.point, delta.order
         spans = [(key, subtree_upper_bound(key)) for key, _ in roots]
@@ -222,7 +238,7 @@ class StoreView:
                 replaced = False
                 while next_key is not None and next_key <= key:
                     replaced = next_key == key  # sorted: only the last can be
-                    image = point[order[at][1]]
+                    image = point[order[at][1]] if len(next_key) <= limit else None
                     at += 1
                     next_key = order[at][0] if at < high else None
                     if image is not None:
@@ -234,13 +250,14 @@ class StoreView:
                 if span_at == len(spans) or key < spans[span_at][0]:
                     yield entry
             while at < high:
-                image = point[order[at][1]]
+                overlay_key, dn = order[at]
+                image = point[dn] if len(overlay_key) <= limit else None
                 at += 1
                 if image is not None:
                     yield image
         finally:
-            # Charged when the scan ends or is abandoned (a base-scope
-            # probe stops after one entry): what it walked, not the slice.
+            # Charged when the scan ends or is abandoned: what it walked,
+            # not the slice.
             self._directory._charge_overlay(
                 at - low + span_at + (span_at < len(spans))
             )
@@ -251,16 +268,12 @@ class StoreView:
         verdict = self.snapshot.overlay_lookup(dn)
         if verdict is not None:
             return verdict[1]  # entry for adds/modifies, None for deletes
-        for entry in self.store.scan_subtree(dn):
-            if entry.dn == dn:
-                return entry
-            break
-        return None
+        return next(self.store.scan_subtree(dn, 0), None)
 
     def children(self, dn: DN) -> Iterator[DN]:
         """Dns of the entry's current children, in order."""
-        for entry in self.scan_subtree(dn):
-            if dn.is_parent_of(entry.dn):
+        for entry in self.scan_subtree(dn, 1):
+            if entry.dn != dn:
                 yield entry.dn
 
     def close(self) -> None:

@@ -137,14 +137,80 @@ class DirectoryStore:
         end = bisect_right(self._page_first_keys, subtree_upper_bound(prefix))
         return start, end
 
-    def scan_subtree(self, base: DN) -> Iterator[Entry]:
-        """Entries of the subtree at ``base`` (base included), in order,
-        reading only the relevant contiguous page range."""
+    def scan_subtree(
+        self, base: DN, max_depth: Optional[int] = None
+    ) -> Iterator[Entry]:
+        """Entries of the subtree at ``base`` (base included), in order --
+        the one scoped clustered scan.  ``max_depth`` bounds how far below
+        the base it reaches: ``None`` is the whole subtree (``sub``), 0 the
+        base alone, 1 the base and its children (``one``).
+
+        The subtree is the key range ``[base.key(), subtree_upper_bound)``,
+        so membership is decided by two bisections, not per entry.  An
+        unbounded scan reads every page :meth:`page_range_for_subtree`
+        names, cuts the first and the last and yields the pages between
+        untested.  A bounded scan reads the first page of that range and,
+        after each entry at the depth limit, *seeks* to the key successor
+        of that entry's subtree through the sparse index instead of
+        reading through it: one page for the base alone, at most two per
+        child otherwise."""
+        low = base.key()
+        high = subtree_upper_bound(low)
         start, end = self.page_range_for_subtree(base)
+        if max_depth is None:
+            return self._scan_range(low, high, start, end)
+        if max_depth == 0:
+            end = min(end, start + 1)  # the base leads its range
+        return self._skip_scan(low, high, start, end, len(low) + max_depth)
+
+    def _scan_range(
+        self, low: tuple, high: tuple, start: int, end: int
+    ) -> Iterator[Entry]:
+        read, page_ids = self.pager.read, self.master.page_ids
         for page_index in range(start, end):
-            for entry in self.pager.read(self.master.page_ids[page_index]):
-                if base.is_prefix_of(entry.dn):
+            records = read(page_ids[page_index])
+            if page_index == start or page_index == end - 1:
+                first = _lower_bound(records, low) if page_index == start else 0
+                last = len(records)
+                if page_index == end - 1:
+                    last = _lower_bound(records, high, first)
+                records = records[first:last]
+            yield from records
+
+    def _skip_scan(
+        self, low: tuple, high: tuple, start: int, end: int, depth: int
+    ) -> Iterator[Entry]:
+        """Entries of ``[low, high)`` whose key is at most ``depth`` long.
+        An entry at least that deep stands for a whole subtree the scan
+        wants nothing more of (when deeper, for an absent ancestor's), so
+        the scan resumes at that subtree's key successor."""
+        read, page_ids = self.pager.read, self.master.page_ids
+        first_keys = self._page_first_keys
+        seek = low
+        page_index = start
+        while page_index < end:
+            records = read(page_ids[page_index])
+            at = _lower_bound(records, seek)
+            stop = len(records)
+            if page_index == end - 1:
+                stop = _lower_bound(records, high, at)
+            while at < stop:
+                entry = records[at]
+                key = entry.dn.key()
+                at += 1
+                if len(key) <= depth:
                     yield entry
+                    if len(key) < depth:
+                        continue
+                seek = subtree_upper_bound(key[:depth])
+                if at < stop and len(records[at].dn.key()) > depth:
+                    at = _lower_bound(records, seek, at)  # seek <= high: <= stop
+            # The page holding the first key >= seek: the last one that
+            # starts at or below it, and never this one again.
+            page_index = max(
+                page_index + 1,
+                bisect_right(first_keys, seek, page_index + 1, end) - 1,
+            )
 
     def scan_all(self) -> Iterator[Entry]:
         """Full master scan, in order."""
@@ -156,3 +222,17 @@ class DirectoryStore:
             self.page_count,
             self.pager.page_size,
         )
+
+
+def _lower_bound(records: List[Entry], key: tuple, lo: int = 0) -> int:
+    """``bisect_left`` over the records' dn keys (``bisect(key=)`` needs
+    Python 3.10, and six probes beat building a page's key list): the
+    index of the first record at or after ``key``."""
+    hi = len(records)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if records[mid].dn.key() < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo

@@ -45,6 +45,26 @@ class TestLookups:
         assert len(cache) == 1
 
 
+    def test_result_size_is_the_rendered_text_size(self):
+        # Entries are sized once and remember it; the total must stay the
+        # estimate the budget was always charged: per entry 64 + the dn's
+        # text, per pair 16 + attribute + value text.
+        entries = [
+            entry("name=a\\,b+tag=red, dc=com", name="a,b", tag="red", level=7),
+            entry("name=x, dc=com"),
+        ]
+        want = 0
+        for e in entries:
+            want += 64 + len(str(e.dn))
+            for attr, value in e.pairs():
+                want += len(attr) + len(str(value)) + 16
+        cache = QueryCache(byte_budget=100_000)
+        for key in ("first", "again"):  # the second put reads the memo
+            admitted = cache.put(key, "(q)", entries, COM_SUB, cost_io=10)
+            assert admitted.size_bytes == want
+        assert cache.resident_bytes == 2 * want
+
+
 class TestBudgetAndEviction:
     def test_oversized_result_rejected(self):
         cache = QueryCache(byte_budget=200)

@@ -413,6 +413,36 @@ class TestAccessPlanner:
         assert not use_index
 
 
+    def test_scan_estimate_follows_the_scope(self, store):
+        # The scan seeks past each child's subtree for ``one`` and reads
+        # one page for ``base``; pricing either at the whole subtree range
+        # (125 pages here) sent them to an index path they should win.
+        instance, s = store
+        planner = AccessPlanner(s)
+        root = next(iter(instance.roots())).dn
+        labels = {}
+        for scope in Scope.ALL:
+            query = parse_query("(%s ? %s ? kind=alpha)" % (root, scope))
+            use_index, labels[scope], _est = planner.plan_leaf(query)
+            assert not use_index
+            before = s.pager.stats.snapshot()
+            PlannedEngine(s, stats=planner.estimator.stats).run(query)
+            actual = s.pager.stats.since(before).logical_reads
+            estimated = int(labels[scope][len("scan["):].split()[0])
+            assert estimated <= s.page_count
+            if scope != Scope.SUB:
+                assert actual <= 2 * estimated + 2
+        assert labels[Scope.BASE] == "scan[1 pages]"
+        assert labels[Scope.ONE] == "scan[5 pages]"  # the root + fanout 4
+        assert labels[Scope.SUB] == "scan[%d pages]" % s.page_count
+        # name=e17 matches one entry: cheaper than the subtree range, not
+        # cheaper than the one page a base probe reads.
+        sub = parse_query("(%s ? sub ? name=e17)" % root)
+        base = parse_query("(%s ? base ? name=e17)" % root)
+        assert planner.plan_leaf(sub)[0]
+        assert not planner.plan_leaf(base)[0]
+
+
 class TestPlannedEngine:
     @pytest.mark.parametrize("seed", range(6))
     def test_differential(self, store, seed):

@@ -12,9 +12,11 @@ deleted root -- are applied to three copies of one directory:
 - a plain in-memory **model**, read by the definitional semantics.
 
 After every step, queries at L0--L3 and atomic probes at every scope
-around the write must agree dn-for-dn, value-for-value and in order, and
-no read may compact, leave a pin behind or leak a pager page.  A failing
-assertion names the seed and the step.
+around the write -- at the written dn, one level above it and two levels
+above it, so a ``one``/``base`` read sees the write as its base, as a
+child and as a grandchild it must seek past -- must agree dn-for-dn,
+value-for-value and in order, and no read may compact, leave a pin behind
+or leak a pager page.  A failing assertion names the seed and the step.
 
 CI runs this module repeatedly (``pytest-repeat``) in the
 parallel-stress and planner-differential jobs.
@@ -237,7 +239,8 @@ def assert_sorted_and_duplicate_free(entries, context):
 
 def step_queries(model_instance, seed, step, touched):
     """One query per language level plus atomic probes at every scope
-    around the write (the written dn, its parent, the whole forest)."""
+    around the write (the written dn, its parent, its grandparent, the
+    whole forest)."""
     queries = RandomQueries(model_instance, seed=seed * 1009 + step)
     out = [queries.l0(2), queries.l1(1), queries.l2(1), queries.l3(1)]
     bases = {ROOT_DN}
@@ -245,6 +248,8 @@ def step_queries(model_instance, seed, step, touched):
         bases.add(dn)
         if dn.depth() > 1:
             bases.add(dn.parent)
+        if dn.depth() > 2:
+            bases.add(dn.parent.parent)
     for base in sorted(bases, key=DN.key):
         for scope in (Scope.BASE, Scope.ONE, Scope.SUB):
             out.append(AtomicQuery(base, scope, MatchAll()))
@@ -376,6 +381,81 @@ def test_threshold_is_the_only_compaction_trigger():
         assert len(service.search("(%s ? one ? name=t*)" % root).entries) == 40
     finally:
         service.close()
+
+
+# -- depth-bounded reads ----------------------------------------------------------
+
+
+def test_bounded_scopes_read_through_the_overlay():
+    """``one`` and ``base`` reads of a base whose master subtree the scan
+    seeks through, with every overlay shape pending at once: adds two
+    levels below the base, a modified child, a point-deleted child, a
+    recursively deleted child subtree, an add under a deleted root."""
+    from repro.engine.atomic import scope_admits
+    from repro.obs.metrics import MetricsRegistry
+
+    instance = balanced_instance(340, fanout=4, seed=5)
+    base = [e.dn for e in instance if e.dn.depth() == 2][1]
+    kids = [e.dn for e in instance.children_of(base)]
+    lone = base.child("name=lone")
+    instance.add(lone, ["node"], name="lone", kind="alpha")  # a leaf child
+    model = Model(instance)
+    registry = MetricsRegistry()
+    subject = UpdatableDirectory(
+        DirectoryStore.from_instance(instance, page_size=8, buffer_pages=6),
+        auto_compact_at=NEVER, metrics=registry,
+    )
+    twin = make_directory(instance, indexed=False)
+    ops = [
+        ("add", kids[0].child("name=g1"), {"name": ["g1"], "kind": ["alpha"]}),
+        ("add", kids[0].child("name=g2"), {"name": ["g2"], "kind": ["beta"]}),
+        ("add", kids[0].child("name=g1").child("name=gg"), {"name": ["gg"]}),
+        ("modify", kids[1], {"kind": ["delta"], "tag": ["dark-red"]}),
+        ("delete", lone, False),
+        ("delete", kids[2], True),
+        ("delete", kids[3], True),
+        ("add", kids[3], {"name": [kids[3].rdn.canonical().split("=", 1)[1]]}),
+        ("add", kids[3].child("name=u"), {"name": ["u"], "kind": ["gamma"]}),
+        ("add", base.child("name=fresh"), {"name": ["fresh"]}),
+    ]
+    for op in ops:
+        model.apply(op)
+        apply_to_directory(subject, op)
+        apply_to_directory(twin, op)
+    model_instance = model.instance()
+    folded = twin.engine().store  # compact-then-read
+    pager = subject.store.pager
+    live_before = pager.live_pages
+    merged = registry.get("repro_overlay_merged_entries_total")
+    bases = [ROOT_DN, base.parent, base, lone, kids[0].child("name=g1")] + kids
+    with subject.acquire_view() as view:
+        for probe in bases:
+            for scope, max_depth in Scope.MAX_DEPTH.items():
+                context = (str(probe), scope)
+                want = signature(
+                    e for e in model_instance if scope_admits(probe, scope, e.dn)
+                )
+                query = AtomicQuery(probe, scope, MatchAll())
+                assert signature(evaluate(query, model_instance)) == want, context
+                assert signature(folded.scan_subtree(probe, max_depth)) == want, context
+                walked = merged.value()
+                assert signature(view.scan_subtree(probe, max_depth)) == want, context
+                walked = merged.value() - walked
+                if scope == Scope.SUB and probe == base:
+                    # Eight overlay images under the base plus its two
+                    # deleted roots: what the unbounded merge always cost.
+                    assert walked == 10, context
+                elif scope == Scope.BASE:
+                    # At most the head of the overlay slice and the first
+                    # deleted root, never the slice.
+                    assert walked <= 2, context
+                assert signature(QueryEngine(view).run(query).entries) == want, context
+        assert [str(dn) for dn in view.children(base)] == [
+            str(e.dn) for e in model_instance.children_of(base)
+        ]
+    assert subject.compactions == 0
+    assert subject._pins == {}
+    assert pager.live_pages == live_before
 
 
 # -- accounting ---------------------------------------------------------------
