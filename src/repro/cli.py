@@ -115,16 +115,8 @@ def _cmd_query(args) -> int:
 def _cmd_explain(args) -> int:
     from .engine.optimizer import explain
     from .query.parser import parse_query
-    from .storage.store import DirectoryStore
 
-    instance = _load(args.file, args.schema)
-    store = DirectoryStore.from_instance(
-        instance, page_size=args.page_size, buffer_pages=args.buffer_pages
-    )
-    if args.int_index or args.string_index:
-        store.build_indices(
-            tuple(args.int_index or ()), tuple(args.string_index or ())
-        )
+    store = _engine_for(_load(args.file, args.schema), args).store
     node = explain(store, parse_query(args.query), analyze=args.analyze)
     if args.json:
         payload = node.as_dict()
@@ -138,23 +130,14 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .engine.optimizer import AccessPlanner, explain, reorder_operands, rewrite
+    from .engine.optimizer import AccessPlanner, explain
     from .query.parser import parse_query
-    from .storage.store import DirectoryStore
 
-    instance = _load(args.file, args.schema)
-    store = DirectoryStore.from_instance(
-        instance, page_size=args.page_size, buffer_pages=args.buffer_pages
-    )
-    if args.int_index or args.string_index:
-        store.build_indices(
-            tuple(args.int_index or ()), tuple(args.string_index or ())
-        )
+    store = _engine_for(_load(args.file, args.schema), args).store
     planner = AccessPlanner(store)
-    planned, rules = rewrite(parse_query(args.query))
-    planned = reorder_operands(planned, planner.estimator, rules)
-    # The same (deterministic) pipeline explain applies -- the rendered
-    # tree is exactly the plan a PlannedEngine would execute.
+    planned, rules = planner.plan(parse_query(args.query))
+    # The same (deterministic) plan() explain applies -- the rendered
+    # tree is exactly the plan an engine with this planner would execute.
     node = explain(store, parse_query(args.query), planner=planner)
     if args.json:
         payload = {

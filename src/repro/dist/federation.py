@@ -16,8 +16,9 @@ algorithms described previously."
   every server owning a delegated subdomain inside the leaf's scope -- and
   results are shipped back over the counted network;
 - the queried server combines the shipped sorted lists with its local
-  operator algorithms (it reuses the ordinary
-  :class:`~repro.engine.QueryEngine` with the atomic hook overridden).
+  operator algorithms: the ordinary :class:`~repro.engine.QueryEngine`
+  over its own store, given a :class:`_ScatterGather` as its leaf
+  provider.
 
 When the network can fail (a :class:`~repro.dist.faults.FaultInjector`),
 :meth:`FederatedDirectory.enable_resilience` arms the availability story
@@ -337,8 +338,19 @@ class FederatedDirectory:
         raises :class:`~repro.obs.budget.BudgetExceeded`."""
         if isinstance(query, str):
             query = parse_query(query)
-        coordinator = self.servers[at]
-        engine = _CoordinatorEngine(self, coordinator)
+        leaves = _ScatterGather(self, self.servers[at])
+        engine = QueryEngine(
+            leaves.coordinator.engine.store,
+            tracer=self.tracer,
+            pool=self.pool,
+            log=self.log,
+            heatmap=self.heatmap,
+            leaves=leaves,
+        )
+        if self.tracer.enabled:
+            # Rebind the I/O probe to *this* coordinator's pager (queries
+            # may be issued at different servers over the tracer's life).
+            self.tracer.add_probe("io", engine.pager.stats)
         messages_before = self.network.messages
         shipped_before = self.network.entries_shipped
         with self.tracer.span("fed-query", at=at):
@@ -349,9 +361,9 @@ class FederatedDirectory:
             result.elapsed,
             self.network.messages - messages_before,
             self.network.entries_shipped - shipped_before,
-            retries=engine.retries,
-            missing_servers=engine.missing_servers,
-            warnings=engine.warnings,
+            retries=leaves.retries,
+            missing_servers=leaves.missing_servers,
+            warnings=leaves.warnings,
             eval_errors=result.eval_errors,
         )
 
@@ -417,9 +429,9 @@ class _LeafOutcome:
 
     Workers only talk to the network and the remote server and record
     their bookkeeping *here*; the gather loop folds outcomes into the
-    engine and the coordinator's pager in owner order, so warnings,
-    cache admissions and page I/O sequence identically however the
-    threads interleaved."""
+    query's :class:`_ScatterGather` and the coordinator's pager in owner
+    order, so warnings, cache admissions and page I/O sequence
+    identically however the threads interleaved."""
 
     __slots__ = ("owner", "key", "entries", "fresh", "missing", "retries",
                  "warnings")
@@ -438,23 +450,15 @@ class _LeafOutcome:
         self.warnings: List[str] = []
 
 
-class _CoordinatorEngine(QueryEngine):
-    """The queried server's engine with atomic leaves routed by ownership."""
+class _ScatterGather:
+    """One federated query's leaf provider (``AtomicQuery -> Run``): each
+    atomic leaf is routed to its owners and gathered on the coordinator's
+    pager; the engine above it is the ordinary one."""
 
     def __init__(self, federation: FederatedDirectory, coordinator: DirectoryServer):
-        super().__init__(
-            coordinator.engine.store,
-            tracer=federation.tracer,
-            pool=federation.pool,
-            log=federation.log,
-            heatmap=federation.heatmap,
-        )
-        if federation.tracer.enabled:
-            # Rebind the I/O probe to *this* coordinator's pager (queries
-            # may be issued at different servers over the tracer's life).
-            federation.tracer.add_probe("io", self.pager.stats)
         self.federation = federation
         self.coordinator = coordinator
+        self.pager = coordinator.engine.pager
         #: Degradation bookkeeping for this one query, folded into the
         #: :class:`FederatedResult` by :meth:`FederatedDirectory.query`.
         self.retries = 0
@@ -466,7 +470,7 @@ class _CoordinatorEngine(QueryEngine):
             federation._now() + deadline_s if deadline_s is not None else None
         )
 
-    def atomic_run(self, query: AtomicQuery) -> Run:
+    def __call__(self, query: AtomicQuery) -> Run:
         """Scatter the leaf to its owners, gather in owner order.
 
         The scatter phase fans the *remote* owners out over the
@@ -612,7 +616,7 @@ class _CoordinatorEngine(QueryEngine):
         replica-served ones may not; ``entries is None`` plus
         ``outcome.missing`` means the owner is absent from a partial
         answer.  Runs on a scatter worker: all bookkeeping goes through
-        the outcome, never the engine.
+        the outcome, never this object.
         """
         fed = self.federation
         owner = outcome.owner

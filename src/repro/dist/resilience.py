@@ -1,7 +1,7 @@
 """Retry, circuit breaking and degradation policy for the federation.
 
-The coordinator's remote atomic calls (``_CoordinatorEngine.atomic_run``)
-go through three layers, in order:
+The coordinator's remote atomic calls (the federation's leaf provider,
+``dist.federation._ScatterGather``) go through three layers, in order:
 
 1. a per-server :class:`CircuitBreaker` -- after ``failure_threshold``
    consecutive failures the server is not even attempted until a reset

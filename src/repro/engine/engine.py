@@ -8,12 +8,22 @@ necessary" -- the property Theorems 8.3/8.4 rest on.  Intermediate runs are
 freed as soon as their consumer is done, and all page traffic flows through
 one pager, so a query's I/O cost is directly observable as the pager-stats
 delta around :meth:`QueryEngine.run`.
+
+There is one engine; what varies is injected, not subclassed.  A **leaf
+provider** (``AtomicQuery -> Run``) says where an atomic leaf is answered
+-- the local access path by default, the federation's scatter/gather at
+a coordinator (Section 8.3 ships atomic sub-queries and evaluates
+everything above them at the queried server).  An optional **planner**
+(:class:`~repro.engine.optimizer.AccessPlanner`) rewrites and cost-orders
+the query first; without one this is the paper-literal evaluator (both
+operands of every boolean node evaluated -- the experiments' exact page
+counts depend on it).
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Union
+from typing import List, Optional, Tuple, Union
 
 from ..model.entry import Entry
 from ..model.instance import DirectoryInstance
@@ -42,6 +52,9 @@ from .merge import boolean_merge
 from .simpleagg import simple_agg_select
 
 __all__ = ["QueryEngine", "QueryResult"]
+
+#: :func:`~repro.engine.merge.boolean_merge`'s name for each boolean node.
+_BOOLEAN_OPS = {And: "and", Or: "or", Diff: "diff"}
 
 
 class QueryResult:
@@ -93,9 +106,30 @@ class QueryEngine:
         budget=None,
         log=None,
         heatmap=None,
+        leaves=None,
+        planner=None,
     ):
         self.store = store
         self.pager = store.pager
+        #: The leaf provider: a callable ``AtomicQuery -> Run`` answering
+        #: every atomic leaf on this engine's pager.  None means the local
+        #: access path, :meth:`atomic_run`.
+        self.leaves = leaves
+        #: The optional plan step, an
+        #: :class:`~repro.engine.optimizer.AccessPlanner` over ``store``:
+        #: :meth:`plan` applies its rewrites and operand order, leaves
+        #: follow its scan-vs-index choice, ``&``/``-`` stop at an empty
+        #: first operand and every run records its Q-error.
+        self.planner = planner
+        #: The rules the most recent :meth:`plan` applied.
+        self.last_rewrites: List[str] = []
+        #: Q-error of the most recent planned evaluation (root estimate
+        #: vs actual result size); None before the first, and without a
+        #: planner.
+        self.last_qerror: Optional[float] = None
+        #: Boolean nodes whose second operand was skipped because the
+        #: first came back empty.
+        self.short_circuits = 0
         #: Optional :class:`~repro.obs.heatmap.SubtreeHeatMap`; when set,
         #: every atomic leaf records one read (plus its logical page cost)
         #: under the leaf's base subtree.  None keeps the hot path at a
@@ -155,6 +189,19 @@ class QueryEngine:
 
     # -- public API ---------------------------------------------------------
 
+    def plan(self, query: Union[Query, str]) -> Tuple[Query, List[str]]:
+        """Parse concrete syntax and apply the plan step once; returns
+        (planned query, applied rules) -- the query itself and no rules
+        without a planner.  Planning a planned query is a no-op."""
+        if isinstance(query, str):
+            with self.tracer.span("parse"):
+                query = parse_query(query)
+        rules: List[str] = []
+        if self.planner is not None:
+            query, rules = self.planner.plan(query)
+        self.last_rewrites = rules
+        return query, rules
+
     def run(self, query: Union[Query, str], budget=None) -> QueryResult:
         """Evaluate a query (AST or concrete syntax); return entries plus
         the I/O incurred.
@@ -164,27 +211,24 @@ class QueryEngine:
         :class:`~repro.obs.budget.BudgetExceeded` propagates to the
         caller -- the pager's :attr:`~repro.storage.pager.Pager.live_pages`
         is back at its pre-query value when it does."""
-        if isinstance(query, str):
-            with self.tracer.span("parse"):
-                query = parse_query(query)
-        self._eval_error_counts = []
-        active = budget if budget is not None else self.budget
-        self._budget_tracker = (
-            active.start(self.pager.stats) if active is not None else None
-        )
+        planned, _rules = self.plan(query)
+        return self.run_planned(planned, budget=budget)
+
+    def run_planned(self, query: Query, budget=None) -> QueryResult:
+        """:meth:`run` for a query :meth:`plan` already returned (no
+        further rewriting): callers that look at the plan before running
+        it -- the service probes its cache with the planned form --
+        plan once and execute here."""
         before = self.pager.stats.snapshot()
         started = time.perf_counter()
-        try:
-            with self.tracer.span("execute") as span:
-                result_run = self.evaluate_to_run(query)
-                entries = result_run.to_list()
-                result_run.free()
-                span.set(rows=len(entries))
-                eval_errors = sum(self._eval_error_counts)
-                if eval_errors:
-                    span.set(eval_errors=eval_errors)
-        finally:
-            self._budget_tracker = None
+        with self.tracer.span("execute") as span:
+            result_run = self.open_planned(query, budget=budget)
+            entries = result_run.to_list()
+            result_run.free()
+            span.set(rows=len(entries))
+            eval_errors = sum(self._eval_error_counts)
+            if eval_errors:
+                span.set(eval_errors=eval_errors)
         elapsed = time.perf_counter() - started
         io = self.pager.stats.since(before)
         if self.log.enabled_for("debug"):
@@ -197,12 +241,44 @@ class QueryEngine:
             )
         return QueryResult(entries, io, elapsed, eval_errors=eval_errors)
 
+    def open(self, query: Union[Query, str], budget=None) -> Run:
+        """Plan ``query`` and evaluate it to its result run, which the
+        caller frees -- :meth:`run` for consumers that read the run
+        themselves (size limits, paged cursors)."""
+        planned, _rules = self.plan(query)
+        return self.open_planned(planned, budget=budget)
+
+    def open_planned(self, query: Query, budget=None) -> Run:
+        """The one guarded way into the recursion: arm the budget
+        (``budget``, else the engine-level default), evaluate a planned
+        query to its result run (caller frees it) and, with a planner,
+        record the run-level Q-error.  :meth:`run`, :meth:`open` and
+        EXPLAIN ``--analyze`` all come through here, so none of them
+        skips the budget."""
+        self._eval_error_counts = []
+        active = budget if budget is not None else self.budget
+        self._budget_tracker = (
+            active.start(self.pager.stats) if active is not None else None
+        )
+        try:
+            result = self.evaluate_to_run(query)
+        finally:
+            self._budget_tracker = None
+        if self.planner is not None:
+            self.last_qerror = self.planner.run_qerror(query, len(result))
+        return result
+
     # -- recursive evaluation ---------------------------------------------
 
     def atomic_run(self, query: AtomicQuery) -> Run:
-        """Evaluate one atomic leaf.  Overridden by the distributed
-        coordinator (Section 8.3) to route leaves to the owning server."""
-        return evaluate_atomic(self.store, query, self.use_indices)
+        """The local access path, and the default leaf provider: the
+        scoped clustered scan or -- when ``use_indices`` allows it and,
+        with a planner, its cost estimate prefers it -- a secondary
+        index."""
+        use_index = self.use_indices
+        if use_index and self.planner is not None:
+            use_index = self.planner.plan_leaf(query)[0]
+        return evaluate_atomic(self.store, query, use_index)
 
     def evaluate_to_run(self, query: Query) -> Run:
         """Evaluate ``query`` to a sorted run (caller frees it).
@@ -242,17 +318,24 @@ class QueryEngine:
             result.free()
             raise
 
-    def _evaluate_operands(self, children) -> List[Run]:
+    def _evaluate_operands(self, children, decisive_first=False) -> List[Run]:
         """Evaluate independent sibling subtrees, in parallel when the
         engine has a concurrent pool (the caller's merge is the barrier).
         Results come back in child order; on any failure every sibling's
-        run is freed before the first error re-raises."""
+        run is freed before the first error re-raises.
+
+        With ``decisive_first`` an empty first operand ends the sequential
+        path early -- the caller gets that one run back.  A concurrent
+        pool evaluates all operands at once, where skipping would
+        serialise them (results are bit-identical either way)."""
         pool = self.pool
         if pool is None or not pool.parallel or len(children) <= 1:
             sequential: List[Run] = []
             try:
                 for child in children:
                     sequential.append(self.evaluate_to_run(child))
+                    if decisive_first and len(sequential[0]) == 0:
+                        break
             except BaseException:
                 for run in sequential:
                     run.free()
@@ -284,66 +367,51 @@ class QueryEngine:
 
     def _evaluate_node(self, query: Query) -> Run:
         if isinstance(query, AtomicQuery):
+            leaves = self.leaves if self.leaves is not None else self.atomic_run
             heatmap = self.heatmap
             if heatmap is None:
-                return self.atomic_run(query)
+                return leaves(query)
             before = self.pager.stats.snapshot()
-            result = self.atomic_run(query)
+            result = leaves(query)
             heatmap.record_read(
                 query.base, pages=self.pager.stats.since(before).logical_total
             )
             return result
 
-        if isinstance(query, (And, Or, Diff)):
-            op = {And: "and", Or: "or", Diff: "diff"}[type(query)]
-            left, right = self._evaluate_operands((query.left, query.right))
-            try:
-                return boolean_merge(self.pager, op, left, right)
-            finally:
-                left.free()
-                right.free()
-
-        if isinstance(query, HierarchySelect):
-            operands = [query.first, query.second]
-            if query.third is not None:
-                operands.append(query.third)
-            runs = self._evaluate_operands(operands)
-            first, second = runs[0], runs[1]
-            third = runs[2] if query.third is not None else None
-            try:
+        children = query.children() if isinstance(query, Query) else ()
+        op = _BOOLEAN_OPS.get(type(query))
+        # A planned & or - stops at an empty first operand: it decides the
+        # node, so the second is never evaluated.
+        runs = self._evaluate_operands(
+            children, op in ("and", "diff") and self.planner is not None
+        )
+        if len(runs) < len(children):
+            self.short_circuits += 1
+            return runs[0]
+        try:
+            if op is not None:
+                return boolean_merge(self.pager, op, *runs)
+            if isinstance(query, HierarchySelect):
+                third = runs[2] if len(runs) == 3 else None
                 return hierarchical_select(
-                    self.pager, query.op, first, second, third, query.agg
+                    self.pager, query.op, runs[0], runs[1], third, query.agg
                 )
-            finally:
-                first.free()
-                second.free()
-                if third is not None:
-                    third.free()
-
-        if isinstance(query, SimpleAggSelect):
-            operand = self.evaluate_to_run(query.operand)
-            try:
-                return simple_agg_select(self.pager, operand, query.agg)
-            finally:
-                operand.free()
-
-        if isinstance(query, EmbeddedRef):
-            first, second = self._evaluate_operands((query.first, query.second))
-            try:
+            if isinstance(query, SimpleAggSelect):
+                return simple_agg_select(self.pager, runs[0], query.agg)
+            if isinstance(query, EmbeddedRef):
                 return embedded_ref_select(
                     self.pager,
                     query.op,
-                    first,
-                    second,
+                    runs[0],
+                    runs[1],
                     query.attribute,
                     query.agg,
                     memory_pages=self.memory_pages,
                 )
-            finally:
-                first.free()
-                second.free()
-
-        raise QueryError("unknown query node %r" % (query,))
+            raise QueryError("unknown query node %r" % (query,))
+        finally:
+            for run in runs:
+                run.free()
 
     def __repr__(self) -> str:
         return "QueryEngine(%r)" % self.store
@@ -353,8 +421,8 @@ def _span_name(query: Query) -> str:
     """The span name for one query-tree node (stable operator labels)."""
     if isinstance(query, AtomicQuery):
         return "op:atomic"
-    if isinstance(query, (And, Or, Diff)):
-        return "op:%s" % {And: "and", Or: "or", Diff: "diff"}[type(query)]
+    if type(query) in _BOOLEAN_OPS:
+        return "op:%s" % _BOOLEAN_OPS[type(query)]
     if isinstance(query, HierarchySelect):
         return "op:hs:%s" % query.op
     if isinstance(query, SimpleAggSelect):

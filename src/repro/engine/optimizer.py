@@ -36,17 +36,16 @@ Four pieces, all grounded in the paper:
 2. **Cost-based operand ordering** (*R7*, :func:`reorder_operands`):
    ``&`` and ``|`` are commutative, so the planner puts the operand with
    the smaller estimated cardinality first -- cheapest-first for ``&``
-   (an empty first operand short-circuits the whole node, see
-   :class:`PlannedEngine`), and short-circuit-aware for ``|`` (the
-   cheaper operand runs while R4 absorption handles the provably
-   covering case).  ``-`` is never reordered.
+   (an empty first operand short-circuits the whole node in a planned
+   engine), and short-circuit-aware for ``|`` (the cheaper operand runs
+   while R4 absorption handles the provably covering case).  ``-`` is
+   never reordered.
 
-3. **Access-path choice** (:class:`AccessPlanner`): per atomic leaf,
-   compare the estimated cost of the clustered subtree scan against each
-   applicable secondary index (B+tree for comparisons, string index for
-   equality/wildcard/presence) using the
-   :class:`~repro.engine.stats.CardinalityEstimator`, and remember the
-   decision.
+3. **Access-path choice** (:meth:`AccessPlanner.plan_leaf`): per atomic
+   leaf, compare the estimated cost of the clustered subtree scan against
+   each applicable secondary index (B+tree for comparisons, string index
+   for equality/wildcard/presence) using the
+   :class:`~repro.engine.stats.CardinalityEstimator`.
 
 4. **EXPLAIN and the Q-error loop** (:func:`explain`): a physical-plan
    rendering with estimated cardinalities and chosen access paths; with
@@ -57,11 +56,14 @@ Four pieces, all grounded in the paper:
    replan/rewrite hint from the symptom routing table
    (:data:`QERROR_ROUTES`).
 
-:class:`PlannedEngine` is a drop-in :class:`~repro.engine.engine.QueryEngine`
-that applies the rewrites and the cost-based ordering once per query
-(:meth:`PlannedEngine.plan`), follows the planner's per-leaf decisions,
-short-circuits ``&``/``-`` on an empty first operand, and reports the
-run-level Q-error of every query it executes.
+There is one engine, :class:`~repro.engine.engine.QueryEngine`; the
+:class:`AccessPlanner` is its optional plan step.  Given one, the engine
+applies :meth:`AccessPlanner.plan` (rewrites + cost-based ordering) once
+per query, follows the planner's per-leaf decisions, short-circuits
+``&``/``-`` on an empty first operand and reports the run-level Q-error
+of every query it executes; EXPLAIN and ``repro plan`` render the same
+``plan()``.  :class:`PlannedEngine` is only a constructor: a
+``QueryEngine`` whose planner is built from ``stats=`` / ``metrics=``.
 """
 
 from __future__ import annotations
@@ -82,12 +84,11 @@ from ..query.ast import (
     Scope,
     SimpleAggSelect,
 )
-from ..storage.runs import Run
 from ..storage.store import DirectoryStore
-from .atomic import evaluate_atomic
+from .atomic import evaluate_atomic  # noqa: F401 -- only bench/shims.py rebinds it here
 from .engine import QueryEngine
-from .merge import boolean_merge
-from .stats import CardinalityEstimator, DirectoryStatistics
+from .merge import boolean_merge  # noqa: F401 -- only bench/shims.py rebinds it here
+from .stats import CardinalityEstimator
 
 __all__ = [
     "rewrite",
@@ -427,7 +428,7 @@ def reorder_operands(
 ) -> Query:
     """R7: order the operands of every ``&``/``|`` cheapest (most
     selective) first, by estimated cardinality.  Both operators are
-    commutative so results are bit-identical; the payoff is the planned
+    commutative so results are bit-identical; the payoff is a planned
     engine's empty-first-operand short-circuit for ``&`` and smaller
     intermediate runs held live.  ``-`` is left alone (not commutative)."""
     notes = applied if applied is not None else []
@@ -475,11 +476,36 @@ def reorder_operands(
 
 
 class AccessPlanner:
-    """Chooses scan vs index per atomic leaf, cost-estimated in pages."""
+    """The engine's plan step: rewrites and orders a query once
+    (:meth:`plan`), chooses scan vs index per atomic leaf, cost-estimated
+    in pages (:meth:`plan_leaf`), and scores every run's root estimate
+    (:meth:`run_qerror`; ``metrics``, a registry, enables the
+    ``repro_planner_qerror`` histogram)."""
 
-    def __init__(self, store: DirectoryStore, estimator: Optional[CardinalityEstimator] = None):
+    def __init__(
+        self,
+        store: DirectoryStore,
+        estimator: Optional[CardinalityEstimator] = None,
+        metrics=None,
+    ):
         self.store = store
         self.estimator = estimator or CardinalityEstimator(store)
+        self._m_qerror = qerror_histogram(metrics) if metrics is not None else None
+
+    def plan(self, query: Query) -> Tuple[Query, List[str]]:
+        """Rewrite + cost-order ``query``; returns (planned query, applied
+        rules).  Idempotent: planning a planned query is a no-op."""
+        query, applied = rewrite(query)
+        query = reorder_operands(query, self.estimator, applied)
+        return query, applied
+
+    def run_qerror(self, query: Query, rows: int) -> float:
+        """Close the feedback loop for one executed plan: the Q-error of
+        its root estimate against the ``rows`` it actually returned."""
+        factor = qerror(estimate_cardinality(query, self.estimator), rows)
+        if self._m_qerror is not None:
+            self._m_qerror.observe(factor)
+        return factor
 
     def _index_available(self, filter_) -> Optional[str]:
         if isinstance(filter_, Comparison) and filter_.attribute in self.store.int_indices:
@@ -537,103 +563,30 @@ class AccessPlanner:
 
 
 class PlannedEngine(QueryEngine):
-    """A QueryEngine with rewrites, cost-based operand ordering, per-leaf
-    access-path planning, boolean short-circuiting and run-level Q-error.
+    """A :class:`~repro.engine.engine.QueryEngine` whose planner is built
+    here -- a constructor and nothing else; every method is the one
+    engine's.
 
     ``stats`` may be a static :class:`~repro.engine.stats.
     DirectoryStatistics` snapshot or a :class:`~repro.engine.stats.
     LiveDirectoryStatistics` (estimates then track the directory).
     ``metrics`` (a registry) enables the ``repro_planner_qerror``
     histogram; extra keyword arguments (``pool``, ``log``, ``budget``,
-    ...) pass through to :class:`~repro.engine.engine.QueryEngine`.
+    ...) pass through to the engine.
     """
 
     def __init__(
-        self,
-        store: DirectoryStore,
-        stats=None,
-        tracer=None,
-        short_circuit: bool = True,
-        metrics=None,
-        **engine_options,
+        self, store: DirectoryStore, stats=None, metrics=None, **engine_options
     ):
-        super().__init__(store, tracer=tracer, **engine_options)
         self.estimator = CardinalityEstimator(store, stats)
         # Touch the statistics now: a lazy first collection would land its
         # scan inside the first query's measured I/O window.
         self.estimator.stats
-        self.planner = AccessPlanner(store, self.estimator)
-        self.short_circuit = short_circuit
-        self.last_rewrites: List[str] = []
-        #: Q-error of the most recent :meth:`run` (root estimate vs
-        #: actual result size); None before the first run.
-        self.last_qerror: Optional[float] = None
-        #: Boolean nodes whose second operand was skipped because the
-        #: first came back empty.
-        self.short_circuits = 0
-        self._m_qerror = qerror_histogram(metrics) if metrics is not None else None
-
-    # -- planning -----------------------------------------------------------
-
-    def plan(self, query) -> Tuple[Query, List[str]]:
-        """Rewrite + cost-order ``query`` once; returns (planned query,
-        applied rules).  Idempotent: planning a planned query is a no-op."""
-        if isinstance(query, str):
-            from ..query.parser import parse_query
-
-            query = parse_query(query)
-        query, applied = rewrite(query)
-        query = reorder_operands(query, self.estimator, applied)
-        return query, applied
-
-    def run(self, query, budget=None):
-        query, self.last_rewrites = self.plan(query)
-        return self.run_planned(query, budget=budget)
-
-    def run_planned(self, query: Query, budget=None):
-        """Execute an already-planned query (no further rewriting) and
-        close the feedback loop: compare the root estimate against the
-        actual result size and record the run-level Q-error."""
-        estimate = estimate_cardinality(query, self.estimator)
-        result = super().run(query, budget=budget)
-        self.last_qerror = qerror(estimate, len(result.entries))
-        if self._m_qerror is not None:
-            self._m_qerror.observe(self.last_qerror)
-        return result
-
-    # -- execution ----------------------------------------------------------
-
-    def atomic_run(self, query: AtomicQuery) -> Run:
-        use_index, _label, _estimate = self.planner.plan_leaf(query)
-        return evaluate_atomic(self.store, query, use_indices=use_index)
-
-    def _evaluate_node(self, query: Query) -> Run:
-        # Short-circuit & and -: an empty first operand decides the node,
-        # so the second operand is never evaluated.  Only on the
-        # sequential path -- a concurrent pool evaluates both operands in
-        # parallel, where skipping would serialise them (results are
-        # bit-identical either way).
-        if (
-            self.short_circuit
-            and isinstance(query, (And, Diff))
-            and (self.pool is None or not self.pool.parallel)
-        ):
-            left = self.evaluate_to_run(query.left)
-            if len(left) == 0:
-                self.short_circuits += 1
-                return left
-            try:
-                right = self.evaluate_to_run(query.right)
-            except BaseException:
-                left.free()
-                raise
-            try:
-                op = "and" if isinstance(query, And) else "diff"
-                return boolean_merge(self.pager, op, left, right)
-            finally:
-                left.free()
-                right.free()
-        return super()._evaluate_node(query)
+        super().__init__(
+            store,
+            planner=AccessPlanner(store, self.estimator, metrics=metrics),
+            **engine_options,
+        )
 
 
 class ExplainNode:
@@ -735,13 +688,12 @@ def explain(
     query: Query,
     analyze: bool = False,
     planner: Optional[AccessPlanner] = None,
-    reorder: bool = True,
     metrics=None,
 ) -> ExplainNode:
     """Build the EXPLAIN tree for ``query`` (post-rewrite, post-reorder:
-    the tree shows the plan the :class:`PlannedEngine` would execute).
+    the tree shows the plan an engine with this planner would execute).
     With ``analyze=True`` the planned query is evaluated **once** through
-    a span-traced :class:`PlannedEngine`; each node then carries the
+    a span-traced engine sharing the planner; each node then carries the
     actual result size, its own (exclusive) page I/O and its Q-error,
     harvested from the span tree -- which mirrors the query tree exactly
     -- so the per-operator actuals sum to the pager's global delta for
@@ -751,18 +703,14 @@ def explain(
     from ..obs.trace import Tracer
 
     planner = planner or AccessPlanner(store)
-    query, applied = rewrite(query)
-    if reorder:
-        query = reorder_operands(query, planner.estimator, applied)
+    query, applied = planner.plan(query)
     root_span = None
     if analyze:
-        # Reuse the planner's statistics so the traced window holds the
-        # evaluation's I/O and nothing else -- the per-operator actuals
-        # then sum exactly to the pager delta of the run.
+        # The same planner, its statistics already collected: the traced
+        # window holds the evaluation's I/O and nothing else, so the
+        # per-operator actuals sum exactly to the pager delta of the run.
         tracer = Tracer()
-        engine = PlannedEngine(store, stats=planner.estimator.stats, tracer=tracer)
-        result_run = engine.evaluate_to_run(query)
-        result_run.free()
+        QueryEngine(store, tracer=tracer, planner=planner).open_planned(query).free()
         root_span = tracer.last_root()
 
     def build(node: Query, span) -> ExplainNode:

@@ -3,8 +3,9 @@
 Directory servers never hand a client an unbounded result: LDAP has a
 server-side size limit and the paged-results control.  This module adds
 both on top of the engine, without disturbing the evaluation bounds --
-the query is evaluated once to a result run; limits and pages only govern
-how much of that run is materialised and shipped.
+the query is evaluated once to a result run (``QueryEngine.open``: the
+engine's plan step and budget apply as they do to ``run``); limits and
+pages only govern how much of that run is materialised and shipped.
 
 - :func:`run_limited` -- evaluate with a size limit; the result notes
   whether it was truncated (LDAP's ``sizeLimitExceeded`` condition).
@@ -15,11 +16,11 @@ how much of that run is materialised and shipped.
 
 from __future__ import annotations
 
+import time
 from typing import Iterator, List, Optional, Union
 
 from ..model.entry import Entry
 from ..query.ast import Query
-from ..query.parser import parse_query
 from .engine import QueryEngine, QueryResult
 
 __all__ = ["LimitedResult", "run_limited", "PagedSearch"]
@@ -48,13 +49,9 @@ def run_limited(
     """Evaluate ``query`` but materialise at most ``size_limit`` entries."""
     if size_limit < 1:
         raise ValueError("size_limit must be positive")
-    if isinstance(query, str):
-        query = parse_query(query)
-    import time
-
     before = engine.pager.stats.snapshot()
     started = time.perf_counter()
-    run = engine.evaluate_to_run(query)
+    run = engine.open(query)
     entries: List[Entry] = []
     reader = run.reader()
     while not reader.exhausted() and len(entries) < size_limit:
@@ -84,10 +81,8 @@ class PagedSearch:
     ):
         if page_entries < 1:
             raise ValueError("page_entries must be positive")
-        if isinstance(query, str):
-            query = parse_query(query)
         self.page_entries = page_entries
-        self._run = engine.evaluate_to_run(query)
+        self._run = engine.open(query)
         #: The full answer's size (known up front; the run is materialised).
         self.total_size = len(self._run)
         self._reader = self._run.reader()

@@ -126,7 +126,7 @@ class SecuredEngine:
         visible = [
             entry for entry in result.entries if self.acl.readable(subject, entry.dn)
         ]
-        return QueryResult(visible, result.io, result.elapsed)
+        return QueryResult(visible, result.io, result.elapsed, result.eval_errors)
 
     def __repr__(self) -> str:
         return "SecuredEngine(%r, %r)" % (self.engine, self.acl)

@@ -237,10 +237,9 @@ class DirectoryService:
         )
         if planner not in ("cost", "none"):
             raise ValueError("planner must be 'cost' or 'none'")
-        #: ``"cost"`` (default) serves searches through the
-        #: :class:`~repro.engine.optimizer.PlannedEngine` -- rewrites,
-        #: cost-ordered operands, live statistics, per-run Q-error --
-        #: while ``"none"`` keeps the paper-literal
+        #: ``"cost"`` (default) gives each search's engine a planner --
+        #: rewrites, cost-ordered operands, live statistics, per-run
+        #: Q-error -- while ``"none"`` gives it none: the paper-literal
         #: :class:`~repro.engine.engine.QueryEngine`.
         self.planner = planner
         #: Statistics that track the directory through its record and
@@ -445,7 +444,7 @@ class DirectoryService:
         epoch = self.cache.invalidation_epoch if self.cache is not None else None
         engine, guard = self._pinned_engine()
         try:
-            if isinstance(engine, PlannedEngine):
+            if engine.planner is not None:
                 with self.tracer.span("plan") as span:
                     planned, rewrites = engine.plan(query)
                     span.set(rewrites=len(rewrites))

@@ -1,0 +1,191 @@
+"""One engine, two collaborators: :class:`QueryEngine` owns every
+evaluation method; *where a leaf is answered* (the leaf provider) and
+*whether the query is planned first* (the planner) are injected, never
+subclassed.  Three guards:
+
+- structural -- nothing in ``repro.*`` subclasses the engine with more
+  than a constructor;
+- differential -- an explicitly injected local access path is
+  bit-identical to the default one, planned and plan-less, sequential
+  and under a worker pool;
+- federation -- the coordinator runs the same engine: a one-server
+  federation reads the centralised engine's page counts, and a provider
+  that fails mid-tree leaks neither pages nor spans.
+
+CI repeats this module (``pytest-repeat``) in the planner-differential
+job.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import repro
+from repro.dist import FederatedDirectory
+from repro.engine import QueryEngine
+from repro.engine.atomic import evaluate_atomic
+from repro.engine.optimizer import AccessPlanner, PlannedEngine
+from repro.exec import WorkerPool
+from repro.obs.trace import Tracer
+from repro.workload import RandomQueries, random_instance
+
+from .test_planner_differential import QUERIES_PER_SEED, make_store
+
+
+# -- (a) structural ----------------------------------------------------------
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+def _defined(cls):
+    """Names ``cls`` itself gives a behaviour to: callables and
+    descriptors in its own namespace that differ from what it would
+    inherit (a rebinding tool that restores an inherited method by
+    assignment leaves the *same* function behind -- not an override)."""
+    names = set()
+    for name, value in vars(cls).items():
+        if not (callable(value) or hasattr(value, "__get__")):
+            continue
+        inherited = next(
+            (vars(base)[name] for base in cls.__mro__[1:] if name in vars(base)),
+            None,
+        )
+        if value is not inherited:
+            names.add(name)
+    return names
+
+
+def test_no_subclass_overrides_evaluation():
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    subclasses = [
+        sub for sub in _all_subclasses(QueryEngine)
+        if sub.__module__.startswith("repro.")
+    ]
+    assert PlannedEngine in subclasses
+    for sub in subclasses:
+        assert _defined(sub) == {"__init__"}, (sub, _defined(sub))
+
+
+# -- (b) leaf-provider differential ------------------------------------------
+
+
+def _arms(seed, planned, pool=None):
+    """(default-provider engine, injected-provider engine), each over its
+    own identically built store so buffer state evolves in lockstep."""
+    _instance, default_store = make_store(seed)
+    _instance, injected_store = make_store(seed)
+    if not planned:
+        return (
+            QueryEngine(default_store, pool=pool),
+            QueryEngine(
+                injected_store,
+                pool=pool,
+                leaves=lambda q: evaluate_atomic(injected_store, q, True),
+            ),
+        )
+    planner = AccessPlanner(injected_store)
+    return (
+        PlannedEngine(default_store, pool=pool),
+        QueryEngine(
+            injected_store,
+            pool=pool,
+            planner=planner,
+            leaves=lambda q: evaluate_atomic(
+                injected_store, q, planner.plan_leaf(q)[0]
+            ),
+        ),
+    )
+
+
+def _trees(seed):
+    instance, _store = make_store(seed)
+    queries = RandomQueries(instance, seed=seed * 13 + 1)
+    return [queries.any_level(depth=2) for _ in range(QUERIES_PER_SEED)]
+
+
+@pytest.mark.parametrize("planned", [False, True], ids=["plan-less", "planned"])
+@pytest.mark.parametrize("seed", range(10))
+def test_injected_local_provider_is_bit_identical(seed, planned):
+    default, injected = _arms(seed, planned)
+    live = default.pager.live_pages
+    assert injected.pager.live_pages == live
+    for query in _trees(seed):
+        want, got = default.run(query), injected.run(query)
+        assert got.dns() == want.dns(), str(query)
+        assert got.io.as_dict() == want.io.as_dict(), str(query)
+        assert default.pager.live_pages == injected.pager.live_pages == live
+    assert injected.short_circuits == default.short_circuits
+
+
+@pytest.mark.parametrize("planned", [False, True], ids=["plan-less", "planned"])
+@pytest.mark.parametrize("seed", range(6))
+def test_injected_local_provider_under_worker_pool(seed, planned):
+    sequential = QueryEngine(make_store(seed)[1])
+    expected = [sequential.run(query) for query in _trees(seed)]
+    with WorkerPool(4) as pool:
+        default, injected = _arms(seed, planned, pool=pool)
+        live = default.pager.live_pages
+        for query, want in zip(_trees(seed), expected):
+            first, second = default.run(query), injected.run(query)
+            assert first.dns() == second.dns() == want.dns(), str(query)
+            # Physical transfers depend on how the workers interleave in
+            # the shared buffer; the page *requests* do not.
+            assert first.io.logical_total == second.io.logical_total, str(query)
+            assert default.pager.live_pages == injected.pager.live_pages == live
+        # A concurrent pool evaluates both operands at once: a planned
+        # engine must not short-circuit there, and still agrees.
+        assert default.short_circuits == injected.short_circuits == 0
+
+
+# -- (c) the coordinator is the same engine ------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_server_federation_reads_the_centralised_page_counts(seed):
+    instance = random_instance(seed, size=120)
+    roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
+    fed = FederatedDirectory.partition(
+        instance, {"solo": roots}, page_size=8, buffer_pages=6
+    )
+    central = QueryEngine.from_instance(instance, page_size=8, buffer_pages=6)
+    queries = RandomQueries(instance, seed=seed * 13 + 1)
+    try:
+        for _ in range(QUERIES_PER_SEED):
+            query = queries.any_level(depth=2)
+            got, want = fed.query("solo", query), central.run(query)
+            assert got.dns() == want.dns(), str(query)
+            assert got.io.as_dict() == want.io.as_dict(), str(query)
+            assert got.messages == 0
+    finally:
+        fed.close()
+
+
+def test_failing_provider_leaks_no_pages_and_no_spans():
+    _instance, store = make_store(3)
+    calls = []
+
+    def flaky(query):
+        calls.append(query)
+        if len(calls) == 3:
+            raise RuntimeError("owner unreachable")
+        return evaluate_atomic(store, query, True)
+
+    tracer = Tracer()
+    engine = QueryEngine(store, tracer=tracer, leaves=flaky)
+    live = store.pager.live_pages
+    with pytest.raises(RuntimeError):
+        engine.run(
+            "(| (& ( ? sub ? kind=alpha) ( ? sub ? weight<50))"
+            " (& ( ? sub ? kind=beta) ( ? sub ? level<3)))"
+        )
+    assert len(calls) == 3
+    assert store.pager.live_pages == live
+    assert tracer.current is None
+    assert "RuntimeError" in tracer.last_root().attrs["error"]

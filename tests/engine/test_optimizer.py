@@ -297,10 +297,12 @@ class TestReorder:
 class TestShortCircuit:
     def test_empty_first_operand_skips_second(self, store):
         _instance, s = store
-        eager = PlannedEngine(s, short_circuit=False)
         lazy = PlannedEngine(s)
         query = "(& ( ? sub ? name=nosuchentry) ( ? sub ? kind=alpha))"
-        eager_result = eager.run(query)
+        # The eager arm: the plan-less engine (both operands always
+        # evaluated) running the already-planned query.
+        planned, _rules = lazy.plan(query)
+        eager_result = QueryEngine(s).run(planned)
         lazy_result = lazy.run(query)
         assert lazy_result.dns() == eager_result.dns() == []
         assert lazy.short_circuits >= 1

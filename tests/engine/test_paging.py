@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import QueryEngine
 from repro.engine.paging import PagedSearch, run_limited
+from repro.obs.budget import BudgetExceeded, QueryBudget
 from repro.workload import balanced_instance
 
 QUERY = "( ? sub ? kind=alpha)"
@@ -68,3 +69,28 @@ class TestPagedSearch:
     def test_bad_page_size(self, engine):
         with pytest.raises(ValueError):
             PagedSearch(engine, QUERY, page_entries=0)
+
+
+class TestEngineBudgetApplies:
+    """Limits and cursors go through the engine's guarded entry: an
+    engine-level budget stops them exactly as it stops ``run``."""
+
+    @pytest.fixture
+    def budgeted(self):
+        return QueryEngine.from_instance(
+            balanced_instance(400), page_size=8, budget=QueryBudget(max_pages=1)
+        )
+
+    def test_run_limited_is_budgeted(self, budgeted):
+        live = budgeted.pager.live_pages
+        with pytest.raises(BudgetExceeded):
+            budgeted.run(QUERY)
+        with pytest.raises(BudgetExceeded):
+            run_limited(budgeted, QUERY, size_limit=5)
+        assert budgeted.pager.live_pages == live
+
+    def test_paged_search_is_budgeted(self, budgeted):
+        live = budgeted.pager.live_pages
+        with pytest.raises(BudgetExceeded):
+            PagedSearch(budgeted, QUERY, page_entries=5)
+        assert budgeted.pager.live_pages == live

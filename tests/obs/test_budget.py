@@ -163,10 +163,10 @@ class TestServiceSurface:
         """Search A blocks inside its first atomic leaf while search B (no
         budget) runs to completion on another thread: A's budget tracker
         is per-evaluation state and must still be armed when A resumes."""
-        from repro.engine import optimizer
+        from repro.engine import engine as engine_module
 
         service, _ = self.make_service(cache_bytes=0)
-        real = optimizer.evaluate_atomic
+        real = engine_module.evaluate_atomic
         a_in_leaf, b_done = threading.Event(), threading.Event()
 
         def gated(store, query, *args, **kwargs):
@@ -175,7 +175,7 @@ class TestServiceSurface:
                 assert b_done.wait(10)
             return real(store, query, *args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "evaluate_atomic", gated)
+        monkeypatch.setattr(engine_module, "evaluate_atomic", gated)
         results = {}
 
         def search_a():

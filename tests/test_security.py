@@ -7,6 +7,8 @@ from repro.engine import QueryEngine
 from repro.model.dn import DN
 from repro.security import AccessControlList, SecuredEngine
 
+from .engine.test_eval_errors import ER_QUERY, ref_instance  # noqa: F401 (fixture)
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -95,3 +97,12 @@ class TestSecuredEngine:
         open_result = secured.run("( ? sub ? objectClass=*)", subject="anyone")
         raw = engine.run("( ? sub ? objectClass=*)")
         assert open_result.dns() == raw.dns()
+
+    def test_eval_errors_survive_the_acl_filter(self, ref_instance):
+        # A result that skipped an undecodable reference must not read as
+        # clean once an ACL is applied on top of it.
+        engine = QueryEngine.from_instance(ref_instance, page_size=8)
+        secured = SecuredEngine(engine, AccessControlList(default_allow=True))
+        result = secured.run(ER_QUERY, subject="anyone")
+        assert result.dns() == ["cn=good, dc=com"]
+        assert result.eval_errors == engine.run(ER_QUERY).eval_errors == 1
