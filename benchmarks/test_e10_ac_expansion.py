@@ -24,7 +24,7 @@ AC_QUERY = "(ac ( ? sub ? name=e5) ( ? sub ? name=e1) ( ? sub ? objectClass=*))"
 def _cost(query, size):
     instance = balanced_instance(size, fanout=4, seed=10)
     engine = QueryEngine.from_instance(
-        instance, page_size=16, buffer_pages=8, string_indices=("name",)
+        instance, page_size=16, buffer_pages=8, indices=("name",)
     )
     engine.pager.flush()
     result = engine.run(query)

@@ -26,7 +26,7 @@ UNSELECTIVE = "( ? sub ? kind=alpha)"
 def _stores(size):
     instance = balanced_instance(size, fanout=4, seed=15)
     store = DirectoryStore.from_instance(instance, page_size=16, buffer_pages=8)
-    store.build_indices(int_attributes=("weight",), string_attributes=("name", "kind"))
+    store.build_indices(("weight", "name", "kind"))
     return store
 
 

@@ -65,7 +65,7 @@ def main() -> None:
     print("\n== 5. EXPLAIN: estimates, access paths, rewrites ==")
     instance = balanced_instance(2_000, seed=3)
     store = DirectoryStore.from_instance(instance, page_size=16, buffer_pages=8)
-    store.build_indices(int_attributes=("weight",), string_attributes=("name",))
+    store.build_indices(("weight", "name"))
     plan = explain(
         store,
         parse_query(

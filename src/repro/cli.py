@@ -53,13 +53,15 @@ def _load(path: str, schema_name: str):
 def _engine_for(instance, args):
     from .engine.engine import QueryEngine
 
-    return QueryEngine.from_instance(
-        instance,
-        page_size=args.page_size,
-        buffer_pages=args.buffer_pages,
-        int_indices=tuple(args.int_index or ()),
-        string_indices=tuple(args.string_index or ()),
-    )
+    try:
+        return QueryEngine.from_instance(
+            instance,
+            page_size=args.page_size,
+            buffer_pages=args.buffer_pages,
+            indices=tuple(args.index or ()),
+        )
+    except ValueError as exc:  # --index names an attribute the schema lacks
+        raise SystemExit(str(exc))
 
 
 def _budget_from(args):
@@ -880,10 +882,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="blocking factor B (entries per page)")
         p.add_argument("--buffer-pages", type=int, default=8,
                        help="buffer pool capacity in pages")
-        p.add_argument("--int-index", action="append", metavar="ATTR",
-                       help="build a B+tree index on this int attribute")
-        p.add_argument("--string-index", action="append", metavar="ATTR",
-                       help="build a string index on this attribute")
+        p.add_argument("--index", action="append", metavar="ATTR",
+                       help="build a secondary index on this attribute, keyed "
+                            "by its schema type (repeatable)")
 
     def budget_flags(p):
         p.add_argument("--max-pages", type=int, default=None, metavar="N",

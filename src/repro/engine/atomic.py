@@ -12,10 +12,11 @@ of the query by the cumulative size ``|L|`` of the atomic results
   (``scan_subtree(base, max_depth)``), not a filter over its output --
   ``sub`` reads exactly that range, ``one`` seeks past each child's
   subtree, ``base`` reads one page;
-- **secondary index**: comparison filters on indexed int attributes use the
-  B+tree, equality/presence/wildcard filters on indexed string attributes
-  use the string index; matching master positions (ascending = dn order)
-  are fetched page-wise and scope-checked.
+- **secondary index**: :func:`index_path` decides, from the filter's class
+  and the indexed attribute's schema type, whether an index answers the
+  filter and which key range of it; the matching master positions
+  (ascending = dn order) are fetched page-wise, then scope- and
+  filter-checked.
 
 Either way the result is a sorted, duplicate-free run -- the contract every
 operator above relies on.
@@ -29,15 +30,15 @@ stream (the service path; nothing here changes).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, Optional, Tuple
 
-from ..filters.ast import Comparison, Equality, Filter, MatchAll, Presence, Substring
+from ..filters.ast import Comparison, Equality, Filter, Presence, Substring
 from ..model.dn import DN
 from ..query.ast import AtomicQuery, Scope
 from ..storage.runs import Run, RunWriter
 from ..storage.store import DirectoryStore
 
-__all__ = ["evaluate_atomic", "scope_admits"]
+__all__ = ["evaluate_atomic", "index_path", "scope_admits"]
 
 
 def scope_admits(base: DN, scope: str, dn: DN) -> bool:
@@ -57,9 +58,9 @@ def evaluate_atomic(
     """Evaluate one atomic query; returns a sorted run of entries."""
     writer = RunWriter(store.pager)
     if use_indices:
-        positions = _index_positions(store, query.filter)
-        if positions is not None:
-            for entry in store.fetch_positions(positions):
+        path = index_path(store, query.filter)
+        if path is not None:
+            for entry in store.fetch_positions(path[1]):
                 if scope_admits(query.base, query.scope, entry.dn) and query.filter.matches(entry, store.schema):
                     writer.append(entry)
             return writer.close()
@@ -70,32 +71,45 @@ def evaluate_atomic(
     return writer.close()
 
 
-def _index_positions(store: DirectoryStore, filter_: Filter) -> Optional[List[int]]:
-    """Master positions matching the filter via a secondary index, or None
-    when no suitable index exists."""
-    if isinstance(filter_, Comparison) and filter_.attribute in store.int_indices:
-        tree = store.int_indices[filter_.attribute]
-        if filter_.op == "<":
-            return list(tree.range_scan(None, filter_.value, True, False))
-        if filter_.op == "<=":
-            return list(tree.range_scan(None, filter_.value, True, True))
-        if filter_.op == ">":
-            return list(tree.range_scan(filter_.value, None, False, True))
-        return list(tree.range_scan(filter_.value, None, True, True))
-    if isinstance(filter_, Equality):
-        attribute = filter_.attribute
-        if attribute in store.int_indices:
-            try:
-                return list(store.int_indices[attribute].search(int(filter_.value)))
-            except (TypeError, ValueError):
-                return []
-        if attribute in store.string_indices:
-            return list(store.string_indices[attribute].lookup_eq(str(filter_.value)))
+def index_path(
+    store: DirectoryStore, filter_: Filter
+) -> Optional[Tuple[str, Iterator[int]]]:
+    """The one access-path decision: ``None`` when only the clustered scan
+    answers ``filter_``, else ``(label, positions)`` -- the index's name
+    as EXPLAIN prints it, and the master positions of a superset of the
+    filter's matches (the caller applies scope and filter to what it
+    fetches).  ``positions`` is lazy: no index page is read until it is
+    iterated, so :meth:`~repro.engine.optimizer.AccessPlanner.plan_leaf`
+    asks the same function which path exists and costs it without I/O.
+
+    An index over an ``int`` attribute answers comparisons and equality
+    by key range; any other index answers equality (one key), wildcard
+    patterns (the literal prefix's range, the whole index under a leading
+    ``*``) and presence (the whole index).  Only simple filters name an
+    attribute, so boolean combinations scan."""
+    index = store.indices.get(getattr(filter_, "attribute", None))
+    if index is None:
         return None
-    if isinstance(filter_, Substring) and filter_.attribute in store.string_indices:
-        return list(store.string_indices[filter_.attribute].lookup_pattern(filter_.pattern))
-    if isinstance(filter_, Presence) and filter_.attribute in store.string_indices:
-        return list(store.string_indices[filter_.attribute].lookup_presence())
-    if isinstance(filter_, MatchAll):
-        return None  # a full scan is the right plan anyway
-    return None
+    numeric = index.type_name == "int"
+    if isinstance(filter_, Equality):
+        try:
+            key = index.key(filter_.value)
+        except (TypeError, ValueError):
+            pairs = iter(())  # a value outside the key domain equals no key
+        else:
+            pairs = index.scan(key, key)
+    elif numeric and isinstance(filter_, Comparison):
+        bound = filter_.value
+        pairs = index.scan(None, bound) if filter_.op[0] == "<" else index.scan(bound)
+        if filter_.op in ("<", ">"):  # strict: without the bound's own pairs
+            pairs = (pair for pair in pairs if pair[0] != bound)
+    elif not numeric and isinstance(filter_, Substring):
+        prefix = filter_.pattern.split("*", 1)[0]
+        pairs = index.scan(prefix, prefix + "\uffff") if prefix else index.scan()
+        pairs = (pair for pair in pairs if filter_.regex.match(pair[0]))
+    elif not numeric and isinstance(filter_, Presence):
+        pairs = index.scan()
+    else:
+        return None
+    label = "%s(%s)" % ("btree" if numeric else "strindex", filter_.attribute)
+    return label, (position for _key, position in pairs)

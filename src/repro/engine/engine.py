@@ -175,16 +175,16 @@ class QueryEngine:
         instance: DirectoryInstance,
         page_size: int = 16,
         buffer_pages: int = 8,
-        int_indices: tuple = (),
-        string_indices: tuple = (),
+        indices: tuple = (),
         **engine_options,
     ) -> "QueryEngine":
-        """Bulk-load an instance and build the requested secondary indices."""
+        """Bulk-load an instance and build a secondary index on each
+        attribute in ``indices``."""
         store = DirectoryStore.from_instance(
             instance, page_size=page_size, buffer_pages=buffer_pages
         )
-        if int_indices or string_indices:
-            store.build_indices(tuple(int_indices), tuple(string_indices))
+        if indices:
+            store.build_indices(indices)
         return cls(store, **engine_options)
 
     # -- public API ---------------------------------------------------------

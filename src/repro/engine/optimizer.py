@@ -43,8 +43,8 @@ Four pieces, all grounded in the paper:
 
 3. **Access-path choice** (:meth:`AccessPlanner.plan_leaf`): per atomic
    leaf, compare the estimated cost of the clustered subtree scan against
-   each applicable secondary index (B+tree for comparisons, string index
-   for equality/wildcard/presence) using the
+   the secondary index :func:`~repro.engine.atomic.index_path` offers for
+   the filter, if any, using the
    :class:`~repro.engine.stats.CardinalityEstimator`.
 
 4. **EXPLAIN and the Q-error loop** (:func:`explain`): a physical-plan
@@ -86,6 +86,7 @@ from ..query.ast import (
 )
 from ..storage.store import DirectoryStore
 from .atomic import evaluate_atomic  # noqa: F401 -- only bench/shims.py rebinds it here
+from .atomic import index_path
 from .engine import QueryEngine
 from .merge import boolean_merge  # noqa: F401 -- only bench/shims.py rebinds it here
 from .stats import CardinalityEstimator
@@ -507,20 +508,6 @@ class AccessPlanner:
             self._m_qerror.observe(factor)
         return factor
 
-    def _index_available(self, filter_) -> Optional[str]:
-        if isinstance(filter_, Comparison) and filter_.attribute in self.store.int_indices:
-            return "btree(%s)" % filter_.attribute
-        if isinstance(filter_, Equality):
-            if filter_.attribute in self.store.int_indices:
-                return "btree(%s)" % filter_.attribute
-            if filter_.attribute in self.store.string_indices:
-                return "strindex(%s)" % filter_.attribute
-        if isinstance(filter_, (Substring, Presence)) and getattr(
-            filter_, "attribute", None
-        ) in self.store.string_indices:
-            return "strindex(%s)" % filter_.attribute
-        return None
-
     def _scan_pages(self, query: AtomicQuery) -> int:
         """Estimated pages the scoped clustered scan reads: the subtree's
         page range for ``sub``, one page for ``base``, and for ``one`` a
@@ -539,8 +526,8 @@ class AccessPlanner:
         page_size = self.store.pager.page_size
         estimated = self.estimator.atomic_cardinality(query)
         scan_pages = self._scan_pages(query)
-        index_label = self._index_available(query.filter)
-        if index_label is None:
+        path = index_path(self.store, query.filter)
+        if path is None:
             return False, "scan[%d pages]" % scan_pages, estimated
         # Index cost: read matching postings (selectivity * index pages for
         # wildcards/presence; t/B for equality and ranges) + fetch ~t data
@@ -553,7 +540,7 @@ class AccessPlanner:
             index_pages = max(matches / page_size, 1)
         index_cost = index_pages + matches  # one data-page fault per match
         if index_cost < scan_pages:
-            return True, "%s[~%d matches]" % (index_label, int(matches)), estimated
+            return True, "%s[~%d matches]" % (path[0], int(matches)), estimated
         return False, "scan[%d pages]" % scan_pages, estimated
 
 

@@ -140,14 +140,15 @@ class Substring(Filter):
             ".*" if piece == "*" else re.escape(piece)
             for piece in re.split(r"(\*)", pattern)
         )
-        self._regex = re.compile("^%s$" % regex)
+        #: The pattern compiled and anchored: what a value must match.
+        self.regex = re.compile("^%s$" % regex)
 
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         if schema is not None and schema.has_attribute(self.attribute):
             if schema.type_name_of(self.attribute) != "string":
                 return False  # tau(a) = string is required (Section 4.1)
         for value in entry.values(self.attribute):
-            if isinstance(value, str) and self._regex.match(value):
+            if isinstance(value, str) and self.regex.match(value):
                 return True
         return False
 

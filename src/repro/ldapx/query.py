@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import Union
 
+from ..engine.atomic import evaluate_atomic
 from ..filters.ast import Filter
 from ..filters.parser import parse_filter
 from ..model.dn import DN
-
-from ..query.ast import Scope
-from ..storage.runs import Run, RunWriter
+from ..query.ast import AtomicQuery, Scope
+from ..storage.runs import Run
 from ..storage.store import DirectoryStore
 
 __all__ = ["LDAPQuery", "evaluate_ldap"]
@@ -51,11 +51,9 @@ class LDAPQuery:
 
 
 def evaluate_ldap(store: DirectoryStore, query: LDAPQuery) -> Run:
-    """Evaluate an LDAP query on the store: one clustered scan of the
-    base's subtree range, bounded by the scope, with the boolean filter
-    applied per entry."""
-    writer = RunWriter(store.pager)
-    for entry in store.scan_subtree(query.base, Scope.MAX_DEPTH[query.scope]):
-        if query.filter.matches(entry, store.schema):
-            writer.append(entry)
-    return writer.close()
+    """Evaluate an LDAP query on the store.  An LDAP query *is* an atomic
+    query whose filter may be boolean (Section 4.2: LDAP is the fragment of
+    L0 with one base and one scope), so the one leaf evaluator answers it:
+    a boolean filter names no indexed attribute and is applied per entry of
+    the scoped clustered scan."""
+    return evaluate_atomic(store, AtomicQuery(query.base, query.scope, query.filter))

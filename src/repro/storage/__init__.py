@@ -1,17 +1,16 @@
 """The external-memory substrate: simulated block device, runs, stacks,
 sorting, the directory store and secondary indices."""
 
-from .btree import BPlusTree
 from .extsort import external_sort, merge_runs
+from .index import AttributeIndex
 from .maintenance import UpdatableDirectory, UpdateError
 from .pagedstack import PagedStack
 from .pager import IOStats, Pager, PagerError
 from .runs import Run, RunReader, RunWriter, run_from_iterable
 from .store import DirectoryStore
-from .strindex import StringIndex
 
 __all__ = [
-    "BPlusTree",
+    "AttributeIndex",
     "external_sort",
     "merge_runs",
     "UpdatableDirectory",
@@ -25,5 +24,4 @@ __all__ = [
     "RunWriter",
     "run_from_iterable",
     "DirectoryStore",
-    "StringIndex",
 ]

@@ -139,8 +139,7 @@ class StoreView:
     no added work, identical page I/O."""
 
     __slots__ = (
-        "store", "snapshot", "pager", "schema", "int_indices", "string_indices",
-        "_directory", "_closed",
+        "store", "snapshot", "pager", "schema", "indices", "_directory", "_closed",
     )
 
     def __init__(
@@ -152,8 +151,7 @@ class StoreView:
         # scans read ``schema`` once per entry).
         self.pager = store.pager
         self.schema = store.schema
-        self.int_indices = store.int_indices
-        self.string_indices = store.string_indices
+        self.indices = store.indices
         self._directory = directory
         self._closed = False
 
@@ -639,14 +637,15 @@ class UpdatableDirectory:
         if record.lsn is None:
             raise ReplayError("cannot replay a record without an lsn: %r" % record)
         with self._write_lock:
-            if record.lsn <= self.head_lsn:
+            head = self.head_lsn
+            if record.lsn <= head:
                 return False
-            version = self._advance(record)
-            if version.lsn != record.lsn:
+            if record.lsn != head + 1:  # checked before anything is applied
                 raise ReplayError(
                     "lsn gap in replay: log says %d, chain says %d"
-                    % (record.lsn, version.lsn)
+                    % (record.lsn, head + 1)
                 )
+            self._advance(record)
         if notify:
             self._updates_metric.inc(kind=record.kind)
             self._dispatch(self._record_listeners, record, record.kind)
@@ -718,11 +717,9 @@ class UpdatableDirectory:
                 writer.extend(view.scan_all())
                 new_master = writer.close()
 
-                int_attrs = tuple(view.store.int_indices)
-                str_attrs = tuple(view.store.string_indices)
                 new_store = DirectoryStore(pager, self.schema, new_master)
-                if int_attrs or str_attrs:
-                    new_store.build_indices(int_attrs, str_attrs)
+                if view.store.indices:
+                    new_store.build_indices(view.store.indices)
 
                 fold_lsn = view.snapshot.lsn
                 with self._state_lock:

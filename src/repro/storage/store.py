@@ -10,19 +10,20 @@ of the upper levels of the B-tree the paper assumes for dn filters (their
 traversal I/O is logarithmic and absorbed into the atomic-query cost the
 theorems take as given).
 
-Secondary attribute indices live in :mod:`repro.storage.btree` and
-:mod:`repro.storage.strindex` and are attached via :meth:`DirectoryStore.build_indices`.
+Secondary attribute indices live in :mod:`repro.storage.index` and are
+attached via :meth:`DirectoryStore.build_indices`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..model.dn import DN, subtree_upper_bound
 from ..model.entry import Entry
 from ..model.instance import DirectoryInstance
 from ..model.schema import DirectorySchema
+from .index import AttributeIndex
 from .pager import Pager
 from .runs import Run, RunWriter
 
@@ -43,8 +44,8 @@ class DirectoryStore:
             records = pager.read(page_id)
             if records:
                 self._page_first_keys.append(records[0].dn.key())
-        self.int_indices = {}
-        self.string_indices = {}
+        #: Secondary indices by attribute (see :meth:`build_indices`).
+        self.indices: Dict[str, AttributeIndex] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -63,38 +64,28 @@ class DirectoryStore:
         master = writer.close()
         return cls(pager, instance.schema, master)
 
-    def build_indices(
-        self,
-        int_attributes: Tuple[str, ...] = (),
-        string_attributes: Tuple[str, ...] = (),
-    ) -> None:
-        """Build secondary indices over the master run.
-
-        Int attributes get a paged B+tree supporting range scans; string
-        attributes get a sorted-distinct-value index supporting equality,
-        presence and wildcard filters.  (The paper cites B-trees, tries and
-        suffix trees; see DESIGN.md for the substitution note.)
-        """
-        from .btree import BPlusTree
-        from .strindex import StringIndex
-
-        int_pairs = {attr: [] for attr in int_attributes}
-        str_pairs = {attr: [] for attr in string_attributes}
+    def build_indices(self, attributes: Iterable[str]) -> None:
+        """Build a secondary index over the master run for each of
+        ``attributes``.  The schema's type of the attribute decides the key
+        domain, and with it which filters the index answers (see
+        :func:`repro.engine.atomic.index_path`); an attribute the schema
+        does not declare is a ``ValueError`` -- its index would be empty
+        and answer every filter with nothing."""
+        attributes = tuple(attributes)
+        for attr in attributes:
+            if not self.schema.has_attribute(attr):
+                raise ValueError(
+                    "cannot index undeclared attribute %r (the schema declares: %s)"
+                    % (attr, ", ".join(sorted(self.schema.attributes)))
+                )
+        postings = {attr: [] for attr in attributes}
         for position, entry in enumerate(self.master):
-            for attr in int_attributes:
+            for attr, pairs in postings.items():
                 for value in entry.values(attr):
-                    if isinstance(value, int) and not isinstance(value, bool):
-                        int_pairs[attr].append((value, position))
-            for attr in string_attributes:
-                for value in entry.values(attr):
-                    str_pairs[attr].append((str(value), position))
-        for attr in int_attributes:
-            self.int_indices[attr] = BPlusTree.bulk_load(
-                self.pager, sorted(int_pairs[attr])
-            )
-        for attr in string_attributes:
-            self.string_indices[attr] = StringIndex.build(
-                self.pager, str_pairs[attr]
+                    pairs.append((value, position))
+        for attr, pairs in postings.items():
+            self.indices[attr] = AttributeIndex(
+                self.pager, self.schema.type_name_of(attr), pairs
             )
 
     # -- positional access ----------------------------------------------------
@@ -114,8 +105,9 @@ class DirectoryStore:
         records = self.pager.read(self.master.page_ids[page_index])
         return records[offset]
 
-    def fetch_positions(self, positions: List[int]) -> List[Entry]:
-        """Fetch entries by sorted position list, page at a time."""
+    def fetch_positions(self, positions: Iterable[int]) -> List[Entry]:
+        """Fetch the entries at ``positions``, in master order, page at a
+        time."""
         out = []
         for position in sorted(set(positions)):
             out.append(self.entry_at(position))

@@ -16,10 +16,7 @@ def stores():
     instance = random_instance(13, size=160)
     plain = DirectoryStore.from_instance(instance, page_size=8, buffer_pages=6)
     indexed = DirectoryStore.from_instance(instance, page_size=8, buffer_pages=6)
-    indexed.build_indices(
-        int_attributes=("weight", "level"),
-        string_attributes=("kind", "tag", "name"),
-    )
+    indexed.build_indices(("weight", "level", "kind", "tag", "name"))
     return instance, plain, indexed
 
 

@@ -48,9 +48,7 @@ def test_engine_agrees_with_semantics(
 def test_planned_engine_agrees(instance_seed, query_seed, size):
     instance = random_instance(instance_seed, size=size)
     store = DirectoryStore.from_instance(instance, page_size=8)
-    store.build_indices(
-        int_attributes=("weight",), string_attributes=("kind", "name")
-    )
+    store.build_indices(("weight", "kind", "name"))
     engine = PlannedEngine(store)
     query = RandomQueries(instance, seed=query_seed).any_level()
     expected = [str(e.dn) for e in evaluate(query, instance)]

@@ -52,8 +52,7 @@ def test_indices_do_not_change_results():
     indexed = QueryEngine.from_instance(
         instance,
         page_size=8,
-        int_indices=("weight", "level"),
-        string_indices=("kind", "tag", "name"),
+        indices=("weight", "level", "kind", "tag", "name"),
     )
     queries = RandomQueries(instance, seed=9)
     for _ in range(15):

@@ -27,9 +27,7 @@ from repro.workload import RandomQueries, balanced_instance, random_instance
 def store():
     instance = balanced_instance(2000, fanout=4, seed=3)
     s = DirectoryStore.from_instance(instance, page_size=16, buffer_pages=8)
-    s.build_indices(
-        int_attributes=("weight",), string_attributes=("name", "kind")
-    )
+    s.build_indices(("weight", "name", "kind"))
     return instance, s
 
 

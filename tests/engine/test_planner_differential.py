@@ -23,10 +23,7 @@ QUERIES_PER_SEED = 8
 def make_store(seed, size=120):
     instance = random_instance(seed, size=size)
     store = DirectoryStore.from_instance(instance, page_size=8, buffer_pages=6)
-    store.build_indices(
-        int_attributes=("weight", "level"),
-        string_attributes=("kind", "name", "tag"),
-    )
+    store.build_indices(("weight", "level", "kind", "name", "tag"))
     return instance, store
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.model.schema import SchemaError
-from repro.storage.maintenance import UpdatableDirectory, UpdateError
+from repro.model.instance import DirectoryInstance
+from repro.storage.maintenance import ReplayError, UpdatableDirectory, UpdateError
+from repro.txn.records import ChangeRecord
 from repro.workload import random_instance, synthetic_schema
 
 
@@ -195,11 +197,11 @@ class TestCompaction:
 
     def test_indices_rebuilt(self, updatable):
         instance, directory = updatable
-        directory.store.build_indices(string_attributes=("name",))
+        directory.store.build_indices(("name",))
         root = next(iter(instance.roots())).dn
         directory.add(root.child("name=indexedx"), ["node"], name="indexedx")
         directory.compact()
-        positions = list(directory.store.string_indices["name"].lookup_eq("indexedx"))
+        positions = list(directory.store.indices["name"].scan("indexedx", "indexedx"))
         assert len(positions) == 1
 
     def test_queries_see_all_updates(self, updatable):
@@ -213,3 +215,36 @@ class TestCompaction:
         dns = result.dns()
         assert str(root.child("name=q1")) in dns
         assert str(victim.dn) in dns
+
+
+class TestReplay:
+    """``apply_record``: the path crash recovery and replication share."""
+
+    def _record(self, directory, name, lsn):
+        root = next(iter(directory.store.scan_all())).dn
+        dn = root.child("name=%s" % name)
+        entry = DirectoryInstance(directory.schema).add(dn, ["node"], name=name)
+        return ChangeRecord("add", dn, entry=entry, lsn=lsn)
+
+    def test_duplicate_delivery_is_skipped(self, updatable):
+        _instance, directory = updatable
+        record = self._record(directory, "replayed", 1)
+        assert directory.apply_record(record) is True
+        assert directory.apply_record(record) is False
+        assert directory.head_lsn == 1 and directory.pending() == 1
+
+    def test_gapped_record_is_rejected_before_it_is_applied(self, updatable):
+        _instance, directory = updatable
+        assert directory.head_lsn == 0
+        gapped = self._record(directory, "gapped", 5)
+        with pytest.raises(ReplayError, match="log says 5, chain says 1"):
+            directory.apply_record(gapped)
+        assert directory.head_lsn == 0
+        assert directory.pending() == 0
+        assert directory.lookup(gapped.dn) is None
+        # The replica is intact: the record that was due still applies.
+        in_order = self._record(directory, "in-order", 1)
+        assert directory.apply_record(in_order) is True
+        assert directory.head_lsn == 1
+        assert directory.lookup(in_order.dn) is not None
+        assert directory.lookup(gapped.dn) is None

@@ -44,8 +44,7 @@ SEEDS = range(6)
 STEPS = 24
 KINDS = ("alpha", "beta", "gamma", "delta")
 TAGS = ("red", "green", "blue", "redish", "dark-red")
-INT_INDICES = ("weight", "level")
-STRING_INDICES = ("kind", "name", "tag")
+INDICES = ("weight", "level", "kind", "name", "tag")
 NEVER = 10 ** 9  # an auto_compact_at no history reaches
 
 
@@ -261,7 +260,7 @@ def step_queries(model_instance, seed, step, touched):
 def make_directory(instance, indexed):
     store = DirectoryStore.from_instance(instance, page_size=8, buffer_pages=6)
     if indexed:
-        store.build_indices(INT_INDICES, STRING_INDICES)
+        store.build_indices(INDICES)
     return UpdatableDirectory(store, auto_compact_at=NEVER)
 
 

@@ -71,12 +71,18 @@ class TestIndices:
     def test_build_and_consistency(self):
         instance = random_instance(11, size=120)
         store = DirectoryStore.from_instance(instance, page_size=8)
-        store.build_indices(int_attributes=("weight",), string_attributes=("kind",))
+        store.build_indices(("weight", "kind"))
         # Every indexed posting points at an entry actually carrying it.
-        for position in store.int_indices["weight"].range_scan(None, None):
+        for _key, position in store.indices["weight"].scan():
             assert store.entry_at(position).has("weight")
-        positions = list(store.string_indices["kind"].lookup_eq("alpha"))
+        positions = [p for _key, p in store.indices["kind"].scan("alpha", "alpha")]
         for position in positions:
             assert "alpha" in [str(v) for v in store.entry_at(position).values("kind")]
         expected = sum(1 for e in instance if "alpha" in map(str, e.values("kind")))
         assert len(positions) == expected
+
+    def test_undeclared_attribute_is_rejected(self):
+        store = DirectoryStore.from_instance(random_instance(11, size=20), page_size=8)
+        with pytest.raises(ValueError, match=r"undeclared attribute 'wieght' .*weight"):
+            store.build_indices(("kind", "wieght"))
+        assert store.indices == {}

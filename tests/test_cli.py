@@ -54,6 +54,24 @@ class TestQuery:
         code = main(["query", "/does/not/exist.ldif", "( ? sub ? a=*)"])
         assert code == 1
 
+    def test_index_flag_is_typed_by_the_schema(self, qos_ldif, capsys):
+        query = "(dc=att, dc=com ? sub ? SLARulePriority<3)"
+        assert main(["query", qos_ldif, "--schema", "qos", query]) == 0
+        scanned = capsys.readouterr().out
+        assert scanned
+        code = main(["query", qos_ldif, "--schema", "qos",
+                     "--index", "SLARulePriority", "--index", "ou", query])
+        assert code == 0
+        assert capsys.readouterr().out == scanned
+
+    def test_index_on_undeclared_attribute(self, qos_ldif):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", qos_ldif, "--schema", "qos", "--index", "nope",
+                  "( ? sub ? objectClass=*)"])
+        message = str(excinfo.value)
+        assert "'nope'" in message and "SLARulePriority" in message
+        assert "\n" not in message
+
 
 class TestExplain:
     def test_plan_printed(self, qos_ldif, capsys):
