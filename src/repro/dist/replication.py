@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..engine.engine import QueryEngine
 from ..model.dn import DN
 from ..model.entry import Entry
 from ..model.instance import DirectoryInstance
@@ -49,7 +50,6 @@ from ..txn.durable import BASE_FILE, DurableDirectory
 from ..txn.records import ChangeRecord
 from .errors import NetworkError, ReplicationError
 from .network import SimulatedNetwork
-from .server import DirectoryServer
 
 __all__ = [
     "AvailabilityRouter",
@@ -108,8 +108,6 @@ class ReplicaNode:
         #: Set by promotion when this node's log diverged from the new
         #: lineage (an unacknowledged tail); only a resync clears it.
         self.needs_resync = False
-        self._server: Optional[DirectoryServer] = None
-        self._server_lsn = -1
         self.directory.add_record_listener(self._track)
 
     def _track(self, record: ChangeRecord) -> None:
@@ -171,8 +169,6 @@ class ReplicaNode:
         self.applied = []
         self.applied_floor = snapshot_lsn
         self.needs_resync = False
-        self._server = None
-        self._server_lsn = -1
 
     def adopt_directory(self, directory: UpdatableDirectory,
                         applied: List[ChangeRecord], applied_floor: int) -> None:
@@ -182,28 +178,6 @@ class ReplicaNode:
         self.directory.add_record_listener(self._track)
         self.applied = list(applied)
         self.applied_floor = applied_floor
-        self._server = None
-        self._server_lsn = -1
-
-    # -- serving -------------------------------------------------------------
-
-    def server(self, context: DN) -> DirectoryServer:
-        """A query server over this node's current state (rebuilt only
-        when the state advanced since the last build)."""
-        lsn = self.directory.head_lsn
-        if self._server is None or self._server_lsn != lsn:
-            self.directory.compact()
-            server = DirectoryServer(
-                self.name,
-                self.schema,
-                [context],
-                page_size=self._page_size,
-                buffer_pages=self._buffer_pages,
-            )
-            server.load(self.directory.store.scan_all())
-            self._server = server
-            self._server_lsn = lsn
-        return self._server
 
     def __repr__(self) -> str:
         return "ReplicaNode(%r, %s, epoch=%d, lsn=%d)" % (
@@ -696,11 +670,6 @@ class ReplicatedContext:
         self._update_gauges()
         return node
 
-    # -- serving ----------------------------------------------------------------
-
-    def server(self, name: str) -> DirectoryServer:
-        return self.nodes[name].server(self.context)
-
     # -- status ------------------------------------------------------------------
 
     def replication_status(self) -> Dict[str, Any]:
@@ -797,12 +766,14 @@ class AvailabilityRouter:
                 # Stale past the bound: skip rather than serve old data.
                 trail.append((name, "lag=%d" % lag))
                 continue
-            server = replicated.server(name)
-            run = server.evaluate_atomic(query)
-            try:
-                entries = run.to_list()
-            finally:
-                run.free()
+            # The service's read path: a pinned view merges the pending
+            # overlay into the scan, so a read never compacts the replica.
+            with replicated.nodes[name].directory.acquire_view() as view:
+                run = QueryEngine(view).atomic_run(query)
+                try:
+                    entries = run.to_list()
+                finally:
+                    run.free()
             trail.append((name, "served"))
             self.served_by.append(name)
             return entries

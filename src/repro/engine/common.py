@@ -29,7 +29,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from ..model.entry import Entry
 from ..query.aggregates import AggState, EntryAggregate
 from ..storage.pager import Pager
-from ..storage.runs import Run, RunReader, RunWriter
+from ..storage.runs import Run, RunWriter
 
 __all__ = [
     "labeled_merge",
@@ -48,29 +48,49 @@ def labeled_merge(runs: Sequence[Run]) -> Iterator[Tuple[Entry, frozenset]]:
     """Merge sorted entry runs into one stream of (entry, label) pairs.
 
     ``label`` holds the 1-based indices of the runs containing the entry
-    (entries are identified by dn).  Input runs must be sorted by reverse-dn
-    key and duplicate-free individually.
+    (entries are identified by dn); where several runs hold the dn, the
+    entry yielded is the lowest-numbered run's copy.  Input runs must be
+    sorted by reverse-dn key and duplicate-free individually.
+
+    This is the one merge of entry runs: Section 4.2's boolean operators
+    and the first line of Figures 2/4/5/6 both read it.  Runs are opened
+    in run order and tied runs advance in run order, which fixes the
+    page-read sequence every exact I/O count rests on.
     """
-    readers: List[RunReader] = [run.reader() for run in runs]
-    while True:
-        best_key = None
-        for reader in readers:
-            head = reader.peek()
-            if head is not None:
-                key = head.dn.key()
-                if best_key is None or key < best_key:
-                    best_key = key
-        if best_key is None:
-            return
-        label = set()
+    # Every label this merge can hand out, indexed by membership bitmask.
+    labels = [
+        frozenset(index + 1 for index in range(len(runs)) if mask >> index & 1)
+        for mask in range(1 << len(runs))
+    ]
+    # One [head key, membership bit, head, rest of the run] slot per run with
+    # entries left.  Taking the next head the moment one is consumed is what
+    # a RunReader does: the next page is read as the current one runs out.
+    slots = []
+    for index, run in enumerate(runs):
+        records = iter(run)
+        head = next(records, None)
+        if head is not None:
+            slots.append([head.dn.key(), 1 << index, head, records])
+    while slots:
+        best_key = min(slots)[0]  # bits are distinct: heads never compare
         entry: Optional[Entry] = None
-        for index, reader in enumerate(readers):
-            head = reader.peek()
-            if head is not None and head.dn.key() == best_key:
-                entry = reader.next()
-                label.add(index + 1)
-        assert entry is not None
-        yield entry, frozenset(label)
+        mask = 0
+        drained = False
+        for slot in slots:
+            if slot[0] == best_key:
+                if entry is None:
+                    entry = slot[2]
+                mask |= slot[1]
+                head = next(slot[3], None)
+                if head is None:
+                    slot[3] = None
+                    drained = True
+                else:
+                    slot[0] = head.dn.key()
+                    slot[2] = head
+        if drained:
+            slots = [slot for slot in slots if slot[3] is not None]
+        yield entry, labels[mask]
 
 
 class SpillList:

@@ -87,40 +87,38 @@ def _dn_values(entry, attribute: str, skipped: List[int]) -> Iterator[DN]:
                 continue
 
 
-def _annotate_dv(pager, first, second, attribute, terms, memory_pages,
-                 skipped) -> Run:
-    # Phase 1: explode L2 into (embedded dn key, witness) pairs.
+def _exploded(pager, run: Run, attribute, memory_pages, skipped) -> Run:
+    """Phases 1-2, the list ``LP``: every dn-valued ``attribute`` of every
+    entry of ``run`` as an ``(embedded dn key, entry)`` pair, sorted by
+    the embedded key -- the order the other operand is already in."""
     pairs = RunWriter(pager)
-    for witness in second:
-        for target in _dn_values(witness, attribute, skipped):
-            pairs.append((target.key(), witness))
+    for entry in run:
+        for target in _dn_values(entry, attribute, skipped):
+            pairs.append((target.key(), entry))
     pair_run = pairs.close()
-    # Sort LP by the embedded dn key (same order L1 is already in).
     sorted_pairs = external_sort(
         pager, pair_run, key=lambda pair: pair[0], memory_pages=memory_pages
     )
     pair_run.free()
-    annotated = _fold_pairs_into(pager, first, sorted_pairs, terms)
+    return sorted_pairs
+
+
+def _annotate_dv(pager, first, second, attribute, terms, memory_pages,
+                 skipped) -> Run:
+    # LP from L2: (embedded dn key, witness) lines up with L1 as it is.
+    sorted_pairs = _exploded(pager, second, attribute, memory_pages, skipped)
+    annotated = _fold_witnesses_into(pager, first, sorted_pairs, terms)
     sorted_pairs.free()
     return annotated
 
 
 def _annotate_vd(pager, first, second, attribute, terms, memory_pages,
                  skipped) -> Run:
-    # Phase 1: explode L1 into (embedded dn key, owner) pairs and sort by
-    # the embedded key so they line up with L2.
-    pairs = RunWriter(pager)
-    for owner in first:
-        for target in _dn_values(owner, attribute, skipped):
-            pairs.append((target.key(), owner))
-    pair_run = pairs.close()
-    sorted_pairs = external_sort(
-        pager, pair_run, key=lambda pair: pair[0], memory_pages=memory_pages
-    )
-    pair_run.free()
+    # LP from L1: (embedded dn key, owner) lines up with L2.
+    sorted_pairs = _exploded(pager, first, attribute, memory_pages, skipped)
 
-    # Phase 2: co-scan with L2; a pair whose embedded dn names an L2 entry
-    # yields a (owner dn key, owner, witness) match.
+    # Co-scan with L2; a pair whose embedded dn names an L2 entry yields
+    # a (owner dn key, owner, witness) match.
     matches = RunWriter(pager)
     reader = sorted_pairs.reader()
     witness_reader = second.reader()
@@ -141,47 +139,31 @@ def _annotate_vd(pager, first, second, attribute, terms, memory_pages,
     sorted_pairs.free()
     match_run = matches.close()
 
-    # Phase 3: regroup matches by owner and fold along a co-scan of L1.
+    # Regroup the matches by owner and fold along a co-scan of L1.
     sorted_matches = external_sort(
         pager, match_run, key=lambda match: match[0], memory_pages=memory_pages
     )
     match_run.free()
-    annotated = _fold_matches_into(pager, first, sorted_matches, terms)
+    annotated = _fold_witnesses_into(pager, first, sorted_matches, terms)
     sorted_matches.free()
     return annotated
 
 
-def _fold_pairs_into(pager, first: Run, sorted_pairs: Run, terms) -> Run:
-    """dv phase 2: ``sorted_pairs`` holds (dn key, witness); co-scan with L1."""
+def _fold_witnesses_into(pager, first: Run, keyed_run: Run, terms) -> Run:
+    """Co-scan L1 with ``keyed_run`` -- records sorted by the L1 dn key in
+    slot 0, a witness in the last slot -- folding each witness into the
+    aggregate states of its L1 entry; every L1 entry is emitted annotated."""
     writer = RunWriter(pager)
-    pair_reader = sorted_pairs.reader()
+    keyed_reader = keyed_run.reader()
     for entry in first:
         entry_key = entry.dn.key()
         states = fresh_states(terms)
         while True:
-            pair = pair_reader.peek()
-            if pair is None or pair[0] > entry_key:
+            record = keyed_reader.peek()
+            if record is None or record[0] > entry_key:
                 break
-            pair_reader.next()
-            if pair[0] == entry_key:
-                add_witness(states, terms, pair[1])
-        writer.append((entry, resolve_terms(states)))
-    return writer.close()
-
-
-def _fold_matches_into(pager, first: Run, sorted_matches: Run, terms) -> Run:
-    """vd phase 3: ``sorted_matches`` holds (owner key, owner, witness)."""
-    writer = RunWriter(pager)
-    match_reader = sorted_matches.reader()
-    for entry in first:
-        entry_key = entry.dn.key()
-        states = fresh_states(terms)
-        while True:
-            match = match_reader.peek()
-            if match is None or match[0] > entry_key:
-                break
-            match_reader.next()
-            if match[0] == entry_key:
-                add_witness(states, terms, match[2])
+            keyed_reader.next()
+            if record[0] == entry_key:
+                add_witness(states, terms, record[-1])
         writer.append((entry, resolve_terms(states)))
     return writer.close()

@@ -1,8 +1,9 @@
 """Boolean operators on sorted runs (Section 4.2).
 
-Straightforward list merging in the style of Jacobson et al.'s table-driven
-algorithm: both operands are sorted by reverse-dn key, so `(&)`, `(|)` and
-`(-)` are single co-scans writing a sorted output -- linear I/O, and the
+List merging in the style of Jacobson et al.'s table-driven algorithm:
+both operands are sorted by reverse-dn key, so `(&)`, `(|)` and `(-)` are
+one labelled merge (:func:`repro.engine.common.labeled_merge`) whose
+entries are kept or dropped by a table of labels -- linear I/O, and the
 output order is preserved for the operators above in the query tree.
 """
 
@@ -10,49 +11,26 @@ from __future__ import annotations
 
 from ..storage.pager import Pager
 from ..storage.runs import Run, RunWriter
+from .common import labeled_merge
 
 __all__ = ["boolean_merge"]
 
-_OPS = ("and", "or", "diff")
+#: The labels each operator keeps (``label(rl) = {i | rl in Li}``).
+_KEEPS = {
+    "and": (frozenset({1, 2}),),
+    "or": (frozenset({1, 2}), frozenset({1}), frozenset({2})),
+    "diff": (frozenset({1}),),
+}
 
 
 def boolean_merge(pager: Pager, op: str, left: Run, right: Run) -> Run:
-    """Compute ``left OP right`` on sorted, duplicate-free runs."""
-    if op not in _OPS:
+    """Compute ``left OP right`` on sorted, duplicate-free runs; an entry
+    both operands hold is ``left``'s copy."""
+    if op not in _KEEPS:
         raise ValueError("unknown boolean operator %r" % op)
+    keeps = _KEEPS[op]
     writer = RunWriter(pager)
-    lreader = left.reader()
-    rreader = right.reader()
-    while True:
-        lhead = lreader.peek()
-        rhead = rreader.peek()
-        if lhead is None and rhead is None:
-            break
-        if lhead is None:
-            if op == "or":
-                writer.append(rreader.next())
-            else:
-                rreader.next()
-            continue
-        if rhead is None:
-            if op in ("or", "diff"):
-                writer.append(lreader.next())
-            else:
-                lreader.next()
-            continue
-        lkey = lhead.dn.key()
-        rkey = rhead.dn.key()
-        if lkey == rkey:
-            entry = lreader.next()
-            rreader.next()
-            if op in ("and", "or"):
-                writer.append(entry)
-        elif lkey < rkey:
-            entry = lreader.next()
-            if op in ("or", "diff"):
-                writer.append(entry)
-        else:
-            entry = rreader.next()
-            if op == "or":
-                writer.append(entry)
+    for entry, label in labeled_merge((left, right)):
+        if label in keeps:
+            writer.append(entry)
     return writer.close()

@@ -1,7 +1,8 @@
 """The selection phase shared by every aggregate-capable operator.
 
 The stack pass (and the embedded-reference pass) produce a run of
-``(entry, resolved-term-values)`` pairs in sorted order.  Selection then
+``(entry, resolved-term-values)`` pairs in sorted order; simple aggregate
+selection reads its operand as such pairs with no terms.  Selection then
 takes at most two scans:
 
 1. if the aggregate filter uses entry-set aggregates (``max(count($2))``,
@@ -15,7 +16,7 @@ For the plain L1 operators the filter is ``count($2) > 0``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..query.aggregates import (
     AggSelFilter,
@@ -26,18 +27,20 @@ from ..query.aggregates import (
 )
 from ..storage.pager import Pager
 from ..storage.runs import Run, RunWriter
+from .common import Annotated
 
 __all__ = ["select_annotated"]
 
 
 def select_annotated(
     pager: Pager,
-    annotated: Run,
+    annotated: Iterable[Annotated],
     terms: Sequence[EntryAggregate],
     agg_filter: Optional[AggSelFilter],
 ) -> Run:
     """Apply ``agg_filter`` (default: ``count($2) > 0``) to an annotated
-    run; return the selected entries as a sorted run."""
+    run -- any re-iterable of annotated pairs, each iteration one scan;
+    return the selected entries as a sorted run."""
     if agg_filter is None:
         agg_filter = WITNESS_COUNT_POSITIVE
     term_index = {term: position for position, term in enumerate(terms)}
@@ -56,7 +59,7 @@ def select_annotated(
 
 
 def _fold_entry_set_aggregates(
-    annotated: Run,
+    annotated: Iterable[Annotated],
     set_aggs: List[EntrySetAggregate],
     term_index: Dict[EntryAggregate, int],
 ) -> Dict[int, Optional[float]]:

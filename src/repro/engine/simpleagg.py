@@ -1,6 +1,9 @@
 """Simple aggregate selection ``(g Q AggSel)`` -- Section 6.3.
 
-Evaluated in at most two scans of the input run, as Theorem 6.1 states:
+The no-witness-terms case of the shared selection phase
+(:func:`repro.engine.selection.select_annotated`, which Section 6.4's
+ComputeHSAgg ends with), so it takes at most two scans of the input run,
+as Theorem 6.1 states:
 
 1. when the filter contains entry-set aggregates (``count($$)``,
    ``min(min(a))``, ...), one scan computes them incrementally;
@@ -13,13 +16,29 @@ single scan suffices.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from itertools import repeat
+from typing import Iterator
 
-from ..query.aggregates import AggSelFilter, AggState
+from ..query.aggregates import AggSelFilter
 from ..storage.pager import Pager
-from ..storage.runs import Run, RunWriter
+from ..storage.runs import Run
+from .common import Annotated
+from .selection import select_annotated
 
 __all__ = ["simple_agg_select"]
+
+
+class _Unannotated:
+    """An entry run read as ``(entry, ())`` pairs: every scan of it is one
+    scan of the run, and nothing is written."""
+
+    __slots__ = ("_run",)
+
+    def __init__(self, run: Run):
+        self._run = run
+
+    def __iter__(self) -> Iterator[Annotated]:
+        return zip(self._run, repeat(()))
 
 
 def simple_agg_select(pager: Pager, operand: Run, agg_filter: AggSelFilter) -> Run:
@@ -28,33 +47,4 @@ def simple_agg_select(pager: Pager, operand: Run, agg_filter: AggSelFilter) -> R
         raise ValueError(
             "simple aggregate selection cannot reference $2: %s" % agg_filter
         )
-
-    set_aggs = agg_filter.entry_set_aggregates()
-    set_values: Dict[int, Optional[float]] = {}
-    if set_aggs:
-        states = {}
-        counts = {}
-        for esa in set_aggs:
-            if esa.inner is None:
-                counts[id(esa)] = 0
-            else:
-                states[id(esa)] = AggState(esa.func)
-        for entry in operand:  # scan 1
-            for esa in set_aggs:
-                if esa.inner is None:
-                    counts[id(esa)] += 1
-                else:
-                    value = esa.inner.evaluate(entry, None)
-                    if value is not None:
-                        states[id(esa)].add(value)
-        for esa in set_aggs:
-            if esa.inner is None:
-                set_values[id(esa)] = counts[id(esa)]
-            else:
-                set_values[id(esa)] = states[id(esa)].result()
-
-    writer = RunWriter(pager)
-    for entry in operand:  # scan 2
-        if agg_filter.test(entry, None, set_values):
-            writer.append(entry)
-    return writer.close()
+    return select_annotated(pager, _Unannotated(operand), (), agg_filter)

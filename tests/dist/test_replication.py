@@ -86,6 +86,33 @@ class TestFailover:
         entries = router.evaluate(QUERY)
         assert any(e.first("name") == "fresh" for e in entries)
 
+    @pytest.mark.parametrize("down", [(), ("primary",)])
+    def test_a_read_does_not_compact_or_rebuild_the_replica(self, context, down):
+        """A replica read is the service's read path -- a pinned view
+        merging the pending overlay -- not compact + reload + re-index."""
+        _network, replicated = context
+        replicated.add("name=fresh, name=r", ["node"], name="fresh", kind="alpha")
+        replicated.sync()
+        router = AvailabilityRouter(replicated)
+        for name in down:
+            router.mark_down(name)
+        before = {
+            name: (node.directory.compactions, node.directory.pending(),
+                   node.directory.store.pager.live_pages)
+            for name, node in replicated.nodes.items()
+        }
+        assert all(pending for _, pending, _ in before.values())
+        entries = router.evaluate(QUERY)
+        assert any(e.first("name") == "fresh" for e in entries)
+        assert router.served_by == ["secondary0" if down else "primary"]
+        for name, node in replicated.nodes.items():
+            directory = node.directory
+            assert before[name] == (
+                directory.compactions, directory.pending(),
+                directory.store.pager.live_pages,
+            ), name
+            assert directory._pins == {}
+
     def test_mark_up_restores(self, context):
         _network, replicated = context
         replicated.sync()

@@ -14,6 +14,14 @@ def pager():
     return Pager(page_size=8, buffer_pages=6)
 
 
+@pytest.fixture
+def repeat_step(request):
+    """The pytest-repeat repetition this run is (0 without ``--count``);
+    seeded cases add ``1000 * repeat_step`` to draw fresh sublists."""
+    callspec = getattr(request.node, "callspec", None)
+    return callspec.params.get("__pytest_repeat_step_number", 0) if callspec else 0
+
+
 def sorted_run(pager, entries):
     """Write entries (any order) as a reverse-dn-sorted run."""
     ordered = sorted(entries, key=lambda e: e.dn.key())

@@ -44,13 +44,6 @@ INDICES = ("name", "kind", "weight", "level", "ref")
 NEVER = 10 ** 9  # an auto_compact_at no test reaches
 
 
-@pytest.fixture
-def repeat_step(request):
-    """The pytest-repeat repetition this run is (0 without ``--count``)."""
-    callspec = getattr(request.node, "callspec", None)
-    return callspec.params.get("__pytest_repeat_step_number", 0) if callspec else 0
-
-
 def signature(entries):
     """dn-for-dn, value-for-value, in order."""
     return [

@@ -54,6 +54,53 @@ class TestLabeledMerge:
         assert list(labeled_merge(runs)) == []
 
 
+class TestOneMergeContract:
+    @pytest.mark.parametrize("page_size", [2, 4, 16])
+    @pytest.mark.parametrize("lists", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_labels_are_interned_sets(self, seed, lists, page_size, repeat_step):
+        """Equal labels from one merge are one object -- nothing is built
+        per entry -- and still answer ``index in label``; every input page
+        is read exactly once."""
+        seed += 1000 * repeat_step
+        _instance, subsets = random_sublists(seed, size=70, lists=lists)
+        pager = Pager(page_size=page_size, buffer_pages=4)
+        runs = [sorted_run(pager, subset) for subset in subsets]
+        members = [{e.dn for e in subset} for subset in subsets]
+        pager.flush()
+        before = pager.stats.snapshot()
+        interned = {}
+        merged = 0
+        for entry, label in labeled_merge(runs):
+            merged += 1
+            assert interned.setdefault(label, label) is label, seed
+            assert isinstance(label, frozenset)
+            for index, dns in enumerate(members, start=1):
+                assert (index in label) == (entry.dn in dns), seed
+        assert merged == len(set().union(*members))
+        assert len(interned) <= 2 ** lists - 1
+        delta = pager.stats.since(before)
+        assert delta.logical_reads == sum(run.page_count for run in runs)
+        assert delta.logical_writes == 0
+
+    def test_tied_readers_advance_in_run_order(self):
+        """The page-read sequence the exact I/O counts rest on: readers
+        open in run order, and a dn several runs hold advances them in
+        run order."""
+        _instance, (subset,) = random_sublists(6, size=12, lists=1)
+        pager = Pager(page_size=2, buffer_pages=4)
+        runs = [sorted_run(pager, subset) for _ in range(3)]
+        reads = []
+        read = pager.read
+        pager.read = lambda page_id: reads.append(page_id) or read(page_id)
+        assert len(list(labeled_merge(runs))) == len(subset)
+        assert reads == [
+            run.page_ids[page]
+            for page in range(runs[0].page_count)
+            for run in runs
+        ]
+
+
 class TestSpillList:
     @given(st.lists(st.lists(st.integers(0, 99), max_size=12), max_size=8),
            st.integers(2, 6))

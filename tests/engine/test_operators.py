@@ -14,7 +14,8 @@ from repro.query.aggregates import (
     EntryAggregate,
     EntrySetAggregate,
 )
-from repro.query.semantics import witness_set
+from repro.query.ast import EmbeddedRef, SimpleAggSelect
+from repro.query.semantics import ReferenceEvaluator, witness_set
 from repro.storage.pager import Pager
 from repro.storage.runs import run_from_iterable
 
@@ -150,6 +151,86 @@ class TestEmbeddedRef:
         run = sorted_run(pager, [])
         with pytest.raises(ValueError):
             embedded_ref_select(pager, "xx", run, run, "ref")
+
+
+class _OverLists(ReferenceEvaluator):
+    """The definitional semantics with entry lists as operands."""
+
+    def __init__(self):
+        super().__init__(None)
+
+    def _eval(self, query):
+        return query if isinstance(query, list) else super()._eval(query)
+
+
+class TestSimpleAggIsTheSelectionPhase:
+    """``g`` is ``select_annotated`` with no witness terms."""
+
+    @pytest.mark.parametrize("page_size", [2, 4, 16])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scans", [1, 2])
+    def test_equals_select_annotated_over_empty_annotations(
+        self, scans, seed, page_size, repeat_step
+    ):
+        seed += 1000 * repeat_step
+        _instance, (subset,) = random_sublists(seed, size=90, lists=1)
+        pager = Pager(page_size=page_size, buffer_pages=4)
+        run = sorted_run(pager, subset)
+        paired = run_from_iterable(pager, [(entry, ()) for entry in subset])
+        least = EntryAggregate("min", "$1", "weight")
+        if scans == 2:  # an entry-set aggregate costs the first scan
+            agg = AggSelFilter(least, "=", EntrySetAggregate("min", least))
+        else:
+            agg = AggSelFilter(least, "<", Constant(50))
+        pager.flush()
+        before = pager.stats.snapshot()
+        out = simple_agg_select(pager, run, agg)
+        delta = pager.stats.since(before)
+        assert delta.logical_reads == scans * run.page_count, seed
+        assert delta.logical_writes == out.page_count
+        expected = select_annotated(pager, paired, [], agg)
+        assert [id(e) for e in out.to_list()] == [id(e) for e in expected.to_list()]
+        oracle = _OverLists().evaluate(SimpleAggSelect(subset, agg))
+        assert [id(e) for e in out.to_list()] == [id(e) for e in oracle], seed
+
+
+class TestEmbeddedRefSharedFold:
+    """``dv`` explodes L2, ``vd`` explodes L1; both fold witnesses through
+    one co-scan and must equal the definitional semantics."""
+
+    BAD_REF = "not a dn !!"
+
+    @pytest.mark.parametrize("aggregate", [False, True])
+    @pytest.mark.parametrize("op", ["vd", "dv"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_semantics_with_eval_errors(self, seed, op, aggregate, repeat_step):
+        seed += 1000 * repeat_step
+        _instance, (first, second) = random_sublists(seed + 20, size=110)
+        # Every fourth entry also carries a value that is not a dn: it is
+        # skipped, counted, and changes nobody's witnesses.
+        first, second = (
+            [
+                entry.with_values(ref=[self.BAD_REF]) if index % 4 == 0 else entry
+                for index, entry in enumerate(entries)
+            ]
+            for entries in (first, second)
+        )
+        agg = None
+        if aggregate:
+            agg = AggSelFilter(COUNT, "=", EntrySetAggregate("max", COUNT))
+        pager = Pager(page_size=8, buffer_pages=8)
+        live = pager.live_pages
+        first_run, second_run = sorted_run(pager, first), sorted_run(pager, second)
+        out = embedded_ref_select(pager, op, first_run, second_run, "ref", agg)
+        expected = _OverLists().evaluate(EmbeddedRef(op, first, second, "ref", agg))
+        assert [id(e) for e in out.to_list()] == [id(e) for e in expected], seed
+        exploded = first if op == "vd" else second
+        assert out.eval_errors == sum(
+            self.BAD_REF in entry.values("ref") for entry in exploded
+        )
+        # pairs, sorted pairs, matches and the annotated run are all freed
+        inputs = first_run.page_count + second_run.page_count
+        assert pager.live_pages == live + inputs + out.page_count
 
 
 class TestSelection:

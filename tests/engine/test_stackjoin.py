@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.engine.common import labeled_merge
+from repro.engine.hsagg import hierarchical_select
+from repro.engine.merge import boolean_merge
 from repro.engine.stackjoin import hierarchical_annotate
 from repro.query.aggregates import EntryAggregate
 from repro.query.semantics import witness_set
@@ -81,3 +84,41 @@ def test_linear_io_with_tiny_pool():
     # Inputs once, annotated output written (plus spill-list page traffic,
     # each output record rides a spill page at most once in and once out).
     assert delta.total <= 3 * (input_pages + 2 * annotated.page_count) + 8
+
+
+def _copies(entries, mark):
+    """Distinct objects for the same dns, differing in one attribute value."""
+    return [entry.with_values(tag=[mark]) for entry in entries]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_operator_returns_the_first_operands_copies(seed, repeat_step):
+    """A dn several operands hold is answered with the *first* operand's
+    copy -- "returns the selected entries of ``first``" -- by every
+    operator over the one labelled merge, boolean ones included."""
+    seed += 40 + 1000 * repeat_step
+    instance, subsets = random_sublists(seed, size=70, lists=3)
+    core = list(instance)[::2]  # every operand holds these dns
+    pager = Pager(page_size=4, buffer_pages=6)
+    copies = [_copies(set(subset) | set(core), "run%d" % (index + 1))
+              for index, subset in enumerate(subsets)]
+    first, second, third = (sorted_run(pager, copy) for copy in copies)
+    own = [{id(entry) for entry in copy} for copy in copies]
+    returned = 0
+    for op in ("p", "c", "a", "d", "ac", "dc"):
+        out = hierarchical_select(
+            pager, op, first, second, third if op in ("ac", "dc") else None
+        ).to_list()
+        assert all(id(entry) in own[0] for entry in out), op
+        returned += len(out)
+    assert returned
+    first_dns = {e.dn for e in copies[0]}
+    for op in ("and", "or", "diff"):
+        for entry in boolean_merge(pager, op, first, second).to_list():
+            # the second operand's copy only where the first has none
+            holder = own[0] if entry.dn in first_dns else own[1]
+            assert id(entry) in holder, op
+
+    for entry, label in labeled_merge([first, second, third]):
+        assert id(entry) in own[min(label) - 1]
+        assert entry.values("tag")[-1] == "run%d" % min(label)
