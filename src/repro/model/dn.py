@@ -24,7 +24,7 @@ string reversal it is robust to RDN values that contain the separator.
 from __future__ import annotations
 
 from functools import total_ordering
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 __all__ = [
     "AVA",
@@ -42,7 +42,7 @@ AVA = Tuple[str, str]
 
 # Characters that must be escaped inside RDN attribute values (a pragmatic
 # subset of RFC 2253).
-_SPECIAL = {",", "+", "=", "\\", ";"}
+_SPECIAL = frozenset(",+=\\;")
 
 
 class DNSyntaxError(ValueError):
@@ -84,10 +84,16 @@ def subtree_upper_bound(key: tuple) -> tuple:
 
 
 def escape_value(value: str) -> str:
-    """Escape the RDN-special characters in an attribute value."""
+    """Escape the RDN-special characters in an attribute value, and every
+    leading or trailing character that ``str.strip()`` would remove (so
+    parsing, which strips unescaped whitespace, gives the value back)."""
+    if _SPECIAL.isdisjoint(value) and value == value.strip():
+        return value
+    lead = len(value) - len(value.lstrip())
+    tail = len(value.rstrip())
     out = []
-    for ch in value:
-        if ch in _SPECIAL:
+    for i, ch in enumerate(value):
+        if ch in _SPECIAL or i < lead or i >= tail:
             out.append("\\")
         out.append(ch)
     return "".join(out)
@@ -95,6 +101,8 @@ def escape_value(value: str) -> str:
 
 def unescape_value(value: str) -> str:
     """Reverse :func:`escape_value`."""
+    if "\\" not in value:
+        return value
     out = []
     i = 0
     while i < len(value):
@@ -110,8 +118,21 @@ def unescape_value(value: str) -> str:
     return "".join(out)
 
 
-def _split_unescaped(text: str, sep: str) -> Iterator[str]:
-    """Split ``text`` on every occurrence of ``sep`` not preceded by ``\\``."""
+def _strip_unescaped(text: str) -> str:
+    """``text.strip()``, except that a whitespace character escaped by a
+    ``\\`` stays: it belongs to the value."""
+    stripped = text.strip()
+    backslashes = len(stripped) - len(stripped.rstrip("\\"))
+    if backslashes % 2:
+        # The last backslash escapes the character strip() removed after it.
+        start = len(text) - len(text.lstrip())
+        return text[start : start + len(stripped) + 1]
+    return stripped
+
+
+def _split_escaped(text: str, sep: str) -> Iterator[str]:
+    """Split ``text`` on every occurrence of ``sep`` not preceded by ``\\``
+    (the escape-aware character loop behind :func:`_split_unescaped`)."""
     part = []
     i = 0
     while i < len(text):
@@ -128,6 +149,14 @@ def _split_unescaped(text: str, sep: str) -> Iterator[str]:
             part.append(ch)
         i += 1
     yield "".join(part)
+
+
+def _split_unescaped(text: str, sep: str) -> List[str]:
+    """Split ``text`` on every occurrence of ``sep`` not preceded by ``\\``;
+    text with nothing escaped is a plain ``str.split``."""
+    if "\\" not in text:
+        return text.split(sep)
+    return list(_split_escaped(text, sep))
 
 
 @total_ordering
@@ -160,24 +189,47 @@ class RDN:
     @classmethod
     def single(cls, attr: str, value: str) -> "RDN":
         """Build the common single-pair RDN, e.g. ``RDN.single('dc', 'com')``."""
-        return cls([(attr, value)])
+        if not attr:
+            raise DNSyntaxError("empty attribute name in RDN")
+        return cls._pair(attr, str(value))
+
+    @classmethod
+    def _pair(cls, attr: str, value: str) -> "RDN":
+        """The single-pair RDN, built without the generic sort and join."""
+        rdn = cls.__new__(cls)
+        rdn._avas = frozenset(((attr, value),))
+        rdn._canonical = "%s=%s" % (attr, escape_value(value))
+        return rdn
 
     @classmethod
     def parse(cls, text: str) -> "RDN":
         """Parse ``attr=value`` or multi-valued ``a=v+b=w`` RDN syntax."""
+        if "\\" in text or "+" in text or text.count("=") != 1:
+            return cls._parse_escaped(text)
+        # One pair and nothing escaped: no character loop.
+        attr, _, value = text.partition("=")
+        attr = attr.strip()
+        if not attr:
+            raise DNSyntaxError("empty attribute name in %r" % text.strip())
+        return cls._pair(attr, value.strip())
+
+    @classmethod
+    def _parse_escaped(cls, text: str) -> "RDN":
+        """The general parse behind :meth:`parse`: any number of pairs,
+        ``\\`` escapes honoured, escaped whitespace kept."""
         avas = []
         for part in _split_unescaped(text, "+"):
-            part = part.strip()
+            part = _strip_unescaped(part)
             if not part:
                 raise DNSyntaxError("empty AVA in RDN %r" % text)
-            pieces = list(_split_unescaped(part, "="))
+            pieces = _split_unescaped(part, "=")
             if len(pieces) != 2:
                 raise DNSyntaxError("malformed AVA %r (expected attr=value)" % part)
             attr, value = pieces
             attr = attr.strip()
             if not attr:
                 raise DNSyntaxError("empty attribute name in %r" % part)
-            avas.append((attr, unescape_value(value.strip())))
+            avas.append((attr, unescape_value(_strip_unescaped(value))))
         return cls(avas)
 
     @property
@@ -238,7 +290,7 @@ class DN:
     def __init__(self, rdns: Sequence[RDN] = ()):
         self._rdns = tuple(rdns)
         # Root-first tuple of canonical RDN strings: the reverse-dn sort key.
-        self._key = tuple(rdn.canonical() for rdn in reversed(self._rdns))
+        self._key = tuple([rdn._canonical for rdn in self._rdns[::-1]])
         self._hash = hash(self._key)
 
     # -- construction -----------------------------------------------------
@@ -247,11 +299,11 @@ class DN:
     def parse(cls, text: str) -> "DN":
         """Parse the LDAP-style string form, e.g.
         ``"dc=research, dc=att, dc=com"`` (leaf first)."""
-        text = text.strip()
-        if not text:
+        if not text.strip():
             return ROOT_DN
-        rdns = [RDN.parse(part) for part in _split_unescaped(text, ",")]
-        return cls(rdns)
+        # Each RDN strips its own whitespace, so an escaped trailing space
+        # of the last value survives.
+        return cls([RDN.parse(part) for part in _split_unescaped(text, ",")])
 
     @classmethod
     def of(cls, *components: Union[str, RDN]) -> "DN":

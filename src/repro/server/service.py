@@ -29,7 +29,7 @@ is one loop over callables, not a per-sink hand-off.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 import time
 
@@ -249,8 +249,9 @@ class DirectoryService:
             if planner == "cost"
             else None
         )
-        #: Default-open when no ACL is supplied.
-        self.acl = acl or AccessControlList(default_allow=True)
+        #: Default-open when no ACL is supplied.  (``is None``: a rule-free
+        #: ACL is falsy, and a closed one must stay closed.)
+        self.acl = acl if acl is not None else AccessControlList(default_allow=True)
         self.credential_attribute = credential_attribute
         self._bound_subject: Optional[str] = None
         self._maintenance: Optional[MaintenanceAgent] = None
@@ -395,8 +396,14 @@ class DirectoryService:
         return self.cache.stats if self.cache is not None else None
 
     def _visible(self, entries: Iterable[Entry]) -> List[Entry]:
+        """The entries the bound subject may read, as a fresh list (the
+        caller may own it: it is never a cache resident's)."""
+        acl = self.acl
+        if len(acl) == 0:
+            # No rule can match: every entry gets the default.
+            return list(entries) if acl.default_allow else []
         subject = self._bound_subject
-        return [e for e in entries if self.acl.readable(subject, e.dn)]
+        return [e for e in entries if acl.readable(subject, e.dn)]
 
     def _as_query(self, query: Union[str, Query, QueryBuilder]) -> Query:
         if isinstance(query, QueryBuilder):
@@ -405,7 +412,7 @@ class DirectoryService:
             query = parse_query(query)
         return query
 
-    def _evaluate(self, query: Query, budget, event: SearchEvent) -> List[Entry]:
+    def _evaluate(self, query: Query, budget, event: SearchEvent) -> Sequence[Entry]:
         """The query's full pre-ACL result, served from the semantic cache
         when possible.  How it was served is recorded on ``event``:
         ``via``, the normal-form fingerprint when one was computed
@@ -435,7 +442,8 @@ class DirectoryService:
             with self.tracer.span("cache-lookup") as span:
                 event.key = key = fingerprint(query)
                 served = self._from_cache(key, event)
-                span.set(hit=served is not None)
+                if self.tracer.enabled:
+                    span.set(hit=served is not None)
             if served is not None:
                 return served
         # Captured before the engine's snapshot is pinned: a write that
@@ -447,7 +455,8 @@ class DirectoryService:
             if engine.planner is not None:
                 with self.tracer.span("plan") as span:
                     planned, rewrites = engine.plan(query)
-                    span.set(rewrites=len(rewrites))
+                    if self.tracer.enabled:
+                        span.set(rewrites=len(rewrites))
                 if self.cache is not None:
                     if rewrites:
                         # The plan may have a different fingerprint than the
@@ -480,15 +489,17 @@ class DirectoryService:
             )
         return result.entries
 
-    def _from_cache(self, key: str, event: SearchEvent) -> Optional[List[Entry]]:
-        """Probe the cache for an exact fingerprint, counting the outcome."""
+    def _from_cache(self, key: str, event: SearchEvent) -> Optional[Sequence[Entry]]:
+        """Probe the cache for an exact fingerprint, counting the outcome.
+        A hit is the resident's own entries: :meth:`_visible` makes the
+        one list the caller gets."""
         hit = self.cache.get(key)
         self._m_cache_lookups.inc(outcome="miss" if hit is None else "hit")
         if hit is None:
             return None
         event.via = "cache"
         event.saved_io = hit.cost_io
-        return list(hit.entries)
+        return hit.entries
 
     def _from_superset(
         self, planned: Query, event: SearchEvent
@@ -620,7 +631,8 @@ class DirectoryService:
                         # What the cancelled evaluation had read, as its
                         # own tracker counted it.
                         event.pages = exc.used
-                    search_span.set(code=event.code)
+                    if self.tracer.enabled:
+                        search_span.set(code=event.code)
                 else:
                     with self.tracer.span("acl-filter"):
                         visible = self._visible(entries)
@@ -634,11 +646,11 @@ class DirectoryService:
                         from ..model.projection import project
 
                         visible = project(visible, attributes)
-                    search_span.set(
-                        code=event.code, rows=event.rows, cached=event.cached
-                    )
                     if self.tracer.enabled:
-                        search_span.set(pending=self.directory.pending())
+                        search_span.set(
+                            code=event.code, rows=event.rows, cached=event.cached,
+                            pending=self.directory.pending(),
+                        )
                     if event.key is None and self.digest is not None:
                         event.key = fingerprint(query)
         self._publish(event, started)

@@ -8,6 +8,8 @@ from repro.model.dn import (
     ROOT_DN,
     RDN,
     DNSyntaxError,
+    _split_escaped,
+    _split_unescaped,
     escape_value,
     unescape_value,
 )
@@ -65,6 +67,23 @@ class TestEscaping:
     def test_dangling_escape_rejected(self):
         with pytest.raises(DNSyntaxError):
             unescape_value("abc\\")
+
+    def test_edge_whitespace_escaped(self):
+        assert escape_value(" w1") == r"\ w1"
+        assert escape_value("w1 ") == "w1\\ "
+        assert escape_value(" ") == "\\ "
+        assert escape_value("a b") == "a b"
+
+    def test_nothing_to_escape_is_returned_as_is(self):
+        value = "plain value"
+        assert escape_value(value) is value
+        assert unescape_value(value) is value
+
+    def test_escaped_trailing_space_parses(self):
+        dn = DN.parse("name=w1\\ , name=e0")
+        assert dn.rdn.avas == frozenset({("name", "w1 ")})
+        assert DN.parse("name=w1\\ ").rdn.avas == frozenset({("name", "w1 ")})
+        assert RDN.parse("  name = \\ w1\\  ").avas == frozenset({("name", " w1 ")})
 
 
 class TestDNBasics:
@@ -181,3 +200,89 @@ def test_subtrees_contiguous_in_sorted_order(dns):
 def test_total_order_consistent_with_equality(a, b):
     assert (a == b) == (a.key() == b.key())
     assert (a < b) == (a.key() < b.key())
+
+
+# -- the escape-free fast path returns what the escape-aware path returns.
+
+
+def _outcome(build):
+    """What a construction yields, comparably: the dn's key, pairs, string
+    and hash -- or the fact that it raised DNSyntaxError."""
+    try:
+        value = build()
+    except DNSyntaxError:
+        return DNSyntaxError
+    rdns = value.rdns if isinstance(value, DN) else (value,)
+    return (
+        value.key() if isinstance(value, DN) else value.canonical(),
+        [rdn.avas for rdn in rdns],
+        str(value),
+        hash(value),
+    )
+
+
+def _general_dn(text):
+    """``DN.parse`` through the character loop and the general RDN parse."""
+    if not text.strip():
+        return ROOT_DN
+    return DN([RDN._parse_escaped(part) for part in _split_escaped(text, ",")])
+
+
+_PARSE_TEXT = st.text(alphabet="abx1=,+\\; \t", max_size=16)
+_BASE = DN.parse("dc=att, dc=com")
+
+
+def _assert_fast_equals_general(text):
+    assert _outcome(lambda: RDN.parse(text)) == _outcome(
+        lambda: RDN._parse_escaped(text)
+    )
+    assert _outcome(lambda: DN.parse(text)) == _outcome(lambda: _general_dn(text))
+    assert _outcome(lambda: _BASE.child(text)) == _outcome(
+        lambda: DN((RDN._parse_escaped(text),) + _BASE.rdns)
+    )
+
+
+@given(_PARSE_TEXT)
+def test_fast_path_equals_escape_aware_path(text):
+    _assert_fast_equals_general(text)
+
+
+@given(_PARSE_TEXT, st.sampled_from(",+="))
+def test_split_equals_character_loop(text, sep):
+    assert _split_unescaped(text, sep) == list(_split_escaped(text, sep))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("a=", [frozenset({("a", "")})]),
+        ("=b", DNSyntaxError),
+        ("a==b", DNSyntaxError),
+        ("a=b,,c=d", DNSyntaxError),
+        ("a=x;y", [frozenset({("a", "x;y")})]),
+        ("a=b+c=d", [frozenset({("a", "b"), ("c", "d")})]),
+        (" a = b , c=d ", [frozenset({("a", "b")}), frozenset({("c", "d")})]),
+        ("a", DNSyntaxError),
+        ("a=b,", DNSyntaxError),
+    ],
+)
+def test_fast_path_edge_cases(text, expected):
+    _assert_fast_equals_general(text)
+    outcome = _outcome(lambda: DN.parse(text))
+    if expected is DNSyntaxError:
+        assert outcome is DNSyntaxError
+    else:
+        assert outcome[1] == expected
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["dc", "ou", "name"]), st.text(max_size=8)),
+        max_size=5,
+    )
+)
+def test_str_parse_roundtrip_over_arbitrary_values(pairs):
+    dn = DN([RDN.single(attr, value) for attr, value in pairs])
+    parsed = DN.parse(str(dn))
+    assert parsed == dn
+    assert [rdn.avas for rdn in parsed.rdns] == [rdn.avas for rdn in dn.rdns]

@@ -1,0 +1,88 @@
+"""Tripwire: how much work one cache-hit search does.
+
+A served result should cost a parse, a fingerprint, a cache probe, the
+ACL pass and the sinks -- nothing proportional to the base dn's escape
+handling or, without ACL rules, to the result size.  Wall-clock is too
+noisy to gate here, so this counts the interpreter's function calls
+(``sys.setprofile`` "call" and "c_call" events) of one hit and holds each
+count to a budget: the count when the budget was set plus 10 %.  A change
+that puts work back on the hit path fails here before any benchmark runs.
+
+Comprehension frames are not counted: Python 3.12 inlines them (PEP 709),
+so counting them would make the figure depend on the interpreter.
+"""
+
+import gc
+import sys
+
+import pytest
+
+from repro.obs import MetricsRegistry
+from repro.server import DirectoryService
+from repro.workload import balanced_instance
+
+#: A leaf seven RDNs deep, and an inner node five deep with a small subtree.
+LEAF = "name=e1400, name=e349, name=e87, name=e21, name=e5, name=e1, name=e0"
+INNER = "name=e87, name=e21, name=e5, name=e1, name=e0"
+
+#: (query, rows the hit returns, call budget).  The budgets are the counts
+#: when they were set (335 and 585 calls, down from 905 and 1 357 before
+#: the escape-free dn parse and the rule-free ACL pass) plus 10 %.
+CASES = {
+    "atomic": ("(%s ? sub ? kind=alpha)" % LEAF, 0, 369),
+    "boolean": (
+        "(| (%s ? sub ? kind=alpha) (%s ? one ? weight>=50))" % (INNER, INNER),
+        7,
+        644,
+    ),
+}
+
+_COMPREHENSIONS = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
+
+
+@pytest.fixture(scope="module")
+def service():
+    svc = DirectoryService(balanced_instance(2000, seed=11), metrics=MetricsRegistry())
+    yield svc
+    svc.close()
+
+
+def _calls(function) -> int:
+    """Function calls made while ``function()`` runs, comprehensions aside."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call" or (
+            event == "call" and frame.f_code.co_name not in _COMPREHENSIONS
+        ):
+            count += 1
+
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return count
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cache_hit_stays_within_its_call_budget(service, case):
+    query, rows, budget = CASES[case]
+    service.search(query)  # the miss that makes the next search a hit
+    results = []
+    calls = _calls(lambda: results.append(service.search(query)))
+    (result,) = results
+    assert result.cached and len(result) == rows
+    assert calls <= budget, "a cache hit made %d calls (budget %d)" % (calls, budget)
+
+
+def test_count_is_deterministic(service):
+    query = CASES["boolean"][0]
+    service.search(query)
+    counts = {_calls(lambda: service.search(query)) for _ in range(3)}
+    assert len(counts) == 1

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.cache import fingerprint
 from repro.model.instance import DirectoryInstance
 from repro.model.schema import DirectorySchema
 from repro.query.builder import Q
+from repro.query.parser import parse_query
 from repro.security import AccessControlList
 from repro.server import DirectoryService, ResultCode
 
@@ -21,8 +23,7 @@ def make_schema() -> DirectorySchema:
     return schema
 
 
-@pytest.fixture
-def service():
+def make_instance() -> DirectoryInstance:
     instance = DirectoryInstance(make_schema())
     instance.add("dc=com", ["dcObject"], dc="com")
     for uid, password, grade in (
@@ -38,6 +39,12 @@ def service():
             userPassword=password,
             grade=grade,
         )
+    return instance
+
+
+@pytest.fixture
+def service():
+    instance = make_instance()
     acl = AccessControlList(default_allow=False)
     acl.allow("*", "dc=com", base_only=True)
     acl.allow("uid=alice, dc=com", "dc=com")       # alice reads everything
@@ -235,3 +242,70 @@ class TestMutations:
                     cn="eve person", userPassword="p", grade=3)
         after = len(service.search("( ? sub ? objectClass=account)"))
         assert after == before + 1
+
+
+class TestRuleFreeAclPass:
+    """An ACL without rules gives every entry its default, so the service
+    skips the per-entry walk -- and still hands out a list of its own."""
+
+    QUERY = "( ? sub ? objectClass=account)"
+    ACCOUNTS = ["uid=alice, dc=com", "uid=bob, dc=com", "uid=carol, dc=com"]
+
+    @pytest.fixture
+    def readable_calls(self, monkeypatch):
+        calls = []
+        original = AccessControlList.readable
+
+        def counting(acl, subject, dn):
+            calls.append(dn)
+            return original(acl, subject, dn)
+
+        monkeypatch.setattr(AccessControlList, "readable", counting)
+        return calls
+
+    def test_open_acl_returns_every_entry_without_a_walk(self, readable_calls):
+        service = DirectoryService(make_instance(), page_size=4)
+        for _ in range(2):  # a miss, then a cache hit
+            result = service.search(self.QUERY)
+            assert result.code == ResultCode.SUCCESS
+            assert sorted(result.dns()) == self.ACCOUNTS
+            assert result.total_size == 3
+        assert result.cached
+        assert readable_calls == []
+
+    def test_a_hit_is_a_fresh_list(self):
+        service = DirectoryService(make_instance(), page_size=4)
+        service.search(self.QUERY)
+        resident = service.cache.get(fingerprint(parse_query(self.QUERY)))
+        held = list(resident.entries)
+        hit = service.search(self.QUERY)
+        assert hit.cached
+        assert hit.entries is not resident.entries
+        hit.entries.clear()
+        hit.entries.append(None)
+        assert list(resident.entries) == held
+        again = service.search(self.QUERY)
+        assert again.cached
+        assert sorted(again.dns()) == self.ACCOUNTS
+
+    def test_closed_acl_without_rules_is_empty_success(self, readable_calls):
+        service = DirectoryService(
+            make_instance(), acl=AccessControlList(default_allow=False), page_size=4
+        )
+        for _ in range(2):
+            result = service.search(self.QUERY)
+            assert result.code == ResultCode.SUCCESS
+            assert len(result) == 0 and result.total_size == 0
+        assert result.cached
+        assert readable_calls == []
+
+    def test_one_rule_walks_every_entry(self, readable_calls):
+        acl = AccessControlList(default_allow=True).deny("*", "uid=bob, dc=com")
+        service = DirectoryService(make_instance(), acl=acl, page_size=4)
+        for _ in range(2):
+            del readable_calls[:]
+            result = service.search(self.QUERY)
+            assert sorted(result.dns()) == ["uid=alice, dc=com", "uid=carol, dc=com"]
+            assert result.total_size == 2
+            assert sorted(str(dn) for dn in readable_calls) == self.ACCOUNTS
+        assert result.cached
