@@ -244,8 +244,7 @@ def _cmd_metrics(args) -> int:
     else:
         sys.stdout.write(registry.to_prometheus())
     if args.slow_ms is not None:
-        summary = service.slow_query_summary()
-        quantiles = summary["latency_quantiles"]
+        quantiles = registry.get("repro_search_seconds").quantiles()
         if quantiles:
             print("-- search latency: %s" % "  ".join(
                 "%s=%.2fms" % (name, value * 1e3)
@@ -521,7 +520,7 @@ def _cmd_serve_admin(args) -> int:
     import time as _time
 
     from .obs.log import EventLogger
-    from .obs.trace import TraceSampler, Tracer
+    from .obs.trace import Tracer
     from .server.service import DirectoryService
 
     instance = _load(args.file, args.schema)
@@ -536,7 +535,6 @@ def _cmd_serve_admin(args) -> int:
         ),
         log=log,
         budget=_budget_from(args),
-        trace_sampler=TraceSampler(sample_rate=args.sample_rate),
     )
     service.bind_anonymous()
     for query in args.query or ():
@@ -1082,11 +1080,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="search to run at startup so the endpoint "
                                 "has data (repeatable)")
     admin_cmd.add_argument("--slow-ms", type=float, default=100.0, metavar="MS",
-                           help="slow-query log threshold (default 100ms)")
-    admin_cmd.add_argument("--sample-rate", type=float, default=0.0,
-                           help="tail-sample this fraction of clean queries "
-                                "into /traces (slow/degraded/budget-breached "
-                                "ones are always kept)")
+                           help="threshold of the slow-query ring behind "
+                                "/slowlog and /traces (default 100ms)")
     admin_cmd.add_argument("--log", action="store_true",
                            help="emit JSON-lines events to stderr")
     admin_cmd.add_argument("--log-level", default="info",

@@ -36,6 +36,7 @@ promises:
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..filters.ast import MatchAll
@@ -204,8 +205,20 @@ class ConsistencyHarness:
             for entry in node.directory.store.scan_all()
         }
 
-    def _record_commit(self, acked: bool) -> None:
-        record = self.replicated.primary.applied[-1]
+    @contextmanager
+    def _capture(self):
+        """Collect the records the primary commits inside the block: the
+        oracle learns each write from the primary's own record stream."""
+        committed: List[ChangeRecord] = []
+        directory = self.replicated.primary.directory
+        directory.add_record_listener(committed.append)
+        try:
+            yield committed
+        finally:
+            directory.remove_record_listener(committed.append)
+
+    def _record_commit(self, committed: List[ChangeRecord], acked: bool) -> None:
+        record = committed[-1]
         self.lineage[record.lsn] = record
         if acked:
             self.acked.add(record.lsn)
@@ -219,39 +232,40 @@ class ConsistencyHarness:
         ctx = self.replicated
         state = self._replay()
         roll = self.rng.random()
-        try:
-            if roll < 0.6 or not state:
-                parent = (
-                    self.rng.choice(sorted(state))
-                    if state and self.rng.random() < 0.3
-                    else self.context
-                )
-                name = "w%d" % self._next_id
-                self._next_id += 1
-                ctx.add(
-                    parent.child("name=%s" % name),
-                    ["item"],
-                    {"name": [name], "weight": [self.rng.randint(0, 99)]},
-                )
-            elif roll < 0.85:
-                dn = self.rng.choice(sorted(state))
-                ctx.modify(dn, replace={"weight": [self.rng.randint(0, 99)]})
-            else:
-                dn = self.rng.choice(sorted(state))
-                has_children = any(
-                    dn.is_prefix_of(other) and other != dn for other in state
-                )
-                ctx.delete(dn, recursive=has_children)
-        except ReplicationError as exc:
-            if exc.code != ReplicationError.ACK_FAILED:
-                raise
-            # Committed locally but under-replicated: NOT acknowledged.
-            self._record_commit(acked=False)
-            return
-        except SimulatedCrash:
-            self._recover_primary()
-            return
-        self._record_commit(acked=True)
+        with self._capture() as committed:
+            try:
+                if roll < 0.6 or not state:
+                    parent = (
+                        self.rng.choice(sorted(state))
+                        if state and self.rng.random() < 0.3
+                        else self.context
+                    )
+                    name = "w%d" % self._next_id
+                    self._next_id += 1
+                    ctx.add(
+                        parent.child("name=%s" % name),
+                        ["item"],
+                        {"name": [name], "weight": [self.rng.randint(0, 99)]},
+                    )
+                elif roll < 0.85:
+                    dn = self.rng.choice(sorted(state))
+                    ctx.modify(dn, replace={"weight": [self.rng.randint(0, 99)]})
+                else:
+                    dn = self.rng.choice(sorted(state))
+                    has_children = any(
+                        dn.is_prefix_of(other) and other != dn for other in state
+                    )
+                    ctx.delete(dn, recursive=has_children)
+            except ReplicationError as exc:
+                if exc.code != ReplicationError.ACK_FAILED:
+                    raise
+                # Committed locally but under-replicated: NOT acknowledged.
+                self._record_commit(committed, acked=False)
+                return
+            except SimulatedCrash:
+                self._recover_primary()
+                return
+        self._record_commit(committed, acked=True)
 
     def _sync(self) -> None:
         self.replicated.sync()
@@ -397,19 +411,20 @@ class ConsistencyHarness:
         )
         name = "c%d" % self._next_id
         self._next_id += 1
-        try:
-            self.replicated.add(
-                self.context.child("name=%s" % name), ["item"], {"name": [name]}
-            )
-        except (SimulatedCrash, ReplicationError):
-            # The crash may surface directly or -- at quorum -- as a
-            # failed ship from the crashed WAL; either way: recover.
-            self._recover_primary()
-            return
+        with self._capture() as committed:
+            try:
+                self.replicated.add(
+                    self.context.child("name=%s" % name), ["item"], {"name": [name]}
+                )
+            except (SimulatedCrash, ReplicationError):
+                # The crash may surface directly or -- at quorum -- as a
+                # failed ship from the crashed WAL; either way: recover.
+                self._recover_primary()
+                return
         # The plan's flush index had already passed: no crash, a normal
         # acked write.
         wal.crash_plan = None
-        self._record_commit(acked=True)
+        self._record_commit(committed, acked=True)
 
     def _recover_primary(self) -> None:
         ctx = self.replicated

@@ -9,15 +9,19 @@ write path of :mod:`repro.txn`:
   :class:`~repro.storage.maintenance.UpdatableDirectory` (optionally a
   :class:`~repro.txn.durable.DurableDirectory` with a real WAL), producing
   a typed, lsn-stamped :class:`~repro.txn.records.ChangeRecord`;
-- :meth:`ReplicatedContext.sync` ships the outstanding changelog suffix to
-  each secondary, which applies it through
-  :meth:`~repro.storage.maintenance.UpdatableDirectory.apply_records` --
-  the *same* replay path crash recovery uses, so replication and recovery
-  cannot drift apart;
+- each node keeps one copy of the records it applied: its
+  :attr:`ReplicaNode.applied` suffix.  :meth:`ReplicatedContext.sync`
+  ships each secondary the primary's suffix above its acked lsn, applied
+  through :meth:`~repro.storage.maintenance.UpdatableDirectory.apply_records`
+  -- the *same* replay path crash recovery uses, so replication and
+  recovery cannot drift apart.  After each pass every node trims its
+  suffix at the group's minimum acked lsn;
 - writes honour an acknowledgment level (``ack="primary"|"quorum"|"all"``)
-  with per-replica acked-lsn tracking; a replica that fell behind the
-  truncated changelog prefix catches up by *resync*: a checkpoint image
-  plus the log suffix (for a durable primary, literally ``base.ldif`` +
+  with per-replica acked-lsn tracking; a replica behind the *changelog
+  floor* (the quorum-th highest acked lsn at ``ack="quorum"``, else the
+  minimum, and never below a reopened primary's checkpoint) catches up by
+  *resync*: a checkpoint image plus the log suffix (for a durable
+  primary, literally ``base.ldif`` +
   :meth:`~repro.txn.wal.WriteAheadLog.records_since`);
 - failover is **epoch-fenced**: a monotone epoch stamps every shipped
   batch and write acknowledgment.  :meth:`ReplicatedContext.promote` picks
@@ -66,8 +70,8 @@ class ReplicaNode:
 
     Each node owns a full :class:`UpdatableDirectory` (the primary's may
     be durable), the epoch it last heard, and the suffix of change records
-    it has applied since its last snapshot install -- the material a
-    promotion needs to seed the new lineage's changelog.
+    it holds above :attr:`applied_floor`: what the primary ships from, and
+    what a promoted node ships from next.
     """
 
     def __init__(
@@ -101,9 +105,9 @@ class ReplicaNode:
         #: ``"primary"`` / ``"secondary"`` / ``"deposed"`` (a primary that
         #: learned of a higher epoch the hard way).
         self.role = "secondary"
-        #: Records applied since the last snapshot install, in lsn order.
+        #: Records applied above :attr:`applied_floor`, contiguous lsns.
         self.applied: List[ChangeRecord] = []
-        #: The lsn the applied suffix starts after (snapshot lsn).
+        #: The lsn the applied suffix starts after (snapshot lsn or trim).
         self.applied_floor = directory.head_lsn
         #: Set by promotion when this node's log diverged from the new
         #: lineage (an unacknowledged tail); only a resync clears it.
@@ -119,6 +123,12 @@ class ReplicaNode:
     def applied_lsn(self) -> int:
         """The lsn of the newest change this node holds."""
         return self.directory.head_lsn
+
+    def trim(self, lsn: int) -> None:
+        """Drop the suffix's records at or below ``lsn``."""
+        if lsn > self.applied_floor:
+            del self.applied[: lsn - self.applied_floor]
+            self.applied_floor = lsn
 
     # -- the receive side ----------------------------------------------------
 
@@ -189,9 +199,9 @@ class ReplicatedContext:
     """One naming context served by a primary and N secondaries.
 
     Mutations go through the current primary's directory and are recorded
-    -- typed, lsn-stamped -- in the shipping changelog; :meth:`sync` ships
-    the outstanding suffix to each secondary.  ``ack`` sets the write
-    acknowledgment level: ``"primary"`` acknowledges after the local
+    -- typed, lsn-stamped -- in the primary's applied suffix; :meth:`sync`
+    ships each secondary the part above its acked lsn.  ``ack`` sets the
+    write acknowledgment level: ``"primary"`` acknowledges after the local
     commit, ``"quorum"``/``"all"`` ship synchronously and raise
     ``ReplicationError(code="ackFailed")`` when not enough replicas
     acknowledged (the write is then *not* acknowledged and may be lost on
@@ -255,11 +265,10 @@ class ReplicatedContext:
         #: The group's monotone epoch; bumped by every promotion.
         self.epoch = 1
         self.primary_name = "primary"
-        #: Outstanding (not yet truncated) change records, lsn order.
-        self._changelog: List[ChangeRecord] = []
-        #: Records at or below this lsn were truncated from the changelog
-        #: (a replica behind it catches up by resync).
-        self.changelog_floor = 0
+        #: Records at or below this lsn are no longer shipped (a replica
+        #: behind it catches up by resync); the primary's suffix above it
+        #: is the changelog.
+        self.changelog_floor = primary.applied_floor
         #: Per-node highest acknowledged lsn, from the primary's view.
         self._acked: Dict[str, int] = {name: 0 for name in self.nodes}
         #: Every ship/resync/promote event:
@@ -270,8 +279,6 @@ class ReplicatedContext:
         self.last_ship_errors: Dict[str, NetworkError] = {}
         self.resyncs = 0
         self.failovers = 0
-
-        primary.directory.add_record_listener(self._on_primary_record)
 
         self._m_shipped = self.metrics.counter(
             "repro_replication_shipped_records_total",
@@ -313,9 +320,6 @@ class ReplicatedContext:
         self._update_gauges()
 
     # -- group plumbing ------------------------------------------------------
-
-    def _on_primary_record(self, record: ChangeRecord) -> None:
-        self._changelog.append(record)
 
     def node(self, name: str) -> ReplicaNode:
         return self.nodes[name]
@@ -432,7 +436,9 @@ class ReplicatedContext:
     # -- shipping ------------------------------------------------------------
 
     def changelog_length(self) -> int:
-        return len(self._changelog)
+        """The primary's records above the changelog floor."""
+        primary = self.primary
+        return len(primary.applied) - (self.changelog_floor - primary.applied_floor)
 
     def acked_lsn(self, name: str) -> int:
         return self._acked.get(name, 0)
@@ -446,9 +452,9 @@ class ReplicatedContext:
         return max(0, head - min(self._acked.get(name, 0), head))
 
     def sync(self) -> Dict[str, int]:
-        """Ship the outstanding changelog suffix from the current primary
-        to every secondary; returns records caught up per secondary (an
-        unreachable replica scores 0 and is retried next round)."""
+        """Ship the current primary's suffix to every secondary; returns
+        records caught up per secondary (an unreachable replica scores 0
+        and is retried next round)."""
         return self.ship_via(self.primary_name)
 
     def ship_via(self, node_name: str) -> Dict[str, int]:
@@ -468,7 +474,9 @@ class ReplicatedContext:
         try:
             if replica.needs_resync or before < self.changelog_floor:
                 return self._resync(primary, replica)
-            batch = [r for r in self._changelog if r.lsn > before]
+            # The suffix's lsns are contiguous from its floor, which is at
+            # or below the changelog floor, so the batch is a slice.
+            batch = primary.applied[before - primary.applied_floor:]
             if not batch:
                 return 0
             self.network.send(
@@ -544,24 +552,20 @@ class ReplicatedContext:
             return list(loads_ldif(stream.read(), self.schema))
 
     def _truncate_changelog(self) -> None:
-        """Drop the changelog prefix every required acknowledger has seen
-        (all secondaries at ack="primary"/"all", the quorum otherwise); a
-        replica behind the truncated floor resyncs from a checkpoint."""
-        if not self._changelog:
-            return
-        acked = sorted(
-            (self._acked.get(name, 0) for name in self.nodes), reverse=True
-        )
+        """Raise the changelog floor to what every required acknowledger
+        has seen (all members at ack="primary"/"all", the quorum
+        otherwise); a replica behind it resyncs from a checkpoint.  Then
+        trim every node's suffix at the group's minimum acked lsn: a
+        promoted node still holds every record above any member's acked
+        lsn, and a dead member pins the minimum."""
+        acked = sorted(self._acked.values(), reverse=True)
         if self.ack == "quorum":
             floor = acked[self.quorum() - 1]
         else:
-            floor = min(acked)
-        if floor <= self.changelog_floor:
-            return
-        kept = [r for r in self._changelog if r.lsn > floor]
-        if len(kept) != len(self._changelog):
-            self._changelog = kept
-            self.changelog_floor = max(self.changelog_floor, floor)
+            floor = acked[-1]
+        self.changelog_floor = max(self.changelog_floor, floor)
+        for node in self.nodes.values():
+            node.trim(acked[-1])
 
     # -- failover ------------------------------------------------------------
 
@@ -598,14 +602,11 @@ class ReplicatedContext:
         fork_lsn = pick.applied_lsn
         self.epoch += 1
         old.role = "deposed"
-        old.directory.remove_record_listener(self._on_primary_record)
         self.primary_name = pick.name
         pick.role = "primary"
         pick.epoch = self.epoch
-        pick.directory.add_record_listener(self._on_primary_record)
         # Rebase shipping bookkeeping onto the new lineage: its changelog
         # is the new primary's applied suffix.
-        self._changelog = list(pick.applied)
         self.changelog_floor = pick.applied_floor
         self._acked[pick.name] = fork_lsn
         for node in self.nodes.values():
@@ -634,8 +635,11 @@ class ReplicatedContext:
     def reopen_primary(self) -> ReplicaNode:
         """Recover the current primary's durable state after a (simulated)
         process crash: reopen checkpoint + WAL, rebase the node's suffix
-        on what survived, and rebuild the changelog.  Acknowledged writes
-        are durable before they are acknowledged, so none is lost here."""
+        on what survived, and raise the changelog floor to the checkpoint
+        it recovered from (the records under it exist only in
+        ``base.ldif``, so a replica behind it resyncs).  Acknowledged
+        writes are durable before they are acknowledged, so none is lost
+        here."""
         node = self.primary
         directory = node.directory
         if not isinstance(directory, DurableDirectory) or not directory.data_dir:
@@ -656,10 +660,7 @@ class ReplicatedContext:
         )
         survived = reopened.wal.records_since(reopened.checkpoint_lsn)
         node.adopt_directory(reopened, survived, reopened.checkpoint_lsn)
-        reopened.add_record_listener(self._on_primary_record)
-        self._changelog = [
-            r for r in survived if r.lsn > self.changelog_floor
-        ]
+        self.changelog_floor = max(self.changelog_floor, reopened.checkpoint_lsn)
         self._acked[node.name] = node.applied_lsn
         self.log.info(
             "replication.primary_recovered",
@@ -691,7 +692,7 @@ class ReplicatedContext:
             "primary": self.primary_name,
             "ack": self.ack,
             "head_lsn": head,
-            "changelog_records": len(self._changelog),
+            "changelog_records": self.changelog_length(),
             "changelog_floor_lsn": self.changelog_floor,
             "resyncs": self.resyncs,
             "failovers": self.failovers,
@@ -700,7 +701,7 @@ class ReplicatedContext:
 
     def _update_gauges(self) -> None:
         self._m_epoch.set(self.epoch)
-        self._m_changelog.set(len(self._changelog))
+        self._m_changelog.set(self.changelog_length())
         for node in self.nodes.values():
             self._m_lag.set(self.lag(node.name), replica=node.name)
             self._m_acked.set(

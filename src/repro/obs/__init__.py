@@ -14,7 +14,8 @@ The paper proves per-operator I/O bounds; this package makes them
   exposition;
 - :mod:`repro.obs.event` -- the one record per finished search that
   every sink below reads;
-- :mod:`repro.obs.slowlog` -- the bounded slow-query log;
+- :mod:`repro.obs.slowlog` -- the one bounded ring of slow, degraded
+  and budget-breached searches (``/slowlog`` and ``/traces``);
 - :mod:`repro.obs.telemetry` -- the ``BENCH_<experiment>.json`` emitter
   behind the benchmark suite, plus the bench-regression gate
   (:func:`~repro.obs.telemetry.compare_bench`);
@@ -70,7 +71,7 @@ from .telemetry import (
     load_bench,
     validate_bench,
 )
-from .trace import NULL_TRACER, NullTracer, Span, TraceSampler, Tracer
+from .trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "AdminServer",
@@ -102,7 +103,6 @@ __all__ = [
     "StatCounters",
     "SubtreeHeatMap",
     "ThresholdRule",
-    "TraceSampler",
     "Tracer",
     "compare_bench",
     "default_rules",

@@ -4,14 +4,14 @@
 :class:`SearchEvent` when a search starts, fills it in place as the
 search runs and, when the search ends -- success, size-limited, protocol
 error or budget breach alike -- hands the same object to every enabled
-sink: the metric instruments, the workload digest, the slow-query log,
-the structured event log, the trace sampler and the metric history.
-There is no per-sink copy, so the sinks agree by construction: one page
-count, one latency, one query text, one classification.
+sink: the slow-query ring, the metric instruments, the workload digest,
+the structured event log and the metric history.  There is no per-sink
+copy, so the sinks agree by construction: one page count, one latency,
+one query text, one classification.
 
-The slow-query ring and the trace sampler retain the event itself, which
-is why it holds **no result entries** -- a query AST, a span tree and
-scalars only.
+The slow-query ring (:mod:`repro.obs.slowlog`, which ``/slowlog`` and
+``/traces`` both read) retains the event itself, which is why it holds
+**no result entries** -- a query AST, a span tree and scalars only.
 """
 
 from __future__ import annotations

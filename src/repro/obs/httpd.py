@@ -12,11 +12,13 @@ path        payload
             same function ``python -m repro metrics`` prints through)
 /healthz    liveness JSON: status, uptime, plus whatever the owner's
             ``health`` callable reports (entry counts, compactions, ...)
-/slowlog    the slow-query ring as JSON, newest last, with a latency
+/slowlog    the slow searches in the slow-query ring
+            (:mod:`repro.obs.slowlog`) as JSON, newest last, with a latency
             summary (p50/p95/p99 interpolated from the search-latency
             histogram when one is registered)
-/traces     the :class:`~repro.obs.trace.TraceSampler`'s retained tail
-            samples (slow / degraded / budget-breached queries) as JSON
+/traces     every search the same ring retained (slow / degraded /
+            budget-breached) as a sample with its span tree, plus the
+            ring's offered / kept counts
 /digest     the :class:`~repro.obs.digest.QueryDigestTable`'s top rows
             (``?n=10&by=calls|time|mean_time|pages|qerror``)
 /heatmap    the :class:`~repro.obs.heatmap.SubtreeHeatMap`'s hottest
@@ -116,9 +118,7 @@ class AdminServer:
     :param registry: metrics registry to expose (process default when
         omitted).
     :param slow_queries: a :class:`~repro.obs.slowlog.SlowQueryLog`
-        (``/slowlog`` serves an empty ring without one).
-    :param sampler: a :class:`~repro.obs.trace.TraceSampler`
-        (``/traces`` serves an empty list without one).
+        (``/slowlog`` and ``/traces`` serve an empty ring without one).
     :param health: zero-argument callable returning extra ``/healthz``
         fields.
     :param digest: a :class:`~repro.obs.digest.QueryDigestTable` for
@@ -137,7 +137,6 @@ class AdminServer:
         self,
         registry: Optional[MetricsRegistry] = None,
         slow_queries=None,
-        sampler=None,
         health: Optional[Callable[[], Dict[str, Any]]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -149,7 +148,6 @@ class AdminServer:
     ):
         self.registry = registry if registry is not None else get_registry()
         self.slow_queries = slow_queries
-        self.sampler = sampler
         self.health = health
         self.digest = digest
         self.heatmap = heatmap
@@ -252,11 +250,11 @@ class AdminServer:
         return payload
 
     def traces(self) -> Dict[str, Any]:
-        sampler = self.sampler
+        ring = self.slow_queries
         return {
-            "offered": getattr(sampler, "offered", 0),
-            "kept": getattr(sampler, "kept", 0),
-            "traces": sampler.traces() if sampler is not None else [],
+            "offered": getattr(ring, "offered", 0),
+            "kept": getattr(ring, "kept", 0),
+            "traces": ring.traces() if ring is not None else [],
         }
 
     def digest_payload(self, n: int = 10, by: str = "calls") -> Dict[str, Any]:

@@ -35,15 +35,11 @@ by one tracer lock.
 from __future__ import annotations
 
 import itertools
-import random
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from .event import SearchEvent
-
-__all__ = ["Span", "Tracer", "TraceSampler", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 
 class Span:
@@ -341,88 +337,6 @@ class NullTracer:
 
     def __repr__(self) -> str:
         return "NullTracer()"
-
-
-class TraceSampler:
-    """A bounded tail-sampler of *interesting* query traces.
-
-    Head sampling (decide before running) cannot know which queries will
-    matter; this sampler decides at the **tail**, once the outcome is
-    known: a query that was slow, degraded or budget-breached is always
-    kept (its ``reasons`` say why), and clean queries are kept with
-    probability ``sample_rate`` (seeded -- deterministic per process).
-    ``sample_rate=0`` keeps only the interesting tail, which is the
-    production default: the sampler then does no RNG draw at all on the
-    clean path.
-
-    Retention is a ring of ``capacity`` sampled searches (newest wins):
-    the ring keeps the :class:`~repro.obs.event.SearchEvent` itself, and
-    :meth:`traces` renders each as a sample -- query text, latency,
-    reasons and, when the service traces, the full span tree -- so
-    ``/traces`` exports joinable evidence for every slow-log line.
-    """
-
-    def __init__(self, capacity: int = 64, sample_rate: float = 0.0, seed: int = 0):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in [0, 1]")
-        self.capacity = capacity
-        self.sample_rate = sample_rate
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self._ring: Deque[SearchEvent] = deque(maxlen=capacity)
-        #: Queries offered / retained since construction.
-        self.offered = 0
-        self.kept = 0
-
-    def offer(self, event: SearchEvent) -> bool:
-        """Tail-decide one finished search; returns whether it was kept.
-
-        The outcome evidence is the event's own classification (``slow``
-        / ``degraded`` / ``budget``); ``event.root`` is the search's root
-        span (None when tracing is off -- the sample then carries
-        metadata only)."""
-        with self._lock:
-            self.offered += 1
-            if not event.reasons:
-                if self.sample_rate <= 0.0:
-                    return False
-                if self._rng.random() >= self.sample_rate:
-                    return False
-            self._ring.append(event)
-            self.kept += 1
-            return True
-
-    def traces(self) -> List[Dict[str, Any]]:
-        """The retained samples, oldest first.  A clean search is only
-        ever in the ring because the rate draw kept it, hence
-        ``["sampled"]``."""
-        with self._lock:
-            events = list(self._ring)
-        return [
-            {
-                "trace_id": event.trace_id,
-                "query": event.query_text,
-                "elapsed_s": event.elapsed,
-                "reasons": event.reasons or ["sampled"],
-                "spans": event.root.as_dict() if event.root is not None else None,
-            }
-            for event in events
-        ]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
-
-    def __repr__(self) -> str:
-        return "TraceSampler(%d/%d retained, offered=%d, rate=%g)" % (
-            len(self), self.capacity, self.offered, self.sample_rate,
-        )
 
 
 #: The process-wide disabled tracer (the default everywhere).

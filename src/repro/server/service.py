@@ -149,7 +149,6 @@ class DirectoryService:
         slow_query_seconds: Optional[float] = None,
         log=None,
         budget=None,
-        trace_sampler=None,
         durable_dir: Optional[str] = None,
         wal_fsync: bool = False,
         planner: str = "cost",
@@ -169,12 +168,9 @@ class DirectoryService:
         #: applied to every search (per-call budgets override it); None
         #: means unlimited.
         self.budget = budget
-        #: Optional :class:`~repro.obs.trace.TraceSampler` retaining the
-        #: interesting tail (slow / degraded / budget-breached searches)
-        #: for the admin endpoint's ``/traces``.
-        self.sampler = trace_sampler
-        #: Searches slower than ``slow_query_seconds`` land here (None
-        #: disables the log).
+        #: The ring of slow (past ``slow_query_seconds``), degraded and
+        #: budget-breached searches behind ``/slowlog`` and ``/traces``
+        #: (None disables it).
         self.slow_queries = SlowQueryLog(slow_query_seconds)
         if durable_dir is not None:
             #: Checkpoint + WAL on disk: every acknowledged mutation
@@ -302,8 +298,8 @@ class DirectoryService:
         self.alerts: Optional[AlertEngine] = None
         self._history_interval_s = 1.0
         #: What every finished search's :class:`SearchEvent` is handed to,
-        #: in order, fixed here from what is enabled.  The slow log goes
-        #: first: it owns the threshold, so it is what marks an event
+        #: in order, fixed here from what is enabled.  The slow-query ring
+        #: goes first: it owns the threshold, so it is what marks an event
         #: ``slow`` for the sinks after it.
         self._sinks = []
         if self.slow_queries.enabled:
@@ -313,8 +309,6 @@ class DirectoryService:
             self._sinks.append(self.digest.observe)
         if self.log.enabled:
             self._sinks.append(self._log_search)
-        if self.sampler is not None:
-            self._sinks.append(self.sampler.offer)
 
     # -- federation frontend ------------------------------------------------
 
@@ -762,18 +756,6 @@ class DirectoryService:
             )
         return self.alerts
 
-    def slow_query_summary(self) -> dict:
-        """The slow-query log plus the latency quantiles that contextualise
-        it (p50/p95/p99 interpolated from ``repro_search_seconds``) --
-        what the CLI's ``metrics --slow-ms`` and ``/slowlog`` both show."""
-        return {
-            "threshold_s": self.slow_queries.threshold_seconds,
-            "total": self.slow_queries.total,
-            "retained": len(self.slow_queries),
-            "latency_quantiles": self._m_search_seconds.quantiles(),
-            "records": self.slow_queries.as_dicts(),
-        }
-
     def serve_admin(self, host: str = "127.0.0.1", port: int = 0) -> AdminServer:
         """Start the HTTP admin endpoint for this service (daemon thread;
         ``port=0`` picks a free port).  Returns the started
@@ -821,7 +803,6 @@ class DirectoryService:
         server = AdminServer(
             registry=self.metrics,
             slow_queries=self.slow_queries,
-            sampler=self.sampler,
             health=health,
             host=host,
             port=port,

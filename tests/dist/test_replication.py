@@ -198,19 +198,23 @@ def _fill(replicated, count=5):
 class TestTypedShipping:
     def test_changelog_holds_lsn_stamped_change_records(self, context):
         _network, replicated = context
-        records = replicated._changelog
+        records = replicated.primary.applied
         assert [r.lsn for r in records] == list(range(1, 8))
         assert all(r.kind == "add" for r in records)
 
     def test_replicas_apply_through_the_recovery_replay_path(self, context):
         _network, replicated = context
+        records = list(replicated.primary.applied)
         replicated.sync()
         secondary = replicated.node("secondary0")
         assert secondary.applied_lsn == 7
-        assert [r.lsn for r in secondary.applied] == list(range(1, 8))
+        assert all(
+            secondary.directory.lookup(r.dn) is not None for r in records
+        )
         # Re-shipping the same records is an idempotent no-op (dup lsns
         # are skipped by apply_records, exactly like crash recovery).
-        assert secondary.receive(replicated.epoch, replicated.primary.applied) == []
+        assert secondary.receive(replicated.epoch, records) == []
+        assert secondary.applied_lsn == 7
 
     def test_deletes_and_modifies_ship_as_post_images(self, context):
         _network, replicated = context
@@ -431,6 +435,81 @@ class TestPromotion:
         assert replicated.resyncs == 1
 
 
+class TestBoundedSuffix:
+    def test_every_node_trims_at_the_minimum_acked_lsn(self):
+        replicated = ReplicatedContext(
+            "name=r", synthetic_schema(), secondaries=2,
+            network=SimulatedNetwork(), metrics=MetricsRegistry(),
+        )
+        replicated.add("name=r", ["node"], name="r")  # lsn 1
+        for lsn in range(2, 2002):
+            replicated.add("name=e%d, name=r" % lsn, ["node"],
+                           name="e%d" % lsn)
+            if lsn % 50 == 0:
+                replicated.sync()
+            assert max(len(n.applied) for n in replicated.nodes.values()) <= 51
+        replicated.sync()
+        assert replicated.primary.applied_lsn == 2001
+        assert replicated.changelog_length() == 0
+        assert all(
+            node.applied == [] and node.applied_floor == 2001
+            for node in replicated.nodes.values()
+        )
+
+    def test_promotion_after_a_trim_matches_the_untrimmed_group(self):
+        from repro.dist import FaultInjector, FaultPlan
+
+        # A 5-node quorum group: secondary3 and secondary2 fall behind in
+        # turn, then the primary is cut off with an unacknowledged tail.
+        plan = (FaultPlan()
+                .partition("primary", "secondary3", 1.0, 10.0)
+                .partition("primary", "secondary2", 3.0, 10.0)
+                .partition("primary", "secondary0", 5.0, 10.0)
+                .partition("primary", "secondary1", 5.0, 10.0))
+        network = FaultInjector(plan, metrics=MetricsRegistry())
+        replicated = ReplicatedContext(
+            "name=r", synthetic_schema(), secondaries=4, ack="quorum",
+            network=network, metrics=MetricsRegistry(),
+        )
+        _fill(replicated, count=1)
+        network.sleep(2.0)
+        replicated.add("name=e1, name=r", ["node"], name="e1")
+        network.sleep(2.0)
+        for index in (2, 3, 4):
+            replicated.add("name=e%d, name=r" % index, ["node"],
+                           name="e%d" % index)
+        # Trimmed at secondary3's lsn 2, the minimum acked.
+        assert {n: len(node.applied) for n, node in replicated.nodes.items()} == {
+            "primary": 4, "secondary0": 4, "secondary1": 4,
+            "secondary2": 1, "secondary3": 0,
+        }
+        network.sleep(2.0)
+        with pytest.raises(ReplicationError):
+            replicated.add("name=tail, name=r", ["node"], name="tail")
+        assert replicated.promote() == "secondary1"
+        network.sleep(10.0)
+        replicated.sync()
+        replicated.sync()
+        # The resync set and the ships of a group that never trims.
+        assert [n for n, node in replicated.nodes.items() if node.needs_resync] == []
+        assert replicated.resyncs == 1
+        first_epoch = [
+            ("ship", 1, name, lsn, lsn)
+            for lsn, names in (
+                (1, "0123"), (2, "0123"), (3, "012"),
+                (4, "01"), (5, "01"), (6, "01"),
+            )
+            for name in ("secondary%s" % n for n in names)
+        ]
+        assert replicated.ship_log == first_epoch + [
+            ("promote", 2, "secondary1", 6, 6),
+            ("resync", 2, "primary", 6, 6),
+            ("ship", 2, "secondary2", 4, 6),
+            ("ship", 2, "secondary3", 3, 6),
+        ]
+        assert all(replicated.lag(n) == 0 for n in replicated.nodes)
+
+
 class TestReplicationStatus:
     def test_status_dict_shape(self, context):
         _network, replicated = context
@@ -461,28 +540,64 @@ class TestDurablePrimary:
         from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary0", 0.0, 5.0)
-        network = FaultInjector(plan, metrics=MetricsRegistry())
+        network = FaultInjector(plan, keep_log=True, metrics=MetricsRegistry())
         replicated = ReplicatedContext(
-            "name=r", synthetic_schema(), secondaries=1, network=network,
-            durable_dir=str(tmp_path / "primary"), metrics=MetricsRegistry(),
+            "name=r", synthetic_schema(), secondaries=2, network=network,
+            ack="quorum", durable_dir=str(tmp_path / "primary"),
+            metrics=MetricsRegistry(),
         )
         replicated.add("name=r", ["node"], name="r")
         replicated.primary.directory.checkpoint()  # checkpoint at lsn 1
         for index in range(3):
             replicated.add("name=e%d, name=r" % index, ["node"],
                            name="e%d" % index)
-        replicated.sync()  # unreachable: nothing ships
-        # Force the replica behind the floor so the next round resyncs.
-        replicated.changelog_floor = 4
-        replicated._changelog = []
+        # secondary1 made the quorum, so the floor passed secondary0.
+        assert replicated.changelog_floor == 4
+        assert replicated.acked_lsn("secondary0") == 0
         network.sleep(10.0)
         replicated.sync()
         assert replicated.resyncs == 1
         secondary = replicated.node("secondary0")
         assert secondary.applied_lsn == 4
-        # The suffix really came from the WAL (snapshot at the checkpoint,
-        # 3 records shipped on top).
-        assert [r.lsn for r in secondary.applied] == [2, 3, 4]
+        # The suffix really came from the WAL: a snapshot at the
+        # checkpoint (1 entry), then 3 records shipped on top.
+        assert replicated.ship_log[-1] == ("resync", 1, "secondary0", 1, 4)
+        assert network.log[-2:] == [
+            ("primary", "secondary0", "snapshot", 1),
+            ("primary", "secondary0", "changelog", 3),
+        ]
+
+    def test_replica_behind_a_reopened_checkpoint_resyncs(self, tmp_path):
+        from repro.dist import FaultInjector, FaultPlan
+        from repro.obs.metrics import MetricsRegistry
+
+        plan = FaultPlan().partition("primary", "secondary0", 1.0, 5.0)
+        network = FaultInjector(plan, metrics=MetricsRegistry())
+        replicated = ReplicatedContext(
+            "name=r", synthetic_schema(), secondaries=1, network=network,
+            durable_dir=str(tmp_path / "primary"), metrics=MetricsRegistry(),
+        )
+        replicated.add("name=r", ["node"], name="r")
+        replicated.sync()  # secondary0 at lsn 1
+        network.sleep(2.0)  # partitioned from here
+        for index in range(3):
+            replicated.add("name=e%d, name=r" % index, ["node"],
+                           name="e%d" % index)
+        assert replicated.primary.directory.checkpoint() == 4
+        replicated.add("name=e3, name=r", ["node"], name="e3")
+        replicated.reopen_primary()
+        network.sleep(10.0)
+        # lsns 2..4 now exist only in the checkpoint image: shipping the
+        # WAL suffix (lsn 5) onto lsn 1 would be an lsn gap.
+        replicated.sync()
+        assert replicated.resyncs == 1
+        secondary = replicated.node("secondary0")
+        assert secondary.applied_lsn == 5
+        with secondary.directory.acquire_view() as view:
+            replica = sorted(str(e.dn) for e in view.scan_all())
+        with replicated.primary.directory.acquire_view() as view:
+            assert replica == sorted(str(e.dn) for e in view.scan_all())
+        assert len(replica) == 5
 
     def test_primary_crash_recovery_rejoins_the_group(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry

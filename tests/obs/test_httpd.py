@@ -12,7 +12,7 @@ from repro.obs.httpd import AdminServer
 from repro.obs.log import CapturingLogger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.trace import Tracer, TraceSampler
+from repro.obs.trace import Tracer
 
 
 def _get(url):
@@ -38,12 +38,9 @@ def stack():
                         root=tracer.last_root())
     slowlog = SlowQueryLog(threshold_seconds=0.0)
     slowlog.record(event)
-    sampler = TraceSampler(capacity=8)
-    sampler.offer(event)
     server = AdminServer(
         registry=registry,
         slow_queries=slowlog,
-        sampler=sampler,
         health=lambda: {"entries": 20},
     ).start()
     yield server, registry
@@ -277,7 +274,6 @@ class TestServiceIntegration:
         service = DirectoryService(
             make_instance(), page_size=4, metrics=registry,
             tracer=Tracer(), slow_query_seconds=0.0,
-            trace_sampler=TraceSampler(capacity=8),
         )
         service.bind_anonymous()
         service.search(QUERY)

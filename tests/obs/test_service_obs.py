@@ -13,11 +13,13 @@ from repro.model.entry import Entry
 from repro.model.instance import DirectoryInstance
 from repro.model.schema import DirectorySchema
 from repro.obs.budget import BudgetExceeded, QueryBudget
+from repro.obs.event import SearchEvent
 from repro.obs.httpd import AdminServer
 from repro.obs.log import CapturingLogger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.slowlog import SlowQueryLog
 from repro.obs.stats import StatCounters
-from repro.obs.trace import Tracer, TraceSampler
+from repro.obs.trace import Tracer
 from repro.query.ast import AtomicQuery
 from repro.server import DirectoryService, ResultCode
 from repro.storage.maintenance import UpdatableDirectory
@@ -148,6 +150,90 @@ class TestSlowQueryLog:
         assert len(service.slow_queries) == 0
 
 
+class TestOneRing:
+    """One ring keeps the interesting searches: ``/slowlog`` reads its
+    slow subset and ``/traces`` renders all of it."""
+
+    def make_service(self, **options):
+        service = DirectoryService(
+            make_instance(), page_size=4, metrics=MetricsRegistry(),
+            tracer=Tracer(), slow_query_seconds=3600.0, **options
+        )
+        service.bind_anonymous()
+        return service
+
+    def test_a_clean_fast_search_is_never_kept(self):
+        service = self.make_service()
+        service.search(QUERY)
+        service.search(QUERY)
+        ring = service.slow_queries
+        assert (ring.offered, ring.kept, ring.total, len(ring)) == (2, 0, 0, 0)
+        assert ring.traces() == []
+
+    def test_a_slow_search_is_kept_once(self, observed):
+        service, _tracer, _registry = observed
+        service.search(QUERY)
+        ring = service.slow_queries
+        (sample,) = ring.traces()
+        assert sample["reasons"] == ["slow"]
+        assert [event.trace_id for event in ring.records()] == [sample["trace_id"]]
+        assert (ring.offered, ring.kept, ring.total) == (1, 1, 1)
+
+    def test_a_budget_breach_is_kept_but_not_slow(self):
+        service = self.make_service()
+        service.search(QUERY)
+        service.search("(dc=com ? sub ? grade=4)", budget=QueryBudget(max_pages=0))
+        ring = service.slow_queries
+        assert [sample["reasons"] for sample in ring.traces()] == [["budget"]]
+        assert ring.records() == [] and ring.total == 0
+        assert (ring.offered, ring.kept) == (2, 1)
+
+    def test_a_degraded_search_is_kept_but_not_slow(self):
+        from repro.dist import FaultPlan
+        from tests.server.test_federation_frontend import make_frontend
+
+        _, service, _, query, _ = make_frontend(
+            FaultPlan().crash("server1", 0.0, 1e9), slow_query_seconds=3600.0
+        )
+        service.search(query)
+        ring = service.slow_queries
+        (sample,) = ring.traces()
+        assert sample["reasons"] == ["degraded"]
+        assert sample["query"] == query
+        assert ring.records() == [] and (ring.offered, ring.kept) == (1, 1)
+
+    def test_admin_payloads_read_the_one_ring(self):
+        ring = SlowQueryLog(threshold_seconds=0.01)
+        events = [
+            SearchEvent(query_text="(clean)", elapsed=0.001, trace_id="t1"),
+            SearchEvent(query_text="(slow)", elapsed=0.02, trace_id="t2"),
+            SearchEvent(
+                query_text="(budget)", elapsed=0.001, trace_id="t3",
+                warnings=("cancelled",),
+                budget_error=BudgetExceeded(BudgetExceeded.PAGES, 0, 1),
+            ),
+            SearchEvent(query_text="(partial)", elapsed=0.001, trace_id="t4",
+                        warnings=("result is partial",)),
+        ]
+        for event in events:
+            ring.record(event)
+        admin = AdminServer(registry=MetricsRegistry(), slow_queries=ring)
+        slow = admin.slowlog()
+        assert set(slow) == {"threshold_s", "total", "records"}
+        (record,) = slow["records"]
+        assert set(record) == TestGoldenKeys.SLOW_FIXED | {"trace_id"}
+        assert record["query"] == "(slow)" and slow["total"] == 1
+        traces = admin.traces()
+        assert set(traces) == {"offered", "kept", "traces"}
+        assert (traces["offered"], traces["kept"]) == (4, 3)
+        assert [
+            (sample["trace_id"], sample["reasons"]) for sample in traces["traces"]
+        ] == [("t2", ["slow"]), ("t3", ["budget"]), ("t4", ["degraded"])]
+        assert set(traces["traces"][0]) == {
+            "trace_id", "query", "elapsed_s", "reasons", "spans",
+        }
+
+
 class TestPagedSearch:
     def test_a_paged_search_is_observed_exactly_once(self, observed):
         service, _tracer, registry = observed
@@ -195,7 +281,6 @@ def all_sinks():
         metrics=MetricsRegistry(),
         slow_query_seconds=0.0,
         log=log,
-        trace_sampler=TraceSampler(sample_rate=1.0),
     )
     service.enable_workload_history(min_interval_s=0.0, clock=tick)
     service.attach_alerts()
@@ -251,7 +336,7 @@ class TestEverySinkReadsOneEvent:
 
         event = service.slow_queries.records()[-1]
         record = event.as_dict()
-        sample = service.sampler.traces()[-1]
+        sample = service.slow_queries.traces()[-1]
         line = log.events("search")[-1]
         slow_line = log.events("slow_query")[-1]
         root = service.tracer.last_root()
@@ -374,7 +459,6 @@ class TestSearchPathWorkCounters:
         service = DirectoryService(
             make_instance(), page_size=4, metrics=MetricsRegistry(),
             slow_query_seconds=0.0, log=log,
-            trace_sampler=TraceSampler(sample_rate=1.0),
         )
         service.enable_workload_history(min_interval_s=0.0)
         service.attach_alerts()
@@ -385,7 +469,7 @@ class TestSearchPathWorkCounters:
         assert service.search(QUERY).cached
         # Read every retained form of the search: still one render.
         service.slow_queries.as_dicts()
-        service.sampler.traces()
+        service.slow_queries.traces()
         assert log.events("slow_query")[-1]["query"] == QUERY
         assert counts["render"] == 1
         assert counts["snapshot"] == 0 and counts["since"] == 0
@@ -417,8 +501,8 @@ class TestRetention:
                     budget=QueryBudget(max_pages=0),
                 )
                 list(service.search_paged("(dc=com ? one ? grade=%d)" % grade, 2))
-        retained = service.slow_queries.records() + list(service.sampler._ring)
-        assert len(retained) == 128  # both rings full
+        retained = service.slow_queries.records()
+        assert len(retained) == 64  # the ring is full
         assert any(event.budget for event in retained)
         assert any(event.root is not None for event in retained)
         leaked = [obj for obj in _reachable(retained) if isinstance(obj, Entry)]
@@ -437,7 +521,7 @@ class TestGoldenKeys:
         service.search(QUERY)
         admin = AdminServer(
             registry=service.metrics, slow_queries=service.slow_queries,
-            sampler=service.sampler, digest=service.digest,
+            digest=service.digest,
         )
         slow = admin.slowlog()
         assert set(slow) == {"threshold_s", "total", "records", "latency_quantiles"}
@@ -507,10 +591,10 @@ class TestConstructorSurface:
         assert parameters == [
             "self", "instance", "acl", "credential_attribute", "page_size",
             "buffer_pages", "cache_bytes", "tracer", "metrics",
-            "slow_query_seconds", "log", "budget", "trace_sampler",
-            "durable_dir", "wal_fsync", "planner", "digest_capacity",
-            "heatmap_depth",
+            "slow_query_seconds", "log", "budget", "durable_dir",
+            "wal_fsync", "planner", "digest_capacity", "heatmap_depth",
         ]
+        assert len(parameters) - 1 == 16
 
 
 class TestListenerHardening:

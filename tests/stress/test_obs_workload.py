@@ -15,7 +15,7 @@ from repro.obs.heatmap import SubtreeHeatMap
 from repro.obs.history import MetricHistory
 from repro.obs.log import CapturingLogger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, TraceSampler
+from repro.obs.trace import Tracer
 from repro.server import DirectoryService
 
 THREADS = 8
@@ -152,7 +152,6 @@ class TestSearchEventHammer:
         service = DirectoryService(
             make_instance(), page_size=4, tracer=Tracer(), metrics=registry,
             slow_query_seconds=0.0, log=log,
-            trace_sampler=TraceSampler(capacity=48, sample_rate=1.0),
         )
         service.enable_workload_history(min_interval_s=0.0)
         service.attach_alerts()
@@ -181,22 +180,21 @@ class TestSearchEventHammer:
             service.close()
 
         total = THREADS * self.SEARCHES
-        slow, sampler = service.slow_queries, service.sampler
+        slow = service.slow_queries
         # Ring invariants: exact totals, bounded retention.
         assert slow.total == total and slow.total >= len(slow) == 64
-        assert sampler.offered == sampler.kept == total
-        assert len(sampler) == 48
+        assert slow.offered == slow.kept == total
         assert service.digest.observed == total
         assert registry.get("repro_searches_total").value(code="success") == total
         assert registry.get("repro_search_seconds").count() == total
         lines = {line["trace_id"]: line for line in log.events("search")}
         assert len(lines) == total  # one line per search, ids never shared
         assert len(log.events("slow_query")) == total
-        # Per retained event: slow-log record == sampler sample == log line.
+        # Per retained event: /slowlog record == /traces sample == log line.
         records = {record.trace_id: record for record in slow.records()}
-        samples = {sample["trace_id"]: sample for sample in sampler.traces()}
-        assert len(records) == 64 and len(samples) == 48
-        assert set(records) & set(samples)  # the rings overlap at the tail
+        samples = {sample["trace_id"]: sample for sample in slow.traces()}
+        assert len(records) == 64
+        assert set(records) == set(samples)  # one ring behind both views
         for trace_id, record in records.items():
             line = lines[trace_id]
             assert (line["rows"], line["code"]) == (record.rows, record.code)
@@ -208,6 +206,5 @@ class TestSearchEventHammer:
             assert (attrs["rows"], attrs["code"]) == (line["rows"], line["code"])
             # The tree was closed before the event was published.
             assert sample["elapsed_s"] >= sample["spans"]["elapsed_s"] > 0
-            if trace_id in records:
-                assert sample["query"] == records[trace_id].query_text
-                assert sample["elapsed_s"] == records[trace_id].elapsed
+            assert sample["query"] == records[trace_id].query_text
+            assert sample["elapsed_s"] == records[trace_id].elapsed
