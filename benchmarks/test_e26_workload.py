@@ -14,7 +14,7 @@ Three claims, deterministic except the (gate-skipped) wall columns:
    placement consumes.
 3. *Alerting is deterministic.*  A burst/idle script under an injected
    clock produces the same firing -> resolved transitions, with the same
-   sample timestamps, on every run.
+   round timestamps, on every run.
 """
 
 import time
@@ -160,11 +160,10 @@ def test_e26_alerts_fire_and_resolve_deterministically(benchmark):
     def run():
         instance, service = make_service(obs=True)
         clock = {"now": 0.0}
-        history = service.enable_workload_history(
-            min_interval_s=0.0, clock=lambda: clock["now"]
-        )
         engine = service.attach_alerts(
-            [parse_rule("rate(repro_searches_total, 30) > 5", name="burst")]
+            [parse_rule("rate(repro_searches_total, 30) > 5", name="burst")],
+            min_interval_s=0.0,
+            clock=lambda: clock["now"],
         )
         # Burst: 120 searches across 10 injected seconds (12/s), then
         # idle: the clock advances past the window and the rule resolves.
@@ -173,7 +172,6 @@ def test_e26_alerts_fire_and_resolve_deterministically(benchmark):
             clock["now"] += 10.0 / 120.0
         for _ in range(3):
             clock["now"] += 30.0
-            history.sample()
             engine.evaluate()
         return [
             (t["rule"], t["to"], round(t["ts"], 3),

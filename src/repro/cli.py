@@ -323,7 +323,7 @@ def _cmd_top(args) -> int:
 def _cmd_alerts(args) -> int:
     """Deterministic alert demo: a burst phase drives the search rate over
     a rule's threshold (firing), then an idle phase under an injected
-    clock lets it resolve.  Exercises the same history -> rule -> engine
+    clock lets it resolve.  Exercises the same registry -> rule -> engine
     path the admin endpoint serves."""
     import json
 
@@ -342,14 +342,13 @@ def _cmd_alerts(args) -> int:
     )
     service.bind_anonymous()
     clock = {"now": 0.0}
-    history = service.enable_workload_history(
-        min_interval_s=0.0, clock=lambda: clock["now"]
-    )
     texts = args.rule or [
         "rate(repro_searches_total, %g) > %g" % (args.window, args.threshold)
     ]
     rules = [parse_rule(text) for text in texts]
-    engine = service.attach_alerts(rules)
+    engine = service.attach_alerts(
+        rules, min_interval_s=0.0, clock=lambda: clock["now"]
+    )
 
     # Burst: args.queries searches squeezed into args.burst seconds of
     # injected time -- the windowed rate crosses the threshold and fires.
@@ -363,7 +362,6 @@ def _cmd_alerts(args) -> int:
     idle_steps = max(2, int(2 * args.window / args.burst) + 1)
     for _ in range(idle_steps):
         clock["now"] += args.burst
-        history.sample()
         engine.evaluate()
 
     status = engine.status()

@@ -25,33 +25,22 @@ The paper proves per-operator I/O bounds; this package makes them
   operator boundaries;
 - :mod:`repro.obs.httpd` -- the stdlib HTTP admin endpoint
   (``/metrics``, ``/healthz``, ``/slowlog``, ``/traces``, plus the
-  workload plane's ``/digest``, ``/heatmap``, ``/history``,
-  ``/alerts``);
+  workload plane's ``/digest``, ``/heatmap``, ``/alerts``);
 - :mod:`repro.obs.digest` -- the per-query-shape digest table
   (pg_stat_statements style, keyed by the cache's normal-form
   fingerprint);
 - :mod:`repro.obs.heatmap` -- EWMA-decayed load accounting over
   reversed-DN subtree prefixes (the shard-placement signal);
-- :mod:`repro.obs.history` -- a bounded ring of registry snapshots with
-  windowed rates/deltas on an injectable clock;
-- :mod:`repro.obs.alerts` -- declarative threshold/rate/ratio alert
-  rules with firing/resolved transitions over the history.
+- :mod:`repro.obs.alerts` -- level/rate/ratio alert rules, written as
+  text, read straight from the registry with firing/resolved
+  transitions on an injectable clock.
 """
 
-from .alerts import (
-    AlertEngine,
-    AlertRule,
-    RateRule,
-    RatioRule,
-    ThresholdRule,
-    default_rules,
-    parse_rule,
-)
+from .alerts import AlertEngine, AlertRule, default_rules, parse_rule
 from .budget import BudgetExceeded, BudgetTracker, QueryBudget
 from .digest import QueryDigest, QueryDigestTable
 from .event import SearchEvent
 from .heatmap import SubtreeHeatMap
-from .history import MetricHistory, MetricSample
 from .httpd import AdminServer
 from .log import CapturingLogger, EventLogger, NULL_LOGGER, NullLogger
 from .metrics import (
@@ -85,8 +74,6 @@ __all__ = [
     "EventLogger",
     "Gauge",
     "Histogram",
-    "MetricHistory",
-    "MetricSample",
     "MetricsRegistry",
     "NULL_LOGGER",
     "NULL_TRACER",
@@ -95,14 +82,11 @@ __all__ = [
     "QueryBudget",
     "QueryDigest",
     "QueryDigestTable",
-    "RateRule",
-    "RatioRule",
     "SearchEvent",
     "SlowQueryLog",
     "Span",
     "StatCounters",
     "SubtreeHeatMap",
-    "ThresholdRule",
     "Tracer",
     "compare_bench",
     "default_rules",

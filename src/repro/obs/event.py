@@ -5,7 +5,7 @@
 search runs and, when the search ends -- success, size-limited, protocol
 error or budget breach alike -- hands the same object to every enabled
 sink: the slow-query ring, the metric instruments, the workload digest,
-the structured event log and the metric history.  There is no per-sink
+the structured event log and the alert engine.  There is no per-sink
 copy, so the sinks agree by construction: one page count, one latency,
 one query text, one classification.
 

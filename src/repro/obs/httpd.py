@@ -23,8 +23,6 @@ path        payload
             (``?n=10&by=calls|time|mean_time|pages|qerror``)
 /heatmap    the :class:`~repro.obs.heatmap.SubtreeHeatMap`'s hottest
             subtrees (``?n=10&by=heat|reads|writes|pages|shipped``)
-/history    the :class:`~repro.obs.history.MetricHistory` ring
-            (``?limit=16&metric=repro_searches_total``)
 /alerts     the :class:`~repro.obs.alerts.AlertEngine` status: per-rule
             state, firing set, recent transitions
 ==========  ============================================================
@@ -82,23 +80,17 @@ def _int_param(params: Dict[str, List[str]], name: str, default: int) -> int:
     return value
 
 
-def _str_param(
-    params: Dict[str, List[str]], name: str, default: Optional[str]
-) -> Optional[str]:
-    values = params.get(name)
-    return values[-1] if values else default
-
-
 def _choice_param(
     params: Dict[str, List[str]],
     name: str,
     default: str,
     choices: Tuple[str, ...],
 ) -> str:
-    """Like :func:`_str_param` but 400s on values outside ``choices`` --
-    validated here so a bogus ordering is rejected even when the backing
-    collaborator is absent and would never see it."""
-    value = _str_param(params, name, default)
+    """The last ``name`` value (``default`` when absent); 400s on values
+    outside ``choices`` -- validated here so a bogus ordering is rejected
+    even when the backing collaborator is absent and would never see it."""
+    values = params.get(name)
+    value = values[-1] if values else default
     if value not in choices:
         raise _BadParameter(
             "%s must be one of %s, got %r" % (name, sorted(choices), value)
@@ -125,8 +117,6 @@ class AdminServer:
         ``/digest``.
     :param heatmap: a :class:`~repro.obs.heatmap.SubtreeHeatMap` for
         ``/heatmap``.
-    :param history: a :class:`~repro.obs.history.MetricHistory` for
-        ``/history``.
     :param alerts: an :class:`~repro.obs.alerts.AlertEngine` for
         ``/alerts``.
     :param log: an :class:`~repro.obs.log.EventLogger`; requests are
@@ -143,7 +133,6 @@ class AdminServer:
         log=None,
         digest=None,
         heatmap=None,
-        history=None,
         alerts=None,
     ):
         self.registry = registry if registry is not None else get_registry()
@@ -151,7 +140,6 @@ class AdminServer:
         self.health = health
         self.digest = digest
         self.heatmap = heatmap
-        self.history = history
         self.alerts = alerts
         self.log = log if log is not None else NULL_LOGGER
         self._host = host
@@ -267,19 +255,6 @@ class AdminServer:
             return {"enabled": False, "cells": 0, "hottest": []}
         return dict(self.heatmap.snapshot(n, by=by), enabled=True)
 
-    def history_payload(
-        self, limit: int = 16, metric: Optional[str] = None
-    ) -> Dict[str, Any]:
-        if self.history is None:
-            return {"enabled": False, "samples": []}
-        return {
-            "enabled": True,
-            "capacity": self.history.capacity,
-            "taken": self.history.taken,
-            "retained": len(self.history),
-            "samples": self.history.as_dicts(limit=limit, metric=metric),
-        }
-
     def alerts_payload(self) -> Dict[str, Any]:
         if self.alerts is None:
             return {"enabled": False, "rules": [], "firing": []}
@@ -299,7 +274,6 @@ class AdminServer:
             "/traces": self._r_traces,
             "/digest": self._r_digest,
             "/heatmap": self._r_heatmap,
-            "/history": self._r_history,
             "/alerts": self._r_alerts,
         }
 
@@ -326,13 +300,6 @@ class AdminServer:
         payload = self.heatmap_payload(
             n=_int_param(params, "n", 10),
             by=_choice_param(params, "by", "heat", HEATMAP_ORDERINGS),
-        )
-        return _json_body(payload), JSON_TYPE
-
-    def _r_history(self, params):
-        payload = self.history_payload(
-            limit=_int_param(params, "limit", 16),
-            metric=_str_param(params, "metric", None),
         )
         return _json_body(payload), JSON_TYPE
 

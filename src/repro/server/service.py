@@ -50,7 +50,6 @@ from ..obs.budget import BudgetExceeded
 from ..obs.digest import QueryDigestTable
 from ..obs.event import SearchEvent
 from ..obs.heatmap import SubtreeHeatMap
-from ..obs.history import MetricHistory
 from ..obs.httpd import AdminServer
 from ..obs.log import NULL_LOGGER
 from ..obs.metrics import get_registry
@@ -292,11 +291,8 @@ class DirectoryService:
             heat = self.heatmap
             self._heat_listener = lambda record: heat.record_write(record.dn)
             self.directory.add_record_listener(self._heat_listener)
-        #: Metric history ring (:meth:`enable_workload_history`) and the
-        #: alert engine over it (:meth:`attach_alerts`).
-        self.history: Optional[MetricHistory] = None
+        #: Alert rules over :attr:`metrics` (:meth:`attach_alerts`).
         self.alerts: Optional[AlertEngine] = None
-        self._history_interval_s = 1.0
         #: What every finished search's :class:`SearchEvent` is handed to,
         #: in order, fixed here from what is enabled.  The slow-query ring
         #: goes first: it owns the threshold, so it is what marks an event
@@ -707,53 +703,32 @@ class DirectoryService:
                 used=error.used,
             )
 
-    def _sample_history(self, event: SearchEvent) -> None:
-        """Opportunistic, rate-limited: history accrues on the search
-        path with no background thread; each new point re-evaluates the
-        alert rules so transitions track the workload."""
-        sample = self.history.maybe_sample(self._history_interval_s)
-        if sample is not None and self.alerts is not None:
-            self.alerts.evaluate()
-
     # -- workload observability ----------------------------------------------
 
-    def enable_workload_history(
+    def attach_alerts(
         self,
-        capacity: int = 128,
+        rules: Optional[List[AlertRule]] = None,
         min_interval_s: float = 1.0,
         clock=None,
-    ) -> MetricHistory:
-        """Start (or return) the metric history ring.  Samples are taken
-        opportunistically on the search path, at most one per
-        ``min_interval_s``; ``clock`` injects a deterministic time source
-        (tests, the ``repro alerts`` demo)."""
-        if self.history is None:
-            self.history = (
-                MetricHistory(self.metrics, capacity=capacity, clock=clock)
-                if clock is not None
-                else MetricHistory(self.metrics, capacity=capacity)
-            )
-            self._history_interval_s = min_interval_s
-            # Last, so each sample sees this search's metrics.
-            self._sinks.append(self._sample_history)
-        return self.history
-
-    def attach_alerts(
-        self, rules: Optional[List[AlertRule]] = None
     ) -> AlertEngine:
-        """Put an alert engine over the metric history (started with
-        defaults when absent).  ``rules`` defaults to
-        :func:`~repro.obs.alerts.default_rules`; firing rules degrade
-        ``/healthz`` and are logged as ``alert.firing`` /
-        ``alert.resolved`` events."""
+        """Put an alert engine over this service's registry (or return the
+        attached one).  ``rules`` defaults to
+        :func:`~repro.obs.alerts.default_rules`.  The engine is the last
+        search sink, so each round reads this search's metrics; it runs at
+        most one round per ``min_interval_s``, and ``clock`` injects a
+        deterministic time source (tests, the ``repro alerts`` demo).
+        Firing rules degrade ``/healthz`` and are logged as
+        ``alert.firing`` / ``alert.resolved`` events."""
         if self.alerts is None:
-            history = self.enable_workload_history()
             self.alerts = AlertEngine(
-                history,
+                self.metrics,
                 rules if rules is not None else default_rules(),
+                clock=clock if clock is not None else time.time,
+                min_interval_s=min_interval_s,
                 log=self.log,
                 metrics=self.metrics,
             )
+            self._sinks.append(self.alerts.observe)
         return self.alerts
 
     def serve_admin(self, host: str = "127.0.0.1", port: int = 0) -> AdminServer:
@@ -761,10 +736,9 @@ class DirectoryService:
         ``port=0`` picks a free port).  Returns the started
         :class:`~repro.obs.httpd.AdminServer`; the caller stops it.
 
-        The workload endpoints (``/digest``, ``/heatmap``, ``/history``,
-        ``/alerts``) expose whatever is attached *at start time* -- call
-        :meth:`enable_workload_history` / :meth:`attach_alerts` first if
-        those panes should be live."""
+        The workload endpoints (``/digest``, ``/heatmap``, ``/alerts``)
+        expose whatever is attached *at start time* -- call
+        :meth:`attach_alerts` first if that pane should be live."""
 
         def health() -> dict:
             status = {
@@ -809,7 +783,6 @@ class DirectoryService:
             log=self.log,
             digest=self.digest,
             heatmap=self.heatmap,
-            history=self.history,
             alerts=self.alerts,
         )
         return server.start()

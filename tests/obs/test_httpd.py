@@ -116,10 +116,9 @@ class TestWorkloadEndpoints:
     @pytest.fixture
     def workload_server(self):
         from repro.model.dn import DN
-        from repro.obs.alerts import AlertEngine, ThresholdRule
+        from repro.obs.alerts import AlertEngine, parse_rule
         from repro.obs.digest import QueryDigestTable
         from repro.obs.heatmap import SubtreeHeatMap
-        from repro.obs.history import MetricHistory
 
         registry = MetricsRegistry()
         registry.gauge("repro_lag", "lag").set(9)
@@ -132,17 +131,13 @@ class TestWorkloadEndpoints:
                                    pages=50, via="engine"))
         heatmap = SubtreeHeatMap(depth=2, clock=lambda: 100.0)
         heatmap.record_read(DN.parse("dc=att, dc=com"), pages=7)
-        history = MetricHistory(registry=registry, capacity=8,
-                                clock=lambda: 100.0)
-        history.sample()
         alerts = AlertEngine(
-            history, [ThresholdRule("lag", "repro_lag", ">", 5)],
-            metrics=MetricsRegistry(),
+            registry, [parse_rule("repro_lag > 5", name="lag")],
+            clock=lambda: 100.0, metrics=MetricsRegistry(),
         )
         alerts.evaluate()
         server = AdminServer(
-            registry=registry, digest=digest, heatmap=heatmap,
-            history=history, alerts=alerts,
+            registry=registry, digest=digest, heatmap=heatmap, alerts=alerts,
         ).start()
         yield server
         server.stop()
@@ -162,14 +157,14 @@ class TestWorkloadEndpoints:
         assert payload["enabled"] is True and payload["depth"] == 2
         assert payload["hottest"][0]["subtree"] == "dc=att, dc=com"
 
-    def test_history_route_serves_samples(self, workload_server):
-        _, _, body = _get(
-            workload_server.url + "/history?limit=1&metric=repro_lag"
-        )
-        payload = json.loads(body)
-        assert payload["enabled"] is True and payload["taken"] == 1
-        sample = payload["samples"][0]
-        assert sample["metrics"]["repro_lag"]["series"][0]["value"] == 9
+    def test_history_route_is_gone(self, workload_server):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(workload_server.url + "/history")
+        assert err.value.code == 404
+        assert json.loads(err.value.read())["endpoints"] == [
+            "/alerts", "/digest", "/healthz", "/heatmap", "/metrics",
+            "/slowlog", "/traces",
+        ]
 
     def test_alerts_route_serves_engine_status(self, workload_server):
         _, _, body = _get(workload_server.url + "/alerts")
@@ -177,10 +172,12 @@ class TestWorkloadEndpoints:
         assert payload["enabled"] is True
         assert payload["firing"] == ["lag"]
         assert payload["transitions"][0]["to"] == "firing"
+        assert payload["transitions"][0]["ts"] == 100.0
+        assert payload["rules"][0]["value"] == 9
 
     def test_absent_collaborators_serve_disabled_stubs(self):
         with AdminServer(registry=MetricsRegistry()) as server:
-            for route in ("/digest", "/heatmap", "/history", "/alerts"):
+            for route in ("/digest", "/heatmap", "/alerts"):
                 status, _, body = _get(server.url + route)
                 assert status == 200
                 assert json.loads(body)["enabled"] is False
@@ -190,7 +187,7 @@ class TestHardening:
     def test_bad_query_parameters_are_json_400s(self, stack):
         server, _ = stack
         for url in ("/digest?n=abc", "/digest?n=-1", "/digest?by=vibes",
-                    "/heatmap?by=vibes", "/history?limit=x"):
+                    "/heatmap?by=vibes"):
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(server.url + url)
             assert err.value.code == 400

@@ -266,7 +266,7 @@ class TestPagedSearch:
 
 @pytest.fixture
 def all_sinks():
-    """A service with every sink on and a deterministic history clock."""
+    """A service with every sink on and a deterministic alert clock."""
     clock = {"now": 0.0}
 
     def tick():
@@ -282,8 +282,7 @@ def all_sinks():
         slow_query_seconds=0.0,
         log=log,
     )
-    service.enable_workload_history(min_interval_s=0.0, clock=tick)
-    service.attach_alerts()
+    service.attach_alerts(min_interval_s=0.0, clock=tick)
     service.bind_anonymous()
     yield service, log
     service.close()
@@ -329,7 +328,7 @@ class TestEverySinkReadsOneEvent:
             latency=latency.sum(), sizes=sizes.sum(), io=io.sum(),
             io_count=io.count(), served=served.value(code=code),
             slow=registry.get("repro_slow_queries_total").value(),
-            digest=service.digest.observed, history=service.history.taken,
+            digest=service.digest.observed, alerts=service.alerts.evaluations,
         )
 
         result = service.search(**arguments)
@@ -398,8 +397,10 @@ class TestEverySinkReadsOneEvent:
                 assert row.calls == 1
                 assert row.pages_total == record["io_total"]
                 assert row.elapsed_total == record["elapsed_s"]
-        # History sampled after the instruments moved.
-        assert service.history.taken - before["history"] == 1
+        # Alerts evaluated once, as the last sink: after the instruments
+        # moved.
+        assert service.alerts.evaluations - before["alerts"] == 1
+        assert service._sinks[-1] == service.alerts.observe
 
 
 class TestSearchPathWorkCounters:
@@ -460,8 +461,7 @@ class TestSearchPathWorkCounters:
             make_instance(), page_size=4, metrics=MetricsRegistry(),
             slow_query_seconds=0.0, log=log,
         )
-        service.enable_workload_history(min_interval_s=0.0)
-        service.attach_alerts()
+        service.attach_alerts(min_interval_s=0.0)
         service.bind_anonymous()
         service.search(QUERY)
         for key in counts:
