@@ -1,13 +1,14 @@
 """Corporate white pages -- the intro's motivating application, plus the
-server-side features a deployment needs: paged results and subtree access
-control.
+server-side controls a deployment needs, served by the directory service:
+subtree access control, paged results and a size limit.  (Per-subject
+binds are shown in ``directory_service.py``.)
 
 Run:  python examples/white_pages.py
 """
 
 from repro.apps.whitepages import WhitePages
-from repro.engine.paging import PagedSearch, run_limited
-from repro.security import AccessControlList, SecuredEngine
+from repro.security import AccessControlList
+from repro.server import DirectoryService
 
 pages = WhitePages("dc=att, dc=com")
 boss = pages.add_person(
@@ -55,23 +56,18 @@ def main() -> None:
     for name, phone in pages.phone_book(["research"]):
         print("  %-22s %s" % (name, phone))
 
-    print("\n== paged retrieval (LDAP paged-results style) ==")
-    cursor = PagedSearch(pages.engine, "( ? sub ? objectClass=inetOrgPerson)", 3)
-    for number, page in enumerate(cursor, start=1):
-        print("  page %d: %s" % (number, [e.first("uid") for e in page]))
-    limited = run_limited(pages.engine, "( ? sub ? objectClass=*)", size_limit=4)
-    print("  size-limited: %d of %d entries (truncated=%s)"
-          % (len(limited), limited.total_size, limited.truncated))
-
-    print("\n== subtree access control ==")
+    print("\n== served: subtree access control, paged results, size limit ==")
     acl = AccessControlList()
     acl.allow("*", "dc=att, dc=com")          # the directory is public...
     acl.deny("*", "ou=legal, dc=att, dc=com")  # ...except legal
-    acl.allow("counsel", "ou=legal, dc=att, dc=com")  # who see themselves
-    secured = SecuredEngine(pages.engine, acl)
+    service = DirectoryService(pages.instance, acl=acl)  # anonymous: no bind
     query = "( ? sub ? objectClass=inetOrgPerson)"
-    print("  anonymous sees :", [e.first("uid") for e in secured.run(query)])
-    print("  counsel sees   :", [e.first("uid") for e in secured.run(query, subject="counsel")])
+    print("  anonymous sees :", [e.first("uid") for e in service.search(query).entries])
+    for number, page in enumerate(service.search_paged(query, 3), start=1):
+        print("  page %d: %s" % (number, [e.first("uid") for e in page]))
+    limited = service.search("( ? sub ? objectClass=*)", size_limit=4)
+    print("  size-limited: %d of %d visible entries (%s)"
+          % (len(limited), limited.total_size, limited.code))
 
 
 if __name__ == "__main__":

@@ -402,18 +402,6 @@ class FederatedDirectory:
         if self.leaf_cache is not None:
             self.leaf_cache.invalidate_tag(name)
 
-    def delegate_context(self, context: Union[DN, str], server_name: str) -> None:
-        """Referral-aware invalidation: re-register a naming context with a
-        (new) owner and drop cached sublists under the moved context --
-        they may now belong to a different server."""
-        if isinstance(context, str):
-            context = DN.parse(context)
-        self.locator.register(context, server_name)
-        if context not in self.servers[server_name].contexts:
-            self.servers[server_name].contexts.append(context)
-        if self.leaf_cache is not None:
-            self.leaf_cache.invalidate(context, subtree=True)
-
     def total_entries(self) -> int:
         return sum(server.entry_count() for server in self.servers.values())
 

@@ -8,7 +8,6 @@ from .hsagg import hierarchical_select
 from .merge import boolean_merge
 from .naive import naive_embedded_ref_select, naive_hierarchical_select
 from .optimizer import AccessPlanner, PlannedEngine, explain, rewrite
-from .paging import LimitedResult, PagedSearch, run_limited
 from .stats import CardinalityEstimator, DirectoryStatistics
 from .selection import select_annotated
 from .simpleagg import simple_agg_select
@@ -31,9 +30,6 @@ __all__ = [
     "PlannedEngine",
     "explain",
     "rewrite",
-    "LimitedResult",
-    "PagedSearch",
-    "run_limited",
     "CardinalityEstimator",
     "DirectoryStatistics",
     "select_annotated",

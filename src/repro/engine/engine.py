@@ -18,6 +18,11 @@ everything above them at the queried server).  An optional **planner**
 the query first; without one this is the paper-literal evaluator (both
 operands of every boolean node evaluated -- the experiments' exact page
 counts depend on it).
+
+The engine's answer is the whole sorted result.  Size limits, paged
+retrieval, access control and the default budget are the LDAP server's
+controls around that run, applied in one place:
+:class:`~repro.server.service.DirectoryService`.
 """
 
 from __future__ import annotations
@@ -100,10 +105,8 @@ class QueryEngine:
         self,
         store: DirectoryStore,
         use_indices: bool = True,
-        memory_pages: int = 4,
         tracer=None,
         pool=None,
-        budget=None,
         log=None,
         heatmap=None,
         leaves=None,
@@ -136,14 +139,6 @@ class QueryEngine:
         #: single attribute check.
         self.heatmap = heatmap
         self.use_indices = use_indices
-        #: Workspace bound for the sorts inside vd/dv (Figure 3).
-        self.memory_pages = memory_pages
-        #: Engine-level default :class:`~repro.obs.budget.QueryBudget`
-        #: applied to every run (a per-call budget overrides it).  None
-        #: means unlimited -- the default, and free: no tracker is
-        #: created and the per-operator charge check is one attribute
-        #: load.
-        self.budget = budget
         #: Structured event logger (see :mod:`repro.obs.log`); the no-op
         #: default keeps the hot path free of formatting work.
         self.log = log if log is not None else NULL_LOGGER
@@ -206,8 +201,9 @@ class QueryEngine:
         """Evaluate a query (AST or concrete syntax); return entries plus
         the I/O incurred.
 
-        ``budget`` (or the engine-level default) caps the evaluation; on
-        breach every intermediate run is freed and the structured
+        ``budget`` (a :class:`~repro.obs.budget.QueryBudget`; None means
+        unlimited) caps the evaluation; on breach every intermediate run
+        is freed and the structured
         :class:`~repro.obs.budget.BudgetExceeded` propagates to the
         caller -- the pager's :attr:`~repro.storage.pager.Pager.live_pages`
         is back at its pre-query value when it does."""
@@ -241,24 +237,15 @@ class QueryEngine:
             )
         return QueryResult(entries, io, elapsed, eval_errors=eval_errors)
 
-    def open(self, query: Union[Query, str], budget=None) -> Run:
-        """Plan ``query`` and evaluate it to its result run, which the
-        caller frees -- :meth:`run` for consumers that read the run
-        themselves (size limits, paged cursors)."""
-        planned, _rules = self.plan(query)
-        return self.open_planned(planned, budget=budget)
-
     def open_planned(self, query: Query, budget=None) -> Run:
-        """The one guarded way into the recursion: arm the budget
-        (``budget``, else the engine-level default), evaluate a planned
-        query to its result run (caller frees it) and, with a planner,
-        record the run-level Q-error.  :meth:`run`, :meth:`open` and
-        EXPLAIN ``--analyze`` all come through here, so none of them
-        skips the budget."""
+        """The one guarded way into the recursion: arm ``budget`` (None
+        -- unlimited -- creates no tracker), evaluate a planned query to
+        its result run (caller frees it) and, with a planner, record the
+        run-level Q-error.  :meth:`run` and EXPLAIN ``--analyze`` both
+        come through here."""
         self._eval_error_counts = []
-        active = budget if budget is not None else self.budget
         self._budget_tracker = (
-            active.start(self.pager.stats) if active is not None else None
+            budget.start(self.pager.stats) if budget is not None else None
         )
         try:
             result = self.evaluate_to_run(query)
@@ -406,7 +393,6 @@ class QueryEngine:
                     runs[1],
                     query.attribute,
                     query.agg,
-                    memory_pages=self.memory_pages,
                 )
             raise QueryError("unknown query node %r" % (query,))
         finally:

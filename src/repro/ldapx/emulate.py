@@ -41,7 +41,6 @@ class LDAPSession:
         self.store = store
         self.round_trips = 0
         self.entries_shipped = 0
-        self._io_before = store.pager.stats.snapshot()
 
     def search(self, base: Union[DN, str], scope: str, filter_: Union[Filter, str]) -> List[Entry]:
         """One LDAP search round trip; results are shipped to the client."""
@@ -51,10 +50,6 @@ class LDAPSession:
         run.free()
         self.entries_shipped += len(entries)
         return entries
-
-    @property
-    def server_io(self):
-        return self.store.pager.stats.since(self._io_before)
 
     def __repr__(self) -> str:
         return "LDAPSession(round_trips=%d, shipped=%d)" % (

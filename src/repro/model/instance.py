@@ -182,9 +182,6 @@ class DirectoryInstance:
         for _key, dn in self._sorted_keys:
             yield self._entries[dn]
 
-    def entries_sorted(self) -> List[Entry]:
-        return list(self)
-
     # -- hierarchy -----------------------------------------------------------
 
     def parent_of(self, entry: Entry) -> Optional[Entry]:

@@ -27,7 +27,7 @@ class SearchEvent:
     __slots__ = (
         "query", "_text", "key", "via", "pages", "saved_io", "rows", "code",
         "elapsed", "qerror", "rewrites", "retries", "warnings", "trace_id",
-        "root", "budget_error", "slow",
+        "root", "budget_error", "eval_errors", "slow",
     )
 
     def __init__(
@@ -48,6 +48,7 @@ class SearchEvent:
         trace_id: Optional[str] = None,
         root=None,
         budget_error=None,
+        eval_errors: int = 0,
     ):
         #: The parsed query as written (None until parsed; an event built
         #: from a bare ``query_text`` never has one).
@@ -91,6 +92,11 @@ class SearchEvent:
         #: The structured :class:`~repro.obs.budget.BudgetExceeded` when
         #: the search was cancelled by its resource budget.
         self.budget_error = budget_error
+        #: Source records the evaluation skipped because a value could not
+        #: be evaluated (the engine's or federation's ``eval_errors``); 0
+        #: for a clean answer and for every cache hit -- such a result is
+        #: never admitted to the cache.
+        self.eval_errors = eval_errors
         #: Set by the slow-query log when the search crossed its
         #: threshold (the log owns the threshold, so it decides).
         self.slow = False

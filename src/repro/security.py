@@ -8,11 +8,13 @@ control rules.  This module provides the generic mechanism:
 - :class:`AccessRule` -- (subject, scope dn, base/sub, allow/deny);
 - :class:`AccessControlList` -- an ordered rule list; for a given subject
   and entry dn, the *most specific matching* rule decides (ties broken by
-  rule order), with a configurable default;
-- :class:`SecuredEngine` -- wraps a query engine and filters every
-  result by what the requesting subject may read.  Filtering happens on
-  the result (one extra linear pass), so the evaluation bounds of the
-  underlying engine are untouched.
+  rule order), with a configurable default.
+
+The list is enforced in one place,
+:class:`~repro.server.service.DirectoryService`, which filters every
+search result by what the bound subject may read.  Filtering happens on
+the result (one extra linear pass), so the evaluation bounds of the
+engine are untouched.
 
 Subjects are opaque strings; ``"*"`` matches anyone (including anonymous,
 which is ``None``).
@@ -22,11 +24,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from .engine.engine import QueryEngine, QueryResult
 from .model.dn import DN
-from .query.ast import Query
 
-__all__ = ["AccessRule", "AccessControlList", "SecuredEngine"]
+__all__ = ["AccessRule", "AccessControlList"]
 
 
 class AccessRule:
@@ -111,22 +111,3 @@ class AccessControlList:
             len(self._rules),
             "allow" if self.default_allow else "deny",
         )
-
-
-class SecuredEngine:
-    """A query engine that filters results by subject visibility."""
-
-    def __init__(self, engine: QueryEngine, acl: AccessControlList):
-        self.engine = engine
-        self.acl = acl
-
-    def run(self, query: Union[Query, str], subject: Optional[str] = None) -> QueryResult:
-        """Evaluate and return only the entries ``subject`` may read."""
-        result = self.engine.run(query)
-        visible = [
-            entry for entry in result.entries if self.acl.readable(subject, entry.dn)
-        ]
-        return QueryResult(visible, result.io, result.elapsed, result.eval_errors)
-
-    def __repr__(self) -> str:
-        return "SecuredEngine(%r, %r)" % (self.engine, self.acl)

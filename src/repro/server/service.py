@@ -22,9 +22,11 @@ searches share no per-run state.
 
 Every read -- :meth:`~DirectoryService.search` on any of its exits and
 :meth:`~DirectoryService.search_paged` -- goes through one pipeline
-(``_serve``) that fills one :class:`~repro.obs.event.SearchEvent` and
-publishes it to a flat list of sinks fixed at construction: observability
-is one loop over callables, not a per-sink hand-off.
+(``_serve``), the only place the default budget, access control, the
+size limit and paging are applied.  It fills one
+:class:`~repro.obs.event.SearchEvent` and publishes it to a flat list of
+sinks fixed at construction: observability is one loop over callables,
+not a per-sink hand-off.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ class SearchResult:
     ``budget_error`` holds the structured
     :class:`~repro.obs.budget.BudgetExceeded` when the search was
     cancelled by its resource budget (code ``adminLimitExceeded``).
+    ``eval_errors`` counts source records the evaluation skipped because a
+    value could not be evaluated (e.g. an undecodable embedded reference);
+    non-zero means the answer silently excludes them.
     """
 
     def __init__(
@@ -113,6 +118,7 @@ class SearchResult:
         saved_io: int = 0,
         warnings: Optional[List[str]] = None,
         budget_error: Optional[BudgetExceeded] = None,
+        eval_errors: int = 0,
     ):
         self.code = code
         self.entries = entries
@@ -121,6 +127,7 @@ class SearchResult:
         self.saved_io = saved_io
         self.warnings = list(warnings or [])
         self.budget_error = budget_error
+        self.eval_errors = eval_errors
 
     def dns(self) -> List[str]:
         return [str(entry.dn) for entry in self.entries]
@@ -408,6 +415,7 @@ class DirectoryService:
         ``via``, the normal-form fingerprint when one was computed
         (``key``), the logical page I/O the evaluation cost (``pages``) or
         a hit saved (``saved_io``), degradation warnings, remote retries,
+        skipped records (``eval_errors``; such a result is never cached),
         the applied rewrites and the planner Q-error -- None whenever no
         plan executed (cache hits, federation, ``planner="none"``).
         ``budget`` caps the evaluation; a breach propagates as
@@ -424,6 +432,7 @@ class DirectoryService:
             event.pages = fed_result.io.logical_total
             event.warnings = tuple(fed_result.warnings)
             event.retries = fed_result.retries
+            event.eval_errors = fed_result.eval_errors
             return fed_result.entries
         key = None
         if self.cache is not None:
@@ -472,7 +481,10 @@ class DirectoryService:
             guard.close()
         event.via = "engine"
         event.pages = cost = result.io.logical_total
-        if self.cache is not None:
+        event.eval_errors = result.eval_errors
+        # A result that skipped records is not admitted: a repeat must
+        # report the count again, not replay the answer as clean.
+        if self.cache is not None and not result.eval_errors:
             self.cache.put(
                 key, str(query), result.entries, query_footprint(query), cost,
                 query=query, if_epoch=epoch,
@@ -545,6 +557,7 @@ class DirectoryService:
             saved_io=event.saved_io,
             warnings=event.warnings,
             budget_error=event.budget_error,
+            eval_errors=event.eval_errors,
         )
 
     def search_paged(

@@ -4,7 +4,7 @@ evaluation method; *where a leaf is answered* (the leaf provider) and
 subclassed.  Three guards:
 
 - structural -- nothing in ``repro.*`` subclasses the engine with more
-  than a constructor;
+  than a constructor, and the constructor takes no read controls;
 - differential -- an explicitly injected local access path is
   bit-identical to the default one, planned and plan-less, sequential
   and under a worker pool;
@@ -17,6 +17,7 @@ job.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -71,6 +72,16 @@ def test_no_subclass_overrides_evaluation():
     assert PlannedEngine in subclasses
     for sub in subclasses:
         assert _defined(sub) == {"__init__"}, (sub, _defined(sub))
+
+
+def test_the_engine_takes_no_read_controls():
+    """A default budget, size limits, paging and access control are the
+    service's; the constructor names only what shapes an evaluation."""
+    assert list(inspect.signature(QueryEngine.__init__).parameters) == [
+        "self", "store", "use_indices", "tracer", "pool", "log", "heatmap",
+        "leaves", "planner",
+    ]
+    assert not hasattr(QueryEngine, "open")
 
 
 # -- (b) leaf-provider differential ------------------------------------------

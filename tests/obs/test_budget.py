@@ -112,15 +112,6 @@ class TestEngineCancellation:
         result = engine.run(QUERY)
         assert len(result.entries) == 4
 
-    def test_engine_default_budget_applies_and_per_run_overrides(self):
-        engine = QueryEngine.from_instance(
-            make_instance(), page_size=4, budget=QueryBudget(max_pages=0)
-        )
-        with pytest.raises(BudgetExceeded):
-            engine.run(QUERY)
-        generous = QueryBudget(max_pages=10_000)
-        assert len(engine.run(QUERY, budget=generous).entries) == 4
-
     def test_random_instances_never_leak_on_breach(self):
         for seed in range(4):
             instance = random_instance(seed, size=80)

@@ -234,7 +234,7 @@ class TestOneRing:
         }
 
 
-class TestPagedSearch:
+class TestSearchPagedEvents:
     def test_a_paged_search_is_observed_exactly_once(self, observed):
         service, _tracer, registry = observed
         pages = list(service.search_paged(QUERY, 3))

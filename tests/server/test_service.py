@@ -10,6 +10,8 @@ from repro.query.parser import parse_query
 from repro.security import AccessControlList
 from repro.server import DirectoryService, ResultCode
 
+from ..engine.test_eval_errors import ER_QUERY, ref_instance  # noqa: F401 (fixture)
+
 
 def make_schema() -> DirectorySchema:
     schema = DirectorySchema()
@@ -92,6 +94,7 @@ class TestSearch:
         assert result.code == ResultCode.SIZE_LIMIT_EXCEEDED
         assert len(result) == 2
         assert result.total_size == 3
+        assert result.dns() == service.search(self.QUERY).dns()[:2]
 
     def test_paged(self, service):
         service.bind("uid=alice, dc=com", "wonder")
@@ -137,6 +140,10 @@ class TestSearchPaged:
         with pytest.raises(ValueError):
             service.search_paged(self.QUERY, page_entries=0)
 
+    def test_an_empty_answer_has_no_pages(self, service):
+        service.bind("uid=alice, dc=com", "wonder")
+        assert list(service.search_paged("( ? sub ? uid=nobody)", page_entries=2)) == []
+
 
 class TestSizeAccounting:
     """total_size counts *visible* entries; the limit truncates them."""
@@ -160,6 +167,21 @@ class TestSizeAccounting:
     def test_bad_size_limit_rejected(self, service):
         with pytest.raises(ValueError):
             service.search(self.QUERY, size_limit=0)
+
+
+class TestEvalErrors:
+    def test_eval_errors_survive_the_acl_filter(self, ref_instance):
+        # A result that skipped an undecodable reference must not read as
+        # clean once an ACL is applied on top of it -- nor, on a repeat,
+        # once the cache could have served it.
+        acl = AccessControlList(default_allow=True).deny("*", "cn=bad, dc=com")
+        service = DirectoryService(ref_instance, acl=acl, page_size=8)
+        for _ in range(2):
+            result = service.search(ER_QUERY)
+            assert result.code == ResultCode.SUCCESS
+            assert result.dns() == ["cn=good, dc=com"]
+            assert result.eval_errors == 1
+            assert not result.cached
 
 
 class TestCompare:
