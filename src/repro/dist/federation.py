@@ -439,9 +439,9 @@ class _LeafOutcome:
 
 
 class _ScatterGather:
-    """One federated query's leaf provider (``AtomicQuery -> Run``): each
-    atomic leaf is routed to its owners and gathered on the coordinator's
-    pager; the engine above it is the ordinary one."""
+    """One federated query's leaf provider (``(AtomicQuery, within) ->
+    Run``): each atomic leaf is routed to its owners and gathered on the
+    coordinator's pager; the engine above it is the ordinary one."""
 
     def __init__(self, federation: FederatedDirectory, coordinator: DirectoryServer):
         self.federation = federation
@@ -458,8 +458,10 @@ class _ScatterGather:
             federation._now() + deadline_s if deadline_s is not None else None
         )
 
-    def __call__(self, query: AtomicQuery) -> Run:
-        """Scatter the leaf to its owners, gather in owner order.
+    def __call__(self, query: AtomicQuery, within=None) -> Run:
+        """Scatter the leaf to its owners, gather in owner order.  Read
+        windows (``within``) are ignored: the whole leaf is always a
+        correct answer.
 
         The scatter phase fans the *remote* owners out over the
         federation's :class:`~repro.exec.WorkerPool` (inline when the

@@ -21,6 +21,15 @@ of the query by the cumulative size ``|L|`` of the atomic results
 Either way the result is a sorted, duplicate-free run -- the contract every
 operator above relies on.
 
+A leaf may also be read over **windows** (``within``): ``(root dn,
+max_depth)`` pairs, each one ``scan_subtree`` call, that a planned
+hierarchical selection derives from its materialised first operand (see
+:meth:`~repro.engine.optimizer.AccessPlanner.witness_windows`).  Each
+window is first clipped to the leaf's own scope (:func:`clip_window`), so
+a window the scope excludes costs no I/O, and the scans are merged in key
+order without duplicates.  The answer is the leaf restricted to the
+windows.
+
 ``store`` is anything with the store's read interface: a
 :class:`~repro.storage.store.DirectoryStore`, or a pinned
 :class:`~repro.storage.maintenance.StoreView`, whose ``scan_subtree`` and
@@ -30,15 +39,23 @@ stream (the service path; nothing here changes).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+import heapq
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..filters.ast import Comparison, Equality, Filter, Presence, Substring
 from ..model.dn import DN
+from ..model.entry import Entry
 from ..query.ast import AtomicQuery, Scope
 from ..storage.runs import Run, RunWriter
 from ..storage.store import DirectoryStore
 
-__all__ = ["evaluate_atomic", "index_path", "scope_admits"]
+__all__ = [
+    "evaluate_atomic", "index_path", "scope_admits", "clip_window", "clip_windows", "Window",
+]
+
+#: A ``(root dn, max_depth)`` read window: the arguments of one
+#: ``scan_subtree`` call (``None`` = the whole subtree).
+Window = Tuple[DN, Optional[int]]
 
 
 def scope_admits(base: DN, scope: str, dn: DN) -> bool:
@@ -54,21 +71,74 @@ def evaluate_atomic(
     store: DirectoryStore,
     query: AtomicQuery,
     use_indices: bool = True,
+    within: Optional[Sequence[Window]] = None,
 ) -> Run:
-    """Evaluate one atomic query; returns a sorted run of entries."""
+    """Evaluate one atomic query; returns a sorted run of entries.
+
+    With ``within`` the answer is restricted to those windows and read
+    through them alone (``use_indices`` does not apply)."""
     writer = RunWriter(store.pager)
-    if use_indices:
+    if within is None and use_indices:
         path = index_path(store, query.filter)
         if path is not None:
             for entry in store.fetch_positions(path[1]):
                 if scope_admits(query.base, query.scope, entry.dn) and query.filter.matches(entry, store.schema):
                     writer.append(entry)
             return writer.close()
+    if within is None:
+        entries = store.scan_subtree(query.base, Scope.MAX_DEPTH[query.scope])
+    else:
+        entries = _window_scan(store, clip_windows(query, within))
     matches, schema, append = query.filter.matches, store.schema, writer.append
-    for entry in store.scan_subtree(query.base, Scope.MAX_DEPTH[query.scope]):
+    for entry in entries:
         if matches(entry, schema):
             append(entry)
     return writer.close()
+
+
+def clip_window(query: AtomicQuery, root: DN, depth: Optional[int]) -> Optional[Window]:
+    """The part of window ``(root, depth)`` inside ``query``'s scope, as a
+    window, or None when they share no dn.  A root inside the scope keeps
+    its place and loses the levels the scope does not reach; a root above
+    the base becomes the base, with the levels it spends reaching down to
+    it taken off."""
+    base, reach = query.base, Scope.MAX_DEPTH[query.scope]
+    if base.is_prefix_of(root):
+        below = root.depth() - base.depth()
+    elif root.is_ancestor_of(base):
+        below = 0
+        if depth is not None:
+            depth -= base.depth() - root.depth()
+            if depth < 0:
+                return None
+        root = base
+    else:
+        return None
+    if reach is not None:
+        if below > reach:
+            return None
+        depth = reach - below if depth is None else min(depth, reach - below)
+    return root, depth
+
+
+def clip_windows(query: AtomicQuery, windows: Iterable[Window]) -> List[Window]:
+    """:func:`clip_window` over ``windows``, dropping the empty ones and
+    repeats (first occurrence kept, order otherwise unchanged)."""
+    clipped = (clip_window(query, root, depth) for root, depth in windows)
+    return list(dict.fromkeys(window for window in clipped if window is not None))
+
+
+def _window_scan(store: DirectoryStore, windows: Sequence[Window]) -> Iterator[Entry]:
+    """Every entry of ``windows`` once, in key order: the window scans,
+    merged (windows may overlap -- a ``(e, 1)`` window and one of its
+    child's)."""
+    scans = [store.scan_subtree(root, depth) for root, depth in windows]
+    last = None
+    for entry in heapq.merge(*scans, key=lambda entry: entry.dn.key()):
+        key = entry.dn.key()
+        if key != last:
+            last = key
+            yield entry
 
 
 def index_path(

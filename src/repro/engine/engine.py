@@ -10,13 +10,14 @@ one pager, so a query's I/O cost is directly observable as the pager-stats
 delta around :meth:`QueryEngine.run`.
 
 There is one engine; what varies is injected, not subclassed.  A **leaf
-provider** (``AtomicQuery -> Run``) says where an atomic leaf is answered
--- the local access path by default, the federation's scatter/gather at
-a coordinator (Section 8.3 ships atomic sub-queries and evaluates
-everything above them at the queried server).  An optional **planner**
-(:class:`~repro.engine.optimizer.AccessPlanner`) rewrites and cost-orders
-the query first; without one this is the paper-literal evaluator (both
-operands of every boolean node evaluated -- the experiments' exact page
+provider** (``(AtomicQuery, within=None) -> Run``) says where an atomic
+leaf is answered -- the local access path by default, the federation's
+scatter/gather at a coordinator (Section 8.3 ships atomic sub-queries and
+evaluates everything above them at the queried server).  An optional
+**planner** (:class:`~repro.engine.optimizer.AccessPlanner`) rewrites and
+cost-orders the query first, and lets a node's first operands bound the
+rest; without one this is the paper-literal evaluator (every operand of
+every node evaluated over its whole range -- the experiments' exact page
 counts depend on it).
 
 The engine's answer is the whole sorted result.  Size limits, paged
@@ -114,15 +115,25 @@ class QueryEngine:
     ):
         self.store = store
         self.pager = store.pager
-        #: The leaf provider: a callable ``AtomicQuery -> Run`` answering
-        #: every atomic leaf on this engine's pager.  None means the local
-        #: access path, :meth:`atomic_run`.
+        #: The leaf provider: a callable ``(AtomicQuery, within=None) ->
+        #: Run`` answering every atomic leaf on this engine's pager.
+        #: ``within``, when not None, is a list of ``(root dn, max_depth)``
+        #: windows outside which the caller needs nothing; a provider may
+        #: ignore it (any answer between the leaf restricted to the windows
+        #: and the whole leaf is correct).  None means the local access
+        #: path, :meth:`atomic_run`.
         self.leaves = leaves
         #: The optional plan step, an
         #: :class:`~repro.engine.optimizer.AccessPlanner` over ``store``:
         #: :meth:`plan` applies its rewrites and operand order, leaves
-        #: follow its scan-vs-index choice, ``&``/``-`` stop at an empty
-        #: first operand and every run records its Q-error.
+        #: follow its scan-vs-index choice, and every run records its
+        #: Q-error.  On the sequential path an empty operand that decides
+        #: its node ends it -- the first of ``&``, ``-`` and of every
+        #: selection, the second of a selection without an aggregate
+        #: filter -- and a hierarchical selection's atomic witness and
+        #: blocker operands are read over windows derived from its first
+        #: operand when the planner finds that cheaper
+        #: (:meth:`~repro.engine.optimizer.AccessPlanner.witness_windows`).
         self.planner = planner
         #: The rules the most recent :meth:`plan` applied.
         self.last_rewrites: List[str] = []
@@ -130,8 +141,8 @@ class QueryEngine:
         #: vs actual result size); None before the first, and without a
         #: planner.
         self.last_qerror: Optional[float] = None
-        #: Boolean nodes whose second operand was skipped because the
-        #: first came back empty.
+        #: Nodes decided by an empty operand: the operands after it and
+        #: the node's own operator were skipped.
         self.short_circuits = 0
         #: Optional :class:`~repro.obs.heatmap.SubtreeHeatMap`; when set,
         #: every atomic leaf records one read (plus its logical page cost)
@@ -257,32 +268,38 @@ class QueryEngine:
 
     # -- recursive evaluation ---------------------------------------------
 
-    def atomic_run(self, query: AtomicQuery) -> Run:
+    def atomic_run(self, query: AtomicQuery, within=None) -> Run:
         """The local access path, and the default leaf provider: the
         scoped clustered scan or -- when ``use_indices`` allows it and,
         with a planner, its cost estimate prefers it -- a secondary
-        index."""
+        index; over ``within``'s windows alone when the planner bounded
+        the leaf."""
         use_index = self.use_indices
-        if use_index and self.planner is not None:
+        if use_index and self.planner is not None and within is None:
             use_index = self.planner.plan_leaf(query)[0]
-        return evaluate_atomic(self.store, query, use_index)
+        return evaluate_atomic(self.store, query, use_index, within)
 
-    def evaluate_to_run(self, query: Query) -> Run:
-        """Evaluate ``query`` to a sorted run (caller frees it).
+    def evaluate_to_run(self, query: Query, within=None) -> Run:
+        """Evaluate ``query`` to a sorted run (caller frees it); an atomic
+        ``query`` may be bounded to ``within``'s windows.
 
         With a live tracer, every query-tree node gets one span (named
         ``op:...``) recording its result size and -- via the ``io`` probe
         -- the page transfers it caused, children included; the span tree
-        mirrors the query tree exactly, which is what EXPLAIN
-        ``--analyze`` walks for per-operator actuals."""
+        mirrors the query tree exactly (minus operands a decided node
+        skipped), which is what EXPLAIN ``--analyze`` walks for
+        per-operator actuals.  A bounded leaf's span carries ``windows``,
+        the number of window roots it was read over."""
         if not self.tracer.enabled:
-            result = self._evaluate_node(query)
+            result = self._evaluate_node(query, within)
             if result.eval_errors:
                 self._eval_error_counts.append(result.eval_errors)
             self._charge(result)
             return result
         with self.tracer.span(_span_name(query)) as span:
-            result = self._evaluate_node(query)
+            if within is not None:
+                span.set(windows=len(within))
+            result = self._evaluate_node(query, within)
             span.set(rows=len(result))
             if result.eval_errors:
                 self._eval_error_counts.append(result.eval_errors)
@@ -305,29 +322,43 @@ class QueryEngine:
             result.free()
             raise
 
-    def _evaluate_operands(self, children, decisive_first=False) -> List[Run]:
-        """Evaluate independent sibling subtrees, in parallel when the
-        engine has a concurrent pool (the caller's merge is the barrier).
-        Results come back in child order; on any failure every sibling's
-        run is freed before the first error re-raises.
+    def _evaluate_operands(self, query: Query, children) -> Optional[List[Run]]:
+        """Evaluate the independent operand subtrees of ``query``, in
+        parallel when the engine has a concurrent pool (the caller's
+        operator is the barrier).  Results come back in child order; on
+        any failure every sibling's run is freed before the first error
+        re-raises.
 
-        With ``decisive_first`` an empty first operand ends the sequential
-        path early -- the caller gets that one run back.  A concurrent
-        pool evaluates all operands at once, where skipping would
-        serialise them (results are bit-identical either way)."""
+        With a planner the sequential path also uses what the first
+        operands returned: an empty operand that decides ``query``
+        (:func:`_decides_when_empty`) ends the evaluation -- None comes
+        back, the runs freed -- and once a hierarchical selection's first
+        operand is in, its atomic witness and blocker operands are read
+        over the planner's windows when that is cheaper.  A concurrent
+        pool evaluates all operands at once, where waiting for the first
+        would serialise them (results are bit-identical either way)."""
         pool = self.pool
         if pool is None or not pool.parallel or len(children) <= 1:
-            sequential: List[Run] = []
+            planner = self.planner
+            runs: List[Run] = []
+            bounds = None
             try:
-                for child in children:
-                    sequential.append(self.evaluate_to_run(child))
-                    if decisive_first and len(sequential[0]) == 0:
-                        break
+                for index, child in enumerate(children):
+                    within = bounds[index - 1] if bounds else None
+                    runs.append(self.evaluate_to_run(child, within))
+                    if planner is None:
+                        continue
+                    if len(runs[-1]) == 0 and _decides_when_empty(query, index):
+                        for run in runs:
+                            run.free()
+                        return None
+                    if index == 0 and isinstance(query, HierarchySelect):
+                        bounds = planner.witness_windows(query, runs[0])
             except BaseException:
-                for run in sequential:
+                for run in runs:
                     run.free()
                 raise
-            return sequential
+            return runs
         context = self.tracer.context()
 
         def evaluate(child):
@@ -352,14 +383,14 @@ class QueryEngine:
             raise first_error
         return runs
 
-    def _evaluate_node(self, query: Query) -> Run:
+    def _evaluate_node(self, query: Query, within=None) -> Run:
         if isinstance(query, AtomicQuery):
             leaves = self.leaves if self.leaves is not None else self.atomic_run
             heatmap = self.heatmap
             if heatmap is None:
-                return leaves(query)
+                return leaves(query, within)
             before = self.pager.stats.snapshot()
-            result = leaves(query)
+            result = leaves(query, within)
             heatmap.record_read(
                 query.base, pages=self.pager.stats.since(before).logical_total
             )
@@ -367,14 +398,10 @@ class QueryEngine:
 
         children = query.children() if isinstance(query, Query) else ()
         op = _BOOLEAN_OPS.get(type(query))
-        # A planned & or - stops at an empty first operand: it decides the
-        # node, so the second is never evaluated.
-        runs = self._evaluate_operands(
-            children, op in ("and", "diff") and self.planner is not None
-        )
-        if len(runs) < len(children):
+        runs = self._evaluate_operands(query, children)
+        if runs is None:
             self.short_circuits += 1
-            return runs[0]
+            return Run(self.pager, (), 0)
         try:
             if op is not None:
                 return boolean_merge(self.pager, op, *runs)
@@ -401,6 +428,22 @@ class QueryEngine:
 
     def __repr__(self) -> str:
         return "QueryEngine(%r)" % self.store
+
+
+def _decides_when_empty(query: Query, index: int) -> bool:
+    """Does an empty operand ``index`` make ``query``'s result empty?
+
+    The result of ``&``, ``-`` and of every selection is a subset of its
+    first operand.  A selection without an aggregate filter also needs a
+    witness from its second; with one, ``count($2) = 0`` holds on an empty
+    witness set, so the second operand decides nothing."""
+    if index == 0:
+        return isinstance(query, (And, Diff, HierarchySelect, EmbeddedRef))
+    return (
+        index == 1
+        and isinstance(query, (HierarchySelect, EmbeddedRef))
+        and query.agg is None
+    )
 
 
 def _span_name(query: Query) -> str:

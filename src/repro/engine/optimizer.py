@@ -45,7 +45,10 @@ Four pieces, all grounded in the paper:
    leaf, compare the estimated cost of the clustered subtree scan against
    the secondary index :func:`~repro.engine.atomic.index_path` offers for
    the filter, if any, using the
-   :class:`~repro.engine.stats.CardinalityEstimator`.
+   :class:`~repro.engine.stats.CardinalityEstimator`; at run time, a
+   hierarchical selection's witness leaves may instead be read over
+   windows around its first operand's entries
+   (:meth:`AccessPlanner.witness_windows`) when those cost fewer pages.
 
 4. **EXPLAIN and the Q-error loop** (:func:`explain`): a physical-plan
    rendering with estimated cardinalities and chosen access paths; with
@@ -59,18 +62,20 @@ Four pieces, all grounded in the paper:
 There is one engine, :class:`~repro.engine.engine.QueryEngine`; the
 :class:`AccessPlanner` is its optional plan step.  Given one, the engine
 applies :meth:`AccessPlanner.plan` (rewrites + cost-based ordering) once
-per query, follows the planner's per-leaf decisions, short-circuits
-``&``/``-`` on an empty first operand and reports the run-level Q-error
-of every query it executes; EXPLAIN and ``repro plan`` render the same
-``plan()``.  :class:`PlannedEngine` is only a constructor: a
+per query, follows the planner's per-leaf decisions, stops a node at an
+empty operand that decides it, reads a hierarchical selection's witness
+leaves over the windows :meth:`AccessPlanner.witness_windows` derives
+from its first operand, and reports the run-level Q-error of every query
+it executes; EXPLAIN and ``repro plan`` render the same ``plan()``.  :class:`PlannedEngine` is only a constructor: a
 ``QueryEngine`` whose planner is built from ``stats=`` / ``metrics=``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..filters.ast import Comparison, Equality, MatchAll, Presence, Substring
+from ..model.dn import DN
 from ..model.schema import OBJECT_CLASS
 
 from ..query.ast import (
@@ -84,11 +89,13 @@ from ..query.ast import (
     Scope,
     SimpleAggSelect,
 )
+from ..storage.runs import Run
 from ..storage.store import DirectoryStore
 from .atomic import evaluate_atomic  # noqa: F401 -- only bench/shims.py rebinds it here
-from .atomic import index_path
+from .atomic import Window, clip_window, index_path
 from .engine import QueryEngine
 from .merge import boolean_merge  # noqa: F401 -- only bench/shims.py rebinds it here
+from .stackjoin import ABOVE_OPS
 from .stats import CardinalityEstimator
 
 __all__ = [
@@ -476,6 +483,36 @@ def reorder_operands(
 # ---------------------------------------------------------------------------
 
 
+def _window_roots(op: str, first: Run) -> Iterator[Window]:
+    """Where ``op``'s witnesses (and ``ac``/``dc`` blockers) of the
+    entries of ``first`` can be, as distinct read windows, streamed as
+    ``first`` is read: the subtree of each maximal entry for ``d``/``dc``,
+    each entry and its children for ``c``, each parent for ``p``, and
+    each proper ancestor for ``a``/``ac``."""
+    if op in ("d", "dc"):
+        last: Optional[DN] = None
+        for entry in first:
+            if last is None or not last.is_ancestor_of(entry.dn):
+                last = entry.dn
+                yield last, None
+        return
+    if op == "c":
+        for entry in first:
+            yield entry.dn, 1
+        return
+    seen = set()
+    for entry in first:
+        # Nearest first; ``seen`` is closed upwards, so the first repeat
+        # ends the chain.
+        for point in entry.dn.ancestors():
+            if point in seen:
+                break
+            seen.add(point)
+            yield point, 0
+            if op == "p":
+                break
+
+
 class AccessPlanner:
     """The engine's plan step: rewrites and orders a query once
     (:meth:`plan`), chooses scan vs index per atomic leaf, cost-estimated
@@ -508,30 +545,30 @@ class AccessPlanner:
             self._m_qerror.observe(factor)
         return factor
 
-    def _scan_pages(self, query: AtomicQuery) -> int:
-        """Estimated pages the scoped clustered scan reads: the subtree's
-        page range for ``sub``, one page for ``base``, and for ``one`` a
-        page per estimated child (the scan seeks past each child's
-        subtree) but never more than the range."""
-        if query.scope == Scope.BASE:
+    def _scan_pages(self, base: DN, max_depth: Optional[int]) -> int:
+        """Estimated pages ``scan_subtree(base, max_depth)`` reads: the
+        subtree's page range when unbounded, one page for the base alone,
+        and one level down a page per estimated child (the scan seeks past
+        each child's subtree) but never more than the range."""
+        if max_depth == 0:
             return 1
-        start, end = self.store.page_range_for_subtree(query.base)
+        start, end = self.store.page_range_for_subtree(base)
         pages = max(end - start, 1)
-        if query.scope == Scope.ONE:
-            pages = min(pages, self.estimator.scope_size(query.base, Scope.ONE))
+        if max_depth == 1:
+            pages = min(pages, self.estimator.scope_size(base, Scope.ONE))
         return pages
 
-    def plan_leaf(self, query: AtomicQuery) -> Tuple[bool, str, float]:
-        """Returns (use_index, access-path label, estimated result size)."""
-        page_size = self.store.pager.page_size
-        estimated = self.estimator.atomic_cardinality(query)
-        scan_pages = self._scan_pages(query)
+    def _access_path(self, query: AtomicQuery) -> Tuple[bool, str, float]:
+        """(use_index, access-path label, estimated pages) of the cheaper
+        of the scoped scan and the index :func:`index_path` offers."""
+        scan_pages = self._scan_pages(query.base, Scope.MAX_DEPTH[query.scope])
         path = index_path(self.store, query.filter)
         if path is None:
-            return False, "scan[%d pages]" % scan_pages, estimated
+            return False, "scan[%d pages]" % scan_pages, scan_pages
         # Index cost: read matching postings (selectivity * index pages for
         # wildcards/presence; t/B for equality and ranges) + fetch ~t data
         # pages (unclustered).
+        page_size = self.store.pager.page_size
         selectivity = self.estimator.filter_selectivity(query.filter)
         matches = selectivity * self.estimator.stats.total_entries
         if isinstance(query.filter, (Substring, Presence)):
@@ -540,8 +577,58 @@ class AccessPlanner:
             index_pages = max(matches / page_size, 1)
         index_cost = index_pages + matches  # one data-page fault per match
         if index_cost < scan_pages:
-            return True, "%s[~%d matches]" % (path[0], int(matches)), estimated
-        return False, "scan[%d pages]" % scan_pages, estimated
+            return True, "%s[~%d matches]" % (path[0], int(matches)), index_cost
+        return False, "scan[%d pages]" % scan_pages, scan_pages
+
+    def plan_leaf(self, query: AtomicQuery) -> Tuple[bool, str, float]:
+        """Returns (use_index, access-path label, estimated result size)."""
+        use_index, label, _pages = self._access_path(query)
+        return use_index, label, self.estimator.atomic_cardinality(query)
+
+    def witness_windows(
+        self, query: HierarchySelect, first: Run
+    ) -> List[Optional[List[Window]]]:
+        """Sideways bounds for a selection whose first operand has been
+        materialised as ``first``: for each later operand, the windows to
+        read it over (:func:`~repro.engine.atomic.clip_window` already
+        applied), or None to read it whole.
+
+        Only the entries of ``first`` are selected, so a witness or
+        blocker matters only where it can relate to one of them
+        (:func:`_window_roots`).  An atomic operand is bounded when
+        reading ``first`` back plus its windows' estimated pages costs
+        less than its own access path.  ``first`` is read back only while
+        that can still hold for some operand: no further than the
+        window that tips the last one over."""
+        operands = query.children()[1:]
+        read_back = first.page_count
+        # The windows of c/d/dc hold every entry of ``first``, so they
+        # cost at least as many pages as reading it back.
+        least = 2 * read_back if query.op in ABOVE_OPS else read_back
+        # Window pages each operand may still spend and stay cheaper.
+        allowance = []
+        for operand in operands:
+            cost = self._access_path(operand)[2] if isinstance(operand, AtomicQuery) else 0
+            allowance.append(cost - read_back if cost > least else 0)
+        bounds: List[Optional[List[Window]]] = [
+            [] if pages > 0 else None for pages in allowance
+        ]
+        live = [i for i, windows in enumerate(bounds) if windows is not None]
+        roots = _window_roots(query.op, first) if live else ()
+        for root, depth in roots:
+            for i in live:
+                window = clip_window(operands[i], root, depth)
+                if window is None:
+                    continue
+                allowance[i] -= self._scan_pages(*window)
+                if allowance[i] > 0:
+                    bounds[i].append(window)
+                else:
+                    bounds[i] = None
+            live = [i for i in live if bounds[i] is not None]
+            if not live:
+                break
+        return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +773,10 @@ def explain(
     -- so the per-operator actuals sum to the pager's global delta for
     the run, and every per-operator Q-error is observed into the
     ``repro_planner_qerror`` histogram (``metrics`` overrides the
-    process-wide registry)."""
+    process-wide registry).  An operand the engine skipped because an
+    empty operand decided its node has no actuals and says so
+    (``skipped: decided by empty first operand``); a leaf read over
+    windows is labelled ``via window[k roots]``."""
     from ..obs.trace import Tracer
 
     planner = planner or AccessPlanner(store)
@@ -706,8 +796,18 @@ def explain(
             build(child, child_spans[i] if i < len(child_spans) else None)
             for i, child in enumerate(node.children())
         ]
+        if span is not None and len(child_spans) < len(children):
+            # The engine stopped at an empty operand that decided the node.
+            decider = ("first", "second")[len(child_spans) - 1]
+            for skipped in children[len(child_spans):]:
+                skipped.label += "  skipped: decided by empty %s operand" % decider
+        # A leaf read over windows returns only part of what its estimate
+        # is for: it gets no Q-error.
+        windowed = span is not None and "windows" in span.attrs
         if isinstance(node, AtomicQuery):
             _use_index, label, node_estimate = planner.plan_leaf(node)
+            if windowed:
+                label = "window[%d roots]" % span.attrs["windows"]
             text = "atomic %s via %s" % (node, label)
         else:
             node_estimate = estimate_cardinality(node, planner.estimator)
@@ -730,7 +830,7 @@ def explain(
             eval_errors = span.attrs.get("eval_errors", 0)
         node_qerror = None
         hints: Tuple[str, ...] = ()
-        if actual is not None:
+        if actual is not None and not windowed:
             node_qerror = qerror(node_estimate, actual)
             hints = tuple(route_hints(node, node_estimate, actual))
         return ExplainNode(

@@ -9,7 +9,7 @@ import pytest
 
 from repro.engine import QueryEngine
 from repro.engine.eragg import embedded_ref_select
-from repro.engine.optimizer import explain
+from repro.engine.optimizer import PlannedEngine, explain
 from repro.filters.ast import Equality
 from repro.model.dn import DN
 from repro.model.entry import Entry
@@ -97,6 +97,17 @@ class TestQueryResultSurface:
         result = engine.run(ER_QUERY)
         assert result.eval_errors == 1
         assert [str(e.dn) for e in result] == ["cn=good, dc=com"]
+
+    def test_a_decided_node_counts_its_operand_once(self, ref_instance):
+        # The vd comes back empty with one skipped reference and decides
+        # the &: the count is the operand's, not the operand's twice.
+        query = "(& (vd ( ? sub ? cn=bad) ( ? sub ? cn=target) ref) ( ? sub ? cn=*))"
+        store = DirectoryStore.from_instance(ref_instance, page_size=8)
+        planned = PlannedEngine(store)
+        result = planned.run(query)
+        assert planned.short_circuits == 1
+        assert result.dns() == [] and result.eval_errors == 1
+        assert QueryEngine(store).run(query).eval_errors == 1
 
     def test_explain_analyze_shows_eval_errors(self, ref_instance):
         store = DirectoryStore.from_instance(

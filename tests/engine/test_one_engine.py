@@ -7,7 +7,8 @@ subclassed.  Three guards:
   than a constructor, and the constructor takes no read controls;
 - differential -- an explicitly injected local access path is
   bit-identical to the default one, planned and plan-less, sequential
-  and under a worker pool;
+  and under a worker pool, and on leaves the planner reads over windows
+  (the provider contract is ``leaves(query, within=None)``);
 - federation -- the coordinator runs the same engine: a one-server
   federation reads the centralised engine's page counts, and a provider
   that fails mid-tree leaks neither pages nor spans.
@@ -32,6 +33,7 @@ from repro.obs.trace import Tracer
 from repro.workload import RandomQueries, random_instance
 
 from .test_planner_differential import QUERIES_PER_SEED, make_store
+from .test_sideways import selections
 
 
 # -- (a) structural ----------------------------------------------------------
@@ -77,10 +79,12 @@ def test_no_subclass_overrides_evaluation():
 def test_the_engine_takes_no_read_controls():
     """A default budget, size limits, paging and access control are the
     service's; the constructor names only what shapes an evaluation."""
-    assert list(inspect.signature(QueryEngine.__init__).parameters) == [
+    parameters = list(inspect.signature(QueryEngine.__init__).parameters)
+    assert parameters == [
         "self", "store", "use_indices", "tracer", "pool", "log", "heatmap",
         "leaves", "planner",
     ]
+    assert len(parameters) - 1 == 8
     assert not hasattr(QueryEngine, "open")
 
 
@@ -98,7 +102,9 @@ def _arms(seed, planned, pool=None):
             QueryEngine(
                 injected_store,
                 pool=pool,
-                leaves=lambda q: evaluate_atomic(injected_store, q, True),
+                leaves=lambda q, within=None: evaluate_atomic(
+                    injected_store, q, True, within
+                ),
             ),
         )
     planner = AccessPlanner(injected_store)
@@ -108,8 +114,8 @@ def _arms(seed, planned, pool=None):
             injected_store,
             pool=pool,
             planner=planner,
-            leaves=lambda q: evaluate_atomic(
-                injected_store, q, planner.plan_leaf(q)[0]
+            leaves=lambda q, within=None: evaluate_atomic(
+                injected_store, q, within is None and planner.plan_leaf(q)[0], within
             ),
         ),
     )
@@ -133,6 +139,29 @@ def test_injected_local_provider_is_bit_identical(seed, planned):
         assert got.io.as_dict() == want.io.as_dict(), str(query)
         assert default.pager.live_pages == injected.pager.live_pages == live
     assert injected.short_circuits == default.short_circuits
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_injected_local_provider_is_bit_identical_on_bounded_leaves(seed):
+    """Selections whose witness leaves the planner reads over windows:
+    the injected provider gets the same ``within`` and reads the same
+    pages."""
+    default, injected = _arms(seed, planned=True)
+    provider, bounded = injected.leaves, []
+
+    def recording(query, within=None):
+        bounded.append(within is not None)
+        return provider(query, within)
+
+    injected.leaves = recording
+    live = default.pager.live_pages
+    for query in selections(make_store(seed)[0]):
+        want, got = default.run(query), injected.run(query)
+        assert got.dns() == want.dns(), str(query)
+        assert got.io.as_dict() == want.io.as_dict(), str(query)
+        assert default.pager.live_pages == injected.pager.live_pages == live
+    assert any(bounded)
+    assert injected.short_circuits == default.short_circuits > 0
 
 
 @pytest.mark.parametrize("planned", [False, True], ids=["plan-less", "planned"])
@@ -182,11 +211,11 @@ def test_failing_provider_leaks_no_pages_and_no_spans():
     _instance, store = make_store(3)
     calls = []
 
-    def flaky(query):
+    def flaky(query, within=None):
         calls.append(query)
         if len(calls) == 3:
             raise RuntimeError("owner unreachable")
-        return evaluate_atomic(store, query, True)
+        return evaluate_atomic(store, query, True, within)
 
     tracer = Tracer()
     engine = QueryEngine(store, tracer=tracer, leaves=flaky)
