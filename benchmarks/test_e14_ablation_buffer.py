@@ -5,6 +5,7 @@ Expected shape: logical I/O scales ~1/B (bigger pages, fewer transfers);
 physical I/O approaches the logical cost as the pool shrinks but
 correctness and the linear trend are unaffected."""
 
+from repro.engine.common import labeled_merge
 from repro.engine.hsagg import hierarchical_select
 from repro.storage.pager import Pager
 from repro.storage.runs import run_from_iterable
@@ -20,7 +21,7 @@ def _cost(page_size, buffer_pages):
     first = run_from_iterable(pager, subsets[0])
     second = run_from_iterable(pager, subsets[1])
     result, logical, physical = measure_io(
-        pager, lambda: hierarchical_select(pager, "d", first, second)
+        pager, lambda: hierarchical_select(pager, "d", labeled_merge([first, second]))
     )
     return len(result), logical, physical
 

@@ -6,6 +6,7 @@ star (the stack never exceeds depth 2) and a bushy balanced tree must all
 cost the same I/O per entry, within constants.
 """
 
+from repro.engine.common import labeled_merge
 from repro.engine.hsagg import hierarchical_select
 from repro.model.dn import ROOT_DN
 from repro.model.instance import DirectoryInstance
@@ -55,7 +56,7 @@ def _cost(instance):
     second = run_from_iterable(pager, betas)
     pager.flush()
     before = pager.stats.snapshot()
-    result = hierarchical_select(pager, "a", first, second)
+    result = hierarchical_select(pager, "a", labeled_merge([first, second]))
     delta = pager.stats.since(before)
     return len(result), delta.logical_reads + delta.logical_writes
 

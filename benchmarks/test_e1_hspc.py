@@ -5,6 +5,7 @@ Expected shape: doubling |L1|+|L2| doubles the stack algorithm's page
 accesses, quadruples the naive baseline's, and the gap widens with size.
 """
 
+from repro.engine.common import labeled_merge
 from repro.engine.hsagg import hierarchical_select
 from repro.engine.naive import naive_hierarchical_select
 
@@ -27,7 +28,7 @@ def _stack_cost(op, size):
     pager = fresh_pager()
     first, second = as_runs(pager, subsets)
     _result, logical, physical = measure_io(
-        pager, lambda: hierarchical_select(pager, op, first, second)
+        pager, lambda: hierarchical_select(pager, op, labeled_merge([first, second]))
     )
     return logical, physical
 

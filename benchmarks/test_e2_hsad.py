@@ -2,6 +2,7 @@
 linear I/O, independent of witness multiplicity (an entry can have many
 ancestors, unlike parents)."""
 
+from repro.engine.common import labeled_merge
 from repro.engine.hsagg import hierarchical_select
 
 from ._util import (
@@ -21,7 +22,7 @@ def _cost(op, size, seed=2):
     pager = fresh_pager()
     first, second = as_runs(pager, subsets)
     result, logical, physical = measure_io(
-        pager, lambda: hierarchical_select(pager, op, first, second)
+        pager, lambda: hierarchical_select(pager, op, labeled_merge([first, second]))
     )
     return len(result), logical, physical
 

@@ -1,6 +1,7 @@
 """E3 (Theorem 5.1 / Figure 5): the path-constrained ComputeHSADc runs in
 I/O linear in |L1| + |L2| + |L3|."""
 
+from repro.engine.common import labeled_merge
 from repro.engine.hsagg import hierarchical_select
 
 from ._util import (
@@ -20,7 +21,7 @@ def _cost(op, size, seed=3):
     pager = fresh_pager()
     first, second, third = as_runs(pager, subsets)
     result, logical, physical = measure_io(
-        pager, lambda: hierarchical_select(pager, op, first, second, third)
+        pager, lambda: hierarchical_select(pager, op, labeled_merge([first, second, third]))
     )
     return len(result), logical, physical
 

@@ -2,6 +2,7 @@
 for every hierarchical operator and several aggregate filters, including
 the global-maximum filter of Figure 6 (count($2)=max(count($2)))."""
 
+from repro.engine.common import labeled_merge
 from repro.engine.hsagg import hierarchical_select
 from repro.query.parser import parse_aggsel
 
@@ -28,10 +29,9 @@ def _cost(op, agg_filter, size):
     _instance, subsets = operand_lists(seed=5, size=size, lists=lists)
     pager = fresh_pager()
     runs = as_runs(pager, subsets)
-    third = runs[2] if lists == 3 else None
     result, logical, _physical = measure_io(
         pager,
-        lambda: hierarchical_select(pager, op, runs[0], runs[1], third, agg_filter),
+        lambda: hierarchical_select(pager, op, labeled_merge(runs), agg_filter),
     )
     return len(result), logical
 

@@ -30,6 +30,11 @@ a window the scope excludes costs no I/O, and the scans are merged in key
 order without duplicates.  The answer is the leaf restricted to the
 windows.
 
+The atomic operands of one hierarchical selection may also be read
+together (:func:`shared_scan`): one scan at the widest of their scopes,
+each entry labelled with the operands it answers, fed straight to the
+stack pass.
+
 ``store`` is anything with the store's read interface: a
 :class:`~repro.storage.store.DirectoryStore`, or a pinned
 :class:`~repro.storage.maintenance.StoreView`, whose ``scan_subtree`` and
@@ -48,9 +53,11 @@ from ..model.entry import Entry
 from ..query.ast import AtomicQuery, Scope
 from ..storage.runs import Run, RunWriter
 from ..storage.store import DirectoryStore
+from .common import labels_by_mask
 
 __all__ = [
-    "evaluate_atomic", "index_path", "scope_admits", "clip_window", "clip_windows", "Window",
+    "evaluate_atomic", "index_path", "scope_admits", "shared_scan", "clip_window",
+    "clip_windows", "Window",
 ]
 
 #: A ``(root dn, max_depth)`` read window: the arguments of one
@@ -94,6 +101,40 @@ def evaluate_atomic(
         if matches(entry, schema):
             append(entry)
     return writer.close()
+
+
+def shared_scan(
+    store: DirectoryStore, leaves: Sequence[AtomicQuery]
+) -> Iterator[Tuple[Entry, frozenset]]:
+    """The operands of a node whose atomic ``leaves`` share one base, read
+    by one clustered scan at the widest of their scopes: each entry is
+    tested against each leaf's depth limit and filter, and yielded with
+    the 1-based indices of the leaves it answers -- the stream
+    :func:`~repro.engine.common.labeled_merge` makes of the leaves' runs,
+    with no run written or read back."""
+    base = leaves[0].base
+    reaches = [Scope.MAX_DEPTH[leaf.scope] for leaf in leaves]
+    widest = None if None in reaches else max(reaches)
+    labels = labels_by_mask(len(leaves))
+    schema = store.schema
+    # (bit, filter, deepest key length) per leaf; None where the scan's
+    # own depth bound is the leaf's.
+    tests = [
+        (1 << index, leaf.filter.matches,
+         None if reach == widest else len(base.key()) + reach)
+        for index, (leaf, reach) in enumerate(zip(leaves, reaches))
+    ]
+    bounded = any(deepest is not None for _bit, _matches, deepest in tests)
+    depth = 0
+    for entry in store.scan_subtree(base, widest):
+        if bounded:
+            depth = len(entry.dn.key())
+        mask = 0
+        for bit, matches, deepest in tests:
+            if (deepest is None or depth <= deepest) and matches(entry, schema):
+                mask |= bit
+        if mask:
+            yield entry, labels[mask]
 
 
 def clip_window(query: AtomicQuery, root: DN, depth: Optional[int]) -> Optional[Window]:

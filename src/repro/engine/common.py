@@ -7,19 +7,20 @@ Two pieces every algorithm in Figures 2--6 needs:
   lists it belongs to (``label(rl) = {i | rl in Li}``).
 
 - :class:`SpillList` -- an ordered list of records that supports appends
-  and O(1) concatenation, spilling full pages to the device.  The stack
-  algorithms resolve an entry's witness counts only when it is *popped*
-  (post-order), while their output must be in sorted (pre-order) dn order;
-  each stack frame therefore carries a SpillList of already-resolved
-  entries from its subtree, lists are concatenated parent-ward on pop, and
-  the bottom-most pop flushes in sorted order.  Every record is written to
-  at most one page and read back once, so the extra I/O is
-  ``O(output / B)`` plus at most one partial page per pop -- linear, as
-  Theorem 5.1 requires (see DESIGN.md for the discussion).
+  and O(1) concatenation, spilling full pages to the device.  The
+  descendant-directed stack operators resolve an entry's witness counts
+  only when it is *popped* (post-order), while their output must be in
+  sorted (pre-order) dn order; a stack frame whose subtree holds an
+  already-selected entry therefore carries a SpillList of them, lists are
+  concatenated parent-ward on pop, and they reach the output once no
+  stacked ancestor is still undecided.  Every record is written to at
+  most one page and read back once, so the extra I/O is ``O(output / B)``
+  plus at most one partial page per pop -- linear, as Theorem 5.1
+  requires (see DESIGN.md for the discussion).
 
-The per-frame witness-aggregate states (:class:`repro.query.aggregates.AggState`)
-generalise the paper's ``above``/``below`` counters to any distributive or
-algebraic aggregate, exactly as Section 6.4 prescribes.
+:class:`WitnessFold` generalises the paper's ``above``/``below`` counters
+to any distributive or algebraic aggregate, as Section 6.4 prescribes,
+and keeps them values: an int for ``count($2)``, tuples otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..model.entry import Entry
-from ..query.aggregates import AggState, EntryAggregate
+from ..query.aggregates import AGG_EMPTY, EntryAggregate, agg_add, agg_merge, agg_result
 from ..storage.pager import Pager
 from ..storage.runs import Run, RunWriter
 
@@ -35,13 +36,23 @@ __all__ = [
     "labeled_merge",
     "SpillList",
     "Annotated",
-    "resolve_terms",
+    "WITNESS_COUNT",
+    "WitnessFold",
     "witness_terms_of",
 ]
 
 #: An annotated record: the entry plus the resolved values of each
 #: witness-aggregate term, in term order.
 Annotated = Tuple[Entry, Tuple[Optional[float], ...]]
+
+
+def labels_by_mask(operands: int) -> List[frozenset]:
+    """Every label ``operands`` inputs can hand out, indexed by membership
+    bitmask (bit ``i`` set: the entry is in input ``i + 1``)."""
+    return [
+        frozenset(index + 1 for index in range(operands) if mask >> index & 1)
+        for mask in range(1 << operands)
+    ]
 
 
 def labeled_merge(runs: Sequence[Run]) -> Iterator[Tuple[Entry, frozenset]]:
@@ -57,11 +68,7 @@ def labeled_merge(runs: Sequence[Run]) -> Iterator[Tuple[Entry, frozenset]]:
     in run order and tied runs advance in run order, which fixes the
     page-read sequence every exact I/O count rests on.
     """
-    # Every label this merge can hand out, indexed by membership bitmask.
-    labels = [
-        frozenset(index + 1 for index in range(len(runs)) if mask >> index & 1)
-        for mask in range(1 << len(runs))
-    ]
+    labels = labels_by_mask(len(runs))
     # One [head key, membership bit, head, rest of the run] slot per run with
     # entries left.  Taking the next head the moment one is consumed is what
     # a RunReader does: the next page is read as the current one runs out.
@@ -210,6 +217,12 @@ class SpillList:
             writer.append(record)
         self._drop()
 
+    def free(self) -> None:
+        """Discard every record and release the pages (an abandoned pass)."""
+        for page_id in self._segments:
+            self.pager.free(page_id)
+        self._drop()
+
     def _drop(self) -> None:
         self._head = []
         self._segments = []
@@ -227,7 +240,7 @@ def witness_terms_of(agg_filter) -> List[EntryAggregate]:
     The plain hierarchical operators use the single term ``count($2)``.
     """
     if agg_filter is None:
-        return [EntryAggregate("count", "$2", None)]
+        return [WITNESS_COUNT]
     terms: List[EntryAggregate] = []
     for side in (agg_filter.left, agg_filter.right):
         candidates = []
@@ -241,30 +254,56 @@ def witness_terms_of(agg_filter) -> List[EntryAggregate]:
     return terms
 
 
-def resolve_terms(states: Sequence[AggState]) -> Tuple[Optional[float], ...]:
-    """Freeze a frame's aggregate states into the annotation tuple."""
-    return tuple(state.result() for state in states)
+#: ``count($2)``: the one witness term of every plain operator.
+WITNESS_COUNT = EntryAggregate("count", "$2", None)
 
 
-def fresh_states(terms: Sequence[EntryAggregate]) -> List[AggState]:
-    """One empty state per term."""
-    return [term.fresh_state() for term in terms]
+class WitnessFold:
+    """An entry's witness-aggregate state, held as a value.
 
+    For ``terms == [count($2)]`` -- every plain operator and every filter
+    on the witness count -- the state is an int, the paper's
+    ``above``/``below`` counter.  Otherwise it is a tuple with one
+    component per term: an int for ``count($2)`` and an
+    :func:`~repro.query.aggregates.agg_add` state for a ``$2.attr``
+    aggregate.  :meth:`add` and :meth:`merge` return new values and never
+    change their arguments, so a stack frame may hold its parent's state
+    by reference."""
 
-def add_witness(states: Sequence[AggState], terms: Sequence[EntryAggregate], witness: Entry) -> None:
-    """Fold one witness entry into every term state."""
-    for state, term in zip(states, terms):
-        if term.attribute is None:
-            state.add_count(1)
-        else:
-            for value in witness.values(term.attribute):
-                state.add(value)
+    __slots__ = ("terms", "counting", "zero")
 
+    def __init__(self, terms: Sequence[EntryAggregate]):
+        self.terms = tuple(terms)
+        #: True when the state is a bare int (``count($2)`` alone).
+        self.counting = self.terms == (WITNESS_COUNT,)
+        self.zero: Any = 0 if self.counting else tuple(
+            0 if term.attribute is None else AGG_EMPTY for term in self.terms
+        )
 
-def copy_states(states: Sequence[AggState]) -> List[AggState]:
-    return [state.copy() for state in states]
+    def add(self, state: Any, witness: Entry) -> Any:
+        """``state`` with one more witness."""
+        if self.counting:
+            return state + 1
+        return tuple(
+            part + 1 if term.attribute is None
+            else agg_add(term.func, part, witness.values(term.attribute))
+            for part, term in zip(state, self.terms)
+        )
 
+    def merge(self, state: Any, other: Any) -> Any:
+        """The state of the union of two disjoint witness sets."""
+        if self.counting:
+            return state + other
+        return tuple(
+            part + extra if term.attribute is None else agg_merge(part, extra)
+            for part, extra, term in zip(state, other, self.terms)
+        )
 
-def merge_states(into: Sequence[AggState], source: Sequence[AggState]) -> None:
-    for target, extra in zip(into, source):
-        target.merge(extra)
+    def values(self, state: Any) -> Tuple[Optional[float], ...]:
+        """The resolved value of each term, in term order."""
+        if self.counting:
+            return (state,)
+        return tuple(
+            part if term.attribute is None else agg_result(term.func, part)
+            for part, term in zip(state, self.terms)
+        )

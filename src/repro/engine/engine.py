@@ -15,10 +15,11 @@ leaf is answered -- the local access path by default, the federation's
 scatter/gather at a coordinator (Section 8.3 ships atomic sub-queries and
 evaluates everything above them at the queried server).  An optional
 **planner** (:class:`~repro.engine.optimizer.AccessPlanner`) rewrites and
-cost-orders the query first, and lets a node's first operands bound the
-rest; without one this is the paper-literal evaluator (every operand of
-every node evaluated over its whole range -- the experiments' exact page
-counts depend on it).
+cost-orders the query first, lets a node's first operands bound the rest,
+and reads the atomic operands of a hierarchical selection by one shared
+scan; without one this is the paper-literal evaluator (every operand of
+every node evaluated over its whole range into its own run -- the
+experiments' exact page counts depend on it).
 
 The engine's answer is the whole sorted result.  Size limits, paged
 retrieval, access control and the default budget are the LDAP server's
@@ -52,12 +53,19 @@ from ..storage.pager import IOStats
 from ..storage.runs import Run
 from ..storage.store import DirectoryStore
 from .atomic import evaluate_atomic
+from .atomic import shared_scan as scan_leaves
+from .common import labeled_merge
 from .eragg import embedded_ref_select
 from .hsagg import hierarchical_select
 from .merge import boolean_merge
 from .simpleagg import simple_agg_select
+from .stackjoin import Labelled
 
 __all__ = ["QueryEngine", "QueryResult"]
+
+#: The span of one shared scan and the stack pass it feeds, in place of
+#: the spans of the leaves it reads.
+SHARED_SCAN_SPAN = "op:shared-scan"
 
 #: :func:`~repro.engine.merge.boolean_merge`'s name for each boolean node.
 _BOOLEAN_OPS = {And: "and", Or: "or", Diff: "diff"}
@@ -121,7 +129,13 @@ class QueryEngine:
         #: windows outside which the caller needs nothing; a provider may
         #: ignore it (any answer between the leaf restricted to the windows
         #: and the whole leaf is correct).  None means the local access
-        #: path, :meth:`atomic_run`.
+        #: path, :meth:`atomic_run`.  A provider that can also read the
+        #: atomic operands of one base together has a ``shared_scan(leaves)
+        #: -> (entry, label) stream`` method, as the local path does
+        #: (:meth:`shared_scan`); a planned engine reads a selection's
+        #: operands by one shared scan only through it, so a provider
+        #: without one (the federation's scatter/gather) answers every
+        #: leaf itself.
         self.leaves = leaves
         #: The optional plan step, an
         #: :class:`~repro.engine.optimizer.AccessPlanner` over ``store``:
@@ -130,9 +144,13 @@ class QueryEngine:
         #: Q-error.  On the sequential path an empty operand that decides
         #: its node ends it -- the first of ``&``, ``-`` and of every
         #: selection, the second of a selection without an aggregate
-        #: filter -- and a hierarchical selection's atomic witness and
-        #: blocker operands are read over windows derived from its first
-        #: operand when the planner finds that cheaper
+        #: filter.  A hierarchical selection over scanned atomic leaves on
+        #: one base reads them by one shared scan feeding its stack pass
+        #: when the planner says windows cannot pay
+        #: (:meth:`~repro.engine.optimizer.AccessPlanner.shares_scan`);
+        #: otherwise its atomic witness and blocker operands are read over
+        #: windows derived from its first operand when the planner finds
+        #: that cheaper
         #: (:meth:`~repro.engine.optimizer.AccessPlanner.witness_windows`).
         self.planner = planner
         #: The rules the most recent :meth:`plan` applied.
@@ -146,8 +164,9 @@ class QueryEngine:
         self.short_circuits = 0
         #: Optional :class:`~repro.obs.heatmap.SubtreeHeatMap`; when set,
         #: every atomic leaf records one read (plus its logical page cost)
-        #: under the leaf's base subtree.  None keeps the hot path at a
-        #: single attribute check.
+        #: under the leaf's base subtree -- leaves read by one shared scan
+        #: one read each, and the scan's pages once.  None keeps the hot
+        #: path at a single attribute check.
         self.heatmap = heatmap
         self.use_indices = use_indices
         #: Structured event logger (see :mod:`repro.obs.log`); the no-op
@@ -279,6 +298,12 @@ class QueryEngine:
             use_index = self.planner.plan_leaf(query)[0]
         return evaluate_atomic(self.store, query, use_index, within)
 
+    def shared_scan(self, leaves: List[AtomicQuery]) -> Labelled:
+        """The local path's read of a selection's atomic ``leaves`` on one
+        base: one clustered scan of the store, labelled
+        (:func:`~repro.engine.atomic.shared_scan`)."""
+        return scan_leaves(self.store, leaves)
+
     def evaluate_to_run(self, query: Query, within=None) -> Run:
         """Evaluate ``query`` to a sorted run (caller frees it); an atomic
         ``query`` may be bounded to ``within``'s windows.
@@ -287,9 +312,10 @@ class QueryEngine:
         ``op:...``) recording its result size and -- via the ``io`` probe
         -- the page transfers it caused, children included; the span tree
         mirrors the query tree exactly (minus operands a decided node
-        skipped), which is what EXPLAIN ``--analyze`` walks for
-        per-operator actuals.  A bounded leaf's span carries ``windows``,
-        the number of window roots it was read over."""
+        skipped, and with one :data:`SHARED_SCAN_SPAN` in place of the
+        leaves a shared scan read), which is what EXPLAIN ``--analyze``
+        walks for per-operator actuals.  A bounded leaf's span carries
+        ``windows``, the number of window roots it was read over."""
         if not self.tracer.enabled:
             result = self._evaluate_node(query, within)
             if result.eval_errors:
@@ -383,6 +409,47 @@ class QueryEngine:
             raise first_error
         return runs
 
+    def _scan_for(self, query: HierarchySelect):
+        """The provider's ``shared_scan`` when ``query`` reads its operands
+        by one shared scan, else None.  Only on the planned, sequential
+        path, through a provider that has one, and where the planner says
+        so (:meth:`~repro.engine.optimizer.AccessPlanner.shares_scan`)."""
+        pool = self.pool
+        if self.planner is None or (pool is not None and pool.parallel):
+            return None
+        if self.leaves is None:
+            scan = self.shared_scan
+        else:
+            scan = getattr(self.leaves, "shared_scan", None)
+        if scan is None or not self.planner.shares_scan(query, self.use_indices):
+            return None
+        return scan
+
+    def _shared_pass(self, query: HierarchySelect, leaves, scan) -> Run:
+        """``query`` over ``scan(leaves)``, fed straight to the stack pass.
+        The leaves get no spans of their own: one :data:`SHARED_SCAN_SPAN`
+        holds the pass, with ``filters`` (how many leaves) and ``matches``
+        (each leaf's result size).  The heat map records one read per leaf
+        under the shared base and the scan's own page reads once (not the
+        pages the pass writes or reads back)."""
+        stream = scan(leaves)
+        heatmap = self.heatmap
+        if heatmap is not None:
+            reads = [0]
+            stream = _scan_reads(stream, self.pager.stats, reads)
+        if self.tracer.enabled:
+            with self.tracer.span(SHARED_SCAN_SPAN, filters=len(leaves)) as span:
+                matches = [0] * len(leaves)
+                result = hierarchical_select(
+                    self.pager, query.op, _counted(stream, matches), query.agg
+                )
+                span.set(rows=len(result), matches=matches)
+        else:
+            result = hierarchical_select(self.pager, query.op, stream, query.agg)
+        if heatmap is not None:
+            heatmap.record_read(leaves[0].base, pages=reads[0], amount=len(leaves))
+        return result
+
     def _evaluate_node(self, query: Query, within=None) -> Run:
         if isinstance(query, AtomicQuery):
             leaves = self.leaves if self.leaves is not None else self.atomic_run
@@ -397,6 +464,10 @@ class QueryEngine:
             return result
 
         children = query.children() if isinstance(query, Query) else ()
+        if isinstance(query, HierarchySelect):
+            scan = self._scan_for(query)
+            if scan is not None:
+                return self._shared_pass(query, children, scan)
         op = _BOOLEAN_OPS.get(type(query))
         runs = self._evaluate_operands(query, children)
         if runs is None:
@@ -406,9 +477,8 @@ class QueryEngine:
             if op is not None:
                 return boolean_merge(self.pager, op, *runs)
             if isinstance(query, HierarchySelect):
-                third = runs[2] if len(runs) == 3 else None
                 return hierarchical_select(
-                    self.pager, query.op, runs[0], runs[1], third, query.agg
+                    self.pager, query.op, labeled_merge(runs), query.agg
                 )
             if isinstance(query, SimpleAggSelect):
                 return simple_agg_select(self.pager, runs[0], query.agg)
@@ -444,6 +514,27 @@ def _decides_when_empty(query: Query, index: int) -> bool:
         and isinstance(query, (HierarchySelect, EmbeddedRef))
         and query.agg is None
     )
+
+
+def _counted(stream, matches: List[int]):
+    """``stream`` unchanged, counting each operand's entries in
+    ``matches``."""
+    for entry, label in stream:
+        for index in label:
+            matches[index - 1] += 1
+        yield entry, label
+
+
+def _scan_reads(stream, stats: IOStats, reads: List[int]):
+    """``stream`` unchanged, adding to ``reads[0]`` the logical page reads
+    made while an entry is pulled from it -- the scan's, not the pages its
+    consumer reads between entries."""
+    pulled = stats.logical_reads
+    for item in stream:
+        reads[0] += stats.logical_reads - pulled
+        yield item
+        pulled = stats.logical_reads
+    reads[0] += stats.logical_reads - pulled
 
 
 def _span_name(query: Query) -> str:

@@ -29,7 +29,7 @@ from ..query.aggregates import AggSelFilter
 from ..storage.extsort import external_sort
 from ..storage.pager import Pager
 from ..storage.runs import Run, RunWriter
-from .common import add_witness, fresh_states, resolve_terms, witness_terms_of
+from .common import WitnessFold, witness_terms_of
 from .selection import select_annotated
 
 __all__ = ["embedded_ref_select"]
@@ -153,17 +153,18 @@ def _fold_witnesses_into(pager, first: Run, keyed_run: Run, terms) -> Run:
     """Co-scan L1 with ``keyed_run`` -- records sorted by the L1 dn key in
     slot 0, a witness in the last slot -- folding each witness into the
     aggregate states of its L1 entry; every L1 entry is emitted annotated."""
+    fold = WitnessFold(terms)
     writer = RunWriter(pager)
     keyed_reader = keyed_run.reader()
     for entry in first:
         entry_key = entry.dn.key()
-        states = fresh_states(terms)
+        state = fold.zero
         while True:
             record = keyed_reader.peek()
             if record is None or record[0] > entry_key:
                 break
             keyed_reader.next()
             if record[0] == entry_key:
-                add_witness(states, terms, record[-1])
-        writer.append((entry, resolve_terms(states)))
+                state = fold.add(state, record[-1])
+        writer.append((entry, fold.values(state)))
     return writer.close()

@@ -3,8 +3,10 @@ for ``p``, ``c``, ``a``, ``d``, ``ac`` and ``dc`` (ComputeHSAgg of
 Section 6.4, subsuming ComputeHSPC/HSAD/HSADc as the ``count($2) > 0``
 case).
 
-The heavy lifting is :func:`repro.engine.stackjoin.hierarchical_annotate`
-(one merge-driven stack pass, linear I/O) followed by
+One stack pass (:func:`repro.engine.stackjoin.stack_pass`, linear I/O)
+selects each entry of the first operand as its witness state resolves.
+Only a filter with entry-set aggregates (``max(count($2))``,
+``count($1)``, ...) keeps two phases: the annotated run, then
 :func:`repro.engine.selection.select_annotated` (at most two scans).
 """
 
@@ -12,12 +14,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..model.entry import Entry
 from ..query.aggregates import AggSelFilter
 from ..storage.pager import Pager
 from ..storage.runs import Run
-from .common import witness_terms_of
+from .common import WitnessFold, witness_terms_of
 from .selection import select_annotated
-from .stackjoin import hierarchical_annotate
+from .stackjoin import Labelled, hierarchical_annotate, stack_pass
 
 __all__ = ["hierarchical_select"]
 
@@ -25,16 +28,26 @@ __all__ = ["hierarchical_select"]
 def hierarchical_select(
     pager: Pager,
     op: str,
-    first: Run,
-    second: Run,
-    third: Optional[Run] = None,
+    stream: Labelled,
     agg_filter: Optional[AggSelFilter] = None,
 ) -> Run:
-    """Evaluate ``(op first second [third] [agg_filter])`` on sorted runs;
-    returns the selected entries of ``first`` as a sorted run."""
+    """Evaluate ``(op Q1 Q2 [Q3] [agg_filter])`` over ``stream``, the
+    labelled merge of its operands (``labeled_merge`` of their runs, or
+    the planned engine's shared scan); returns the selected entries of
+    the first operand as a sorted run."""
     terms = witness_terms_of(agg_filter)
-    annotated = hierarchical_annotate(pager, op, first, second, third, terms)
-    try:
-        return select_annotated(pager, annotated, terms, agg_filter)
-    finally:
-        annotated.free()
+    if agg_filter is not None and agg_filter.entry_set_aggregates():
+        annotated = hierarchical_annotate(pager, op, stream, terms)
+        try:
+            return select_annotated(pager, annotated, terms, agg_filter)
+        finally:
+            annotated.free()
+    fold = WitnessFold(terms)
+    if agg_filter is None:
+        return stack_pass(pager, op, stream, fold, None)
+    values, test = fold.values, agg_filter.test_resolved
+
+    def keep(entry: Entry, state) -> Optional[Entry]:
+        return entry if test(entry, dict(zip(terms, values(state))), {}) else None
+
+    return stack_pass(pager, op, stream, fold, keep)

@@ -17,7 +17,7 @@ from ..query.aggregates import AggSelFilter
 from ..query.semantics import witness_set
 from ..storage.pager import Pager
 from ..storage.runs import Run, RunWriter
-from .common import add_witness, fresh_states, resolve_terms, witness_terms_of
+from .common import WitnessFold, witness_terms_of
 from .selection import select_annotated
 
 __all__ = ["naive_hierarchical_select", "naive_embedded_ref_select"]
@@ -34,15 +34,15 @@ def naive_hierarchical_select(
     """Nested-loop evaluation of a hierarchical operator: for every entry
     of ``first``, re-scan ``second`` (and ``third``) looking for witnesses."""
     terms = witness_terms_of(agg_filter)
+    fold = WitnessFold(terms)
     writer = RunWriter(pager)
     for entry in first:
         witnesses_in_second = list(second)  # full re-scan, counted as I/O
         blockers = list(third) if third is not None else None
-        witnesses = witness_set(op, entry, witnesses_in_second, blockers)
-        states = fresh_states(terms)
-        for witness in witnesses:
-            add_witness(states, terms, witness)
-        writer.append((entry, resolve_terms(states)))
+        state = fold.zero
+        for witness in witness_set(op, entry, witnesses_in_second, blockers):
+            state = fold.add(state, witness)
+        writer.append((entry, fold.values(state)))
     annotated = writer.close()
     try:
         return select_annotated(pager, annotated, terms, agg_filter)
@@ -62,19 +62,20 @@ def naive_embedded_ref_select(
     if op not in ("vd", "dv"):
         raise ValueError("unknown embedded-reference operator %r" % op)
     terms = witness_terms_of(agg_filter)
+    fold = WitnessFold(terms)
     writer = RunWriter(pager)
     for entry in first:
-        states = fresh_states(terms)
+        state = fold.zero
         entry_refs = {_key_of(v) for v in entry.values(attribute)}
         for witness in second:  # full re-scan per outer entry
             if op == "vd":
                 if witness.dn.key() in entry_refs:
-                    add_witness(states, terms, witness)
+                    state = fold.add(state, witness)
             else:
                 witness_refs = {_key_of(v) for v in witness.values(attribute)}
                 if entry.dn.key() in witness_refs:
-                    add_witness(states, terms, witness)
-        writer.append((entry, resolve_terms(states)))
+                    state = fold.add(state, witness)
+        writer.append((entry, fold.values(state)))
     annotated = writer.close()
     try:
         return select_annotated(pager, annotated, terms, agg_filter)

@@ -45,10 +45,13 @@ Four pieces, all grounded in the paper:
    leaf, compare the estimated cost of the clustered subtree scan against
    the secondary index :func:`~repro.engine.atomic.index_path` offers for
    the filter, if any, using the
-   :class:`~repro.engine.stats.CardinalityEstimator`; at run time, a
-   hierarchical selection's witness leaves may instead be read over
-   windows around its first operand's entries
-   (:meth:`AccessPlanner.witness_windows`) when those cost fewer pages.
+   :class:`~repro.engine.stats.CardinalityEstimator`.  A hierarchical
+   selection whose operands are scanned leaves on one base, with a first
+   operand too large for windows to pay, reads them all by one shared
+   scan (:meth:`AccessPlanner.shares_scan`); otherwise, at run time, its
+   witness leaves may be read over windows around its first operand's
+   entries (:meth:`AccessPlanner.witness_windows`) when those cost fewer
+   pages.
 
 4. **EXPLAIN and the Q-error loop** (:func:`explain`): a physical-plan
    rendering with estimated cardinalities and chosen access paths; with
@@ -63,10 +66,12 @@ There is one engine, :class:`~repro.engine.engine.QueryEngine`; the
 :class:`AccessPlanner` is its optional plan step.  Given one, the engine
 applies :meth:`AccessPlanner.plan` (rewrites + cost-based ordering) once
 per query, follows the planner's per-leaf decisions, stops a node at an
-empty operand that decides it, reads a hierarchical selection's witness
-leaves over the windows :meth:`AccessPlanner.witness_windows` derives
-from its first operand, and reports the run-level Q-error of every query
-it executes; EXPLAIN and ``repro plan`` render the same ``plan()``.  :class:`PlannedEngine` is only a constructor: a
+empty operand that decides it, reads a hierarchical selection's
+operands by one shared scan (:meth:`AccessPlanner.shares_scan`) or its
+witness leaves over the windows :meth:`AccessPlanner.witness_windows`
+derives from its first operand, and reports the run-level Q-error of
+every query it executes; EXPLAIN and ``repro plan`` render the same
+``plan()``.  :class:`PlannedEngine` is only a constructor: a
 ``QueryEngine`` whose planner is built from ``stats=`` / ``metrics=``.
 """
 
@@ -93,7 +98,7 @@ from ..storage.runs import Run
 from ..storage.store import DirectoryStore
 from .atomic import evaluate_atomic  # noqa: F401 -- only bench/shims.py rebinds it here
 from .atomic import Window, clip_window, index_path
-from .engine import QueryEngine
+from .engine import SHARED_SCAN_SPAN, QueryEngine
 from .merge import boolean_merge  # noqa: F401 -- only bench/shims.py rebinds it here
 from .stackjoin import ABOVE_OPS
 from .stats import CardinalityEstimator
@@ -585,6 +590,26 @@ class AccessPlanner:
         use_index, label, _pages = self._access_path(query)
         return use_index, label, self.estimator.atomic_cardinality(query)
 
+    def shares_scan(self, query: HierarchySelect, use_indices: bool = True) -> bool:
+        """Should one :func:`~repro.engine.atomic.shared_scan` read every
+        operand of ``query``?  Yes when they are atomic leaves on one base,
+        each planned as the clustered scan, and the first is estimated to
+        hold at least as many entries as the witness leaf's scan costs
+        pages: :meth:`witness_windows` spends a page or more per window,
+        so past that point no window list can pay, and one scan replaces
+        k scans, k runs written and read back, and their merge."""
+        operands = query.children()
+        first, second = operands[0], operands[1]
+        if not all(
+            isinstance(operand, AtomicQuery) and operand.base == first.base
+            for operand in operands
+        ):
+            return False
+        witness_pages = self._scan_pages(second.base, Scope.MAX_DEPTH[second.scope])
+        if self.estimator.atomic_cardinality(first) < witness_pages:
+            return False
+        return not (use_indices and any(self._access_path(operand)[0] for operand in operands))
+
     def witness_windows(
         self, query: HierarchySelect, first: Run
     ) -> List[Optional[List[Window]]]:
@@ -776,7 +801,10 @@ def explain(
     process-wide registry).  An operand the engine skipped because an
     empty operand decided its node has no actuals and says so
     (``skipped: decided by empty first operand``); a leaf read over
-    windows is labelled ``via window[k roots]``."""
+    windows is labelled ``via window[k roots]``, and the leaves a shared
+    scan read ``via shared scan[k filters]`` -- each with its own result
+    size and no pages of its own: the scan and the stack pass it fed are
+    the selection's."""
     from ..obs.trace import Tracer
 
     planner = planner or AccessPlanner(store)
@@ -790,23 +818,34 @@ def explain(
         QueryEngine(store, tracer=tracer, planner=planner).open_planned(query).free()
         root_span = tracer.last_root()
 
-    def build(node: Query, span) -> ExplainNode:
+    def build(node: Query, span, shared=None, index: int = 0) -> ExplainNode:
+        """``span`` is the node's own; a leaf read by a shared scan has
+        none and takes its actuals from ``shared``, the scan's span."""
         child_spans = span.children if span is not None else []
-        children = [
-            build(child, child_spans[i] if i < len(child_spans) else None)
-            for i, child in enumerate(node.children())
-        ]
-        if span is not None and len(child_spans) < len(children):
-            # The engine stopped at an empty operand that decided the node.
-            decider = ("first", "second")[len(child_spans) - 1]
-            for skipped in children[len(child_spans):]:
-                skipped.label += "  skipped: decided by empty %s operand" % decider
+        if [child.name for child in child_spans] == [SHARED_SCAN_SPAN]:
+            scan = child_spans[0]
+            children = [
+                build(child, None, scan, i) for i, child in enumerate(node.children())
+            ]
+        else:
+            scan = None
+            children = [
+                build(child, child_spans[i] if i < len(child_spans) else None)
+                for i, child in enumerate(node.children())
+            ]
+            if span is not None and len(child_spans) < len(children):
+                # The engine stopped at an empty operand that decided the node.
+                decider = ("first", "second")[len(child_spans) - 1]
+                for skipped in children[len(child_spans):]:
+                    skipped.label += "  skipped: decided by empty %s operand" % decider
         # A leaf read over windows returns only part of what its estimate
         # is for: it gets no Q-error.
         windowed = span is not None and "windows" in span.attrs
         if isinstance(node, AtomicQuery):
             _use_index, label, node_estimate = planner.plan_leaf(node)
-            if windowed:
+            if shared is not None:
+                label = "shared scan[%d filters]" % shared.attrs["filters"]
+            elif windowed:
                 label = "window[%d roots]" % span.attrs["windows"]
             text = "atomic %s via %s" % (node, label)
         else:
@@ -828,6 +867,15 @@ def explain(
             actual_logical = span.exclusive("io", "logical_total")
             elapsed = span.elapsed
             eval_errors = span.attrs.get("eval_errors", 0)
+            if scan is not None:
+                # The pass the shared scan fed is this node's own work.
+                actual_io += scan.exclusive("io", "total")
+                actual_logical += scan.exclusive("io", "logical_total")
+        elif shared is not None:
+            # The leaf's entries were counted as the scan passed them; its
+            # pages are the node's.
+            actual = shared.attrs["matches"][index]
+            actual_io = actual_logical = 0
         node_qerror = None
         hints: Tuple[str, ...] = ()
         if actual is not None and not windowed:

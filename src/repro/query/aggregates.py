@@ -14,12 +14,15 @@ attributes:
   ``count($1)`` and ``count($$)``.
 
 Besides the definitional evaluation used by the reference semantics, this
-module provides :class:`AggState`: the incremental (distributive/algebraic,
-in the terminology the paper borrows from Ross et al.) accumulation that the
-external-memory algorithms of Figures 3 and 6 propagate through their stacks
-and scans.  ``min``/``max``/``average`` of an empty multiset are undefined;
-a comparison against an undefined aggregate is false.  ``count`` of an empty
-multiset is 0 and ``sum`` is 0.
+module provides the incremental (distributive/algebraic, in the
+terminology the paper borrows from Ross et al.) accumulation of one
+aggregate over a multiset: a state is a value ``(values counted, sum, min,
+max)`` that :func:`agg_add` and :func:`agg_merge` return anew and
+:func:`agg_result` resolves.  The stack passes hold such states per frame
+(:class:`repro.engine.common.WitnessFold`); :class:`AggState` holds one
+for the selection phase's entry-set aggregates.  ``min``/``max``/``average``
+of an empty multiset are undefined; a comparison against an undefined
+aggregate is false.  ``count`` of an empty multiset is 0 and ``sum`` is 0.
 """
 
 from __future__ import annotations
@@ -29,10 +32,14 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 from ..model.entry import Entry
 
 __all__ = [
+    "AGG_EMPTY",
     "AGG_FUNCS",
     "INT_OPS",
     "AggError",
     "AggState",
+    "agg_add",
+    "agg_merge",
+    "agg_result",
     "Constant",
     "EntryAggregate",
     "EntrySetAggregate",
@@ -72,75 +79,78 @@ def _numeric(values: Iterable[Any]) -> List[float]:
     return out
 
 
+#: An aggregate's state over the empty multiset: (values counted, sum,
+#: min, max).
+AGG_EMPTY: Tuple[int, float, Optional[float], Optional[float]] = (0, 0, None, None)
+
+
+def agg_add(func: str, state: tuple, values: Sequence[Any]) -> tuple:
+    """``state`` with ``values`` added: ``count`` counts every value, the
+    other functions the numeric ones."""
+    counted, total, low, high = state
+    if func == "count":
+        return counted + len(values), total, low, high
+    for number in _numeric(values):
+        counted += 1
+        total += number
+        if low is None or number < low:
+            low = number
+        if high is None or number > high:
+            high = number
+    return counted, total, low, high
+
+
+def agg_merge(state: tuple, other: tuple) -> tuple:
+    """The state of the union of the two states' multisets."""
+    low, high = state[2], state[3]
+    if other[2] is not None and (low is None or other[2] < low):
+        low = other[2]
+    if other[3] is not None and (high is None or other[3] > high):
+        high = other[3]
+    return state[0] + other[0], state[1] + other[1], low, high
+
+
+def agg_result(func: str, state: tuple) -> Optional[float]:
+    """The value of ``func`` over ``state``'s multiset."""
+    counted, total, low, high = state
+    if func == "count":
+        return counted
+    if func == "sum":
+        return total
+    if counted == 0:
+        return None  # min/max/average of the empty multiset
+    if func == "min":
+        return low
+    if func == "max":
+        return high
+    return total / counted  # average
+
+
 class AggState:
-    """Incremental state of one aggregate function over a multiset.
+    """One aggregate function's state over a growing multiset, held in
+    ``state`` (an :func:`agg_add` value).  ``count`` ignores the values
+    themselves; for it, ``add_count`` bumps the counter by an arbitrary
+    amount."""
 
-    Supports ``add`` (one value), ``merge`` (another state) and ``result``.
-    ``count`` ignores the values themselves; for it, ``add_count`` bumps the
-    counter by an arbitrary amount (used for count($2) propagation).
-    """
-
-    __slots__ = ("func", "_count", "_sum", "_min", "_max")
+    __slots__ = ("func", "state")
 
     def __init__(self, func: str):
         if func not in AGG_FUNCS:
             raise AggError("unknown aggregate function %r" % func)
         self.func = func
-        self._count = 0
-        self._sum = 0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
+        self.state = AGG_EMPTY
 
     def add(self, value: Any) -> None:
-        numeric = _numeric([value])
-        if self.func == "count":
-            self._count += 1
-            return
-        if not numeric:
-            return
-        number = numeric[0]
-        self._count += 1
-        self._sum += number
-        if self._min is None or number < self._min:
-            self._min = number
-        if self._max is None or number > self._max:
-            self._max = number
+        self.state = agg_add(self.func, self.state, (value,))
 
     def add_count(self, amount: int) -> None:
         if self.func != "count":
             raise AggError("add_count only applies to count aggregates")
-        self._count += amount
-
-    def merge(self, other: "AggState") -> None:
-        if other.func != self.func:
-            raise AggError("cannot merge %s into %s" % (other.func, self.func))
-        self._count += other._count
-        self._sum += other._sum
-        if other._min is not None and (self._min is None or other._min < self._min):
-            self._min = other._min
-        if other._max is not None and (self._max is None or other._max > self._max):
-            self._max = other._max
-
-    def copy(self) -> "AggState":
-        clone = AggState(self.func)
-        clone._count = self._count
-        clone._sum = self._sum
-        clone._min = self._min
-        clone._max = self._max
-        return clone
+        counted, total, low, high = self.state
+        self.state = (counted + amount, total, low, high)
 
     def result(self) -> Optional[float]:
-        if self.func == "count":
-            return self._count
-        if self.func == "sum":
-            return self._sum
-        if self._count == 0:
-            return None  # min/max/average of the empty multiset
-        if self.func == "min":
-            return self._min
-        if self.func == "max":
-            return self._max
-        return self._sum / self._count  # average
+        return agg_result(self.func, self.state)
 
     def __repr__(self) -> str:
         return "AggState(%s=%r)" % (self.func, self.result())
@@ -223,15 +233,6 @@ class EntryAggregate:
         for witness in witnesses:
             values.extend(witness.values(self.attribute))
         return apply_func(self.func, values)
-
-    def fresh_state(self) -> AggState:
-        return AggState(self.func)
-
-    def witness_contribution(self, witness: Entry) -> Iterable[Any]:
-        """The values a single witness feeds into this aggregate's state."""
-        if self.attribute is None:
-            return (1,)  # count($2): each witness contributes one unit
-        return witness.values(self.attribute)
 
     def __str__(self) -> str:
         if self.attribute is None:

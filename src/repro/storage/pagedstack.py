@@ -61,14 +61,13 @@ class PagedStack:
             return None
         return self._top[-1]
 
-    def replace_top(self, item: Any) -> None:
-        """Overwrite the top item in place (the algorithms update counters
-        on the entry at the top)."""
-        if not self._top:
-            self._refill()
-        if not self._top:
-            raise IndexError("replace_top on empty PagedStack")
-        self._top[-1] = item
+    def clear(self) -> None:
+        """Drop every item, releasing the spilled pages unread."""
+        for page_id in self._spilled:
+            self.pager.free(page_id)
+        self._spilled = []
+        self._top = []
+        self._depth = 0
 
     def _refill(self) -> None:
         if not self._spilled:

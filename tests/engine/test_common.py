@@ -6,11 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.common import (
     SpillList,
-    add_witness,
-    copy_states,
-    fresh_states,
+    WitnessFold,
     labeled_merge,
-    merge_states,
     witness_terms_of,
 )
 from repro.query.aggregates import AggSelFilter, Constant, EntryAggregate, EntrySetAggregate
@@ -241,14 +238,49 @@ class TestStateHelpers:
             EntryAggregate("count", "$2", None),
             EntryAggregate("sum", "$2", "weight"),
         ]
+        fold = WitnessFold(terms)
         witness = Entry(DN.parse("cn=w"), ["c"], {"weight": [3, 4]})
-        states = fresh_states(terms)
-        add_witness(states, terms, witness)
-        assert states[0].result() == 1
-        assert states[1].result() == 7
-        clone = copy_states(states)
-        add_witness(clone, terms, witness)
-        assert states[0].result() == 1  # copy is independent
-        merge_states(states, clone)
-        assert states[0].result() == 3
-        assert states[1].result() == 21
+        state = fold.add(fold.zero, witness)
+        assert fold.values(state) == (1, 7)
+        again = fold.add(state, witness)
+        assert fold.values(state) == (1, 7)  # values: nothing changed in place
+        assert fold.values(fold.merge(state, again)) == (3, 21)
+
+    def test_count_alone_is_the_papers_int_counter(self):
+        fold = WitnessFold(witness_terms_of(None))
+        assert fold.counting and fold.zero == 0
+        assert fold.merge(fold.add(0, None), 2) == 3
+        assert fold.values(3) == (3,)
+
+    @given(
+        st.lists(st.lists(st.one_of(st.integers(-50, 50), st.sampled_from(["7", "x", True])), max_size=3), max_size=6),
+        st.lists(st.lists(st.integers(-50, 50), max_size=3), max_size=6),
+    )
+    @settings(max_examples=60)
+    def test_fold_equals_the_definition(self, left, right):
+        """Adding witnesses one by one and merging two folds gives what
+        ``EntryAggregate.evaluate`` gives on the concatenated witness set."""
+        from repro.model.dn import DN
+        from repro.model.entry import Entry
+
+        terms = [EntryAggregate("count", "$2", None)] + [
+            EntryAggregate(func, "$2", "weight")
+            for func in ("min", "max", "count", "sum", "average")
+        ]
+        fold = WitnessFold(terms)
+
+        def witnesses(value_lists, tag):
+            return [
+                Entry(DN.parse("cn=%s%d" % (tag, i)), ["c"], {"weight": values} if values else {})
+                for i, values in enumerate(value_lists)
+            ]
+
+        def folded(entries):
+            state = fold.zero
+            for entry in entries:
+                state = fold.add(state, entry)
+            return state
+
+        ones, twos = witnesses(left, "l"), witnesses(right, "r")
+        merged = fold.values(fold.merge(folded(ones), folded(twos)))
+        assert merged == tuple(term.evaluate(None, ones + twos) for term in terms)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.common import labeled_merge
 from repro.engine.hsagg import hierarchical_select
 from repro.engine.naive import naive_embedded_ref_select, naive_hierarchical_select
 from repro.query.semantics import witness_set
@@ -63,7 +64,7 @@ def test_naive_io_superlinear_vs_stack_linear():
         naive_hierarchical_select(pager, "a", first_run, second_run)
         naive_cost = pager.stats.since(before).logical_reads
         before = pager.stats.snapshot()
-        hierarchical_select(pager, "a", first_run, second_run)
+        hierarchical_select(pager, "a", labeled_merge([first_run, second_run]))
         stack_cost = pager.stats.since(before).logical_reads
         return naive_cost, stack_cost
 

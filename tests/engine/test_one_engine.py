@@ -8,7 +8,9 @@ subclassed.  Three guards:
 - differential -- an explicitly injected local access path is
   bit-identical to the default one, planned and plan-less, sequential
   and under a worker pool, and on leaves the planner reads over windows
-  (the provider contract is ``leaves(query, within=None)``);
+  (the provider contract is ``leaves(query, within=None)``) or by one
+  shared scan (the provider's optional ``shared_scan(leaves)``); a
+  provider without ``shared_scan`` answers every leaf itself;
 - federation -- the coordinator runs the same engine: a one-server
   federation reads the centralised engine's page counts, and a provider
   that fails mid-tree leaks neither pages nor spans.
@@ -26,7 +28,8 @@ import pytest
 import repro
 from repro.dist import FederatedDirectory
 from repro.engine import QueryEngine
-from repro.engine.atomic import evaluate_atomic
+from repro.engine.atomic import evaluate_atomic, shared_scan
+from repro.engine.engine import SHARED_SCAN_SPAN
 from repro.engine.optimizer import AccessPlanner, PlannedEngine
 from repro.exec import WorkerPool
 from repro.obs.trace import Tracer
@@ -91,6 +94,25 @@ def test_the_engine_takes_no_read_controls():
 # -- (b) leaf-provider differential ------------------------------------------
 
 
+class _LocalLeaves:
+    """The local access path, injected: each leaf read as
+    :meth:`QueryEngine.atomic_run` reads it, and a selection's leaves on
+    one base by the same shared scan as :meth:`QueryEngine.shared_scan`."""
+
+    def __init__(self, store, planner=None):
+        self.store = store
+        self.planner = planner
+
+    def __call__(self, query, within=None):
+        use_index = within is None
+        if use_index and self.planner is not None:
+            use_index = self.planner.plan_leaf(query)[0]
+        return evaluate_atomic(self.store, query, use_index, within)
+
+    def shared_scan(self, leaves):
+        return shared_scan(self.store, leaves)
+
+
 def _arms(seed, planned, pool=None):
     """(default-provider engine, injected-provider engine), each over its
     own identically built store so buffer state evolves in lockstep."""
@@ -99,13 +121,7 @@ def _arms(seed, planned, pool=None):
     if not planned:
         return (
             QueryEngine(default_store, pool=pool),
-            QueryEngine(
-                injected_store,
-                pool=pool,
-                leaves=lambda q, within=None: evaluate_atomic(
-                    injected_store, q, True, within
-                ),
-            ),
+            QueryEngine(injected_store, pool=pool, leaves=_LocalLeaves(injected_store)),
         )
     planner = AccessPlanner(injected_store)
     return (
@@ -114,9 +130,7 @@ def _arms(seed, planned, pool=None):
             injected_store,
             pool=pool,
             planner=planner,
-            leaves=lambda q, within=None: evaluate_atomic(
-                injected_store, q, within is None and planner.plan_leaf(q)[0], within
-            ),
+            leaves=_LocalLeaves(injected_store, planner),
         ),
     )
 
@@ -143,16 +157,22 @@ def test_injected_local_provider_is_bit_identical(seed, planned):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_injected_local_provider_is_bit_identical_on_bounded_leaves(seed):
-    """Selections whose witness leaves the planner reads over windows:
-    the injected provider gets the same ``within`` and reads the same
+    """Selections whose witness leaves the planner reads over windows, or
+    whose leaves it reads by one shared scan: the injected provider gets
+    the same ``within`` and the same shared scans, and reads the same
     pages."""
     default, injected = _arms(seed, planned=True)
-    provider, bounded = injected.leaves, []
+    provider, bounded, scans = injected.leaves, [], []
 
     def recording(query, within=None):
         bounded.append(within is not None)
         return provider(query, within)
 
+    def recording_scan(leaves):
+        scans.append(len(leaves))
+        return provider.shared_scan(leaves)
+
+    recording.shared_scan = recording_scan
     injected.leaves = recording
     live = default.pager.live_pages
     for query in selections(make_store(seed)[0]):
@@ -160,8 +180,40 @@ def test_injected_local_provider_is_bit_identical_on_bounded_leaves(seed):
         assert got.dns() == want.dns(), str(query)
         assert got.io.as_dict() == want.io.as_dict(), str(query)
         assert default.pager.live_pages == injected.pager.live_pages == live
-    assert any(bounded)
+    assert any(bounded) and scans
     assert injected.short_circuits == default.short_circuits > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_provider_without_a_shared_scan_answers_every_leaf(seed):
+    """A planned engine whose provider has no ``shared_scan`` (the
+    federation's scatter/gather) never reads a node past it: every leaf
+    of every selection goes through the provider, with the same
+    answers."""
+    default, injected = _arms(seed, planned=True)
+    local = injected.leaves
+    asked = []
+
+    def leaf_only(query, within=None):
+        asked.append(query)
+        return local(query, within)
+
+    injected.leaves = leaf_only
+    default.tracer, injected.tracer = Tracer(), Tracer()
+    shared = 0
+    for query in selections(make_store(seed)[0]):
+        del asked[:]
+        want, got = default.run(query), injected.run(query)
+        assert got.dns() == want.dns(), str(query)
+        shared += _span_names(default).count(SHARED_SCAN_SPAN)
+        spans = _span_names(injected)
+        assert SHARED_SCAN_SPAN not in spans, str(query)
+        assert len(asked) == spans.count("op:atomic"), str(query)
+    assert shared  # the default engine did read some of them by one scan
+
+
+def _span_names(engine):
+    return [span.name for span in engine.tracer.last_root().walk()]
 
 
 @pytest.mark.parametrize("planned", [False, True], ids=["plan-less", "planned"])

@@ -4,6 +4,7 @@ semantics."""
 
 import pytest
 
+from repro.engine.common import labeled_merge
 from repro.engine.eragg import embedded_ref_select
 from repro.engine.hsagg import hierarchical_select
 from repro.engine.selection import select_annotated
@@ -30,7 +31,7 @@ class TestHierarchicalSelect:
         _instance, (first, second) = random_sublists(5, size=100)
         pager = Pager(page_size=8, buffer_pages=6)
         out = hierarchical_select(
-            pager, op, sorted_run(pager, first), sorted_run(pager, second)
+            pager, op, labeled_merge([sorted_run(pager, first), sorted_run(pager, second)])
         )
         expected = [e.dn for e in first if witness_set(op, e, second)]
         assert [e.dn for e in out.to_list()] == expected
@@ -40,7 +41,7 @@ class TestHierarchicalSelect:
         pager = Pager(page_size=8, buffer_pages=6)
         agg = AggSelFilter(COUNT, "=", EntrySetAggregate("max", COUNT))
         out = hierarchical_select(
-            pager, "d", sorted_run(pager, first), sorted_run(pager, second), None, agg
+            pager, "d", labeled_merge([sorted_run(pager, first), sorted_run(pager, second)]), agg
         )
         counts = {e.dn: len(witness_set("d", e, second)) for e in first}
         peak = max(counts.values(), default=0)
@@ -54,7 +55,7 @@ class TestHierarchicalSelect:
         pager = Pager(page_size=8, buffer_pages=6)
         agg = AggSelFilter(COUNT, "=", Constant(0))
         out = hierarchical_select(
-            pager, "a", sorted_run(pager, first), sorted_run(pager, second), None, agg
+            pager, "a", labeled_merge([sorted_run(pager, first), sorted_run(pager, second)]), agg
         )
         expected = [e.dn for e in first if not witness_set("a", e, second)]
         assert [e.dn for e in out.to_list()] == expected

@@ -7,6 +7,8 @@ from repro.engine.hsagg import hierarchical_select
 from repro.engine.merge import boolean_merge
 from repro.engine.stackjoin import hierarchical_annotate
 from repro.query.aggregates import EntryAggregate
+from repro.query.ast import HierarchySelect, QueryError
+from repro.query.parser import parse_aggsel, parse_query
 from repro.query.semantics import witness_set
 from repro.storage.pager import Pager
 
@@ -22,8 +24,7 @@ def annotate(op, seed, terms, size=90):
     _instance, subsets = random_sublists(seed, size=size, lists=lists)
     pager = Pager(page_size=8, buffer_pages=6)
     runs = [sorted_run(pager, subset) for subset in subsets]
-    third = runs[2] if lists == 3 else None
-    annotated = hierarchical_annotate(pager, op, runs[0], runs[1], third, terms)
+    annotated = hierarchical_annotate(pager, op, labeled_merge(runs), terms)
     return subsets, annotated.to_list()
 
 
@@ -61,29 +62,50 @@ def test_output_sorted_and_complete():
 
 
 def test_arity_validation(pager):
+    """The pass reads one labelled stream, so the operand count is checked
+    where the operands are known -- the query node -- and the pass checks
+    the operator."""
+    a = parse_query("( ? sub ? kind=alpha)")
+    with pytest.raises(QueryError):
+        HierarchySelect("p", a, a, a)
+    with pytest.raises(QueryError):
+        HierarchySelect("ac", a, a)
     run = sorted_run(pager, [])
     with pytest.raises(ValueError):
-        hierarchical_annotate(pager, "p", run, run, run)
+        hierarchical_annotate(pager, "zz", labeled_merge([run, run]))
     with pytest.raises(ValueError):
-        hierarchical_annotate(pager, "ac", run, run, None)
-    with pytest.raises(ValueError):
-        hierarchical_annotate(pager, "zz", run, run)
+        hierarchical_select(pager, "zz", labeled_merge([run, run]))
 
 
 def test_linear_io_with_tiny_pool():
-    """The stack pass completes in a 3-page pool with linear I/O."""
+    """The stack pass completes in a 3-page pool with linear I/O, and
+    without an entry-set aggregate it writes no annotated run: what it
+    writes is the result and the deferred survivors of its spill lists."""
     _instance, (first, second) = random_sublists(2, size=3000)
     pager = Pager(page_size=16, buffer_pages=3)
     first_run = sorted_run(pager, first)
     second_run = sorted_run(pager, second)
     pager.flush()
     before = pager.stats.snapshot()
-    annotated = hierarchical_annotate(pager, "d", first_run, second_run, None, [COUNT])
+    annotated = hierarchical_annotate(pager, "d", labeled_merge([first_run, second_run]), [COUNT])
     delta = pager.stats.since(before)
     input_pages = first_run.page_count + second_run.page_count
     # Inputs once, annotated output written (plus spill-list page traffic,
     # each output record rides a spill page at most once in and once out).
     assert delta.total <= 3 * (input_pages + 2 * annotated.page_count) + 8
+    annotated.free()
+
+    for agg in (None, parse_aggsel("count($2) > 1")):
+        before = pager.stats.snapshot()
+        result = hierarchical_select(pager, "d", labeled_merge([first_run, second_run]), agg)
+        delta = pager.stats.since(before)
+        assert len(result) < len(first)
+        # Every page written is a result page or holds deferred survivors,
+        # each of which rides a spill page at most once.
+        assert delta.logical_writes <= 2 * result.page_count + 8
+        assert delta.logical_writes < annotated.page_count
+        assert delta.total <= 3 * (input_pages + 2 * result.page_count) + 8
+        result.free()
 
 
 def _copies(entries, mark):
@@ -106,9 +128,8 @@ def test_every_operator_returns_the_first_operands_copies(seed, repeat_step):
     own = [{id(entry) for entry in copy} for copy in copies]
     returned = 0
     for op in ("p", "c", "a", "d", "ac", "dc"):
-        out = hierarchical_select(
-            pager, op, first, second, third if op in ("ac", "dc") else None
-        ).to_list()
+        operands = [first, second, third] if op in ("ac", "dc") else [first, second]
+        out = hierarchical_select(pager, op, labeled_merge(operands)).to_list()
         assert all(id(entry) in own[0] for entry in out), op
         returned += len(out)
     assert returned

@@ -4,6 +4,7 @@ empty operands, pathological labels."""
 import pytest
 
 from repro.engine import QueryEngine
+from repro.engine.common import labeled_merge
 from repro.engine.stackjoin import hierarchical_annotate
 from repro.model.dn import ROOT_DN
 from repro.model.instance import DirectoryInstance
@@ -57,7 +58,7 @@ class TestDeepChain:
         pager = Pager(page_size=4, buffer_pages=3)
         first = run_from_iterable(pager, entries)
         second = run_from_iterable(pager, entries)
-        annotated = hierarchical_annotate(pager, "d", first, second, None, [COUNT])
+        annotated = hierarchical_annotate(pager, "d", labeled_merge([first, second]), [COUNT])
         for position, (entry, (count,)) in enumerate(annotated.to_list()):
             assert count == len(entries) - position - 1
 

@@ -27,23 +27,27 @@ class TestBasics:
         with pytest.raises(IndexError):
             PagedStack(Pager()).pop()
 
-    def test_replace_top(self):
+    def test_clear(self):
         stack = PagedStack(Pager())
         stack.push(1)
-        stack.replace_top(99)
-        assert stack.pop() == 99
+        stack.clear()
+        assert stack.is_empty() and stack.peek() is None
         with pytest.raises(IndexError):
-            stack.replace_top(0)
+            stack.pop()
 
-    def test_replace_top_after_spill(self):
+    def test_clear_after_spill_frees_pages_unread(self):
         pager = Pager(page_size=2, buffer_pages=2)
+        live = pager.live_pages
         stack = PagedStack(pager)
         for i in range(10):
             stack.push(i)
-        while len(stack) > 1:
-            stack.pop()
-        stack.replace_top("swapped")
-        assert stack.pop() == "swapped"
+        assert pager.live_pages > live
+        before = pager.stats.snapshot()
+        stack.clear()
+        assert pager.live_pages == live
+        assert pager.stats.since(before).logical_reads == 0
+        stack.push("again")
+        assert stack.pop() == "again"
 
     def test_max_depth(self):
         stack = PagedStack(Pager())
