@@ -179,7 +179,9 @@ def _cmd_stats(args) -> int:
     from .storage.store import DirectoryStore
 
     instance = _load(args.file, args.schema)
-    store = DirectoryStore.from_instance(instance, page_size=args.page_size)
+    store = DirectoryStore.from_instance(
+        instance, page_size=args.page_size, buffer_pages=args.buffer_pages
+    )
     stats = DirectoryStatistics.collect(store)
     if args.json:
         payload = {
@@ -878,6 +880,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="blocking factor B (entries per page)")
         p.add_argument("--buffer-pages", type=int, default=8,
                        help="buffer pool capacity in pages")
+
+    def engine_flags(p):
+        common(p)
         p.add_argument("--index", action="append", metavar="ATTR",
                        help="build a secondary index on this attribute, keyed "
                             "by its schema type (repeatable)")
@@ -898,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--trace", action="store_true",
                        help="print the span trace (per-operator time and I/O) to stderr")
     budget_flags(query)
-    common(query)
+    engine_flags(query)
     query.set_defaults(handler=_cmd_query)
 
     explain_cmd = sub.add_parser("explain", help="show the query plan")
@@ -909,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "sizes and per-operator page I/O")
     explain_cmd.add_argument("--json", action="store_true",
                              help="emit the plan as JSON")
-    common(explain_cmd)
+    engine_flags(explain_cmd)
     explain_cmd.set_defaults(handler=_cmd_explain)
 
     plan_cmd = sub.add_parser(
@@ -921,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan_cmd.add_argument("query")
     plan_cmd.add_argument("--json", action="store_true",
                           help="emit the plan as JSON (greppable in CI)")
-    common(plan_cmd)
+    engine_flags(plan_cmd)
     plan_cmd.set_defaults(handler=_cmd_plan)
 
     stats_cmd = sub.add_parser("stats", help="print directory statistics")
@@ -1034,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="disable the remote-sublist cache")
     chaos_cmd.add_argument("--json", action="store_true",
                            help="emit the report as JSON")
-    common(chaos_cmd)
+    engine_flags(chaos_cmd)
     chaos_cmd.set_defaults(handler=_cmd_chaos)
 
     bench_cmd = sub.add_parser(

@@ -126,9 +126,10 @@ class FederatedDirectory:
         #: Structured event logger shared by the resilience ladder (see
         #: :mod:`repro.obs.log`); no-op by default.
         self.log = log if log is not None else NULL_LOGGER
-        #: Scatter pool for remote atomic leaves.  The default single
-        #: worker runs everything inline -- the historical sequential
-        #: path, bit for bit (see :meth:`enable_parallelism`).
+        #: Scatter pool for remote atomic leaves: each leaf's remote
+        #: owners fan out across up to ``max_workers`` threads, gathered
+        #: back in owner order.  The default single worker runs everything
+        #: inline -- the historical sequential path, bit for bit.
         self.pool = WorkerPool(max_workers, name="fed-scatter")
         #: The coordinator-side tracer; spans cross to remote servers via
         #: the trace context carried with each request.
@@ -251,17 +252,6 @@ class FederatedDirectory:
             fed.servers[name].load(entries)
         return fed
 
-    # -- parallelism -------------------------------------------------------
-
-    def enable_parallelism(self, max_workers: int) -> WorkerPool:
-        """Replace the scatter pool: remote atomic leaves fan out across
-        up to ``max_workers`` threads, gathered back in deterministic
-        owner order.  ``max_workers=1`` restores the inline sequential
-        path.  Returns the new pool."""
-        self.pool.close()
-        self.pool = WorkerPool(max_workers, name="fed-scatter")
-        return self.pool
-
     def close(self) -> None:
         """Release the scatter pool's threads (idempotent)."""
         self.pool.close()
@@ -342,7 +332,6 @@ class FederatedDirectory:
         engine = QueryEngine(
             leaves.coordinator.engine.store,
             tracer=self.tracer,
-            pool=self.pool,
             log=self.log,
             heatmap=self.heatmap,
             leaves=leaves,

@@ -115,7 +115,6 @@ class QueryEngine:
         store: DirectoryStore,
         use_indices: bool = True,
         tracer=None,
-        pool=None,
         log=None,
         heatmap=None,
         leaves=None,
@@ -141,12 +140,12 @@ class QueryEngine:
         #: :class:`~repro.engine.optimizer.AccessPlanner` over ``store``:
         #: :meth:`plan` applies its rewrites and operand order, leaves
         #: follow its scan-vs-index choice, and every run records its
-        #: Q-error.  On the sequential path an empty operand that decides
-        #: its node ends it -- the first of ``&``, ``-`` and of every
-        #: selection, the second of a selection without an aggregate
-        #: filter.  A hierarchical selection over scanned atomic leaves on
-        #: one base reads them by one shared scan feeding its stack pass
-        #: when the planner says windows cannot pay
+        #: Q-error.  An empty operand that decides its node ends it --
+        #: the first of ``&``, ``-`` and of every selection, the second of
+        #: a selection without an aggregate filter.  A hierarchical
+        #: selection over scanned atomic leaves on one base reads them by
+        #: one shared scan feeding its stack pass when the planner says
+        #: windows cannot pay
         #: (:meth:`~repro.engine.optimizer.AccessPlanner.shares_scan`);
         #: otherwise its atomic witness and blocker operands are read over
         #: windows derived from its first operand when the planner finds
@@ -179,19 +178,11 @@ class QueryEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled and "io" not in self.tracer.probes:
             self.tracer.add_probe("io", self.pager.stats)
-        #: Optional :class:`~repro.exec.WorkerPool`: when it can run
-        #: concurrently, the two operands of a boolean node are evaluated
-        #: in parallel (they are independent subtrees; the merge is the
-        #: barrier).  None or a single-worker pool keeps evaluation
-        #: strictly sequential -- the default.
-        self.pool = pool
-        #: Per-operator skip counts collected during one run (list of
-        #: ints: appends are atomic under the GIL, so parallel subtrees
-        #: may report concurrently).
-        self._eval_error_counts: List[int] = []
+        #: Records the operators of the current run skipped (summed over
+        #: the run's nodes).
+        self._eval_errors = 0
         #: Live :class:`~repro.obs.budget.BudgetTracker` while a budgeted
-        #: run is in flight (charged after every operator, also from
-        #: pool workers -- reads are lock-protected inside the stats).
+        #: run is in flight (charged after every operator).
         self._budget_tracker = None
 
     @classmethod
@@ -252,7 +243,7 @@ class QueryEngine:
             entries = result_run.to_list()
             result_run.free()
             span.set(rows=len(entries))
-            eval_errors = sum(self._eval_error_counts)
+            eval_errors = self._eval_errors
             if eval_errors:
                 span.set(eval_errors=eval_errors)
         elapsed = time.perf_counter() - started
@@ -273,7 +264,7 @@ class QueryEngine:
         its result run (caller frees it) and, with a planner, record the
         run-level Q-error.  :meth:`run` and EXPLAIN ``--analyze`` both
         come through here."""
-        self._eval_error_counts = []
+        self._eval_errors = 0
         self._budget_tracker = (
             budget.start(self.pager.stats) if budget is not None else None
         )
@@ -318,8 +309,7 @@ class QueryEngine:
         ``windows``, the number of window roots it was read over."""
         if not self.tracer.enabled:
             result = self._evaluate_node(query, within)
-            if result.eval_errors:
-                self._eval_error_counts.append(result.eval_errors)
+            self._eval_errors += result.eval_errors
             self._charge(result)
             return result
         with self.tracer.span(_span_name(query)) as span:
@@ -328,7 +318,7 @@ class QueryEngine:
             result = self._evaluate_node(query, within)
             span.set(rows=len(result))
             if result.eval_errors:
-                self._eval_error_counts.append(result.eval_errors)
+                self._eval_errors += result.eval_errors
                 span.set(eval_errors=result.eval_errors)
             self._charge(result)
             return result
@@ -337,7 +327,7 @@ class QueryEngine:
         """Check the run's budget after one operator; on breach free the
         operator's own result before the error propagates (the operand
         runs are already freed by :meth:`_evaluate_node`'s ``finally``
-        blocks, and in-flight sibling runs by :meth:`_evaluate_operands`),
+        blocks, and earlier sibling runs by :meth:`_evaluate_operands`),
         keeping the cancellation leak-free end to end."""
         tracker = self._budget_tracker
         if tracker is None:
@@ -349,73 +339,43 @@ class QueryEngine:
             raise
 
     def _evaluate_operands(self, query: Query, children) -> Optional[List[Run]]:
-        """Evaluate the independent operand subtrees of ``query``, in
-        parallel when the engine has a concurrent pool (the caller's
-        operator is the barrier).  Results come back in child order; on
-        any failure every sibling's run is freed before the first error
-        re-raises.
+        """Evaluate the operand subtrees of ``query`` in order.  Results
+        come back in child order; on any failure every run evaluated so
+        far is freed before the error re-raises.
 
-        With a planner the sequential path also uses what the first
-        operands returned: an empty operand that decides ``query``
+        With a planner each operand also uses what the earlier ones
+        returned: an empty operand that decides ``query``
         (:func:`_decides_when_empty`) ends the evaluation -- None comes
         back, the runs freed -- and once a hierarchical selection's first
         operand is in, its atomic witness and blocker operands are read
-        over the planner's windows when that is cheaper.  A concurrent
-        pool evaluates all operands at once, where waiting for the first
-        would serialise them (results are bit-identical either way)."""
-        pool = self.pool
-        if pool is None or not pool.parallel or len(children) <= 1:
-            planner = self.planner
-            runs: List[Run] = []
-            bounds = None
-            try:
-                for index, child in enumerate(children):
-                    within = bounds[index - 1] if bounds else None
-                    runs.append(self.evaluate_to_run(child, within))
-                    if planner is None:
-                        continue
-                    if len(runs[-1]) == 0 and _decides_when_empty(query, index):
-                        for run in runs:
-                            run.free()
-                        return None
-                    if index == 0 and isinstance(query, HierarchySelect):
-                        bounds = planner.witness_windows(query, runs[0])
-            except BaseException:
-                for run in runs:
-                    run.free()
-                raise
-            return runs
-        context = self.tracer.context()
-
-        def evaluate(child):
-            token = self.tracer.adopt(context)
-            try:
-                return ("ok", self.evaluate_to_run(child))
-            except Exception as exc:
-                return ("err", exc)
-            finally:
-                self.tracer.release(token)
-
+        over the planner's windows when that is cheaper."""
+        planner = self.planner
         runs: List[Run] = []
-        first_error = None
-        for status, value in pool.map_ordered(evaluate, list(children)):
-            if status == "ok":
-                runs.append(value)
-            elif first_error is None:
-                first_error = value
-        if first_error is not None:
+        bounds = None
+        try:
+            for index, child in enumerate(children):
+                within = bounds[index - 1] if bounds else None
+                runs.append(self.evaluate_to_run(child, within))
+                if planner is None:
+                    continue
+                if len(runs[-1]) == 0 and _decides_when_empty(query, index):
+                    for run in runs:
+                        run.free()
+                    return None
+                if index == 0 and isinstance(query, HierarchySelect):
+                    bounds = planner.witness_windows(query, runs[0])
+        except BaseException:
             for run in runs:
                 run.free()
-            raise first_error
+            raise
         return runs
 
     def _scan_for(self, query: HierarchySelect):
         """The provider's ``shared_scan`` when ``query`` reads its operands
-        by one shared scan, else None.  Only on the planned, sequential
-        path, through a provider that has one, and where the planner says
-        so (:meth:`~repro.engine.optimizer.AccessPlanner.shares_scan`)."""
-        pool = self.pool
-        if self.planner is None or (pool is not None and pool.parallel):
+        by one shared scan, else None.  Only with a planner, through a
+        provider that has one, and where the planner says so
+        (:meth:`~repro.engine.optimizer.AccessPlanner.shares_scan`)."""
+        if self.planner is None:
             return None
         if self.leaves is None:
             scan = self.shared_scan

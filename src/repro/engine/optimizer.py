@@ -670,8 +670,8 @@ class PlannedEngine(QueryEngine):
     DirectoryStatistics` snapshot or a :class:`~repro.engine.stats.
     LiveDirectoryStatistics` (estimates then track the directory).
     ``metrics`` (a registry) enables the ``repro_planner_qerror``
-    histogram; extra keyword arguments (``pool``, ``log``, ``tracer``,
-    ...) pass through to the engine.
+    histogram; extra keyword arguments (``log``, ``tracer``, ...) pass
+    through to the engine.
     """
 
     def __init__(

@@ -1,9 +1,9 @@
 """A bounded worker pool with deterministic ordered gather.
 
-The federation's scatter-gather (remote atomic sub-queries fanned out to
-their owning servers) and the engine's optional parallel evaluation of
-independent boolean subtrees both run through one :class:`WorkerPool`.
-The pool's contract is deliberately narrow:
+The pool has one user: the federation's scatter-gather, which fans each
+remote atomic sub-query out to its owning servers so their round trips
+overlap.  Everything above the leaves runs on the calling thread.  The
+pool's contract is deliberately narrow:
 
 - :meth:`WorkerPool.map_ordered` runs one callable per item and returns
   the results **in item order** -- the gather barrier.  Whatever the
@@ -12,8 +12,7 @@ The pool's contract is deliberately narrow:
 - ``max_workers=1`` (the default everywhere) executes inline on the
   calling thread: no executor, no threads, no queue -- the historical
   sequential behaviour, bit for bit.
-- A task that itself calls :meth:`map_ordered` (a parallel boolean
-  subtree whose atomic leaf scatter-gathers again) runs the nested batch
+- A task that itself calls :meth:`map_ordered` runs the nested batch
   inline on its own worker thread, so a bounded pool can never deadlock
   waiting for itself.
 - If any task raises, the gather still waits for **every** task to

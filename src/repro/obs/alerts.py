@@ -67,6 +67,10 @@ _AGGS = {"sum": sum, "max": max, "min": min}
 #: The ``(ts, value)`` points a rate rule keeps, newest last.
 RATE_POINTS = 128
 
+#: Records a replica may lag behind its primary before the stock
+#: ``replication-lag`` rule fires and ``/healthz`` reports degraded.
+REPLICATION_LAG_ALERT = 8
+
 
 def _read(
     registry,
@@ -283,7 +287,10 @@ def default_rules() -> List[AlertRule]:
     lag, and the cache hit-rate floor."""
     return [
         parse_rule("p95(repro_planner_qerror) > 4", name="planner-qerror-p95"),
-        parse_rule("max(repro_replication_lag_records) > 8", name="replication-lag"),
+        parse_rule(
+            "max(repro_replication_lag_records) > %d" % REPLICATION_LAG_ALERT,
+            name="replication-lag",
+        ),
         parse_rule(
             "repro_cache_lookups_total{outcome=hit} / total < 0.1 min 50",
             name="cache-hit-rate-floor",

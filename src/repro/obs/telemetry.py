@@ -64,11 +64,13 @@ _TIMING_FIELD_RE = re.compile(
     re.IGNORECASE,
 )
 
-#: Deterministic fields where *larger* is the good direction; everything
-#: else numeric (page transfers, messages, bytes shipped, sizes) is
-#: treated as a cost where smaller is better.
+#: Deterministic fields where *larger* is the good direction (for
+#: ``parallel_batches``, fewer batches means a scatter went serial);
+#: everything else numeric (page transfers, messages, bytes shipped,
+#: sizes) is treated as a cost where smaller is better.
 _HIGHER_IS_BETTER_RE = re.compile(
-    r"speedup|hit|availability|saved|exact|answered|coverage|recall",
+    r"speedup|hit|availability|saved|exact|answered|coverage|recall"
+    r"|parallel_batches",
     re.IGNORECASE,
 )
 

@@ -47,7 +47,7 @@ from ..engine.stats import LiveDirectoryStatistics
 from ..model.dn import DN
 from ..model.entry import Entry
 from ..model.instance import DirectoryInstance
-from ..obs.alerts import AlertEngine, AlertRule, default_rules
+from ..obs.alerts import REPLICATION_LAG_ALERT, AlertEngine, AlertRule, default_rules
 from ..obs.budget import BudgetExceeded
 from ..obs.digest import QueryDigestTable
 from ..obs.event import SearchEvent
@@ -333,15 +333,15 @@ class DirectoryService:
             # shipping lands in the same per-subtree cells as local reads.
             federation.heatmap = self.heatmap
 
-    def attach_replication(self, replicated, lag_alert: int = 8) -> None:
+    def attach_replication(self, replicated) -> None:
         """Surface a :class:`~repro.dist.replication.ReplicatedContext`
         through this service's admin plane: ``/healthz`` carries the
         group's epoch and per-replica acked lsn / lag, and the service
         reports ``status: degraded`` while any replica lags more than
-        ``lag_alert`` records behind the primary (or needs a resync)."""
-        if lag_alert < 0:
-            raise ValueError("lag_alert must be non-negative")
-        self._replication = (replicated, lag_alert)
+        :data:`~repro.obs.alerts.REPLICATION_LAG_ALERT` records behind the
+        primary (or needs a resync) -- the stock ``replication-lag``
+        rule's threshold."""
+        self._replication = replicated
 
     # -- connection state --------------------------------------------------
 
@@ -768,12 +768,11 @@ class DirectoryService:
             if isinstance(self.directory, DurableDirectory):
                 status["durability"] = self.directory.durability_status()
             if self._replication is not None:
-                replicated, lag_alert = self._replication
-                replication = replicated.replication_status()
-                replication["lag_alert"] = lag_alert
+                replication = self._replication.replication_status()
+                replication["lag_alert"] = REPLICATION_LAG_ALERT
                 status["replication"] = replication
                 if any(
-                    r["lag"] > lag_alert or r["needs_resync"]
+                    r["lag"] > REPLICATION_LAG_ALERT or r["needs_resync"]
                     for r in replication["replicas"].values()
                 ):
                     status["status"] = "degraded"

@@ -1,8 +1,9 @@
 """Parallel scatter-gather (the worker-pool execution layer): a parallel
 federation must be indistinguishable from the sequential one in
 everything but wall time -- same entries in the same order, same network
-accounting, same coordinator page I/O for atomic scatters -- and the
-resilience ladder and tracer must keep working across worker threads."""
+accounting, same coordinator page I/O -- every spanning leaf of a query
+must fan out on its own, and the resilience ladder and tracer must keep
+working across worker threads."""
 
 import pytest
 
@@ -14,6 +15,11 @@ from repro.workload import balanced_instance
 
 ATOMIC_SPANNING = "( ? sub ? kind=alpha)"
 TREE_SPANNING = "(c ( ? sub ? kind=alpha) ( ? sub ? weight>=40))"
+#: Two leaves that each span every server: two scatters per query.
+TWO_LEAF_SPANNING = (
+    "(& ( ? sub ? kind=alpha) ( ? sub ? weight<50))",
+    "(d ( ? sub ? kind=alpha) ( ? sub ? weight<50))",
+)
 
 
 def _build(max_workers=1, network=None, tracer=None, leaf_cache_bytes=0):
@@ -41,7 +47,7 @@ def oracle():
     engine = QueryEngine.from_instance(instance, page_size=16)
     return {
         query: engine.run(query).dns()
-        for query in (ATOMIC_SPANNING, TREE_SPANNING)
+        for query in (ATOMIC_SPANNING, TREE_SPANNING) + TWO_LEAF_SPANNING
     }
 
 
@@ -73,24 +79,47 @@ class TestDifferential:
         finally:
             parallel.close()
 
-    def test_enable_parallelism_round_trip(self, oracle):
-        _, fed, _, _ = _build(max_workers=1)
-        baseline = fed.query("hq", ATOMIC_SPANNING)
-        fed.enable_parallelism(4)
+    def test_max_workers_sizes_the_scatter_pool(self, oracle):
+        for workers in (1, 4):
+            _, fed, _, _ = _build(max_workers=workers)  # via partition()
+            try:
+                assert fed.pool.max_workers == workers
+                assert fed.pool.parallel == (workers > 1)
+                got = fed.query("hq", ATOMIC_SPANNING).dns()
+                assert got == oracle[ATOMIC_SPANNING]
+            finally:
+                fed.close()
+        assert FederatedDirectory(fed.schema, max_workers=3).pool.max_workers == 3
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("query", TWO_LEAF_SPANNING)
+    def test_each_spanning_leaf_is_its_own_parallel_batch(self, oracle, query):
+        # The engine above the leaves evaluates operands in order, so each
+        # leaf's remote owners fan out across the whole pool -- one batch
+        # per leaf -- and the coordinator sees exactly the sequential
+        # page-operation sequence.
+        _, sequential, _, _ = _build(max_workers=1)
+        _, parallel, _, _ = _build(max_workers=4)
         try:
-            assert fed.pool.parallel
-            assert fed.query("hq", ATOMIC_SPANNING).dns() == baseline.dns()
+            for _repeat in range(2):
+                seq = sequential.query("hq", query)
+                before = parallel.pool.parallel_batches
+                par = parallel.query("hq", query)
+                assert parallel.pool.parallel_batches - before == 2
+                assert par.dns() == seq.dns() == oracle[query]
+                assert par.messages == seq.messages
+                assert par.entries_shipped == seq.entries_shipped
+                assert par.io.as_dict() == seq.io.as_dict()
         finally:
-            fed.enable_parallelism(1)
-        assert not fed.pool.parallel
-        assert fed.query("hq", ATOMIC_SPANNING).dns() == oracle[ATOMIC_SPANNING]
+            parallel.close()
 
 
 class TestZeroOverhead:
     def test_default_federation_never_starts_threads(self):
         _, fed, _, _ = _build()  # max_workers defaults to 1
-        fed.query("hq", ATOMIC_SPANNING)
-        fed.query("hq", TREE_SPANNING)
+        for query in (ATOMIC_SPANNING, TREE_SPANNING) + TWO_LEAF_SPANNING:
+            fed.query("hq", query)
         assert fed.pool.parallel_batches == 0
         assert fed.pool._executor is None
 

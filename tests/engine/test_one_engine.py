@@ -6,8 +6,8 @@ subclassed.  Three guards:
 - structural -- nothing in ``repro.*`` subclasses the engine with more
   than a constructor, and the constructor takes no read controls;
 - differential -- an explicitly injected local access path is
-  bit-identical to the default one, planned and plan-less, sequential
-  and under a worker pool, and on leaves the planner reads over windows
+  bit-identical to the default one, planned and plan-less, and on
+  leaves the planner reads over windows
   (the provider contract is ``leaves(query, within=None)``) or by one
   shared scan (the provider's optional ``shared_scan(leaves)``); a
   provider without ``shared_scan`` answers every leaf itself;
@@ -31,7 +31,6 @@ from repro.engine import QueryEngine
 from repro.engine.atomic import evaluate_atomic, shared_scan
 from repro.engine.engine import SHARED_SCAN_SPAN
 from repro.engine.optimizer import AccessPlanner, PlannedEngine
-from repro.exec import WorkerPool
 from repro.obs.trace import Tracer
 from repro.workload import RandomQueries, random_instance
 
@@ -84,10 +83,10 @@ def test_the_engine_takes_no_read_controls():
     service's; the constructor names only what shapes an evaluation."""
     parameters = list(inspect.signature(QueryEngine.__init__).parameters)
     assert parameters == [
-        "self", "store", "use_indices", "tracer", "pool", "log", "heatmap",
-        "leaves", "planner",
+        "self", "store", "use_indices", "tracer", "log", "heatmap", "leaves",
+        "planner",
     ]
-    assert len(parameters) - 1 == 8
+    assert len(parameters) - 1 == 7
     assert not hasattr(QueryEngine, "open")
 
 
@@ -113,22 +112,21 @@ class _LocalLeaves:
         return shared_scan(self.store, leaves)
 
 
-def _arms(seed, planned, pool=None):
+def _arms(seed, planned):
     """(default-provider engine, injected-provider engine), each over its
     own identically built store so buffer state evolves in lockstep."""
     _instance, default_store = make_store(seed)
     _instance, injected_store = make_store(seed)
     if not planned:
         return (
-            QueryEngine(default_store, pool=pool),
-            QueryEngine(injected_store, pool=pool, leaves=_LocalLeaves(injected_store)),
+            QueryEngine(default_store),
+            QueryEngine(injected_store, leaves=_LocalLeaves(injected_store)),
         )
     planner = AccessPlanner(injected_store)
     return (
-        PlannedEngine(default_store, pool=pool),
+        PlannedEngine(default_store),
         QueryEngine(
             injected_store,
-            pool=pool,
             planner=planner,
             leaves=_LocalLeaves(injected_store, planner),
         ),
@@ -214,26 +212,6 @@ def test_a_provider_without_a_shared_scan_answers_every_leaf(seed):
 
 def _span_names(engine):
     return [span.name for span in engine.tracer.last_root().walk()]
-
-
-@pytest.mark.parametrize("planned", [False, True], ids=["plan-less", "planned"])
-@pytest.mark.parametrize("seed", range(6))
-def test_injected_local_provider_under_worker_pool(seed, planned):
-    sequential = QueryEngine(make_store(seed)[1])
-    expected = [sequential.run(query) for query in _trees(seed)]
-    with WorkerPool(4) as pool:
-        default, injected = _arms(seed, planned, pool=pool)
-        live = default.pager.live_pages
-        for query, want in zip(_trees(seed), expected):
-            first, second = default.run(query), injected.run(query)
-            assert first.dns() == second.dns() == want.dns(), str(query)
-            # Physical transfers depend on how the workers interleave in
-            # the shared buffer; the page *requests* do not.
-            assert first.io.logical_total == second.io.logical_total, str(query)
-            assert default.pager.live_pages == injected.pager.live_pages == live
-        # A concurrent pool evaluates both operands at once: a planned
-        # engine must not short-circuit there, and still agrees.
-        assert default.short_circuits == injected.short_circuits == 0
 
 
 # -- (c) the coordinator is the same engine ------------------------------------

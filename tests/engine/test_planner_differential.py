@@ -1,7 +1,6 @@
 """Randomized differential suite: the planned engine must be
 bit-identical to the paper-literal engine on every seeded query tree --
-across rewrites, cost-based reorderings, ACL refiltering and cache hits,
-sequentially and under the parallel worker pool.
+across rewrites, cost-based reorderings, ACL refiltering and cache hits.
 
 CI runs this module repeatedly (``pytest-repeat``) in the
 planner-differential job; locally each seed runs once.
@@ -11,7 +10,6 @@ import pytest
 
 from repro.engine import QueryEngine
 from repro.engine.optimizer import PlannedEngine
-from repro.exec import WorkerPool
 from repro.security import AccessControlList
 from repro.server import DirectoryService
 from repro.storage.store import DirectoryStore
@@ -36,19 +34,6 @@ def test_planned_bit_identical_sequential(seed):
     for _ in range(QUERIES_PER_SEED):
         query = queries.any_level(depth=2)
         assert planned.run(query).dns() == reference.run(query).dns(), str(query)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_planned_bit_identical_under_worker_pool(seed):
-    instance, store = make_store(seed)
-    queries = RandomQueries(instance, seed=seed * 17 + 5)
-    trees = [queries.any_level(depth=2) for _ in range(QUERIES_PER_SEED)]
-    reference = QueryEngine(store)
-    expected = [reference.run(query).dns() for query in trees]
-    with WorkerPool(4) as pool:
-        planned = PlannedEngine(store, pool=pool)
-        for query, want in zip(trees, expected):
-            assert planned.run(query).dns() == want, str(query)
 
 
 @pytest.mark.parametrize("seed", range(5))

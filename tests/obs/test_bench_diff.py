@@ -75,6 +75,12 @@ class TestCompareBench:
         assert report["regressions"] == []
         assert [i["field"] for i in report["improvements"]] == ["hit rate"]
 
+    def test_a_serialised_scatter_regresses(self):
+        old = artifact([{"workers": 4, "parallel_batches": 2}])
+        new = artifact([{"workers": 4, "parallel_batches": 1}])
+        report = compare_bench(old, new, tolerance=0.1)
+        assert [r["field"] for r in report["regressions"]] == ["parallel_batches"]
+
     def test_timing_fields_are_skipped_unless_opted_in(self):
         old, new = artifact(), artifact()
         old["tables"]["E99: synthetic"][0]["ms/query"] = 10.0

@@ -303,7 +303,7 @@ class TestReplicationHealth:
         registry = MetricsRegistry()
         return DirectoryService(make_instance(), page_size=4, metrics=registry)
 
-    def _replicated(self):
+    def _replicated(self, children=4):
         from repro.dist import ReplicatedContext, SimulatedNetwork
         from repro.workload import synthetic_schema
 
@@ -312,7 +312,7 @@ class TestReplicationHealth:
             network=SimulatedNetwork(), metrics=MetricsRegistry(),
         )
         replicated.add("name=r", ["node"], name="r")
-        for index in range(4):
+        for index in range(children):
             replicated.add("name=e%d, name=r" % index, ["node"],
                            name="e%d" % index)
         return replicated
@@ -321,7 +321,7 @@ class TestReplicationHealth:
         service = self._service()
         replicated = self._replicated()
         replicated.sync()
-        service.attach_replication(replicated, lag_alert=3)
+        service.attach_replication(replicated)
         server = service.serve_admin()
         try:
             payload = json.loads(_get(server.url + "/healthz")[2])
@@ -329,24 +329,29 @@ class TestReplicationHealth:
             replication = payload["replication"]
             assert replication["epoch"] == 1
             assert replication["primary"] == "primary"
-            assert replication["lag_alert"] == 3
+            assert replication["lag_alert"] == 8
             assert replication["replicas"]["secondary0"]["lag"] == 0
         finally:
             server.stop()
 
     def test_healthz_degrades_on_replication_lag(self):
+        # One policy: /healthz degrades exactly where the stock
+        # replication-lag rule fires.
+        from repro.obs.alerts import default_rules
+
+        stock = {rule.name: rule for rule in default_rules()}
+        assert stock["replication-lag"].threshold == 8
         service = self._service()
-        replicated = self._replicated()  # never synced: lag 5 > alert 3
-        service.attach_replication(replicated, lag_alert=3)
+        lagging = self._replicated(children=7)  # never synced: lag 8
+        service.attach_replication(lagging)
         server = service.serve_admin()
         try:
             payload = json.loads(_get(server.url + "/healthz")[2])
+            assert payload["replication"]["replicas"]["secondary1"]["lag"] == 8
+            assert payload["status"] == "ok"
+            service.attach_replication(self._replicated(children=8))
+            payload = json.loads(_get(server.url + "/healthz")[2])
             assert payload["status"] == "degraded"
-            assert payload["replication"]["replicas"]["secondary1"]["lag"] == 5
+            assert payload["replication"]["replicas"]["secondary1"]["lag"] == 9
         finally:
             server.stop()
-
-    def test_lag_alert_must_be_non_negative(self):
-        service = self._service()
-        with pytest.raises(ValueError):
-            service.attach_replication(self._replicated(), lag_alert=-1)

@@ -100,6 +100,28 @@ class TestStats:
         assert "SLARulePriority" in payload["attributes"]
         assert payload["io"]["logical_reads"] >= 0
 
+    def test_buffer_pages_reaches_the_pager(self, qos_ldif, capsys):
+        # Five pages: the default 8-page buffer holds them all, 4 pages
+        # do not.
+        def io(*flags):
+            assert main(["stats", qos_ldif, "--schema", "qos", "--json",
+                         "--page-size", "4", *flags]) == 0
+            return json.loads(capsys.readouterr().out)["io"]
+
+        roomy, tight = io(), io("--buffer-pages", "4")
+        assert tight["logical_reads"] == roomy["logical_reads"]
+        assert roomy["reads"] == 0 < tight["reads"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["stats", "metrics", "top", "alerts", "serve-admin", "replication-status"],
+)
+def test_index_is_offered_only_where_an_engine_is_built(command, qos_ldif):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, qos_ldif, "--schema", "qos", "--index", "weight"])
+    assert excinfo.value.code == 2
+
 
 class TestTraceFlag:
     def test_trace_prints_span_tree(self, qos_ldif, capsys):
