@@ -19,7 +19,9 @@ of the query by the cumulative size ``|L|`` of the atomic results
   filter-checked.
 
 Either way the result is a sorted, duplicate-free run -- the contract every
-operator above relies on.
+operator above relies on.  Every path tests the entries it reads through
+the leaf's filter compiled once against the schema
+(:meth:`~repro.filters.ast.Filter.predicate`), not walked per entry.
 
 A leaf may also be read over **windows** (``within``): ``(root dn,
 max_depth)`` pairs, each one ``scan_subtree`` call, that a planned
@@ -85,20 +87,20 @@ def evaluate_atomic(
     With ``within`` the answer is restricted to those windows and read
     through them alone (``use_indices`` does not apply)."""
     writer = RunWriter(store.pager)
+    matches, append = query.filter.predicate(store.schema), writer.append
     if within is None and use_indices:
         path = index_path(store, query.filter)
         if path is not None:
             for entry in store.fetch_positions(path[1]):
-                if scope_admits(query.base, query.scope, entry.dn) and query.filter.matches(entry, store.schema):
-                    writer.append(entry)
+                if scope_admits(query.base, query.scope, entry.dn) and matches(entry):
+                    append(entry)
             return writer.close()
     if within is None:
         entries = store.scan_subtree(query.base, Scope.MAX_DEPTH[query.scope])
     else:
         entries = _window_scan(store, clip_windows(query, within))
-    matches, schema, append = query.filter.matches, store.schema, writer.append
     for entry in entries:
-        if matches(entry, schema):
+        if matches(entry):
             append(entry)
     return writer.close()
 
@@ -116,11 +118,10 @@ def shared_scan(
     reaches = [Scope.MAX_DEPTH[leaf.scope] for leaf in leaves]
     widest = None if None in reaches else max(reaches)
     labels = labels_by_mask(len(leaves))
-    schema = store.schema
-    # (bit, filter, deepest key length) per leaf; None where the scan's
-    # own depth bound is the leaf's.
+    # (bit, compiled filter, deepest key length) per leaf; None where the
+    # scan's own depth bound is the leaf's.
     tests = [
-        (1 << index, leaf.filter.matches,
+        (1 << index, leaf.filter.predicate(store.schema),
          None if reach == widest else len(base.key()) + reach)
         for index, (leaf, reach) in enumerate(zip(leaves, reaches))
     ]
@@ -131,7 +132,7 @@ def shared_scan(
             depth = len(entry.dn.key())
         mask = 0
         for bit, matches, deepest in tests:
-            if (deepest is None or depth <= deepest) and matches(entry, schema):
+            if (deepest is None or depth <= deepest) and matches(entry):
                 mask |= bit
         if mask:
             yield entry, labels[mask]
@@ -217,7 +218,7 @@ def index_path(
     elif not numeric and isinstance(filter_, Substring):
         prefix = filter_.pattern.split("*", 1)[0]
         pairs = index.scan(prefix, prefix + "\uffff") if prefix else index.scan()
-        pairs = (pair for pair in pairs if filter_.regex.match(pair[0]))
+        pairs = (pair for pair in pairs if filter_.regex.fullmatch(pair[0]))
     elif not numeric and isinstance(filter_, Presence):
         pairs = index.scan()
     else:

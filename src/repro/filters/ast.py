@@ -14,12 +14,20 @@ The boolean combinations (:class:`FilterAnd`, :class:`FilterOr`,
 :class:`FilterNot`) exist for the **LDAP baseline** of Section 8: in LDAP
 only *filters* compose, under a single base and scope, whereas in L0 whole
 *queries* compose.  The L0+ languages use only atomic filters at the leaves.
+
+Every filter answers ``r |= F`` two ways: :meth:`Filter.matches` walks the
+filter for one entry (the definitional semantics uses it), and
+:meth:`Filter.predicate` compiles the filter once against a schema into an
+``entry -> bool`` closure that a scan calls per entry, with the schema's
+type tests, the constant's coercions and the operator resolved up front.
+The two agree on every entry, and count the same evaluation errors.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..model.dn import DN, DNSyntaxError
 from ..model.entry import Entry
@@ -40,14 +48,35 @@ __all__ = [
 ]
 
 
+#: A compiled filter: ``entry -> r |= F``.
+Predicate = Callable[[Entry], bool]
+
+
 class FilterError(ValueError):
     """Raised for ill-formed filters (bad operator, bad pattern)."""
 
 
+def _never(entry: Entry) -> bool:
+    return False
+
+
+def _always(entry: Entry) -> bool:
+    return True
+
+
 class Filter:
-    """Base class.  Subclasses implement :meth:`matches`."""
+    """Base class.  Subclasses implement :meth:`matches` and
+    :meth:`predicate`."""
 
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
+        raise NotImplementedError
+
+    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+        """This filter compiled against ``schema``: a closure equal to
+        ``lambda entry: self.matches(entry, schema)`` that does the
+        per-filter work once.  Entry values are read from the entry's
+        attribute map directly (``Entry._values``), one dict probe per
+        entry instead of a method call."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -60,6 +89,9 @@ class MatchAll(Filter):
 
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         return True
+
+    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+        return _always
 
     def __str__(self) -> str:
         return "objectClass=*"
@@ -79,6 +111,10 @@ class Presence(Filter):
 
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         return entry.has(self.attribute)
+
+    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+        attribute = self.attribute
+        return lambda entry: attribute in entry._values
 
     def __str__(self) -> str:
         return "%s=*" % self.attribute
@@ -107,6 +143,36 @@ class Equality(Filter):
             if _values_equal(value, target):
                 return True
         return False
+
+    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+        """:func:`_values_equal` with the constant's ``str`` and ``int``
+        forms computed once: an exact ``str`` value is compared with the
+        one, an exact ``int`` with the other.  Every other value (a
+        ``bool``, an ``int`` subclass, a ``DN``, an ``int`` against a
+        constant with no int form) takes :func:`_values_equal`, which
+        counts its coercion failures."""
+        attribute, target = self.attribute, self.value
+        if isinstance(target, DN):  # every value is compared as a dn
+            return lambda entry: self.matches(entry, schema)
+        text = str(target)
+        try:
+            number: Optional[int] = int(target)
+        except (TypeError, ValueError):
+            number = None
+
+        def test(entry: Entry) -> bool:
+            for value in entry._values.get(attribute, ()):
+                kind = type(value)
+                if kind is str:
+                    if value == text:
+                        return True
+                elif kind is int and number is not None:
+                    if value == number:
+                        return True
+                elif _values_equal(value, target):
+                    return True
+            return False
+        return test
 
     def __str__(self) -> str:
         return "%s=%s" % (self.attribute, self.value)
@@ -140,17 +206,30 @@ class Substring(Filter):
             ".*" if piece == "*" else re.escape(piece)
             for piece in re.split(r"(\*)", pattern)
         )
-        #: The pattern compiled and anchored: what a value must match.
-        self.regex = re.compile("^%s$" % regex)
+        #: The pattern compiled: a value matches when the whole of it does
+        #: (``regex.fullmatch``; ``*`` spans newlines too).
+        self.regex = re.compile(regex, re.DOTALL)
 
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         if schema is not None and schema.has_attribute(self.attribute):
             if schema.type_name_of(self.attribute) != "string":
                 return False  # tau(a) = string is required (Section 4.1)
         for value in entry.values(self.attribute):
-            if isinstance(value, str) and self.regex.match(value):
+            if isinstance(value, str) and self.regex.fullmatch(value):
                 return True
         return False
+
+    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+        if _mistyped(schema, self.attribute, "string"):
+            return _never
+        attribute, fullmatch = self.attribute, self.regex.fullmatch
+
+        def test(entry: Entry) -> bool:
+            for value in entry._values.get(attribute, ()):
+                if isinstance(value, str) and fullmatch(value):
+                    return True
+            return False
+        return test
 
     def __str__(self) -> str:
         return "%s=%s" % (self.attribute, self.pattern)
@@ -167,12 +246,7 @@ class Substring(Filter):
 
 
 #: Comparison operators admitted on int attributes.
-_COMPARATORS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_COMPARATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class Comparison(Filter):
@@ -200,6 +274,21 @@ class Comparison(Filter):
                 if compare(value, self.value):
                     return True
         return False
+
+    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+        if _mistyped(schema, self.attribute, "int"):
+            return _never
+        attribute, compare, bound = self.attribute, _COMPARATORS[self.op], self.value
+
+        def test(entry: Entry) -> bool:
+            for value in entry._values.get(attribute, ()):
+                if type(value) is int or (
+                    isinstance(value, int) and not isinstance(value, bool)
+                ):
+                    if compare(value, bound):
+                        return True
+            return False
+        return test
 
     def __str__(self) -> str:
         return "%s%s%s" % (self.attribute, self.op, self.value)
@@ -237,6 +326,16 @@ class FilterAnd(Filter):
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         return all(f.matches(entry, schema) for f in self.operands)
 
+    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+        tests = [f.predicate(schema) for f in self.operands]
+
+        def test(entry: Entry) -> bool:
+            for operand in tests:
+                if not operand(entry):
+                    return False
+            return True
+        return test
+
     def __str__(self) -> str:
         return "(&%s)" % "".join(_grouped(f) for f in self.operands)
 
@@ -252,6 +351,16 @@ class FilterOr(Filter):
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         return any(f.matches(entry, schema) for f in self.operands)
 
+    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+        tests = [f.predicate(schema) for f in self.operands]
+
+        def test(entry: Entry) -> bool:
+            for operand in tests:
+                if operand(entry):
+                    return True
+            return False
+        return test
+
     def __str__(self) -> str:
         return "(|%s)" % "".join(_grouped(f) for f in self.operands)
 
@@ -266,8 +375,24 @@ class FilterNot(Filter):
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         return not self.operand.matches(entry, schema)
 
+    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+        inner = self.operand.predicate(schema)
+        return lambda entry: not inner(entry)
+
     def __str__(self) -> str:
         return "(!%s)" % _grouped(self.operand)
+
+
+def _mistyped(schema: Optional[DirectorySchema], attribute: str, type_name: str) -> bool:
+    """Whether ``schema`` declares ``attribute`` with a type other than
+    ``type_name`` (an undeclared attribute, or no schema, is not).  Asked
+    once per compile; ``matches`` keeps the same test inline because it
+    runs once per entry."""
+    return (
+        schema is not None
+        and schema.has_attribute(attribute)
+        and schema.type_name_of(attribute) != type_name
+    )
 
 
 def _count_eval_error(kind: str) -> None:

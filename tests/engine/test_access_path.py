@@ -157,6 +157,33 @@ def test_indexed_equality_through_a_view_with_pending_writes():
     assert directory.compactions == 0
 
 
+@pytest.mark.parametrize("pattern, value, expected", [
+    ("*x*", "line1\nline2x", True),
+    ("*2x", "line1\nline2x", True),
+    ("*c", "abc\n", False),
+])
+def test_substring_spans_newlines(pattern, value, expected):
+    # An LDIF value can carry newlines (base64): ``*`` spans them and the
+    # pattern covers the whole value, on every path and in the semantics.
+    source = balanced_instance(40, fanout=3, seed=5)
+    entries = list(source)
+    carrier = entries[7].with_values(kind=[value])
+    instance = DirectoryInstance(source.schema)
+    for entry in entries:
+        instance.add_entry(carrier if entry.dn == carrier.dn else entry)
+    store = make_store(instance)
+    query = AtomicQuery(ROOT_DN, Scope.SUB, Substring("kind", pattern))
+    assert index_path(store, query.filter) is not None
+    assert (carrier in evaluate(query, instance)) is expected
+    for use_indices in (True, False):
+        run = evaluate_atomic(store, query, use_indices)
+        assert (carrier in run.to_list()) is expected, use_indices
+        run.free()
+    run = evaluate_atomic(store, query, within=[(entries[0].dn, None)])
+    assert (carrier in run.to_list()) is expected
+    run.free()
+
+
 # -- the access-path differential ----------------------------------------------
 
 

@@ -91,6 +91,18 @@ class TestSubstring:
         assert Substring("cn", "*a.c*").matches(entry(cn=["xa.cy"]))
         assert not Substring("cn", "*a.c*").matches(entry(cn=["xabcy"]))
 
+    @pytest.mark.parametrize("pattern, value, expected", [
+        ("*x*", "line1\nline2x", True),
+        ("*2x", "line1\nline2x", True),
+        ("*c", "abc\n", False),
+    ])
+    def test_values_with_newlines(self, schema, pattern, value, expected):
+        # LDIF carries newlines through base64: ``*`` spans them, and the
+        # pattern must cover the whole value, a trailing newline included.
+        for against in (None, schema):
+            assert Substring("cn", pattern).matches(entry(cn=[value]), against) is expected
+            assert Substring("cn", pattern).predicate(against)(entry(cn=[value])) is expected
+
 
 class TestComparison:
     def test_all_operators(self):

@@ -4,12 +4,15 @@ The companion of ``test_hit_path.py`` for the engine's heaviest operators.
 A ``read_scan``-shaped ``ac`` and ``d`` over a few hundred entries, each
 operand on one base, are served through the service with the result
 cache emptied first, so every search plans, reads its operands by one
-shared scan and runs one stack pass.  The interpreter's function calls
+shared scan and runs one stack pass.  A boolean ``&`` of two leaves on
+the same base reads each leaf by its own clustered scan
+(``evaluate_atomic``'s scan path).  The interpreter's function calls
 (``sys.setprofile`` "call" and "c_call" events, comprehensions aside) are
 deterministic, so each count is held to a budget: the count when the
 budget was set plus 10 %.  A change that puts per-entry work back into
 the pass -- a second scan, an annotated run read back, a DN method per
-stack step -- fails here before any benchmark runs.
+stack step, a filter walked per entry instead of compiled once per
+scan -- fails here before any benchmark runs.
 """
 
 import pytest
@@ -23,21 +26,29 @@ from .test_hit_path import _calls
 BASE = "name=e1, name=e0"
 
 #: (query, rows, call budget) over a 976-entry subtree.  The budgets are
-#: the counts when they were set (31 550 and 26 205 calls, down from
-#: 71 602 and 63 097 when each operand was scanned into its own run, the
-#: runs merged, and the pass annotated every entry for a second scan to
-#: select from) plus 10 %.
+#: the counts when they were set (16 514, 16 925 and 15 961 calls) plus
+#: 10 %.  They were 32 122, 26 677 and 23 759 while every leaf tested an
+#: entry through ``Filter.matches`` (an ``Entry.values`` call and a schema
+#: lookup per entry, a coercion per value), and the first two were 71 602
+#: and 63 097 when each operand was scanned into its own run, the runs
+#: merged, and the pass annotated every entry for a second scan to select
+#: from.
 CASES = {
     "ac": (
         "(ac (%s ? sub ? weight>=52) (%s ? sub ? level=0) (%s ? sub ? kind=beta))"
         % (BASE, BASE, BASE),
         169,
-        34705,
+        18165,
     ),
     "d": (
         "(d (%s ? sub ? weight<48) (%s ? sub ? weight<53))" % (BASE, BASE),
         119,
-        28826,
+        18617,
+    ),
+    "and": (
+        "(& (%s ? sub ? name=*77*) (%s ? sub ? weight<55))" % (BASE, BASE),
+        13,
+        17557,
     ),
 }
 
