@@ -443,9 +443,7 @@ def _cmd_bench_diff(args) -> int:
 
     from .obs.telemetry import compare_bench, diff_bench_dirs, load_bench
 
-    if os.path.isdir(args.old) != os.path.isdir(args.new) and not os.path.isdir(
-        args.old
-    ):
+    if os.path.isdir(args.old) != os.path.isdir(args.new):
         raise SystemExit("old and new must both be files or both directories")
     if os.path.isdir(args.old):
         report = diff_bench_dirs(

@@ -332,7 +332,6 @@ class FederatedDirectory:
         engine = QueryEngine(
             leaves.coordinator.engine.store,
             tracer=self.tracer,
-            log=self.log,
             heatmap=self.heatmap,
             leaves=leaves,
         )

@@ -46,7 +46,6 @@ from ..query.ast import (
     SimpleAggSelect,
 )
 from ..obs.budget import BudgetExceeded
-from ..obs.log import NULL_LOGGER
 from ..obs.trace import NULL_TRACER
 from ..query.parser import parse_query
 from ..storage.pager import IOStats
@@ -115,7 +114,6 @@ class QueryEngine:
         store: DirectoryStore,
         use_indices: bool = True,
         tracer=None,
-        log=None,
         heatmap=None,
         leaves=None,
         planner=None,
@@ -168,9 +166,6 @@ class QueryEngine:
         #: path at a single attribute check.
         self.heatmap = heatmap
         self.use_indices = use_indices
-        #: Structured event logger (see :mod:`repro.obs.log`); the no-op
-        #: default keeps the hot path free of formatting work.
-        self.log = log if log is not None else NULL_LOGGER
         #: Span tracer (see :mod:`repro.obs.trace`).  The default no-op
         #: tracer keeps the hot path allocation-free; pass a live
         #: :class:`~repro.obs.trace.Tracer` to record one span per
@@ -248,14 +243,6 @@ class QueryEngine:
                 span.set(eval_errors=eval_errors)
         elapsed = time.perf_counter() - started
         io = self.pager.stats.since(before)
-        if self.log.enabled_for("debug"):
-            self.log.debug(
-                "engine.run",
-                rows=len(entries),
-                pages=io.logical_total,
-                elapsed_s=round(elapsed, 6),
-                eval_errors=eval_errors or None,
-            )
         return QueryResult(entries, io, elapsed, eval_errors=eval_errors)
 
     def open_planned(self, query: Query, budget=None) -> Run:

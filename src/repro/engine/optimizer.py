@@ -33,13 +33,19 @@ Four pieces, all grounded in the paper:
      second/third operands narrow to the first operand's base.  (Not
      sound for ``p``/``a``/``ac``: ancestors escape the subtree.)
 
+   R3, R5 and R6 are one step, :func:`_narrow`, applied where the rule has
+   shown nothing outside a subtree matters.  Every rewriter here and in
+   :mod:`repro.query.normalize` rebuilds a node one way,
+   :meth:`~repro.query.ast.Query.with_children`.
+
 2. **Cost-based operand ordering** (*R7*, :func:`reorder_operands`):
    ``&`` and ``|`` are commutative, so the planner puts the operand with
    the smaller estimated cardinality first -- cheapest-first for ``&``
    (an empty first operand short-circuits the whole node in a planned
    engine), and short-circuit-aware for ``|`` (the cheaper operand runs
    while R4 absorption handles the provably covering case).  ``-`` is
-   never reordered.
+   never reordered.  Estimates fold bottom-up from one per-node step
+   (:func:`_estimate`), so R7 and EXPLAIN estimate each subtree once.
 
 3. **Access-path choice** (:meth:`AccessPlanner.plan_leaf`): per atomic
    leaf, compare the estimated cost of the clustered subtree scan against
@@ -135,12 +141,13 @@ def _always_true_filter(filter_) -> bool:
     return isinstance(filter_, Presence) and filter_.attribute == OBJECT_CLASS
 
 
+def _sub_atomic(query: Query) -> bool:
+    return isinstance(query, AtomicQuery) and query.scope == Scope.SUB
+
+
 def _is_whole_instance(query: Query) -> bool:
     return (
-        isinstance(query, AtomicQuery)
-        and query.base.is_null()
-        and query.scope == Scope.SUB
-        and _always_true_filter(query.filter)
+        _sub_atomic(query) and query.base.is_null() and _always_true_filter(query.filter)
     )
 
 
@@ -155,16 +162,12 @@ def _footprint_within(base, query: Query) -> bool:
     )
 
 
-def _absorb(node: Query, left: Query, right: Query, applied: List[str]):
+def _absorb(node: Query, applied: List[str]):
     """R4: ``(& cover Q) -> Q`` and ``(| cover Q) -> cover`` when
     ``cover`` is an always-true sub-scoped atomic whose subtree contains
     ``Q``'s footprint (so ``cover``'s result provably contains ``Q``'s)."""
-    for kept, cover in ((right, left), (left, right)):
-        if not (
-            isinstance(cover, AtomicQuery)
-            and cover.scope == Scope.SUB
-            and _always_true_filter(cover.filter)
-        ):
+    for kept, cover in ((node.right, node.left), (node.left, node.right)):
+        if not (_sub_atomic(cover) and _always_true_filter(cover.filter)):
             continue
         if not _footprint_within(cover.base, kept):
             continue
@@ -176,120 +179,79 @@ def _absorb(node: Query, left: Query, right: Query, applied: List[str]):
     return None
 
 
+def _narrow(operand: Query, base, note: str, applied: List[str]) -> Query:
+    """R3/R5/R6: a sub-scoped atomic ``operand`` whose base lies strictly
+    above ``base`` narrows to ``subtree(base)`` (the caller has shown
+    nothing outside it can matter); records ``note`` and the base."""
+    if not (_sub_atomic(operand) and operand.base.is_prefix_of(base)
+            and operand.base != base):
+        return operand
+    applied.append("%s %s" % (note, base))
+    return AtomicQuery(base, Scope.SUB, operand.filter)
+
+
 def rewrite(query: Query) -> Tuple[Query, List[str]]:
     """Apply the rewrite rules bottom-up; returns (query', applied-rules).
 
     The query is first normalised (associativity/commutativity/duplicate
     elimination of the boolean operators), so R2 also catches commuted
     duplicates like ``(& (& A B) (& B A))``."""
+    from ..cache.footprint import query_footprint
     from ..query.normalize import normalize
 
     normalized = normalize(query)
     applied: List[str] = []
     if normalized != query:
         applied.append("R0: boolean operands normalised")
-    query = normalized
 
     def walk(node: Query) -> Query:
-        if isinstance(node, AtomicQuery):
+        children = node.children()
+        if not children:
             return node
-        if isinstance(node, (And, Or, Diff)):
-            left = walk(node.left)
-            right = walk(node.right)
-            if isinstance(node, (And, Or)) and left == right:
+        node = node.with_children([walk(child) for child in children])
+        if isinstance(node, (And, Or)):
+            if node.left == node.right:
                 applied.append("R2: idempotent %s collapsed" % type(node).__name__)
-                return left
-            if isinstance(node, (And, Or)):
-                absorbed = _absorb(node, left, right, applied)
-                if absorbed is not None:
-                    return absorbed
-            if isinstance(node, And):
-                tightened = _tighten_scopes(left, right, applied)
-                if tightened is not None:
-                    left, right = tightened
-            if isinstance(node, Diff):
-                right = _tighten_diff(left, right, applied)
-            return type(node)(left, right)
-        if isinstance(node, HierarchySelect):
-            op = node.op
-            first = walk(node.first)
-            second = walk(node.second)
-            third = walk(node.third) if node.third is not None else None
-            if op in ("ac", "dc") and third is not None and _is_whole_instance(third):
-                cheap_op = "p" if op == "ac" else "c"
-                applied.append(
-                    "R1: (%s Q1 Q2 whole-instance) -> (%s Q1 Q2)" % (op, cheap_op)
-                )
-                op, third = cheap_op, None
-            if op in ("c", "d", "dc") and isinstance(first, AtomicQuery):
-                # Witnesses (and dc separators) of a selected entry are its
-                # descendants, so they live inside the first operand's
-                # subtree; wider sub-scoped operands narrow to its base.
-                second = _push_scope(second, first.base, op, "second", applied)
-                if third is not None:
-                    third = _push_scope(third, first.base, op, "third", applied)
-            return HierarchySelect(op, first, second, third, node.agg)
-        if isinstance(node, SimpleAggSelect):
-            return SimpleAggSelect(walk(node.operand), node.agg)
-        if isinstance(node, EmbeddedRef):
-            return EmbeddedRef(
-                node.op, walk(node.first), walk(node.second), node.attribute, node.agg
+                return node.left
+            absorbed = _absorb(node, applied)
+            if absorbed is not None:
+                return absorbed
+        if isinstance(node, And) and _sub_atomic(node.left) and _sub_atomic(node.right):
+            # R3: the intersection of nested subtrees lies in the inner one.
+            left = _narrow(node.left, node.right.base,
+                           "R3: scope of left operand tightened to", applied)
+            right = _narrow(node.right, left.base,
+                            "R3: scope of right operand tightened to", applied)
+            return node.with_children((left, right))
+        if isinstance(node, Diff) and _sub_atomic(node.right):
+            # R5: entries of B outside A's read region cancel nothing; A's
+            # side is never touched (the result must stay within A).
+            roots = list(query_footprint(node.left).ranges)
+            if len(roots) == 1:
+                return node.with_children((node.left, _narrow(
+                    node.right, roots[0][0],
+                    "R5: right operand of - tightened to", applied)))
+        if not isinstance(node, HierarchySelect):
+            return node
+        if node.op in ("ac", "dc") and _is_whole_instance(node.third):
+            cheap_op = "p" if node.op == "ac" else "c"
+            applied.append(
+                "R1: (%s Q1 Q2 whole-instance) -> (%s Q1 Q2)" % (node.op, cheap_op)
             )
+            node = HierarchySelect(cheap_op, node.first, node.second, None, node.agg)
+        first, *rest = node.children()
+        if node.op in ("c", "d", "dc") and isinstance(first, AtomicQuery):
+            # R6: witnesses (and dc separators) of a selected entry are its
+            # descendants, so they live inside the first operand's subtree.
+            rest = [
+                _narrow(operand, first.base, "R6: %s operand of %s pushed into scope"
+                        % (which, node.op), applied)
+                for which, operand in zip(("second", "third"), rest)
+            ]
+            node = node.with_children([first] + rest)
         return node
 
-    return walk(query), applied
-
-
-def _tighten_scopes(left: Query, right: Query, applied: List[str]):
-    """R3: narrow the wider sub-scoped base in an intersection of nested
-    subtrees."""
-    if not (
-        isinstance(left, AtomicQuery)
-        and isinstance(right, AtomicQuery)
-        and left.scope == Scope.SUB
-        and right.scope == Scope.SUB
-    ):
-        return None
-    if left.base.is_prefix_of(right.base) and left.base != right.base:
-        applied.append("R3: scope of left operand tightened to %s" % right.base)
-        return AtomicQuery(right.base, Scope.SUB, left.filter), right
-    if right.base.is_prefix_of(left.base) and left.base != right.base:
-        applied.append("R3: scope of right operand tightened to %s" % left.base)
-        return left, AtomicQuery(left.base, Scope.SUB, right.filter)
-    return None
-
-
-def _tighten_diff(left: Query, right: Query, applied: List[str]) -> Query:
-    """R5: in ``(- A B)``, entries of ``B`` outside ``A``'s read region
-    can never cancel anything, so a wider sub-scoped atomic ``B`` narrows
-    to ``A``'s range.  ``A``'s side is never touched (``-`` is not
-    commutative and the result must stay within ``A``)."""
-    if not (isinstance(right, AtomicQuery) and right.scope == Scope.SUB):
-        return right
-    from ..cache.footprint import query_footprint
-
-    roots = list(query_footprint(left).ranges)
-    if len(roots) != 1:
-        return right
-    base = roots[0][0]
-    if right.base.is_prefix_of(base) and right.base != base:
-        applied.append("R5: right operand of - tightened to %s" % base)
-        return AtomicQuery(base, Scope.SUB, right.filter)
-    return right
-
-
-def _push_scope(
-    operand: Query, base, op: str, which: str, applied: List[str]
-) -> Query:
-    """R6 helper: narrow one wider sub-scoped atomic operand to ``base``."""
-    if not (isinstance(operand, AtomicQuery) and operand.scope == Scope.SUB):
-        return operand
-    if operand.base.is_prefix_of(base) and operand.base != base:
-        applied.append(
-            "R6: %s operand of %s pushed into scope %s" % (which, op, base)
-        )
-        return AtomicQuery(base, Scope.SUB, operand.filter)
-    return operand
+    return walk(normalized), applied
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +259,27 @@ def _push_scope(
 # ---------------------------------------------------------------------------
 
 
-def estimate_cardinality(node: Query, estimator: CardinalityEstimator) -> float:
-    """Estimated result size of a whole query tree (the cost spine the
-    reorderer, EXPLAIN and the run-level Q-error all share)."""
+def _estimate(
+    node: Query, child_estimates: List[float], estimator: CardinalityEstimator
+) -> float:
+    """Estimated result size of ``node`` given its children's: every
+    estimate is folded bottom-up from this one step."""
     if isinstance(node, AtomicQuery):
         return estimator.atomic_cardinality(node)
-    child_estimates = [
-        estimate_cardinality(child, estimator) for child in node.children()
-    ]
     if isinstance(node, And):
         return min(child_estimates)
     if isinstance(node, Or):
         return min(sum(child_estimates), estimator.stats.total_entries)
     if isinstance(node, Diff):
         return child_estimates[0]
-    if isinstance(node, (HierarchySelect, EmbeddedRef)):
-        return child_estimates[0] * 0.5
-    if isinstance(node, SimpleAggSelect):
-        return child_estimates[0] * 0.5
-    return child_estimates[0] if child_estimates else 0.0
+    return child_estimates[0] * 0.5
+
+
+def estimate_cardinality(node: Query, estimator: CardinalityEstimator) -> float:
+    """Estimated result size of a whole query tree (the cost spine the
+    reorderer, EXPLAIN and the run-level Q-error all share)."""
+    children = [estimate_cardinality(child, estimator) for child in node.children()]
+    return _estimate(node, children, estimator)
 
 
 def qerror(estimate: float, actual: float) -> float:
@@ -444,43 +408,31 @@ def reorder_operands(
     commutative so results are bit-identical; the payoff is a planned
     engine's empty-first-operand short-circuit for ``&`` and smaller
     intermediate runs held live.  ``-`` is left alone (not commutative)."""
-    notes = applied if applied is not None else []
+    return _reorder(query, estimator, applied if applied is not None else [])[0]
 
-    def walk(node: Query) -> Query:
-        if isinstance(node, AtomicQuery):
-            return node
-        if isinstance(node, (And, Or)):
-            left = walk(node.left)
-            right = walk(node.right)
-            left_est = estimate_cardinality(left, estimator)
-            right_est = estimate_cardinality(right, estimator)
-            if right_est < left_est:
-                notes.append(
-                    "R7: %s operands reordered (est %.1f before %.1f)"
-                    % (
-                        "&" if isinstance(node, And) else "|",
-                        right_est,
-                        left_est,
-                    )
-                )
-                left, right = right, left
-            return type(node)(left, right)
-        if isinstance(node, Diff):
-            return Diff(walk(node.left), walk(node.right))
-        if isinstance(node, HierarchySelect):
-            third = walk(node.third) if node.third is not None else None
-            return HierarchySelect(
-                node.op, walk(node.first), walk(node.second), third, node.agg
-            )
-        if isinstance(node, SimpleAggSelect):
-            return SimpleAggSelect(walk(node.operand), node.agg)
-        if isinstance(node, EmbeddedRef):
-            return EmbeddedRef(
-                node.op, walk(node.first), walk(node.second), node.attribute, node.agg
-            )
-        return node
 
-    return walk(query)
+def _reorder(
+    node: Query, estimator: CardinalityEstimator, notes: List[str]
+) -> Tuple[Query, float]:
+    """:func:`reorder_operands` of ``node`` and its estimate, each
+    subtree estimated once, from its children's."""
+    operands = node.children()
+    if not operands:
+        return node, _estimate(node, [], estimator)
+    # An ac/dc node's third operand is ordered first, so its notes lead.
+    order = (2, 0, 1) if len(operands) == 3 else range(len(operands))
+    done = {i: _reorder(operands[i], estimator, notes) for i in order}
+    children = [done[i][0] for i in range(len(operands))]
+    estimates = [done[i][1] for i in range(len(operands))]
+    if isinstance(node, (And, Or)) and estimates[1] < estimates[0]:
+        notes.append(
+            "R7: %s operands reordered (est %.1f before %.1f)"
+            % (node.op, estimates[1], estimates[0])
+        )
+        children.reverse()
+        estimates.reverse()
+    node = node.with_children(children)
+    return node, _estimate(node, estimates, estimator)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +491,7 @@ class AccessPlanner:
         """Rewrite + cost-order ``query``; returns (planned query, applied
         rules).  Idempotent: planning a planned query is a no-op."""
         query, applied = rewrite(query)
-        query = reorder_operands(query, self.estimator, applied)
-        return query, applied
+        return reorder_operands(query, self.estimator, applied), applied
 
     def run_qerror(self, query: Query, rows: int) -> float:
         """Close the feedback loop for one executed plan: the Q-error of
@@ -670,7 +621,7 @@ class PlannedEngine(QueryEngine):
     DirectoryStatistics` snapshot or a :class:`~repro.engine.stats.
     LiveDirectoryStatistics` (estimates then track the directory).
     ``metrics`` (a registry) enables the ``repro_planner_qerror``
-    histogram; extra keyword arguments (``log``, ``tracer``, ...) pass
+    histogram; extra keyword arguments (``tracer``, ``heatmap``, ...) pass
     through to the engine.
     """
 
@@ -849,7 +800,9 @@ def explain(
                 label = "window[%d roots]" % span.attrs["windows"]
             text = "atomic %s via %s" % (node, label)
         else:
-            node_estimate = estimate_cardinality(node, planner.estimator)
+            node_estimate = _estimate(
+                node, [child.estimate for child in children], planner.estimator
+            )
             if isinstance(node, (And, Or, Diff)):
                 text = "boolean %s" % type(node).__name__.lower()
             elif isinstance(node, HierarchySelect):

@@ -21,7 +21,7 @@ node                      language   paper syntax
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..filters.ast import Filter
 from ..model.dn import DN
@@ -75,6 +75,12 @@ class Query:
         """Sub-queries, left to right."""
         return ()
 
+    def with_children(self, children: Sequence["Query"]) -> "Query":
+        """This node's operator and parameters over ``children`` (as
+        :meth:`children` orders them): the one way a rewriter rebuilds a
+        node."""
+        raise NotImplementedError
+
     def walk(self) -> Iterator["Query"]:
         """Pre-order traversal of the query tree."""
         yield self
@@ -107,6 +113,9 @@ class AtomicQuery(Query):
         self.scope = scope
         self.filter = filter_
 
+    def with_children(self, children: Sequence[Query]) -> Query:
+        return self
+
     def __str__(self) -> str:
         base = str(self.base) or ""
         return "(%s ? %s ? %s)" % (base, self.scope, self.filter)
@@ -135,6 +144,9 @@ class _Boolean(Query):
 
     def children(self) -> Tuple[Query, ...]:
         return (self.left, self.right)
+
+    def with_children(self, children: Sequence[Query]) -> Query:
+        return type(self)(*children)
 
     def __str__(self) -> str:
         return "(%s %s %s)" % (self.op, self.left, self.right)
@@ -207,6 +219,9 @@ class HierarchySelect(Query):
             return (self.first, self.second, self.third)
         return (self.first, self.second)
 
+    def with_children(self, children: Sequence[Query]) -> Query:
+        return HierarchySelect(self.op, *children, agg=self.agg)
+
     def __str__(self) -> str:
         parts = [self.op] + [str(child) for child in self.children()]
         if self.agg is not None:
@@ -242,6 +257,9 @@ class SimpleAggSelect(Query):
 
     def children(self) -> Tuple[Query, ...]:
         return (self.operand,)
+
+    def with_children(self, children: Sequence[Query]) -> Query:
+        return SimpleAggSelect(*children, self.agg)
 
     def __str__(self) -> str:
         return "(g %s %s)" % (self.operand, self.agg)
@@ -287,6 +305,9 @@ class EmbeddedRef(Query):
 
     def children(self) -> Tuple[Query, ...]:
         return (self.first, self.second)
+
+    def with_children(self, children: Sequence[Query]) -> Query:
+        return EmbeddedRef(self.op, *children, self.attribute, self.agg)
 
     def __str__(self) -> str:
         parts = [self.op, str(self.first), str(self.second), self.attribute]

@@ -20,18 +20,9 @@ checks that on random instances.
 
 from __future__ import annotations
 
-from typing import List, Type, Union
+from typing import List, Type
 
-from .ast import (
-    And,
-    AtomicQuery,
-    Diff,
-    EmbeddedRef,
-    HierarchySelect,
-    Or,
-    Query,
-    SimpleAggSelect,
-)
+from .ast import And, Or, Query
 
 __all__ = ["normalize", "equivalent_modulo_acd"]
 
@@ -55,42 +46,22 @@ def _rebuild(op: Type[Query], operands: List[Query]) -> Query:
 
 def normalize(query: Query) -> Query:
     """The canonical form (see module docstring)."""
-    if isinstance(query, AtomicQuery):
+    children = query.children()
+    if not children:
         return query
-    if isinstance(query, (And, Or)):
-        op = type(query)
-        leaves: List[Query] = []
-        _flatten(query, op, leaves)
-        normalized = [normalize(leaf) for leaf in leaves]
-        unique = []
-        seen = set()
-        for operand in sorted(normalized, key=str):
-            text = str(operand)
-            if text not in seen:
-                seen.add(text)
-                unique.append(operand)
-        return _rebuild(op, unique)
-    if isinstance(query, Diff):
-        return Diff(normalize(query.left), normalize(query.right))
-    if isinstance(query, HierarchySelect):
-        return HierarchySelect(
-            query.op,
-            normalize(query.first),
-            normalize(query.second),
-            normalize(query.third) if query.third is not None else None,
-            query.agg,
-        )
-    if isinstance(query, SimpleAggSelect):
-        return SimpleAggSelect(normalize(query.operand), query.agg)
-    if isinstance(query, EmbeddedRef):
-        return EmbeddedRef(
-            query.op,
-            normalize(query.first),
-            normalize(query.second),
-            query.attribute,
-            query.agg,
-        )
-    return query
+    if not isinstance(query, (And, Or)):
+        return query.with_children([normalize(child) for child in children])
+    op = type(query)
+    leaves: List[Query] = []
+    _flatten(query, op, leaves)
+    unique: List[Query] = []
+    seen = set()
+    for operand in sorted((normalize(leaf) for leaf in leaves), key=str):
+        text = str(operand)
+        if text not in seen:
+            seen.add(text)
+            unique.append(operand)
+    return _rebuild(op, unique)
 
 
 def equivalent_modulo_acd(first: Query, second: Query) -> bool:

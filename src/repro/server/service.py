@@ -379,7 +379,7 @@ class DirectoryService:
         counts, Q-error) belongs to this one evaluation.  Close the
         returned view when the evaluation is done."""
         view = self.directory.acquire_view()
-        options = dict(tracer=self.tracer, log=self.log, heatmap=self.heatmap)
+        options = dict(tracer=self.tracer, heatmap=self.heatmap)
         if self.planner == "cost":
             return PlannedEngine(
                 view, stats=self._live_stats, metrics=self.metrics, **options

@@ -83,10 +83,9 @@ def test_the_engine_takes_no_read_controls():
     service's; the constructor names only what shapes an evaluation."""
     parameters = list(inspect.signature(QueryEngine.__init__).parameters)
     assert parameters == [
-        "self", "store", "use_indices", "tracer", "log", "heatmap", "leaves",
-        "planner",
+        "self", "store", "use_indices", "tracer", "heatmap", "leaves", "planner",
     ]
-    assert len(parameters) - 1 == 7
+    assert len(parameters) - 1 == 6
     assert not hasattr(QueryEngine, "open")
 
 

@@ -21,6 +21,7 @@ from repro.query.ast import (
     SimpleAggSelect,
     language_level,
 )
+from repro.workload import RandomQueries, random_instance
 
 
 def atomic(base="dc=com", scope=Scope.SUB):
@@ -118,3 +119,31 @@ class TestLanguageLevel:
         inner = EmbeddedRef("dv", atomic(), atomic(), "ref")
         q = And(HierarchySelect("a", atomic(), atomic()), inner)
         assert language_level(q) == 3
+
+
+class TestWithChildren:
+    def test_atomic_returns_itself(self):
+        q = atomic()
+        assert q.with_children(()) is q
+
+    def test_new_children_keep_operator_and_parameters(self):
+        a, b, c = atomic("dc=com"), atomic("dc=org"), atomic("dc=net")
+        assert Diff(a, b).with_children((b, a)) == Diff(b, a)
+        agg = WITNESS_COUNT_POSITIVE
+        assert HierarchySelect("dc", a, b, c, agg).with_children((c, b, a)) == (
+            HierarchySelect("dc", c, b, a, agg)
+        )
+        simple = AggSelFilter(EntryAggregate("min", "$1", "n"), ">", Constant(1))
+        assert SimpleAggSelect(a, simple).with_children((b,)) == SimpleAggSelect(b, simple)
+        assert EmbeddedRef("dv", a, b, "ref").with_children((b, a)) == (
+            EmbeddedRef("dv", b, a, "ref")
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_node_rebuilds_over_its_own_children(self, seed):
+        queries = RandomQueries(random_instance(seed, size=30), seed=seed)
+        for make in (queries.l0, queries.l1, queries.l2, queries.l3):
+            for node in make(2).walk():
+                rebuilt = node.with_children(node.children())
+                assert type(rebuilt) is type(node)
+                assert rebuilt == node and str(rebuilt) == str(node)

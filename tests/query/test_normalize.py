@@ -71,3 +71,26 @@ class TestSemanticsPreserved:
         assert any("R0" in rule for rule in rules)
         # After normalisation the two operands are identical and R2 fires.
         assert str(rewritten) == norm("(& %s %s)" % (A, B))
+
+
+class TestOneRebuildPath:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_normalize_is_idempotent(self, seed):
+        queries = RandomQueries(random_instance(seed, size=30), seed=seed)
+        for make in (queries.l0, queries.l1, queries.l2, queries.l3):
+            once = normalize(make(2))
+            assert normalize(once) == once and str(normalize(once)) == str(once)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reorder_folds_the_estimate_of_its_result(self, seed):
+        from repro.engine.optimizer import _reorder, estimate_cardinality
+        from repro.engine.stats import CardinalityEstimator
+        from repro.storage.store import DirectoryStore
+
+        instance = random_instance(seed, size=60)
+        estimator = CardinalityEstimator(DirectoryStore.from_instance(instance))
+        queries = RandomQueries(instance, seed=seed)
+        for make in (queries.l0, queries.l1, queries.l2, queries.l3):
+            query = make(2)
+            ordered, estimate = _reorder(query, estimator, [])
+            assert estimate == estimate_cardinality(ordered, estimator)

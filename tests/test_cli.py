@@ -223,6 +223,17 @@ class TestBenchCheck:
         assert "unreadable" in capsys.readouterr().out
 
 
+class TestBenchDiffUsage:
+    @pytest.mark.parametrize("order", ["dir-file", "file-dir"])
+    def test_a_file_and_a_directory_is_a_usage_error(self, order, capsys):
+        pair = ["benchmarks/baselines", "benchmarks/baselines/BENCH_e20_cache.json"]
+        if order == "file-dir":
+            pair.reverse()
+        with pytest.raises(SystemExit, match="both be files or both directories"):
+            main(["bench-diff"] + pair)
+        assert "missing" not in capsys.readouterr().out
+
+
 class TestChaos:
     def test_fault_free_run_is_fully_exact(self, qos_ldif, capsys):
         code = main(["chaos", qos_ldif, "--schema", "qos", "--queries", "20",
