@@ -9,7 +9,6 @@ Usage (also via ``python -m repro``)::
     python -m repro stats policies.ldif --schema qos --json
     python -m repro metrics policies.ldif --schema qos --query "( ? sub ? objectClass=*)"
     python -m repro bench-check benchmarks/results/BENCH_e13_boolean.json
-    python -m repro chaos policies.ldif --schema qos --drop-rate 0.1 --queries 200
     python -m repro ldapurl "ldap://host/dc=att,dc=com?cn?sub?(surName=jagadish)"
 """
 
@@ -553,254 +552,6 @@ def _cmd_serve_admin(args) -> int:
     return 0
 
 
-def _parse_window(text: str, what: str, parts: int):
-    """Parse ``name[:name]:start[:end]`` chaos window specs."""
-    fields = text.split(":")
-    if len(fields) < parts or len(fields) > parts + 1:
-        raise SystemExit(
-            "bad %s spec %r (expected %s)" % (what, text, (
-                "server:start[:end]" if parts == 2 else "a:b:start[:end]"
-            ))
-        )
-    names, times = fields[: parts - 1], fields[parts - 1 :]
-    try:
-        start = float(times[0])
-        end = float(times[1]) if len(times) > 1 else float("inf")
-    except ValueError:
-        raise SystemExit("bad %s window in %r (numbers expected)" % (what, text))
-    return names, start, end
-
-
-def _cmd_chaos(args) -> int:
-    """Replay a seeded fault schedule against a federated workload and
-    print an availability report."""
-    from .dist import (
-        DistError,
-        FaultInjector,
-        FaultPlan,
-        FederatedDirectory,
-        ResiliencePolicy,
-        RetryPolicy,
-    )
-    from .engine.engine import QueryEngine
-    from .workload.generator import RandomQueries
-
-    instance = _load(args.file, args.schema)
-    roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
-    if not roots:
-        raise SystemExit("directory is empty")
-    # server0 owns the root contexts; depth-2 subtrees are delegated
-    # round-robin to the remaining servers (DNS-style subdomains), so even
-    # a single-root directory produces remote traffic to disrupt.
-    server_count = max(1, args.servers)
-    assignments: Dict[str, list] = {"server0": list(roots)}
-    if server_count > 1:
-        subtrees = sorted(
-            {e.dn for e in instance if e.dn.depth() == 2},
-            key=lambda dn: dn.key(),
-        )
-        for index, subtree in enumerate(subtrees):
-            name = "server%d" % (1 + index % (server_count - 1))
-            assignments.setdefault(name, []).append(subtree)
-    server_count = len(assignments)
-
-    plan = FaultPlan(
-        seed=args.seed,
-        drop_rate=args.drop_rate,
-        latency_s=args.latency_ms / 1e3,
-        jitter_s=args.jitter_ms / 1e3,
-        timeout_s=args.timeout_ms / 1e3 if args.timeout_ms is not None else None,
-    )
-    for spec in args.crash or ():
-        (server,), start, end = _parse_window(spec, "crash", 2)
-        plan.crash(server, start, end)
-    for spec in args.partition or ():
-        (a, b), start, end = _parse_window(spec, "partition", 3)
-        plan.partition(a, b, start, end)
-    network = FaultInjector(plan)
-    federation = FederatedDirectory.partition(
-        instance,
-        assignments,
-        page_size=args.page_size,
-        buffer_pages=args.buffer_pages,
-        network=network,
-        leaf_cache_bytes=0 if args.no_cache else 256 * 1024,
-    )
-    federation.enable_resilience(
-        ResiliencePolicy(
-            retry=RetryPolicy(
-                max_attempts=args.retries,
-                backoff_s=args.backoff_ms / 1e3,
-                seed=args.seed,
-            ),
-            breaker_failure_threshold=args.breaker_threshold,
-            breaker_reset_s=args.breaker_reset_ms / 1e3,
-            mode=args.mode,
-        )
-    )
-    baseline = _engine_for(instance, args)
-    queries = RandomQueries(instance, seed=args.seed)
-    at = "server0"
-    totals = {"exact": 0, "partial": 0, "degraded": 0, "failed": 0, "mismatch": 0}
-    retries = 0
-    for _ in range(args.queries):
-        query = queries.l0()
-        expected = baseline.run(query).dns()
-        try:
-            result = federation.query(at, query)
-        except DistError:
-            totals["failed"] += 1
-            continue
-        retries += result.retries
-        if result.partial:
-            totals["partial"] += 1
-        elif result.warnings:
-            totals["degraded"] += 1
-        elif result.dns() == expected:
-            totals["exact"] += 1
-        else:
-            totals["mismatch"] += 1
-    answered = args.queries - totals["failed"]
-    breaker_opens = sum(b.open_count() for b in federation.breakers.values())
-    report = {
-        "queries": args.queries,
-        "servers": server_count,
-        "mode": args.mode,
-        "seed": args.seed,
-        "answered": answered,
-        "availability": answered / args.queries if args.queries else 1.0,
-        "exact": totals["exact"],
-        "partial": totals["partial"],
-        "degraded": totals["degraded"],
-        "mismatch": totals["mismatch"],
-        "failed": totals["failed"],
-        "retries": retries,
-        "messages_delivered": network.messages,
-        "send_attempts": network.attempts,
-        "faults": dict(sorted(network.faults.items())),
-        "breaker_opens": breaker_opens,
-        "simulated_seconds": round(network.now, 6),
-    }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print("== chaos report (seed=%d, drop=%.0f%%, %d servers, mode=%s) ==" % (
-        args.seed, args.drop_rate * 100, server_count, args.mode))
-    print("queries:    %d answered %d (%.1f%% availability)" % (
-        args.queries, answered, 100.0 * report["availability"]))
-    print("            %(exact)d exact, %(partial)d partial, "
-          "%(degraded)d degraded, %(mismatch)d mismatched, %(failed)d failed"
-          % totals)
-    print("network:    %d delivered of %d attempts; faults: %s" % (
-        network.messages, network.attempts,
-        ", ".join("%s=%d" % kv for kv in sorted(network.faults.items())) or "none"))
-    print("resilience: %d retries, %d breaker opens" % (retries, breaker_opens))
-    print("sim clock:  %.3f s" % network.now)
-    return 0
-
-
-def _cmd_replication_status(args) -> int:
-    """Stand up a replication group over an LDIF file, drive it through
-    writes / shipping / an optional failover, and print the group status
-    (the same dict the admin endpoint's /healthz carries)."""
-    from .dist import FaultInjector, FaultPlan, ReplicatedContext
-    from .obs.metrics import MetricsRegistry
-
-    instance = _load(args.file, args.schema)
-    roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
-    if not roots:
-        raise SystemExit("directory is empty")
-    root = roots[0]
-    network = FaultInjector(FaultPlan(seed=args.seed), metrics=MetricsRegistry())
-    replicated = ReplicatedContext(
-        root,
-        instance.schema,
-        secondaries=args.secondaries,
-        network=network,
-        ack=args.ack,
-        page_size=args.page_size,
-        buffer_pages=args.buffer_pages,
-        metrics=MetricsRegistry(),
-    )
-    for entry in instance:
-        if root.is_prefix_of(entry.dn):
-            replicated.add_entry(entry)
-    replicated.sync()
-    if args.failover:
-        deposed = replicated.primary_name
-        replicated.promote()
-        # The new lineage keeps shipping; the deposed primary rejoins as a
-        # secondary on the next rounds.
-        replicated.sync()
-        replicated.sync()
-        print("failed over: %s deposed, %s now primary (epoch %d)"
-              % (deposed, replicated.primary_name, replicated.epoch),
-              file=sys.stderr)
-    status = replicated.replication_status()
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    print("== replication status (%s) ==" % status["context"])
-    print("epoch:     %d    primary: %s    ack: %s" % (
-        status["epoch"], status["primary"], status["ack"]))
-    print("head lsn:  %d    changelog: %d record(s) above lsn %d" % (
-        status["head_lsn"], status["changelog_records"],
-        status["changelog_floor_lsn"]))
-    print("history:   %d failover(s), %d resync(s)" % (
-        status["failovers"], status["resyncs"]))
-    print("%-12s %-10s %-6s %-10s %-12s %-6s %s" % (
-        "REPLICA", "ROLE", "EPOCH", "ACKED", "APPLIED", "LAG", "RESYNC"))
-    for name in sorted(status["replicas"]):
-        replica = status["replicas"][name]
-        print("%-12s %-10s %-6d %-10d %-12d %-6d %s" % (
-            name, replica["role"], replica["epoch"], replica["acked_lsn"],
-            replica["applied_lsn"], replica["lag"],
-            "needed" if replica["needs_resync"] else "-"))
-    return 0
-
-
-def _cmd_consistency(args) -> int:
-    """Run the deterministic replication consistency harness over a seed
-    matrix; exit non-zero if any schedule violates an invariant."""
-    import tempfile
-
-    from .dist.consistency import run_matrix
-
-    seeds = range(args.seed, args.seed + args.seeds)
-    if args.durable:
-        with tempfile.TemporaryDirectory() as tmp:
-            reports = run_matrix(
-                seeds, secondaries=args.secondaries, steps=args.steps,
-                ack=args.ack, durable_root=tmp,
-            )
-    else:
-        reports = run_matrix(
-            seeds, secondaries=args.secondaries, steps=args.steps, ack=args.ack
-        )
-    if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=2))
-        return 0 if all(r.ok for r in reports) else 1
-    print("== consistency harness (ack=%s, %d steps, %d secondaries%s) ==" % (
-        args.ack, args.steps, args.secondaries,
-        ", durable primary" if args.durable else ""))
-    print("%-6s %-4s %-7s %-9s %-9s %-7s %-7s %-8s %s" % (
-        "SEED", "OK", "EPOCHS", "ACKED", "FAILOVER", "FENCED", "RESYNC",
-        "CRASHES", "LOST(acked/unacked)"))
-    for r in reports:
-        print("%-6d %-4s %-7d %-9d %-9d %-7d %-7d %-8d %d/%d" % (
-            r.seed, "yes" if r.ok else "NO", r.final_epoch, r.writes_acked,
-            r.failovers, r.fenced_rejections, r.resyncs, r.process_crashes,
-            r.writes_lost_acked, r.writes_lost_unacked))
-    violations = [v for r in reports for v in r.violations]
-    if violations:
-        print("\n%d violation(s):" % len(violations), file=sys.stderr)
-        for violation in violations:
-            print("  " + violation, file=sys.stderr)
-        return 1
-    print("-- all %d schedules held every invariant" % len(reports))
-    return 0
-
-
 def _cmd_dump_example(args) -> int:
     if args.which == "qos":
         from .apps.qos import build_paper_fragment
@@ -999,47 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(alerts_cmd)
     alerts_cmd.set_defaults(handler=_cmd_alerts)
 
-    chaos_cmd = sub.add_parser(
-        "chaos",
-        help="replay a seeded fault schedule against a federated workload "
-             "and print an availability report")
-    chaos_cmd.add_argument("file")
-    chaos_cmd.add_argument("--servers", type=int, default=3,
-                           help="servers to partition the directory across")
-    chaos_cmd.add_argument("--queries", type=int, default=100,
-                           help="random L0 queries to replay")
-    chaos_cmd.add_argument("--seed", type=int, default=7,
-                           help="seed for the fault schedule and the workload")
-    chaos_cmd.add_argument("--drop-rate", type=float, default=0.1,
-                           help="iid message drop probability")
-    chaos_cmd.add_argument("--latency-ms", type=float, default=1.0,
-                           help="base per-message latency (simulated clock)")
-    chaos_cmd.add_argument("--jitter-ms", type=float, default=1.0,
-                           help="uniform extra latency per message")
-    chaos_cmd.add_argument("--timeout-ms", type=float, default=None,
-                           help="delivery timeout; slower messages fault")
-    chaos_cmd.add_argument("--crash", action="append", metavar="SERVER:START[:END]",
-                           help="crash window on the simulated clock (repeatable)")
-    chaos_cmd.add_argument("--partition", action="append", metavar="A:B:START[:END]",
-                           help="pairwise partition window (repeatable)")
-    chaos_cmd.add_argument("--retries", type=int, default=4,
-                           help="max attempts per remote atomic call")
-    chaos_cmd.add_argument("--backoff-ms", type=float, default=5.0,
-                           help="base retry backoff (exponential, jittered)")
-    chaos_cmd.add_argument("--breaker-threshold", type=int, default=5,
-                           help="consecutive failures before a breaker opens")
-    chaos_cmd.add_argument("--breaker-reset-ms", type=float, default=250.0,
-                           help="open-breaker reset timeout")
-    chaos_cmd.add_argument("--mode", choices=("partial", "strict"),
-                           default="partial",
-                           help="degradation mode past retries")
-    chaos_cmd.add_argument("--no-cache", action="store_true",
-                           help="disable the remote-sublist cache")
-    chaos_cmd.add_argument("--json", action="store_true",
-                           help="emit the report as JSON")
-    engine_flags(chaos_cmd)
-    chaos_cmd.set_defaults(handler=_cmd_chaos)
-
     bench_cmd = sub.add_parser(
         "bench-check",
         help="validate BENCH_*.json benchmark telemetry files or directories")
@@ -1090,47 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     budget_flags(admin_cmd)
     common(admin_cmd)
     admin_cmd.set_defaults(handler=_cmd_serve_admin)
-
-    repl_cmd = sub.add_parser(
-        "replication-status",
-        help="stand up a replication group over an LDIF file and print "
-             "epoch + per-replica acked lsn / lag")
-    repl_cmd.add_argument("file")
-    repl_cmd.add_argument("--secondaries", type=int, default=2,
-                          help="secondary replicas in the group")
-    repl_cmd.add_argument("--ack", choices=("primary", "quorum", "all"),
-                          default="primary",
-                          help="write acknowledgment level")
-    repl_cmd.add_argument("--seed", type=int, default=7,
-                          help="seed for the (fault-free) injected network")
-    repl_cmd.add_argument("--failover", action="store_true",
-                          help="also promote a secondary (epoch fence demo)")
-    repl_cmd.add_argument("--json", action="store_true",
-                          help="emit the status dict as JSON")
-    common(repl_cmd)
-    repl_cmd.set_defaults(handler=_cmd_replication_status)
-
-    consistency_cmd = sub.add_parser(
-        "consistency",
-        help="run the seeded replication consistency harness (crashes, "
-             "partitions, failovers) and check its invariants")
-    consistency_cmd.add_argument("--seeds", type=int, default=20,
-                                 help="number of schedules to run")
-    consistency_cmd.add_argument("--seed", type=int, default=0,
-                                 help="first seed of the matrix")
-    consistency_cmd.add_argument("--steps", type=int, default=48,
-                                 help="schedule length per seed")
-    consistency_cmd.add_argument("--secondaries", type=int, default=2,
-                                 help="secondary replicas per group")
-    consistency_cmd.add_argument("--ack", choices=("primary", "quorum", "all"),
-                                 default="quorum",
-                                 help="write acknowledgment level under test")
-    consistency_cmd.add_argument("--durable", action="store_true",
-                                 help="put a real WAL under the primary and "
-                                      "add mid-commit process crashes")
-    consistency_cmd.add_argument("--json", action="store_true",
-                                 help="emit the reports as JSON")
-    consistency_cmd.set_defaults(handler=_cmd_consistency)
 
     dump = sub.add_parser("dump-example", help="write a sample directory as LDIF")
     dump.add_argument("which", choices=("qos", "tops", "whitepages"))

@@ -1,9 +1,10 @@
 """Distributed directory service: servers, DNS-style location, federation
-(Sections 3.3 and 8.3), plus the chaos toolkit -- fault injection,
-retry/backoff, circuit breakers and graceful partial-result degradation
-(footnote 4's availability story, made testable)."""
+(Sections 3.3 and 8.3), log-shipped replication with epoch-fenced
+failover, and the chaos toolkit -- fault injection, retry/backoff,
+circuit breakers and graceful partial-result degradation (footnote 4's
+availability story).  What drives them under chaos and checks the
+outcome is test code: ``tests/dist/`` and benchmark E21."""
 
-from .consistency import ConsistencyHarness, ConsistencyReport, run_matrix
 from .errors import (
     DistError,
     LocatorError,
@@ -23,8 +24,6 @@ from .server import DirectoryServer
 __all__ = [
     "AvailabilityRouter",
     "CircuitBreaker",
-    "ConsistencyHarness",
-    "ConsistencyReport",
     "DirectoryServer",
     "DistError",
     "FaultInjector",
@@ -44,5 +43,4 @@ __all__ = [
     "ServerLocator",
     "SimulatedNetwork",
     "StaleStore",
-    "run_matrix",
 ]

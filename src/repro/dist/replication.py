@@ -25,10 +25,11 @@ write path of :mod:`repro.txn`:
   :meth:`~repro.txn.wal.WriteAheadLog.records_since`);
 - failover is **epoch-fenced**: a monotone epoch stamps every shipped
   batch and write acknowledgment.  :meth:`ReplicatedContext.promote` picks
-  the most-caught-up live replica and bumps the epoch; a deposed primary's
-  writes and ships are rejected with ``ReplicationError(code="fenced")``
-  -- split-brain is impossible by construction, and
-  :mod:`repro.dist.consistency` proves it over seeded schedules.
+  the most-caught-up live replica holding every acknowledged write and
+  bumps the epoch; a deposed primary's writes and ships are rejected with
+  ``ReplicationError(code="fenced")`` -- split-brain is impossible by
+  construction, and the state machine in ``tests/dist/test_consistency.py``
+  checks it over generated schedules.
 
 :class:`AvailabilityRouter` is unchanged in spirit: it answers atomic
 queries for the context, preferring the current primary and failing over
@@ -145,6 +146,13 @@ class ReplicaNode:
         if self.role == "deposed":
             self.role = "secondary"  # following the new lineage again
         applied = self.directory.apply_records(records)
+        wal = getattr(self.directory, "wal", None)
+        if wal is not None and applied:
+            # A durable node logs what it is shipped, or recovering it as
+            # primary again would find an lsn gap in its WAL.
+            for record in applied:
+                wal.append(record)
+            wal.sync()
         self.applied.extend(applied)
         return applied
 
@@ -166,6 +174,8 @@ class ReplicaNode:
         store = DirectoryStore.from_instance(
             instance, page_size=self._page_size, buffer_pages=self._buffer_pages
         )
+        if isinstance(self.directory, DurableDirectory):
+            self.directory.close()  # the snapshot replaces its WAL'd state
         self.directory = UpdatableDirectory(
             store,
             start_lsn=snapshot_lsn,
@@ -205,7 +215,7 @@ class ReplicatedContext:
     commit, ``"quorum"``/``"all"`` ship synchronously and raise
     ``ReplicationError(code="ackFailed")`` when not enough replicas
     acknowledged (the write is then *not* acknowledged and may be lost on
-    failover -- exactly what the consistency harness checks).
+    failover -- exactly what the replication state machine checks).
     """
 
     def __init__(
@@ -272,8 +282,8 @@ class ReplicatedContext:
         #: Per-node highest acknowledged lsn, from the primary's view.
         self._acked: Dict[str, int] = {name: 0 for name in self.nodes}
         #: Every ship/resync/promote event:
-        #: ``(kind, epoch, node, from_lsn, to_lsn)`` -- the consistency
-        #: harness checks per-epoch lsn monotonicity on this.
+        #: ``(kind, epoch, node, from_lsn, to_lsn)`` -- the replication
+        #: state machine checks per-epoch lsn monotonicity on this.
         self.ship_log: List[Tuple[str, int, str, int, int]] = []
         #: Last ship failure per replica (cleared by a successful ship).
         self.last_ship_errors: Dict[str, NetworkError] = {}
@@ -572,32 +582,30 @@ class ReplicatedContext:
     def promote(self, name: Optional[str] = None, exclude=()) -> str:
         """Fail over: bump the epoch and install a new primary -- the
         most-caught-up candidate outside ``exclude`` (pass the unreachable
-        nodes), or ``name`` explicitly.  The deposed primary keeps its
-        stale epoch, so its next write or ship attempt is fenced.  Returns
-        the new primary's name."""
+        nodes), or ``name`` explicitly.  Past ``ack="primary"`` only a node
+        holding every acknowledged write is a candidate.  The deposed
+        primary keeps its stale epoch, so its next write or ship attempt is
+        fenced.  Returns the new primary's name."""
         excluded = set(exclude) | {self.primary_name}
         # A diverged node (needs_resync) holds a forked log; promoting it
-        # would resurrect records the group already disowned.
+        # would resurrect records the group already disowned.  Every lsn
+        # up to ``committed`` reached the required replicas: a candidate
+        # below it would lose an acknowledged write.
+        acked = sorted(self._acked.values(), reverse=True)
+        committed = 0 if self.ack == "primary" else acked[self._required_acks() - 1]
         candidates = [
             node
             for node in self.nodes.values()
             if node.name not in excluded and not node.needs_resync
+            and node.applied_lsn >= committed and name in (None, node.name)
         ]
         if not candidates:
             raise ReplicationError(
-                "no promotion candidate for %s (excluded: %s)"
-                % (self.context, sorted(excluded)),
+                "no promotion candidate for %s (excluded: %s, committed lsn %d)"
+                % (self.context, sorted(excluded), committed),
                 code=ReplicationError.NO_CANDIDATE,
             )
-        if name is None:
-            pick = max(candidates, key=lambda n: (n.applied_lsn, n.name))
-        else:
-            pick = self.nodes[name]
-            if pick.name in excluded or pick.needs_resync:
-                raise ReplicationError(
-                    "cannot promote %s (excluded or diverged)" % name,
-                    code=ReplicationError.NO_CANDIDATE,
-                )
+        pick = max(candidates, key=lambda n: (n.applied_lsn, n.name))
         old = self.primary
         fork_lsn = pick.applied_lsn
         self.epoch += 1
@@ -723,8 +731,8 @@ class AvailabilityRouter:
     may be behind; the default 0 keeps the strict in-sync-only behaviour.
     Every evaluation appends its routing trail -- one ``(replica,
     decision)`` pair per candidate considered, decisions being ``"down"``,
-    ``"lag=N"`` or ``"served"`` -- to :attr:`decisions`, so tests and the
-    consistency harness can assert *why* a replica was skipped.
+    ``"lag=N"`` or ``"served"`` -- to :attr:`decisions`, so tests can
+    assert *why* a replica was skipped.
     """
 
     def __init__(self, replicated: ReplicatedContext, max_lag: int = 0):

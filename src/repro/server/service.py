@@ -275,10 +275,9 @@ class DirectoryService:
         #: (federation, coordinator name) once :meth:`attach_federation`
         #: makes this service a federation frontend.
         self._federation: Optional[Tuple[Any, str]] = None
-        #: (replicated context, lag alert threshold) once
-        #: :meth:`attach_replication` puts this service in front of a
-        #: replication group.
-        self._replication: Optional[Tuple[Any, int]] = None
+        #: The :class:`~repro.dist.replication.ReplicatedContext` once
+        #: :meth:`attach_replication` puts this service in front of it.
+        self._replication: Optional[Any] = None
         #: Per-query-shape workload digest (pg_stat_statements style),
         #: populated by every finished search; ``digest_capacity=0``
         #: disables it.

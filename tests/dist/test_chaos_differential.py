@@ -27,13 +27,14 @@ def monotone_query(queries: RandomQueries, depth: int = 2):
     )
 
 
-def build_federation(instance, drop_rate, seed, max_attempts):
+def build_federation(instance, drop_rate, seed, max_attempts, crashed=None):
     roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
     assignments = {"server%d" % i: [root] for i, root in enumerate(roots)}
     registry = MetricsRegistry()
-    network = FaultInjector(
-        FaultPlan(seed=seed, drop_rate=drop_rate), metrics=registry
-    )
+    plan = FaultPlan(seed=seed, drop_rate=drop_rate)
+    if crashed is not None:
+        plan.crash(crashed)  # down for the whole run
+    network = FaultInjector(plan, metrics=registry)
     fed = FederatedDirectory.partition(
         instance,
         assignments,
@@ -49,11 +50,17 @@ def build_federation(instance, drop_rate, seed, max_attempts):
     return fed
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_completed_equals_oracle_and_partial_is_subset(seed):
+@pytest.mark.parametrize(
+    "seed, crashed",
+    [(seed, None) for seed in range(6)] + [(0, "server1")],
+    ids=[str(seed) for seed in range(6)] + ["crash-server1"],
+)
+def test_completed_equals_oracle_and_partial_is_subset(seed, crashed):
+    # A crashed server, in partial mode, still leaves every query answered.
     instance = random_instance(41 + seed, size=150, forest_roots=3)
     fed = build_federation(
-        instance, drop_rate=0.4, seed=seed, max_attempts=2
+        instance, drop_rate=0.4 if crashed is None else 0.0, seed=seed,
+        max_attempts=2, crashed=crashed,
     )
     queries = RandomQueries(instance, seed=seed)
     servers = sorted(fed.servers)
@@ -72,8 +79,11 @@ def test_completed_equals_oracle_and_partial_is_subset(seed):
         else:
             saw_complete += 1
             assert got == expected, str(query)
-    # At 40% drop with two attempts the workload must exercise both arms.
+    # At 40% drop with two attempts, or with one server down, the
+    # workload must exercise both arms.
     assert saw_partial > 0 and saw_complete > 0
+    if crashed is not None:
+        assert fed.network.faults.get("serverDown", 0) > 0
 
 
 def test_no_faults_means_every_query_is_exact():

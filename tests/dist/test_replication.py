@@ -337,6 +337,9 @@ class TestEpochFencing:
         assert replicated.epoch == 2
         assert replicated.primary_name == new_primary
         assert replicated.node("primary").role == "deposed"
+        status = replicated.replication_status()
+        assert (status["epoch"], status["primary"]) == (2, new_primary)
+        assert status["replicas"]["primary"]["role"] == "deposed"
 
     def test_deposed_primary_writes_are_fenced(self, context):
         _network, replicated = context
@@ -402,6 +405,23 @@ class TestPromotion:
         _fill(replicated)
         replicated.sync()  # secondary0 at lsn 6, secondary1 unreachable at 0
         assert replicated.promote(exclude=()) == "secondary0"
+
+    def test_a_candidate_missing_a_quorum_acked_write_is_not_promoted(self):
+        from repro.dist import FaultInjector, FaultPlan
+
+        plan = FaultPlan().partition("primary", "secondary1", 0.0, 1e9)
+        replicated = ReplicatedContext(
+            "name=r", synthetic_schema(), secondaries=2, ack="quorum",
+            network=FaultInjector(plan, metrics=MetricsRegistry()),
+            metrics=MetricsRegistry(),
+        )
+        replicated.add("name=r", ["node"], name="r")  # primary + secondary0
+        # With secondary0 down too, promoting secondary1 (lsn 0) would lose
+        # that quorum-acked write.
+        with pytest.raises(ReplicationError) as caught:
+            replicated.promote(exclude={"secondary0"})
+        assert caught.value.code == ReplicationError.NO_CANDIDATE
+        assert replicated.promote() == "secondary0"
 
     def test_excluded_and_diverged_nodes_are_not_candidates(self, context):
         _network, replicated = context
@@ -519,8 +539,9 @@ class TestReplicationStatus:
         assert status["primary"] == "primary"
         assert status["head_lsn"] == 7
         assert set(status["replicas"]) == {"primary", "secondary0", "secondary1"}
-        replica = status["replicas"]["secondary0"]
-        assert replica["acked_lsn"] == 7 and replica["lag"] == 0
+        for name in ("secondary0", "secondary1"):
+            replica = status["replicas"][name]
+            assert replica["acked_lsn"] == 7 and replica["lag"] == 0
 
     def test_gauges_track_epoch_and_lag(self, context):
         _network, replicated = context
@@ -566,6 +587,22 @@ class TestDurablePrimary:
             ("primary", "secondary0", "snapshot", 1),
             ("primary", "secondary0", "changelog", 3),
         ]
+
+    def test_records_shipped_to_a_deposed_durable_primary_survive_its_crash(
+        self, tmp_path
+    ):
+        replicated = ReplicatedContext(
+            "name=r", synthetic_schema(), secondaries=2, ack="quorum",
+            durable_dir=str(tmp_path / "primary"), metrics=MetricsRegistry(),
+        )
+        replicated.promote()  # nothing written: the old primary keeps up
+        replicated.add("name=r", ["node"], name="r")  # shipped to it
+        replicated.promote(name="primary")
+        replicated.add("name=x, name=r", ["node"], name="x")  # its WAL: lsn 2
+        node = replicated.reopen_primary()  # replays lsn 1 and 2, no gap
+        assert node.applied_lsn == 2
+        assert node.directory.lookup("name=r") is not None
+        node.directory.close()
 
     def test_replica_behind_a_reopened_checkpoint_resyncs(self, tmp_path):
         from repro.dist import FaultInjector, FaultPlan

@@ -1,11 +1,12 @@
 """The command-line interface."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture
@@ -115,12 +116,33 @@ class TestStats:
 
 @pytest.mark.parametrize(
     "command",
-    ["stats", "metrics", "top", "alerts", "serve-admin", "replication-status"],
+    ["stats", "metrics", "top", "alerts", "serve-admin"],
 )
 def test_index_is_offered_only_where_an_engine_is_built(command, qos_ldif):
     with pytest.raises(SystemExit) as excinfo:
         main([command, qos_ldif, "--schema", "qos", "--index", "weight"])
     assert excinfo.value.code == 2
+
+
+SUBCOMMANDS = {
+    "query", "explain", "plan", "stats", "metrics", "top", "alerts",
+    "bench-check", "bench-diff", "serve-admin", "dump-example", "ldapurl",
+    "wal-dump",
+}
+
+
+def test_the_subcommands_are_pinned():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == SUBCOMMANDS
+
+
+@pytest.mark.parametrize("command", ["chaos", "replication-status", "consistency"])
+def test_deleted_demo_drivers_are_usage_errors(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTraceFlag:
@@ -232,53 +254,6 @@ class TestBenchDiffUsage:
         with pytest.raises(SystemExit, match="both be files or both directories"):
             main(["bench-diff"] + pair)
         assert "missing" not in capsys.readouterr().out
-
-
-class TestChaos:
-    def test_fault_free_run_is_fully_exact(self, qos_ldif, capsys):
-        code = main(["chaos", qos_ldif, "--schema", "qos", "--queries", "20",
-                     "--drop-rate", "0", "--latency-ms", "0", "--json"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["availability"] == 1.0
-        assert report["exact"] == 20
-        assert report["mismatch"] == 0 and report["failed"] == 0
-        assert report["faults"] == {}
-        assert report["retries"] == 0
-
-    def test_seeded_drops_are_reported_and_deterministic(self, qos_ldif, capsys):
-        argv = ["chaos", qos_ldif, "--schema", "qos", "--queries", "30",
-                "--drop-rate", "0.15", "--seed", "5", "--no-cache", "--json"]
-        assert main(argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(argv) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert first == second
-        assert first["faults"].get("dropped", 0) > 0
-        assert first["retries"] > 0
-        assert first["mismatch"] == 0
-
-    def test_crash_window_degrades_to_partials(self, qos_ldif, capsys):
-        code = main(["chaos", qos_ldif, "--schema", "qos", "--queries", "15",
-                     "--drop-rate", "0", "--crash", "server1:0",
-                     "--no-cache", "--json"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["partial"] > 0
-        assert report["failed"] == 0  # partial mode still answers
-        assert "serverDown" in report["faults"]
-
-    def test_human_report(self, qos_ldif, capsys):
-        assert main(["chaos", qos_ldif, "--schema", "qos",
-                     "--queries", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "chaos report" in out
-        assert "availability" in out
-
-    def test_bad_window_spec(self, qos_ldif):
-        with pytest.raises(SystemExit):
-            main(["chaos", qos_ldif, "--schema", "qos",
-                  "--crash", "server1"])
 
 
 class TestLdapUrl:
@@ -428,66 +403,6 @@ class TestServeAdmin:
         thread.join()
         assert code == 0
         assert b"repro_searches_total" in captured.get("body", b"")
-
-
-@pytest.fixture
-def wp_ldif(tmp_path, capsys):
-    assert main(["dump-example", "whitepages"]) == 0
-    text = capsys.readouterr().out
-    path = tmp_path / "wp.ldif"
-    path.write_text(text)
-    return str(path)
-
-
-class TestReplicationStatus:
-    def test_table(self, wp_ldif, capsys):
-        code = main(["replication-status", wp_ldif])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "REPLICA" in out and "primary" in out and "secondary0" in out
-
-    def test_json_caught_up(self, wp_ldif, capsys):
-        code = main(["replication-status", wp_ldif, "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["epoch"] == 1
-        assert payload["primary"] == "primary"
-        assert all(r["lag"] == 0 for r in payload["replicas"].values())
-
-    def test_failover_bumps_the_epoch(self, wp_ldif, capsys):
-        code = main(["replication-status", wp_ldif, "--failover", "--json"])
-        assert code == 0
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        assert payload["epoch"] == 2
-        roles = {name: r["role"] for name, r in payload["replicas"].items()}
-        assert roles["primary"] == "deposed"
-        assert payload["primary"] != "primary"
-
-
-class TestConsistencyCommand:
-    def test_matrix_table(self, capsys):
-        code = main(["consistency", "--seeds", "2", "--steps", "24"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "SEED" in out
-        assert "held every invariant" in out
-
-    def test_matrix_json(self, capsys):
-        code = main(["consistency", "--seeds", "2", "--steps", "24",
-                     "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload) == 2
-        assert all(report["ok"] for report in payload)
-        assert all(report["writes_lost_acked"] == 0 for report in payload)
-
-    def test_durable_matrix(self, capsys):
-        code = main(["consistency", "--seeds", "1", "--steps", "24",
-                     "--durable", "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["durable"] is True
 
 
 class TestTopCommand:
