@@ -37,6 +37,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..cache import QueryCache, atomic_fingerprint, query_footprint
+from ..engine.common import labeled_merge
 from ..engine.engine import QueryEngine, QueryResult
 from ..engine.merge import boolean_merge
 from ..exec import WorkerPool
@@ -534,7 +535,9 @@ class _ScatterGather:
             while partial_runs:
                 run = partial_runs.pop(0)
                 try:
-                    merged = boolean_merge(self.pager, "or", combined, run)
+                    merged = boolean_merge(
+                        self.pager, "or", labeled_merge((combined, run))
+                    )
                 finally:
                     combined.free()
                     run.free()

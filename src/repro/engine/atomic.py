@@ -9,7 +9,7 @@ of the query by the cumulative size ``|L|`` of the atomic results
 - **clustered scan**: the master run is ordered by reverse-dn key, so the
   subtree of the base dn is a contiguous key range located through the
   in-memory sparse index; the scope is the scan's depth bound
-  (``scan_subtree(base, max_depth)``), not a filter over its output --
+  (``scan_pages(base, max_depth)``), not a filter over its output --
   ``sub`` reads exactly that range, ``one`` seeks past each child's
   subtree, ``base`` reads one page;
 - **secondary index**: :func:`index_path` decides, from the filter's class
@@ -19,12 +19,14 @@ of the query by the cumulative size ``|L|`` of the atomic results
   filter-checked.
 
 Either way the result is a sorted, duplicate-free run -- the contract every
-operator above relies on.  Every path tests the entries it reads through
-the leaf's filter compiled once against the schema
-(:meth:`~repro.filters.ast.Filter.predicate`), not walked per entry.
+operator above relies on.  Every path works a page at a time: the scan
+hands out page slices, the leaf's filter is compiled once against the
+schema into its page form (:meth:`~repro.filters.ast.Filter.page_form`),
+which tests a whole page in one loop, and the survivors go to the run
+writer a page at a time.  No Python call is made per entry.
 
 A leaf may also be read over **windows** (``within``): ``(root dn,
-max_depth)`` pairs, each one ``scan_subtree`` call, that a planned
+max_depth)`` pairs, each one ``scan_pages`` call, that a planned
 hierarchical selection derives from its materialised first operand (see
 :meth:`~repro.engine.optimizer.AccessPlanner.witness_windows`).  Each
 window is first clipped to the leaf's own scope (:func:`clip_window`), so
@@ -32,14 +34,14 @@ a window the scope excludes costs no I/O, and the scans are merged in key
 order without duplicates.  The answer is the leaf restricted to the
 windows.
 
-The atomic operands of one hierarchical selection may also be read
-together (:func:`shared_scan`): one scan at the widest of their scopes,
-each entry labelled with the operands it answers, fed straight to the
-stack pass.
+The atomic operands of one boolean or hierarchical selection on one base
+may also be read together (:func:`shared_scan`): one scan at the widest of
+their scopes, each entry labelled with the mask of the operands it
+answers, fed straight to the label table or the stack pass.
 
 ``store`` is anything with the store's read interface: a
 :class:`~repro.storage.store.DirectoryStore`, or a pinned
-:class:`~repro.storage.maintenance.StoreView`, whose ``scan_subtree`` and
+:class:`~repro.storage.maintenance.StoreView`, whose ``scan_pages`` and
 ``fetch_positions`` merge the pending-update overlay into the same sorted
 stream (the service path; nothing here changes).
 """
@@ -47,6 +49,8 @@ stream (the service path; nothing here changes).
 from __future__ import annotations
 
 import heapq
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..filters.ast import Comparison, Equality, Filter, Presence, Substring
@@ -55,15 +59,17 @@ from ..model.entry import Entry
 from ..query.ast import AtomicQuery, Scope
 from ..storage.runs import Run, RunWriter
 from ..storage.store import DirectoryStore
-from .common import labels_by_mask
 
 __all__ = [
-    "evaluate_atomic", "index_path", "scope_admits", "shared_scan", "clip_window",
-    "clip_windows", "Window",
+    "evaluate_atomic", "index_path", "scope_admits", "shared_scan", "SharedScan",
+    "clip_window", "clip_windows", "Window",
 ]
 
+#: An entry's reversed-dn key, read at C level.
+_KEY = attrgetter("_dn._key")
+
 #: A ``(root dn, max_depth)`` read window: the arguments of one
-#: ``scan_subtree`` call (``None`` = the whole subtree).
+#: ``scan_pages`` call (``None`` = the whole subtree).
 Window = Tuple[DN, Optional[int]]
 
 
@@ -87,55 +93,85 @@ def evaluate_atomic(
     With ``within`` the answer is restricted to those windows and read
     through them alone (``use_indices`` does not apply)."""
     writer = RunWriter(store.pager)
-    matches, append = query.filter.predicate(store.schema), writer.append
+    select = query.filter.page_form(store.schema)
     if within is None and use_indices:
         path = index_path(store, query.filter)
         if path is not None:
-            for entry in store.fetch_positions(path[1]):
-                if scope_admits(query.base, query.scope, entry.dn) and matches(entry):
-                    append(entry)
+            base, scope = query.base, query.scope
+            writer.extend(select([
+                entry for entry in store.fetch_positions(path[1])
+                if scope_admits(base, scope, entry.dn)
+            ]))
             return writer.close()
     if within is None:
-        entries = store.scan_subtree(query.base, Scope.MAX_DEPTH[query.scope])
+        pages = store.scan_pages(query.base, Scope.MAX_DEPTH[query.scope])
     else:
-        entries = _window_scan(store, clip_windows(query, within))
-    for entry in entries:
-        if matches(entry):
-            append(entry)
+        pages = _window_pages(store, clip_windows(query, within))
+    for page in pages:
+        writer.extend(select(page))
     return writer.close()
 
 
-def shared_scan(
-    store: DirectoryStore, leaves: Sequence[AtomicQuery]
-) -> Iterator[Tuple[Entry, frozenset]]:
+class SharedScan:
     """The operands of a node whose atomic ``leaves`` share one base, read
-    by one clustered scan at the widest of their scopes: each entry is
-    tested against each leaf's depth limit and filter, and yielded with
-    the 1-based indices of the leaves it answers -- the stream
+    by one clustered scan at the widest of their scopes: each page's
+    entries are tested against each leaf's depth limit and page form, and
+    handed on with the membership mask of the leaves they answer (bit
+    ``i - 1`` for leaf ``i``) -- the stream
     :func:`~repro.engine.common.labeled_merge` makes of the leaves' runs,
-    with no run written or read back."""
-    base = leaves[0].base
-    reaches = [Scope.MAX_DEPTH[leaf.scope] for leaf in leaves]
-    widest = None if None in reaches else max(reaches)
-    labels = labels_by_mask(len(leaves))
-    # (bit, compiled filter, deepest key length) per leaf; None where the
-    # scan's own depth bound is the leaf's.
-    tests = [
-        (1 << index, leaf.filter.predicate(store.schema),
-         None if reach == widest else len(base.key()) + reach)
-        for index, (leaf, reach) in enumerate(zip(leaves, reaches))
-    ]
-    bounded = any(deepest is not None for _bit, _matches, deepest in tests)
-    depth = 0
-    for entry in store.scan_subtree(base, widest):
-        if bounded:
-            depth = len(entry.dn.key())
-        mask = 0
-        for bit, matches, deepest in tests:
-            if (deepest is None or depth <= deepest) and matches(entry):
-                mask |= bit
-        if mask:
-            yield entry, labels[mask]
+    with no run written or read back.  Iterate it once.  ``reads`` counts
+    the logical page reads the scan made -- its pages, and the overlay
+    charge of a pinned view -- not those its consumer makes between
+    pages: the heat map's charge for the node."""
+
+    __slots__ = ("store", "leaves", "reads")
+
+    def __init__(self, store: DirectoryStore, leaves: Sequence[AtomicQuery]):
+        self.store = store
+        self.leaves = leaves
+        self.reads = 0
+
+    def __iter__(self) -> Iterator[Tuple[Entry, int]]:
+        return chain.from_iterable(self._pages())
+
+    def _pages(self) -> Iterator[List[Tuple[Entry, int]]]:
+        store, leaves = self.store, self.leaves
+        base = leaves[0].base
+        reaches = [Scope.MAX_DEPTH[leaf.scope] for leaf in leaves]
+        widest = None if None in reaches else max(reaches)
+        # (bit, page form, deepest key length) per leaf; None where the
+        # scan's own depth bound is the leaf's.
+        tests = [
+            (1 << index, leaf.filter.page_form(store.schema),
+             None if reach == widest else len(base.key()) + reach)
+            for index, (leaf, reach) in enumerate(zip(leaves, reaches))
+        ]
+        stats = store.pager.stats
+        pulled = stats.logical_reads
+        for page in store.scan_pages(base, widest):
+            self.reads += stats.logical_reads - pulled
+            masks = [0] * len(page)
+            for bit, select, deepest in tests:
+                if deepest is not None:
+                    page_of_leaf = [e for e in page if len(e._dn._key) <= deepest]
+                else:
+                    page_of_leaf = page
+                # The leaf's matches are a subsequence of the page: walk
+                # the page once to find where each lies.
+                at = 0
+                for entry in select(page_of_leaf):
+                    while page[at] is not entry:
+                        at += 1
+                    masks[at] |= bit
+                    at += 1
+            yield [(entry, mask) for entry, mask in zip(page, masks) if mask]
+            pulled = stats.logical_reads
+        self.reads += stats.logical_reads - pulled
+
+
+def shared_scan(store: DirectoryStore, leaves: Sequence[AtomicQuery]) -> SharedScan:
+    """The ``leaves`` of one base read together (:class:`SharedScan`)."""
+    return SharedScan(store, leaves)
 
 
 def clip_window(query: AtomicQuery, root: DN, depth: Optional[int]) -> Optional[Window]:
@@ -170,17 +206,28 @@ def clip_windows(query: AtomicQuery, windows: Iterable[Window]) -> List[Window]:
     return list(dict.fromkeys(window for window in clipped if window is not None))
 
 
-def _window_scan(store: DirectoryStore, windows: Sequence[Window]) -> Iterator[Entry]:
-    """Every entry of ``windows`` once, in key order: the window scans,
-    merged (windows may overlap -- a ``(e, 1)`` window and one of its
-    child's)."""
-    scans = [store.scan_subtree(root, depth) for root, depth in windows]
+def _window_pages(store: DirectoryStore, windows: Sequence[Window]) -> Iterator[List[Entry]]:
+    """Every entry of ``windows`` once, in key order, a page at a time:
+    one window is its own scan; several are merged (windows may overlap
+    -- a ``(e, 1)`` window and one of its child's) and handed on in lists
+    of at most a page."""
+    if len(windows) == 1:
+        yield from store.scan_pages(*windows[0])
+        return
+    scans = [chain.from_iterable(store.scan_pages(root, depth)) for root, depth in windows]
+    page_size = store.pager.page_size
+    page: List[Entry] = []
     last = None
-    for entry in heapq.merge(*scans, key=lambda entry: entry.dn.key()):
-        key = entry.dn.key()
+    for entry in heapq.merge(*scans, key=_KEY):
+        key = entry._dn._key
         if key != last:
             last = key
-            yield entry
+            page.append(entry)
+            if len(page) == page_size:
+                yield page
+                page = []
+    if page:
+        yield page
 
 
 def index_path(

@@ -16,10 +16,17 @@ scatter/gather at a coordinator (Section 8.3 ships atomic sub-queries and
 evaluates everything above them at the queried server).  An optional
 **planner** (:class:`~repro.engine.optimizer.AccessPlanner`) rewrites and
 cost-orders the query first, lets a node's first operands bound the rest,
-and reads the atomic operands of a hierarchical selection by one shared
-scan; without one this is the paper-literal evaluator (every operand of
-every node evaluated over its whole range into its own run -- the
-experiments' exact page counts depend on it).
+and reads the atomic operands of a boolean or a hierarchical selection on
+one base by one shared scan; without one this is the paper-literal
+evaluator (every operand of every node evaluated over its whole range
+into its own run -- the experiments' exact page counts depend on it).
+
+A boolean and a hierarchical selection both consume one labelled stream
+of their operands -- each entry with its int membership mask, bit
+``i - 1`` for operand ``i`` -- and the engine hands them either the
+labelled merge of the operands' runs or the provider's shared scan.  The
+scan and the leaf paths work a page at a time; the heat map is charged
+with the page reads the shared scan counts itself.
 
 The engine's answer is the whole sorted result.  Size limits, paged
 retrieval, access control and the default budget are the LDAP server's
@@ -51,14 +58,13 @@ from ..query.parser import parse_query
 from ..storage.pager import IOStats
 from ..storage.runs import Run
 from ..storage.store import DirectoryStore
-from .atomic import evaluate_atomic
+from .atomic import SharedScan, evaluate_atomic
 from .atomic import shared_scan as scan_leaves
-from .common import labeled_merge
+from .common import Labelled, labeled_merge
 from .eragg import embedded_ref_select
 from .hsagg import hierarchical_select
 from .merge import boolean_merge
 from .simpleagg import simple_agg_select
-from .stackjoin import Labelled
 
 __all__ = ["QueryEngine", "QueryResult"]
 
@@ -68,6 +74,8 @@ SHARED_SCAN_SPAN = "op:shared-scan"
 
 #: :func:`~repro.engine.merge.boolean_merge`'s name for each boolean node.
 _BOOLEAN_OPS = {And: "and", Or: "or", Diff: "diff"}
+#: The nodes evaluated over one labelled stream of their operands.
+_LABELLED = (And, Or, Diff, HierarchySelect)
 
 
 class QueryResult:
@@ -128,9 +136,10 @@ class QueryEngine:
         #: and the whole leaf is correct).  None means the local access
         #: path, :meth:`atomic_run`.  A provider that can also read the
         #: atomic operands of one base together has a ``shared_scan(leaves)
-        #: -> (entry, label) stream`` method, as the local path does
-        #: (:meth:`shared_scan`); a planned engine reads a selection's
-        #: operands by one shared scan only through it, so a provider
+        #: -> (entry, mask) stream`` method whose stream counts its own page
+        #: reads in ``reads``, as the local path does (:meth:`shared_scan`);
+        #: a planned engine reads a boolean's or a selection's operands by
+        #: one shared scan only through it, so a provider
         #: without one (the federation's scatter/gather) answers every
         #: leaf itself.
         self.leaves = leaves
@@ -276,8 +285,8 @@ class QueryEngine:
             use_index = self.planner.plan_leaf(query)[0]
         return evaluate_atomic(self.store, query, use_index, within)
 
-    def shared_scan(self, leaves: List[AtomicQuery]) -> Labelled:
-        """The local path's read of a selection's atomic ``leaves`` on one
+    def shared_scan(self, leaves: List[AtomicQuery]) -> SharedScan:
+        """The local path's read of a node's atomic ``leaves`` on one
         base: one clustered scan of the store, labelled
         (:func:`~repro.engine.atomic.shared_scan`)."""
         return scan_leaves(self.store, leaves)
@@ -357,10 +366,11 @@ class QueryEngine:
             raise
         return runs
 
-    def _scan_for(self, query: HierarchySelect):
-        """The provider's ``shared_scan`` when ``query`` reads its operands
-        by one shared scan, else None.  Only with a planner, through a
-        provider that has one, and where the planner says so
+    def _scan_for(self, query: Query):
+        """The provider's ``shared_scan`` when ``query`` -- a boolean or a
+        hierarchical selection -- reads its operands by one shared scan,
+        else None.  Only with a planner, through a provider that has one,
+        and where the planner says so
         (:meth:`~repro.engine.optimizer.AccessPlanner.shares_scan`)."""
         if self.planner is None:
             return None
@@ -372,30 +382,36 @@ class QueryEngine:
             return None
         return scan
 
-    def _shared_pass(self, query: HierarchySelect, leaves, scan) -> Run:
-        """``query`` over ``scan(leaves)``, fed straight to the stack pass.
-        The leaves get no spans of their own: one :data:`SHARED_SCAN_SPAN`
-        holds the pass, with ``filters`` (how many leaves) and ``matches``
-        (each leaf's result size).  The heat map records one read per leaf
-        under the shared base and the scan's own page reads once (not the
-        pages the pass writes or reads back)."""
-        stream = scan(leaves)
-        heatmap = self.heatmap
-        if heatmap is not None:
-            reads = [0]
-            stream = _scan_reads(stream, self.pager.stats, reads)
-        if self.tracer.enabled:
+    def _shared_pass(self, query: Query, leaves, scan) -> Run:
+        """``query`` over ``scan(leaves)``: the labelled stream goes straight
+        to the label table of a boolean or to the stack pass of a
+        selection.  The leaves get no spans of their own: one
+        :data:`SHARED_SCAN_SPAN` holds the pass, with ``filters`` (how many
+        leaves) and ``matches`` (each leaf's result size).  The heat map
+        records one read per leaf under the shared base and the scan's own
+        page reads once (its ``reads``, not the pages the pass writes or
+        reads back)."""
+        shared = scan(leaves)
+        if not self.tracer.enabled:
+            result = self._labelled_node(query, shared)
+        else:
             with self.tracer.span(SHARED_SCAN_SPAN, filters=len(leaves)) as span:
                 matches = [0] * len(leaves)
-                result = hierarchical_select(
-                    self.pager, query.op, _counted(stream, matches), query.agg
-                )
+                result = self._labelled_node(query, _counted(shared, matches))
                 span.set(rows=len(result), matches=matches)
-        else:
-            result = hierarchical_select(self.pager, query.op, stream, query.agg)
-        if heatmap is not None:
-            heatmap.record_read(leaves[0].base, pages=reads[0], amount=len(leaves))
+        if self.heatmap is not None:
+            self.heatmap.record_read(
+                leaves[0].base, pages=shared.reads, amount=len(leaves)
+            )
         return result
+
+    def _labelled_node(self, query: Query, stream: Labelled) -> Run:
+        """A boolean or hierarchical node over the labelled stream of its
+        operands."""
+        op = _BOOLEAN_OPS.get(type(query))
+        if op is not None:
+            return boolean_merge(self.pager, op, stream)
+        return hierarchical_select(self.pager, query.op, stream, query.agg)
 
     def _evaluate_node(self, query: Query, within=None) -> Run:
         if isinstance(query, AtomicQuery):
@@ -411,22 +427,18 @@ class QueryEngine:
             return result
 
         children = query.children() if isinstance(query, Query) else ()
-        if isinstance(query, HierarchySelect):
+        labelled = isinstance(query, _LABELLED)
+        if labelled:
             scan = self._scan_for(query)
             if scan is not None:
                 return self._shared_pass(query, children, scan)
-        op = _BOOLEAN_OPS.get(type(query))
         runs = self._evaluate_operands(query, children)
         if runs is None:
             self.short_circuits += 1
             return Run(self.pager, (), 0)
         try:
-            if op is not None:
-                return boolean_merge(self.pager, op, *runs)
-            if isinstance(query, HierarchySelect):
-                return hierarchical_select(
-                    self.pager, query.op, labeled_merge(runs), query.agg
-                )
+            if labelled:
+                return self._labelled_node(query, labeled_merge(runs))
             if isinstance(query, SimpleAggSelect):
                 return simple_agg_select(self.pager, runs[0], query.agg)
             if isinstance(query, EmbeddedRef):
@@ -463,25 +475,15 @@ def _decides_when_empty(query: Query, index: int) -> bool:
     )
 
 
-def _counted(stream, matches: List[int]):
+def _counted(stream: Labelled, matches: List[int]):
     """``stream`` unchanged, counting each operand's entries in
-    ``matches``."""
+    ``matches`` (a traced pass only)."""
+    bits = [(1 << index, index) for index in range(len(matches))]
     for entry, label in stream:
-        for index in label:
-            matches[index - 1] += 1
+        for bit, index in bits:
+            if label & bit:
+                matches[index] += 1
         yield entry, label
-
-
-def _scan_reads(stream, stats: IOStats, reads: List[int]):
-    """``stream`` unchanged, adding to ``reads[0]`` the logical page reads
-    made while an entry is pulled from it -- the scan's, not the pages its
-    consumer reads between entries."""
-    pulled = stats.logical_reads
-    for item in stream:
-        reads[0] += stats.logical_reads - pulled
-        yield item
-        pulled = stats.logical_reads
-    reads[0] += stats.logical_reads - pulled
 
 
 def _span_name(query: Query) -> str:

@@ -51,13 +51,15 @@ Four pieces, all grounded in the paper:
    leaf, compare the estimated cost of the clustered subtree scan against
    the secondary index :func:`~repro.engine.atomic.index_path` offers for
    the filter, if any, using the
-   :class:`~repro.engine.stats.CardinalityEstimator`.  A hierarchical
-   selection whose operands are scanned leaves on one base, with a first
-   operand too large for windows to pay, reads them all by one shared
-   scan (:meth:`AccessPlanner.shares_scan`); otherwise, at run time, its
-   witness leaves may be read over windows around its first operand's
-   entries (:meth:`AccessPlanner.witness_windows`) when those cost fewer
-   pages.
+   :class:`~repro.engine.stats.CardinalityEstimator`.  A boolean or a
+   hierarchical selection whose operands are scanned leaves on one base
+   reads them all by one shared scan (:meth:`AccessPlanner.shares_scan`)
+   unless the per-leaf path can stop earlier for less: a selection whose
+   first operand is small enough for windows to pay reads its witness
+   leaves over windows around its first operand's entries
+   (:meth:`AccessPlanner.witness_windows`), and a ``&``/``-`` whose
+   first operand is scoped narrower than the other keeps its
+   short-circuit.
 
 4. **EXPLAIN and the Q-error loop** (:func:`explain`): a physical-plan
    rendering with estimated cardinalities and chosen access paths; with
@@ -72,9 +74,10 @@ There is one engine, :class:`~repro.engine.engine.QueryEngine`; the
 :class:`AccessPlanner` is its optional plan step.  Given one, the engine
 applies :meth:`AccessPlanner.plan` (rewrites + cost-based ordering) once
 per query, follows the planner's per-leaf decisions, stops a node at an
-empty operand that decides it, reads a hierarchical selection's
-operands by one shared scan (:meth:`AccessPlanner.shares_scan`) or its
-witness leaves over the windows :meth:`AccessPlanner.witness_windows`
+empty operand that decides it, reads a boolean's or a hierarchical
+selection's operands by one shared scan
+(:meth:`AccessPlanner.shares_scan`) or a selection's witness leaves over
+the windows :meth:`AccessPlanner.witness_windows`
 derives from its first operand, and reports the run-level Q-error of
 every query it executes; EXPLAIN and ``repro plan`` render the same
 ``plan()``.  :class:`PlannedEngine` is only a constructor: a
@@ -502,7 +505,7 @@ class AccessPlanner:
         return factor
 
     def _scan_pages(self, base: DN, max_depth: Optional[int]) -> int:
-        """Estimated pages ``scan_subtree(base, max_depth)`` reads: the
+        """Estimated pages ``scan_pages(base, max_depth)`` reads: the
         subtree's page range when unbounded, one page for the base alone,
         and one level down a page per estimated child (the scan seeks past
         each child's subtree) but never more than the range."""
@@ -541,24 +544,42 @@ class AccessPlanner:
         use_index, label, _pages = self._access_path(query)
         return use_index, label, self.estimator.atomic_cardinality(query)
 
-    def shares_scan(self, query: HierarchySelect, use_indices: bool = True) -> bool:
+    def shares_scan(self, query: Query, use_indices: bool = True) -> bool:
         """Should one :func:`~repro.engine.atomic.shared_scan` read every
-        operand of ``query``?  Yes when they are atomic leaves on one base,
-        each planned as the clustered scan, and the first is estimated to
-        hold at least as many entries as the witness leaf's scan costs
-        pages: :meth:`witness_windows` spends a page or more per window,
-        so past that point no window list can pay, and one scan replaces
-        k scans, k runs written and read back, and their merge."""
+        operand of ``query``, a boolean or a hierarchical selection?  Only
+        when they are atomic leaves on one base, each planned as the
+        clustered scan.  Then one scan at the widest scope replaces k
+        scans, k runs written and read back, and their merge -- unless
+        the per-leaf path can stop early for less:
+
+        - a selection whose first operand is estimated to hold fewer
+          entries than the witness leaf's scan costs pages may read its
+          witnesses over windows instead (:meth:`witness_windows` spends a
+          page or more per window, so past that point no window list can
+          pay);
+        - a ``&`` or ``-`` whose first operand is scoped narrower than
+          the widest operand reads that operand by its own scan first:
+          fewer pages than the shared scan, and if it comes back empty
+          it decides the node there.  Whether it will is not left to
+          the estimate, which near zero is not to be trusted either way
+          (an estimated 1.1 entries can be none)."""
         operands = query.children()
-        first, second = operands[0], operands[1]
+        first = operands[0]
         if not all(
             isinstance(operand, AtomicQuery) and operand.base == first.base
             for operand in operands
         ):
             return False
-        witness_pages = self._scan_pages(second.base, Scope.MAX_DEPTH[second.scope])
-        if self.estimator.atomic_cardinality(first) < witness_pages:
-            return False
+        if isinstance(query, HierarchySelect):
+            second = operands[1]
+            witness_pages = self._scan_pages(second.base, Scope.MAX_DEPTH[second.scope])
+            if self.estimator.atomic_cardinality(first) < witness_pages:
+                return False
+        elif not isinstance(query, Or):
+            reaches = [Scope.MAX_DEPTH[operand.scope] for operand in operands]
+            reach = reaches[0]
+            if reach is not None and (None in reaches or reach < max(reaches)):
+                return False
         return not (use_indices and any(self._access_path(operand)[0] for operand in operands))
 
     def witness_windows(
@@ -754,8 +775,8 @@ def explain(
     (``skipped: decided by empty first operand``); a leaf read over
     windows is labelled ``via window[k roots]``, and the leaves a shared
     scan read ``via shared scan[k filters]`` -- each with its own result
-    size and no pages of its own: the scan and the stack pass it fed are
-    the selection's."""
+    size and no pages or time of its own: the scan and the pass it fed
+    are the node's."""
     from ..obs.trace import Tracer
 
     planner = planner or AccessPlanner(store)
@@ -826,9 +847,10 @@ def explain(
                 actual_logical += scan.exclusive("io", "logical_total")
         elif shared is not None:
             # The leaf's entries were counted as the scan passed them; its
-            # pages are the node's.
+            # pages and its time are the node's.
             actual = shared.attrs["matches"][index]
             actual_io = actual_logical = 0
+            elapsed = 0.0
         node_qerror = None
         hints: Tuple[str, ...] = ()
         if actual is not None and not windowed:

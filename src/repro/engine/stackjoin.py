@@ -7,8 +7,12 @@ the planned engine's one shared scan of a common base
 (:func:`repro.engine.atomic.shared_scan`) -- and a stack of frames
 mirrors the root-to-leaf chain of the entries that matter to the
 operator (observation (2) of Section 5.3: when an entry arrives, exactly
-its stacked ancestors are on the stack).  Ancestry is a key-prefix test
-on the reversed-dn keys the stream is sorted by.
+its stacked ancestors are on the stack).  Ancestry is one comparison
+on the reversed-dn keys the stream is sorted by: a frame holds its
+subtree's bound (:data:`_ROOT_BOUND`), and a later key lies in the
+subtree exactly when it sorts below that bound.  The stack is a
+:class:`~repro.storage.pagedstack.PagedStack`; the pass pushes and pops
+on its in-memory top list and leaves spill and refill to it.
 
 - The ``below`` direction (``p``, ``a``, ``ac``: witnesses up the chain)
   is resolved at *push* time from the frame beneath.  Only witnesses (and
@@ -23,9 +27,10 @@ on the reversed-dn keys the stream is sorted by.
   :class:`~repro.engine.common.SpillList` (created for a frame's first
   one) only while a stacked ancestor is still undecided, since it must
   follow that ancestor in the output.
-- For the path-constrained operators, entries labelled 3 reset the below
-  chain and absorb (rather than propagate) above states -- the
-  ``3 not in label`` guards of Figure 5.
+- For the path-constrained operators, entries of the third operand (the
+  ``BLOCKER`` bit of their membership mask) reset the below chain and
+  absorb (rather than propagate) above states -- Figure 5's guards on
+  label 3, as one mask test each.
 
 Witness state is a value (:class:`~repro.engine.common.WitnessFold`): the
 paper's integer counters for ``count($2)``, immutable tuples for the
@@ -40,14 +45,15 @@ selects from it in a second phase.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
+from ..model.dn import subtree_upper_bound
 from ..model.entry import Entry
 from ..query.aggregates import EntryAggregate
 from ..storage.pagedstack import PagedStack
 from ..storage.pager import Pager
 from ..storage.runs import Run, RunWriter
-from .common import SpillList, WITNESS_COUNT, WitnessFold
+from .common import Labelled, SpillList, WITNESS_COUNT, WitnessFold
 
 __all__ = ["stack_pass", "hierarchical_annotate", "BELOW_OPS", "ABOVE_OPS"]
 
@@ -56,14 +62,21 @@ BELOW_OPS = ("p", "a", "ac")
 #: Operators whose witness sets lie in the subtree.
 ABOVE_OPS = ("c", "d", "dc")
 
-#: ``(entry, label)`` pairs in reversed-dn key order; ``label`` holds the
-#: 1-based operands the entry belongs to.
-Labelled = Iterable[Tuple[Entry, frozenset]]
-
 #: What becomes of an entry of the first operand once its state is
 #: resolved: the record to write, or None to drop it.  None in its place
 #: means the plain operator (keep the entry iff its count is positive).
 Keep = Optional[Callable[[Entry, object], object]]
+
+#: The membership bits of the three operands.
+FIRST, WITNESS, BLOCKER = 1, 2, 4
+
+#: A frame's subtree bound is ``key[:-1] + (key[-1] + "\0",)``: a key
+#: sorting after ``key`` is below it exactly when ``key`` is its prefix
+#: (a descendant ties on the last component and NUL is the least string
+#: above it; any other later key is above it at or before that component),
+#: and the test is str comparison, with no Python frame.  The root's is
+#: this: every other key sorts below it.
+_ROOT_BOUND = subtree_upper_bound(())
 
 
 def hierarchical_annotate(
@@ -97,8 +110,8 @@ def stack_pass(pager: Pager, op: str, stream: Labelled, fold: WitnessFold, keep:
     except BaseException:
         while not stack.is_empty():
             frame = stack.pop()
-            if op in ABOVE_OPS and frame[4] is not None:
-                frame[4].free()  # the frame's deferred survivors
+            if op in ABOVE_OPS and frame[5] is not None:
+                frame[5].free()  # the frame's deferred survivors
         writer.close().free()
         raise
     stack.clear()
@@ -107,38 +120,36 @@ def stack_pass(pager: Pager, op: str, stream: Labelled, fold: WitnessFold, keep:
 
 def _resolve_at_push(pager, op, stream, fold, keep, writer, stack) -> None:
     """``p``/``a``/``ac`` (Figures 2, 4 and 5, below direction).  A frame is
-    ``(key, label, entry, state)`` of a witness or blocker, ``state``
-    counting the witnesses that reach it from above."""
+    ``(subtree bound, key length, label, entry, state)`` of a witness or
+    blocker, ``state`` counting the witnesses that reach it from above."""
     counting, zero, add = fold.counting, fold.zero, fold.add
     parent_only = op == "p"
     cut = op == "ac"
-    push, pop, peek, append = stack.push, stack.pop, stack.peek, writer.append
+    pushed = WITNESS | BLOCKER if cut else WITNESS
+    append = writer.append
+    frames, refill, spill_at = stack.top, stack.refill, 2 * pager.page_size
     top = None
     for entry, label in stream:
-        key = entry.dn.key()
-        depth = len(key)
+        key = entry._dn._key
         # Unwind to the nearest stacked ancestor.
-        while top is not None:
-            top_key = top[0]
-            if len(top_key) < depth and key[: len(top_key)] == top_key:
-                break
-            pop()
-            top = peek()
+        while top is not None and key >= top[0]:
+            frames.pop()
+            top = frames[-1] if frames else refill()
         if top is None:
             state = zero
         elif parent_only:
             # Every frame is a witness; it counts only as the parent.
             state = zero
-            if len(top[0]) + 1 == depth:
-                state = 1 if counting else add(zero, top[2])
+            if top[1] + 1 == len(key):
+                state = 1 if counting else add(zero, top[3])
         else:
             # An intervening blocker cuts the chain (Figure 5); a blocker
             # that is itself a witness still contributes itself.
-            top_label = top[1]
-            state = zero if cut and 3 in top_label else top[3]
-            if 2 in top_label:
-                state = state + 1 if counting else add(state, top[2])
-        if 1 in label:
+            top_label = top[2]
+            state = zero if cut and top_label & BLOCKER else top[4]
+            if top_label & WITNESS:
+                state = state + 1 if counting else add(state, top[3])
+        if label & FIRST:
             if keep is None:
                 if state:
                     append(entry)
@@ -146,30 +157,35 @@ def _resolve_at_push(pager, op, stream, fold, keep, writer, stack) -> None:
                 record = keep(entry, state)
                 if record is not None:
                     append(record)
-        if 2 in label or (cut and 3 in label):
-            top = (key, label, entry, state)
-            push(top)
+        if label & pushed:
+            bound = key[:-1] + (key[-1] + "\0",) if key else _ROOT_BOUND
+            top = (bound, len(key), label, entry, state)
+            frames.append(top)
+            if len(frames) >= spill_at:
+                stack.spill()
 
 
 def _resolve_at_pop(pager, op, stream, fold, keep, writer, stack) -> None:
     """``c``/``d``/``dc`` (Figures 2, 4 and 5, above direction).  A frame is
-    ``[key, label, entry, state, deferred]`` of an entry of the first
-    operand or a ``dc`` blocker: ``state`` folds the witnesses below it,
-    ``deferred`` is None or the SpillList of survivors from its subtree
-    that must follow an undecided ancestor."""
+    ``[subtree bound, key length, label, entry, state, deferred]`` of an
+    entry of the first operand or a ``dc`` blocker: ``state`` folds the
+    witnesses below it, ``deferred`` is None or the SpillList of survivors
+    from its subtree that must follow an undecided ancestor."""
     counting, zero, add, merge = fold.counting, fold.zero, fold.add, fold.merge
     children_only = op == "c"
     absorb = op == "dc"
-    push, pop, peek, append = stack.push, stack.pop, stack.peek, writer.append
+    pushed = FIRST | BLOCKER if absorb else FIRST
+    append = writer.append
+    frames, refill, spill_at = stack.top, stack.refill, 2 * pager.page_size
     # Stacked entries of the first operand: while there are any, a
     # survivor must wait for them.
     undecided = 0
 
     def pop_frame():
         nonlocal undecided
-        _key, label, entry, state, deferred = pop()
-        below = peek()
-        if 1 in label:
+        _bound, _length, label, entry, state, deferred = frames.pop()
+        below = frames[-1] if frames else refill()
+        if label & FIRST:
             undecided -= 1
             if keep is None:
                 record = entry if state else None
@@ -186,30 +202,31 @@ def _resolve_at_pop(pager, op, stream, fold, keep, writer, stack) -> None:
         if deferred is not None:
             if not undecided:
                 deferred.flush_to(writer)
-            elif below[4] is None:
-                below[4] = deferred
+            elif below[5] is None:
+                below[5] = deferred
             else:
-                below[4].concat(deferred)
-        if below is not None and not children_only and not (absorb and 3 in label):
-            below[3] = below[3] + state if counting else merge(below[3], state)
+                below[5].concat(deferred)
+        if below is not None and not children_only and not (absorb and label & BLOCKER):
+            below[4] = below[4] + state if counting else merge(below[4], state)
         return below
 
     top = None
     for entry, label in stream:
-        key = entry.dn.key()
-        depth = len(key)
-        while top is not None:
-            top_key = top[0]
-            if len(top_key) < depth and key[: len(top_key)] == top_key:
-                break
+        key = entry._dn._key
+        while top is not None and key >= top[0]:
             top = pop_frame()
-        if top is not None and 2 in label and (not children_only or len(top[0]) + 1 == depth):
-            top[3] = top[3] + 1 if counting else add(top[3], entry)
-        if 1 in label:
+        if top is not None and label & WITNESS and (
+            not children_only or top[1] + 1 == len(key)
+        ):
+            top[4] = top[4] + 1 if counting else add(top[4], entry)
+        if label & FIRST:
             undecided += 1
-        elif not (absorb and 3 in label):
+        elif not label & pushed:
             continue
-        top = [key, label, entry, zero, None]
-        push(top)
+        bound = key[:-1] + (key[-1] + "\0",) if key else _ROOT_BOUND
+        top = [bound, len(key), label, entry, zero, None]
+        frames.append(top)
+        if len(frames) >= spill_at:
+            stack.spill()
     while top is not None:
         top = pop_frame()

@@ -17,10 +17,12 @@ only *filters* compose, under a single base and scope, whereas in L0 whole
 
 Every filter answers ``r |= F`` two ways: :meth:`Filter.matches` walks the
 filter for one entry (the definitional semantics uses it), and
-:meth:`Filter.predicate` compiles the filter once against a schema into an
-``entry -> bool`` closure that a scan calls per entry, with the schema's
-type tests, the constant's coercions and the operator resolved up front.
-The two agree on every entry, and count the same evaluation errors.
+:meth:`Filter.page_form` compiles the filter once against a schema into a
+``page -> list`` closure that a scan calls per page, with the schema's
+type tests, the constant's coercions and the operator resolved up front
+and the test inline in one loop over the page.  :meth:`Filter.predicate`
+is the page form asked about one entry.  The two agree on every entry,
+and count the same evaluation errors.
 """
 
 from __future__ import annotations
@@ -50,34 +52,39 @@ __all__ = [
 
 #: A compiled filter: ``entry -> r |= F``.
 Predicate = Callable[[Entry], bool]
+#: A compiled filter's page form: ``page -> [r in page | r |= F]``, in page
+#: order (always a new list).
+PageForm = Callable[[Sequence[Entry]], List[Entry]]
 
 
 class FilterError(ValueError):
     """Raised for ill-formed filters (bad operator, bad pattern)."""
 
 
-def _never(entry: Entry) -> bool:
-    return False
-
-
-def _always(entry: Entry) -> bool:
-    return True
+def _nothing(page: Sequence[Entry]) -> List[Entry]:
+    return []
 
 
 class Filter:
     """Base class.  Subclasses implement :meth:`matches` and
-    :meth:`predicate`."""
+    :meth:`page_form`."""
 
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         raise NotImplementedError
 
-    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+    def page_form(self, schema: Optional[DirectorySchema] = None) -> PageForm:
         """This filter compiled against ``schema``: a closure equal to
-        ``lambda entry: self.matches(entry, schema)`` that does the
-        per-filter work once.  Entry values are read from the entry's
-        attribute map directly (``Entry._values``), one dict probe per
-        entry instead of a method call."""
+        ``lambda page: [e for e in page if self.matches(e, schema)]`` that
+        does the per-filter work once and makes no call per entry.  Entry
+        values are read from the entry's attribute map directly
+        (``Entry._values``) instead of through a method."""
         raise NotImplementedError
+
+    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+        """The page form asked about one entry: ``entry -> r |= F`` (for
+        callers that hold one entry, not a page)."""
+        select = self.page_form(schema)
+        return lambda entry: bool(select((entry,)))
 
     def __repr__(self) -> str:
         return "<%s %s>" % (type(self).__name__, self)
@@ -90,8 +97,8 @@ class MatchAll(Filter):
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         return True
 
-    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
-        return _always
+    def page_form(self, schema: Optional[DirectorySchema] = None) -> PageForm:
+        return list
 
     def __str__(self) -> str:
         return "objectClass=*"
@@ -112,9 +119,9 @@ class Presence(Filter):
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         return entry.has(self.attribute)
 
-    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+    def page_form(self, schema: Optional[DirectorySchema] = None) -> PageForm:
         attribute = self.attribute
-        return lambda entry: attribute in entry._values
+        return lambda page: [entry for entry in page if attribute in entry._values]
 
     def __str__(self) -> str:
         return "%s=*" % self.attribute
@@ -144,7 +151,7 @@ class Equality(Filter):
                 return True
         return False
 
-    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+    def page_form(self, schema: Optional[DirectorySchema] = None) -> PageForm:
         """:func:`_values_equal` with the constant's ``str`` and ``int``
         forms computed once: an exact ``str`` value is compared with the
         one, an exact ``int`` with the other.  Every other value (a
@@ -153,26 +160,35 @@ class Equality(Filter):
         counts its coercion failures."""
         attribute, target = self.attribute, self.value
         if isinstance(target, DN):  # every value is compared as a dn
-            return lambda entry: self.matches(entry, schema)
+            matches = self.matches
+            return lambda page: [entry for entry in page if matches(entry, schema)]
         text = str(target)
         try:
             number: Optional[int] = int(target)
         except (TypeError, ValueError):
             number = None
 
-        def test(entry: Entry) -> bool:
-            for value in entry._values.get(attribute, ()):
-                kind = type(value)
-                if kind is str:
-                    if value == text:
-                        return True
-                elif kind is int and number is not None:
-                    if value == number:
-                        return True
-                elif _values_equal(value, target):
-                    return True
-            return False
-        return test
+        def select(page: Sequence[Entry]) -> List[Entry]:
+            out = []
+            for entry in page:
+                values = entry._values
+                if attribute not in values:
+                    continue
+                for value in values[attribute]:
+                    kind = value.__class__
+                    if kind is str:
+                        if value == text:
+                            break
+                    elif kind is int and number is not None:
+                        if value == number:
+                            break
+                    elif _values_equal(value, target):
+                        break
+                else:
+                    continue
+                out.append(entry)
+            return out
+        return select
 
     def __str__(self) -> str:
         return "%s=%s" % (self.attribute, self.value)
@@ -219,17 +235,23 @@ class Substring(Filter):
                 return True
         return False
 
-    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+    def page_form(self, schema: Optional[DirectorySchema] = None) -> PageForm:
         if _mistyped(schema, self.attribute, "string"):
-            return _never
+            return _nothing
         attribute, fullmatch = self.attribute, self.regex.fullmatch
 
-        def test(entry: Entry) -> bool:
-            for value in entry._values.get(attribute, ()):
-                if isinstance(value, str) and fullmatch(value):
-                    return True
-            return False
-        return test
+        def select(page: Sequence[Entry]) -> List[Entry]:
+            out = []
+            for entry in page:
+                values = entry._values
+                if attribute not in values:
+                    continue
+                for value in values[attribute]:
+                    if (value.__class__ is str or isinstance(value, str)) and fullmatch(value):
+                        out.append(entry)
+                        break
+            return out
+        return select
 
     def __str__(self) -> str:
         return "%s=%s" % (self.attribute, self.pattern)
@@ -275,20 +297,30 @@ class Comparison(Filter):
                     return True
         return False
 
-    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
+    def page_form(self, schema: Optional[DirectorySchema] = None) -> PageForm:
         if _mistyped(schema, self.attribute, "int"):
-            return _never
-        attribute, compare, bound = self.attribute, _COMPARATORS[self.op], self.value
+            return _nothing
+        attribute, bound = self.attribute, self.value
+        # The operator inline, with no call per value.
+        below, equal = self.op[0] == "<", self.op.endswith("=")
 
-        def test(entry: Entry) -> bool:
-            for value in entry._values.get(attribute, ()):
-                if type(value) is int or (
-                    isinstance(value, int) and not isinstance(value, bool)
-                ):
-                    if compare(value, bound):
-                        return True
-            return False
-        return test
+        def select(page: Sequence[Entry]) -> List[Entry]:
+            out = []
+            for entry in page:
+                values = entry._values
+                if attribute not in values:
+                    continue
+                for value in values[attribute]:
+                    if value.__class__ is int or (
+                        isinstance(value, int) and not isinstance(value, bool)
+                    ):
+                        if (value < bound if below else value > bound) or (
+                            equal and value == bound
+                        ):
+                            out.append(entry)
+                            break
+            return out
+        return select
 
     def __str__(self) -> str:
         return "%s%s%s" % (self.attribute, self.op, self.value)
@@ -326,15 +358,15 @@ class FilterAnd(Filter):
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         return all(f.matches(entry, schema) for f in self.operands)
 
-    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
-        tests = [f.predicate(schema) for f in self.operands]
+    def page_form(self, schema: Optional[DirectorySchema] = None) -> PageForm:
+        """Each operand's page form over what the ones before it kept."""
+        selects = [f.page_form(schema) for f in self.operands]
 
-        def test(entry: Entry) -> bool:
-            for operand in tests:
-                if not operand(entry):
-                    return False
-            return True
-        return test
+        def select(page: Sequence[Entry]) -> List[Entry]:
+            for operand in selects:
+                page = operand(page)
+            return page
+        return select
 
     def __str__(self) -> str:
         return "(&%s)" % "".join(_grouped(f) for f in self.operands)
@@ -351,15 +383,21 @@ class FilterOr(Filter):
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         return any(f.matches(entry, schema) for f in self.operands)
 
-    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
-        tests = [f.predicate(schema) for f in self.operands]
+    def page_form(self, schema: Optional[DirectorySchema] = None) -> PageForm:
+        """Each operand's page form over what the ones before it left, the
+        union kept in page order."""
+        selects = [f.page_form(schema) for f in self.operands]
 
-        def test(entry: Entry) -> bool:
-            for operand in tests:
-                if operand(entry):
-                    return True
-            return False
-        return test
+        def select(page: Sequence[Entry]) -> List[Entry]:
+            chosen: set = set()
+            rest = page
+            for operand in selects:
+                hits = operand(rest)
+                if hits:
+                    chosen.update(map(id, hits))
+                    rest = [entry for entry in rest if id(entry) not in chosen]
+            return [entry for entry in page if id(entry) in chosen]
+        return select
 
     def __str__(self) -> str:
         return "(|%s)" % "".join(_grouped(f) for f in self.operands)
@@ -375,9 +413,13 @@ class FilterNot(Filter):
     def matches(self, entry: Entry, schema: Optional[DirectorySchema] = None) -> bool:
         return not self.operand.matches(entry, schema)
 
-    def predicate(self, schema: Optional[DirectorySchema] = None) -> Predicate:
-        inner = self.operand.predicate(schema)
-        return lambda entry: not inner(entry)
+    def page_form(self, schema: Optional[DirectorySchema] = None) -> PageForm:
+        inner = self.operand.page_form(schema)
+
+        def select(page: Sequence[Entry]) -> List[Entry]:
+            hits = set(map(id, inner(page)))
+            return [entry for entry in page if id(entry) not in hits]
+        return select
 
     def __str__(self) -> str:
         return "(!%s)" % _grouped(self.operand)

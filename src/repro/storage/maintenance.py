@@ -57,6 +57,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 from ..model.dn import DN, subtree_upper_bound
@@ -130,11 +131,12 @@ class StoreView:
     snapshot, captured atomically.  Close it (or use it as a context
     manager) to release the pin so superseded runs can be freed.
 
-    The view offers the store's read interface (:meth:`scan_subtree`,
-    :meth:`fetch_positions`, :meth:`page_range_for_subtree`, ``pager``,
-    ``schema``, the secondary indices), so a query engine runs over it
-    and reads *through* the overlay: the master range is co-scanned with
-    the slice of the overlay's sorted dns that falls inside it.  With
+    The view offers the store's read interface (:meth:`scan_pages`,
+    :meth:`scan_subtree`, :meth:`fetch_positions`,
+    :meth:`page_range_for_subtree`, ``pager``, ``schema``, the secondary
+    indices), so a query engine runs over it and reads *through* the
+    overlay: the master range is co-scanned with the slice of the
+    overlay's sorted dns that falls inside it.  With
     nothing pending inside the range it hands back the store's own scan --
     no added work, identical page I/O."""
 
@@ -164,15 +166,16 @@ class StoreView:
         a scan by; the overlay is memory-resident and bounded)."""
         return self.store.page_range_for_subtree(base)
 
-    def scan_subtree(
+    def scan_pages(
         self, base: DN, max_depth: Optional[int] = None
-    ) -> Iterator[Entry]:
-        """Entries of the subtree at ``base`` as of this view's lsn, in
-        order, no further than ``max_depth`` levels below it (see
-        :meth:`DirectoryStore.scan_subtree`): ``O(range + delta)``."""
+    ) -> Iterator[List[Entry]]:
+        """The entries of the subtree at ``base`` as of this view's lsn, in
+        order, no further than ``max_depth`` levels below it, one list per
+        master page read (see :meth:`DirectoryStore.scan_pages`):
+        ``O(range + delta)``."""
         delta = self.snapshot.delta
         if not delta:
-            return self.store.scan_subtree(base, max_depth)
+            return self.store.scan_pages(base, max_depth)
         low, high = delta.span(base)
         limit = sys.maxsize
         if max_depth is not None:
@@ -183,10 +186,17 @@ class StoreView:
             # The whole master range is deleted; only newer adds remain.
             return self._merged((), low, high, (), limit)
         roots = delta.roots_under(base)
-        master = self.store.scan_subtree(base, max_depth)
+        master = self.store.scan_pages(base, max_depth)
         if low == high and not roots:
             return master
         return self._merged(master, low, high, roots, limit)
+
+    def scan_subtree(
+        self, base: DN, max_depth: Optional[int] = None
+    ) -> Iterator[Entry]:
+        """:meth:`scan_pages`, an entry at a time."""
+        for page in self.scan_pages(base, max_depth):
+            yield from page
 
     def scan_all(self) -> Iterator[Entry]:
         """Every entry as of this view's lsn, in order (what compaction
@@ -194,9 +204,9 @@ class StoreView:
         delta = self.snapshot.delta
         if not delta:
             return self.store.scan_all()
-        return self._merged(
-            self.store.scan_all(), 0, len(delta.order), delta.roots
-        )
+        return chain.from_iterable(self._merged(
+            self.store.master.pages(), 0, len(delta.order), delta.roots
+        ))
 
     def fetch_positions(self, positions: List[int]) -> List[Entry]:
         """The secondary-index path: master entries at ``positions`` the
@@ -207,57 +217,70 @@ class StoreView:
         delta = self.snapshot.delta
         if not delta:
             return fetched
-        return list(self._merged(fetched, 0, len(delta.order), delta.roots))
+        return list(chain.from_iterable(
+            self._merged((fetched,), 0, len(delta.order), delta.roots)
+        ))
 
     def _merged(
         self,
-        master: Iterable[Entry],
+        master: Iterable[List[Entry]],
         low: int,
         high: int,
         roots,
         limit: int = sys.maxsize,
-    ) -> Iterator[Entry]:
-        """Sorted-list merge of master entries with ``order[low:high]`` of
-        the overlay.  Precedence: an overlay image wins over the master
-        entry at the same dn (an entry replaces it, a point delete drops
-        it); a master entry under one of the deleted ``roots`` is dropped;
-        overlay entries are always kept -- one under a deleted root was
-        added after the delete -- unless their key is longer than
-        ``limit`` (a depth-bounded scan: ``master`` is bounded already)."""
+    ) -> Iterator[List[Entry]]:
+        """Sorted-list merge of the master ``pages`` with ``order[low:high]``
+        of the overlay, one list per master page (the overlay entries that
+        sort before a master entry go into its page; the ones after the
+        last master entry make one more list).  Precedence: an overlay
+        image wins over the master entry at the same dn (an entry
+        replaces it, a point delete drops it); a master entry under one of
+        the deleted ``roots`` is dropped; overlay entries are always kept
+        -- one under a deleted root was added after the delete -- unless
+        their key is longer than ``limit`` (a depth-bounded scan:
+        ``master`` is bounded already)."""
         delta = self.snapshot.delta
         point, order = delta.point, delta.order
         spans = [(key, subtree_upper_bound(key)) for key, _ in roots]
+        span_count = len(spans)
         span_at = 0
         at = low
         next_key = order[at][0] if at < high else None
         try:
-            for entry in master:
-                key = entry.dn.key()
-                replaced = False
-                while next_key is not None and next_key <= key:
-                    replaced = next_key == key  # sorted: only the last can be
-                    image = point[order[at][1]] if len(next_key) <= limit else None
-                    at += 1
-                    next_key = order[at][0] if at < high else None
-                    if image is not None:
-                        yield image
-                if replaced:
-                    continue
-                while span_at < len(spans) and key >= spans[span_at][1]:
-                    span_at += 1
-                if span_at == len(spans) or key < spans[span_at][0]:
-                    yield entry
+            for records in master:
+                page = []
+                for entry in records:
+                    key = entry._dn._key
+                    replaced = False
+                    while next_key is not None and next_key <= key:
+                        replaced = next_key == key  # sorted: only the last can be
+                        image = point[order[at][1]] if len(next_key) <= limit else None
+                        at += 1
+                        next_key = order[at][0] if at < high else None
+                        if image is not None:
+                            page.append(image)
+                    if replaced:
+                        continue
+                    while span_at < span_count and key >= spans[span_at][1]:
+                        span_at += 1
+                    if span_at == span_count or key < spans[span_at][0]:
+                        page.append(entry)
+                if page:
+                    yield page
+            page = []
             while at < high:
                 overlay_key, dn = order[at]
                 image = point[dn] if len(overlay_key) <= limit else None
                 at += 1
                 if image is not None:
-                    yield image
+                    page.append(image)
+            if page:
+                yield page
         finally:
             # Charged when the scan ends or is abandoned: what it walked,
             # not the slice.
             self._directory._charge_overlay(
-                at - low + span_at + (span_at < len(spans))
+                at - low + span_at + (span_at < span_count)
             )
 
     # -- point reads ----------------------------------------------------------

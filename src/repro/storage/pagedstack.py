@@ -23,67 +23,73 @@ __all__ = ["PagedStack"]
 
 
 class PagedStack:
-    """LIFO stack with amortised ``O(1/B)`` page transfers per operation."""
+    """LIFO stack with amortised ``O(1/B)`` page transfers per operation.
+
+    :attr:`top` is the in-memory top, deepest first, and stays the same
+    list for the stack's life.  A caller on a hot loop may push and pop on
+    it directly, as long as it calls :meth:`spill` when it reaches ``2B``
+    items and :meth:`refill` when it empties -- which is all
+    :meth:`push`, :meth:`pop` and :meth:`peek` do around it."""
 
     def __init__(self, pager: Pager):
         self.pager = pager
-        self._spilled: List[int] = []  # page ids, deepest first
-        self._top: List[Any] = []  # in-memory top, deepest first
+        self._spilled: List[int] = []  # page ids, deepest first; B items each
+        self.top: List[Any] = []
         self.max_depth = 0
-        self._depth = 0
 
     def push(self, item: Any) -> None:
-        self._top.append(item)
-        self._depth += 1
-        if self._depth > self.max_depth:
-            self.max_depth = self._depth
-        if len(self._top) >= 2 * self.pager.page_size:
-            # Spill the deepest B in-memory items.
-            spill, self._top = (
-                self._top[: self.pager.page_size],
-                self._top[self.pager.page_size :],
-            )
-            self._spilled.append(self.pager.append_page(spill))
+        self.top.append(item)
+        depth = len(self)
+        if depth > self.max_depth:
+            self.max_depth = depth
+        if len(self.top) >= 2 * self.pager.page_size:
+            self.spill()
+
+    def spill(self) -> None:
+        """Write the deepest ``B`` in-memory items to a page."""
+        page_size = self.pager.page_size
+        self._spilled.append(self.pager.append_page(self.top[:page_size]))
+        del self.top[:page_size]
 
     def pop(self) -> Any:
-        if not self._top:
-            self._refill()
-        if not self._top:
+        if not self.top:
+            self.refill()
+        if not self.top:
             raise IndexError("pop from empty PagedStack")
-        self._depth -= 1
-        return self._top.pop()
+        return self.top.pop()
 
     def peek(self) -> Optional[Any]:
         """Top of stack without popping; None when empty."""
-        if not self._top:
-            self._refill()
-        if not self._top:
+        if self.top:
+            return self.top[-1]
+        return self.refill()
+
+    def refill(self) -> Optional[Any]:
+        """With the in-memory top empty, read back the most recently
+        spilled page; returns the new top item, None when the stack is
+        empty."""
+        if not self._spilled:
             return None
-        return self._top[-1]
+        page_id = self._spilled.pop()
+        self.top.extend(self.pager.read(page_id))
+        self.pager.free(page_id)
+        return self.top[-1]
 
     def clear(self) -> None:
         """Drop every item, releasing the spilled pages unread."""
         for page_id in self._spilled:
             self.pager.free(page_id)
         self._spilled = []
-        self._top = []
-        self._depth = 0
-
-    def _refill(self) -> None:
-        if not self._spilled:
-            return
-        page_id = self._spilled.pop()
-        self._top = list(self.pager.read(page_id))
-        self.pager.free(page_id)
+        del self.top[:]
 
     def __len__(self) -> int:
-        return self._depth
+        return len(self._spilled) * self.pager.page_size + len(self.top)
 
     def is_empty(self) -> bool:
-        return self._depth == 0
+        return not self.top and not self._spilled
 
     def __repr__(self) -> str:
         return "PagedStack(depth=%d, spilled_pages=%d)" % (
-            self._depth,
+            len(self),
             len(self._spilled),
         )

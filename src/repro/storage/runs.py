@@ -9,6 +9,7 @@ writes -- the exact quantities the paper's theorems count.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 from .pager import Pager
@@ -44,10 +45,14 @@ class Run:
     def reader(self) -> "RunReader":
         return RunReader(self)
 
+    def pages(self) -> Iterator[List[Any]]:
+        """The run's pages in order, each read as it is reached (the lists
+        are the pager's: read-only)."""
+        return map(self.pager.read, self.page_ids)
+
     def __iter__(self) -> Iterator[Any]:
-        for page_id in self.page_ids:
-            for record in self.pager.read(page_id):
-                yield record
+        # Pages chained at C level: no Python frame per record.
+        return chain.from_iterable(self.pages())
 
     def to_list(self) -> List[Any]:
         """Materialise in memory (tests and result delivery only)."""
@@ -91,8 +96,22 @@ class RunWriter:
             self._spill()
 
     def extend(self, records: Iterable[Any]) -> None:
-        for record in records:
-            self.append(record)
+        """``append`` each of ``records``, a page at a time: the buffer is
+        topped up to one page and spilled, so pages, page ids and I/O are
+        those of the ``append`` loop, and at most ``page_size`` records are
+        held -- ``records`` may be a generator over a whole directory."""
+        if self._closed:
+            raise RuntimeError("writer already closed")
+        records = iter(records)
+        page_size = self.pager.page_size
+        while True:
+            chunk = list(islice(records, page_size - len(self._buffer)))
+            if not chunk:
+                return
+            self._buffer += chunk
+            self._length += len(chunk)
+            if len(self._buffer) == page_size:
+                self._spill()
 
     def _spill(self) -> None:
         self._page_ids.append(self.pager.append_page(self._buffer))

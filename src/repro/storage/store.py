@@ -129,19 +129,21 @@ class DirectoryStore:
         end = bisect_right(self._page_first_keys, subtree_upper_bound(prefix))
         return start, end
 
-    def scan_subtree(
+    def scan_pages(
         self, base: DN, max_depth: Optional[int] = None
-    ) -> Iterator[Entry]:
-        """Entries of the subtree at ``base`` (base included), in order --
-        the one scoped clustered scan.  ``max_depth`` bounds how far below
-        the base it reaches: ``None`` is the whole subtree (``sub``), 0 the
-        base alone, 1 the base and its children (``one``).
+    ) -> Iterator[List[Entry]]:
+        """The entries of the subtree at ``base`` (base included), in
+        order, one non-empty list per master page read -- the one scoped
+        clustered scan.  ``max_depth`` bounds how far below the base it
+        reaches: ``None`` is the whole subtree (``sub``), 0 the base alone,
+        1 the base and its children (``one``).  A list may be the pager's
+        own page: callers treat every list as read-only.
 
         The subtree is the key range ``[base.key(), subtree_upper_bound)``,
         so membership is decided by two bisections, not per entry.  An
         unbounded scan reads every page :meth:`page_range_for_subtree`
-        names, cuts the first and the last and yields the pages between
-        untested.  A bounded scan reads the first page of that range and,
+        names, cuts the first and the last and hands out the pages between
+        whole.  A bounded scan reads the first page of that range and,
         after each entry at the depth limit, *seeks* to the key successor
         of that entry's subtree through the sparse index instead of
         reading through it: one page for the base alone, at most two per
@@ -155,9 +157,17 @@ class DirectoryStore:
             end = min(end, start + 1)  # the base leads its range
         return self._skip_scan(low, high, start, end, len(low) + max_depth)
 
+    def scan_subtree(
+        self, base: DN, max_depth: Optional[int] = None
+    ) -> Iterator[Entry]:
+        """:meth:`scan_pages`, an entry at a time (point reads and
+        tests)."""
+        for page in self.scan_pages(base, max_depth):
+            yield from page
+
     def _scan_range(
         self, low: tuple, high: tuple, start: int, end: int
-    ) -> Iterator[Entry]:
+    ) -> Iterator[List[Entry]]:
         read, page_ids = self.pager.read, self.master.page_ids
         for page_index in range(start, end):
             records = read(page_ids[page_index])
@@ -166,12 +176,14 @@ class DirectoryStore:
                 last = len(records)
                 if page_index == end - 1:
                     last = _lower_bound(records, high, first)
+                if first == last:
+                    continue
                 records = records[first:last]
-            yield from records
+            yield records
 
     def _skip_scan(
         self, low: tuple, high: tuple, start: int, end: int, depth: int
-    ) -> Iterator[Entry]:
+    ) -> Iterator[List[Entry]]:
         """Entries of ``[low, high)`` whose key is at most ``depth`` long.
         An entry at least that deep stands for a whole subtree the scan
         wants nothing more of (when deeper, for an absent ancestor's), so
@@ -186,17 +198,20 @@ class DirectoryStore:
             stop = len(records)
             if page_index == end - 1:
                 stop = _lower_bound(records, high, at)
+            taken = []
             while at < stop:
                 entry = records[at]
-                key = entry.dn.key()
+                key = entry._dn._key
                 at += 1
                 if len(key) <= depth:
-                    yield entry
+                    taken.append(entry)
                     if len(key) < depth:
                         continue
                 seek = subtree_upper_bound(key[:depth])
-                if at < stop and len(records[at].dn.key()) > depth:
+                if at < stop and len(records[at]._dn._key) > depth:
                     at = _lower_bound(records, seek, at)  # seek <= high: <= stop
+            if taken:
+                yield taken
             # The page holding the first key >= seek: the last one that
             # starts at or below it, and never this one again.
             page_index = max(
@@ -219,11 +234,13 @@ class DirectoryStore:
 def _lower_bound(records: List[Entry], key: tuple, lo: int = 0) -> int:
     """``bisect_left`` over the records' dn keys (``bisect(key=)`` needs
     Python 3.10, and six probes beat building a page's key list): the
-    index of the first record at or after ``key``."""
+    index of the first record at or after ``key``.  Scans read an entry's
+    key as ``entry._dn._key``, the attribute behind ``entry.dn.key()``,
+    with no call per probe."""
     hi = len(records)
     while lo < hi:
         mid = (lo + hi) // 2
-        if records[mid].dn.key() < key:
+        if records[mid]._dn._key < key:
             lo = mid + 1
         else:
             hi = mid

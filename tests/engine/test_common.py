@@ -27,8 +27,8 @@ class TestLabeledMerge:
         seen = set()
         previous_key = None
         for entry, label in labeled_merge(runs):
-            assert (1 in label) == (entry.dn in first_dns)
-            assert (2 in label) == (entry.dn in second_dns)
+            assert bool(label & 1) == (entry.dn in first_dns)
+            assert bool(label & 2) == (entry.dn in second_dns)
             assert entry.dn not in seen  # each dn exactly once
             seen.add(entry.dn)
             if previous_key is not None:
@@ -41,8 +41,8 @@ class TestLabeledMerge:
         pager = Pager(page_size=8, buffer_pages=6)
         runs = [sorted_run(pager, s) for s in subsets]
         for entry, label in labeled_merge(runs):
-            for index, subset in enumerate(subsets, start=1):
-                assert ((index in label)
+            for index, subset in enumerate(subsets):
+                assert (bool(label >> index & 1)
                         == (entry.dn in {e.dn for e in subset}))
 
     def test_empty_runs(self):
@@ -56,9 +56,10 @@ class TestOneMergeContract:
     @pytest.mark.parametrize("lists", [2, 3])
     @pytest.mark.parametrize("seed", range(3))
     def test_labels_are_interned_sets(self, seed, lists, page_size, repeat_step):
-        """Equal labels from one merge are one object -- nothing is built
-        per entry -- and still answer ``index in label``; every input page
-        is read exactly once."""
+        """A label is the set of runs holding the entry, encoded as an int
+        membership mask (bit ``i - 1`` for run ``i``): a small int, so
+        equal labels from one merge are one object and nothing is built
+        per entry.  Every input page is read exactly once."""
         seed += 1000 * repeat_step
         _instance, subsets = random_sublists(seed, size=70, lists=lists)
         pager = Pager(page_size=page_size, buffer_pages=4)
@@ -71,9 +72,9 @@ class TestOneMergeContract:
         for entry, label in labeled_merge(runs):
             merged += 1
             assert interned.setdefault(label, label) is label, seed
-            assert isinstance(label, frozenset)
-            for index, dns in enumerate(members, start=1):
-                assert (index in label) == (entry.dn in dns), seed
+            assert type(label) is int and 0 < label < 1 << lists
+            for index, dns in enumerate(members):
+                assert bool(label >> index & 1) == (entry.dn in dns), seed
         assert merged == len(set().union(*members))
         assert len(interned) <= 2 ** lists - 1
         delta = pager.stats.since(before)

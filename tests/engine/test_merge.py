@@ -59,8 +59,9 @@ def test_linear_io():
     assert delta.logical_writes <= result.page_count + 2
 
 
-#: Section 4.2's table: the labels each operator keeps.
-LABEL_TABLE = {"and": [{1, 2}], "or": [{1, 2}, {1}, {2}], "diff": [{1}]}
+#: Section 4.2's table: the labels each operator keeps, as membership
+#: masks ({1} = 1, {2} = 2, {1, 2} = 3).
+LABEL_TABLE = {"and": [3], "or": [3, 1, 2], "diff": [1]}
 
 
 @pytest.mark.parametrize("page_size", [2, 4, 16])

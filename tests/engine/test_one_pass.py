@@ -1,23 +1,28 @@
-"""One scan feeds one stack pass, held to the paper-literal engine.
+"""One scan feeds one pass, held to the paper-literal engine.
 
 A planned hierarchical selection whose operands are scanned atomic leaves
 on one base -- with a first operand the planner expects to be too large
 for witness windows to pay -- reads all of them by one shared scan and
-hands each ``(entry, label)`` straight to the stack pass, which selects
-every entry of the first operand as its witness state resolves.  None of
-that may change an answer: on every seeded query here the planned engine,
-the plan-less engine (operand runs, labelled merge, the same pass) and
-the definitional semantics agree entry for entry and in order -- every
-operator, plain and with count, ``$2.weight`` and entry-set aggregate
-filters, first operands at ``base``, ``one`` and ``sub`` scope, blockers,
-and through a pinned view whose pending writes touch the scanned range.
-The shared scan is accounted like the leaves it replaces: one heat-map
-read per leaf, the scan's own page reads once, the budget checked after
-the node, and no page left behind when the scan is cut short.
+hands each ``(entry, mask)`` straight to the stack pass, which selects
+every entry of the first operand as its witness state resolves.  A
+planned ``&``/``|``/``-`` over two scanned leaves on one base reads them
+by one shared scan too, and its label table keeps or drops each labelled
+entry.  None of that may change an answer: on every seeded query here the
+planned engine, the plan-less engine (operand runs, labelled merge, the
+same pass or table) and the definitional semantics agree entry for entry
+and in order -- every operator, plain and with count, ``$2.weight`` and
+entry-set aggregate filters, operands at ``base``, ``one`` and ``sub``
+scope, blockers, and through a pinned view whose pending writes touch the
+scanned range.  The shared scan is accounted like the leaves it replaces:
+one heat-map read per leaf, the scan's own page reads once, the budget
+checked after the node, and no page or pin left behind when the scan is
+cut short.
 
 CI repeats this module (``pytest-repeat``) in the planner-differential
 job.
 """
+
+import random
 
 import pytest
 
@@ -280,7 +285,8 @@ class TestAccounting:
 
 
 class _BreachingStore:
-    """``store`` whose scans raise a budget breach after ``after`` entries."""
+    """``store`` whose scans raise a budget breach after ``after`` entries
+    (the page holding the next one is cut there)."""
 
     def __init__(self, store, after):
         self._store = store
@@ -289,8 +295,218 @@ class _BreachingStore:
     def __getattr__(self, name):
         return getattr(self._store, name)
 
-    def scan_subtree(self, base, max_depth=None):
-        for count, entry in enumerate(self._store.scan_subtree(base, max_depth)):
-            if count == self._after:
+    def scan_pages(self, base, max_depth=None):
+        left = self._after
+        for page in self._store.scan_pages(base, max_depth):
+            if len(page) > left:
+                if left:
+                    yield page[:left]
                 raise BudgetExceeded(BudgetExceeded.WALL_CLOCK, 0.0, 0.1)
-            yield entry
+            left -= len(page)
+            yield page
+
+
+# -- booleans over one shared scan -----------------------------------------
+
+BOOLEAN_OPS = {"&": "and", "|": "or", "-": "diff"}
+SCOPES = ("base", "one", "sub")
+#: No filter here implies another, so no rewrite folds a node away.
+LEAF_FILTERS = (
+    "weight<50", "weight>=30", "kind=alpha", "level>=3", "level<2", "name=*1*",
+)
+
+
+def booleans(mid, seed):
+    """``(op, first scope, second scope, query)``: every operator over
+    every pair of scopes, on one base, with two distinct filters drawn
+    from ``seed``."""
+    rng = random.Random(seed)
+    out = []
+    for symbol, op in BOOLEAN_OPS.items():
+        for first in SCOPES:
+            for second in SCOPES:
+                left, right = rng.sample(LEAF_FILTERS, 2)
+                text = "(%s %s %s)" % (
+                    symbol, _atomic(mid, first, left), _atomic(mid, second, right)
+                )
+                out.append((op, first, second, parse_query(text)))
+    return out
+
+
+def _identical(got, want):
+    """Entry for entry and in order, and the very objects: a fused ``&``
+    hands out the left operand's copy, as the merge does."""
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+class TestFusedBoolean:
+    @pytest.mark.parametrize("page_size", PAGE_SIZES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_planned_literal_and_semantics_agree(self, seed, page_size):
+        instance, store = make_store(seed, page_size)
+        _top, mid, _narrow = _bases(instance)
+        literal = QueryEngine(store)
+        tracer = Tracer()
+        planned = planned_engine(store, tracer=tracer)
+        live = store.pager.live_pages
+        shared = set()
+        for op, first, second, query in booleans(mid, seed):
+            want = [str(entry.dn) for entry in evaluate(query, instance)]
+            expected = literal.run(query)
+            assert expected.dns() == want, str(query)
+            got = planned.run(query)
+            assert _identical(got.entries, expected.entries), str(query)
+            assert store.pager.live_pages == live, str(query)
+            spans = shared_spans(tracer)
+            if spans:
+                assert len(spans) == 1, str(query)
+                shared.add((op, first, second))
+        # Every operator read one shared scan but where a ``&``/``-``
+        # first operand kept its own narrower scan; a ``|`` always shares.
+        assert {op for op, _first, _second in shared} == set(BOOLEAN_OPS.values())
+        assert {(first, second) for op, first, second in shared if op == "or"} == {
+            (first, second) for first in SCOPES for second in SCOPES
+        }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overlay_touching_the_scanned_range(self, seed):
+        instance, store = make_store(seed, 8)
+        _top, mid, narrow = _bases(instance)
+        directory = UpdatableDirectory(store, auto_compact_at=NEVER)
+        directory.delete(narrow, recursive=True)
+        _add(directory, narrow)
+        _add(directory, mid.child("name=added%d" % seed))
+        _add(directory, mid.child("name=added%d" % seed).child("name=deeper%d" % seed))
+        with directory.acquire_view() as view:
+            model = DirectoryInstance(instance.schema)
+            for entry in view.scan_all():
+                model.add_entry(entry)
+        live = store.pager.live_pages
+        shared = 0
+        for _op, _first, _second, query in booleans(mid, seed):
+            want = [str(entry.dn) for entry in evaluate(query, model)]
+            with directory.acquire_view() as view:
+                expected = QueryEngine(view).run(query)
+                assert expected.dns() == want, str(query)
+                tracer = Tracer()
+                got = planned_engine(view, tracer=tracer).run(query)
+                assert _identical(got.entries, expected.entries), str(query)
+                shared += len(shared_spans(tracer))
+            assert store.pager.live_pages == live, str(query)
+        assert directory.pending() > 0 and directory.compactions == 0
+        assert shared >= len(SCOPES) ** 2  # every ``|`` at least
+
+    @pytest.mark.parametrize("symbol", ["&", "-"])
+    def test_an_empty_narrower_first_operand_keeps_its_short_circuit(self, symbol):
+        """Empty and scoped narrower than the other operand: its own scan
+        decides the node, and the other leaf is never read.  As wide as
+        the other, it reads no fewer pages than the shared scan, which
+        reads both."""
+        instance, store = make_store(0, 8)
+        _top, mid, _narrow = _bases(instance)
+        other = _atomic(mid, "sub", "kind=alpha")
+        for scope, fused in (("one", False), ("base", False), ("sub", True)):
+            query = parse_query("(%s %s %s)" % (symbol, _atomic(mid, scope, "name=nosuch"), other))
+            tracer = Tracer()
+            engine = planned_engine(store, tracer=tracer)
+            got = engine.run(query)
+            assert got.entries == QueryEngine(store).run(query).entries == []
+            assert bool(shared_spans(tracer)) == fused, scope
+            assert engine.short_circuits == (0 if fused else 1), scope
+            leaves = [s for s in tracer.last_root().walk() if s.name == "op:atomic"]
+            assert len(leaves) == (0 if fused else 1), scope
+
+    @pytest.mark.parametrize("symbol", ["&", "|", "-"])
+    def test_a_breach_mid_scan_leaks_no_pages_or_pins(self, symbol):
+        """Cut the shared scan short at every entry, through a pinned view
+        with pending writes: the output run, the scan and the view's pin
+        are all released."""
+        instance, store = make_store(5, 8)
+        _top, mid, narrow = _bases(instance)
+        directory = UpdatableDirectory(store, auto_compact_at=NEVER)
+        _add(directory, mid.child("name=added"))
+        _add(directory, narrow.child("name=added"))
+        query = parse_query("(%s %s %s)" % (
+            symbol, _atomic(mid, "sub", "weight<70"), _atomic(mid, "sub", "kind=alpha")
+        ))
+        with directory.acquire_view() as view:
+            want = planned_engine(view).run(query).entries
+            scanned = len(list(view.scan_subtree(mid)))
+        live = store.pager.live_pages
+        for after in range(scanned):
+            tracer = Tracer()
+            with directory.acquire_view() as view:
+                with pytest.raises(BudgetExceeded):
+                    planned_engine(_BreachingStore(view, after), tracer=tracer).run(query)
+            assert "error" in shared_spans(tracer)[0].attrs
+            assert store.pager.live_pages == live, after
+            assert not directory._pins, after
+        with directory.acquire_view() as view:
+            assert planned_engine(view).run(query).entries == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_provider_without_a_shared_scan_stays_per_leaf(self, seed):
+        """An injected provider with no ``shared_scan`` answers both
+        leaves of every boolean itself, with the default engine's
+        answers."""
+        instance, store = make_store(seed, 8)
+        _top, mid, _narrow = _bases(instance)
+        asked = []
+
+        def leaf_only(query, within=None):
+            asked.append(query)
+            return QueryEngine(store).atomic_run(query, within=within)
+
+        tracer = Tracer()
+        injected = QueryEngine(store, planner=AccessPlanner(store), leaves=leaf_only, tracer=tracer)
+        default = planned_engine(store)
+        for _op, _first, _second, query in booleans(mid, seed):
+            del asked[:]
+            assert injected.run(query).entries == default.run(query).entries, str(query)
+            assert not shared_spans(tracer), str(query)
+            spans = [s.name for s in tracer.last_root().walk()]
+            assert len(asked) == spans.count("op:atomic") >= 1, str(query)
+
+    @pytest.mark.parametrize("symbol", ["&", "|", "-"])
+    def test_explain_labels_the_leaves_and_reconciles(self, symbol):
+        instance, store = make_store(1, 8)
+        _top, mid, _narrow = _bases(instance)
+        query = parse_query("(%s %s %s)" % (
+            symbol, _atomic(mid, "sub", "weight<70"), _atomic(mid, "sub", "kind=alpha")
+        ))
+        node = explain(store, query, analyze=True)
+        for leaf in node.children:
+            assert leaf.label.endswith(" via shared scan[2 filters]"), node.render()
+            assert leaf.actual_io == leaf.actual_logical_io == 0
+        assert sorted(leaf.actual for leaf in node.children) == sorted(
+            len(evaluate(operand, instance)) for operand in query.children()
+        )
+        assert node.actual_logical_io == node.total_logical_io() > 0
+        assert node.total_io() == sum(n.actual_io for n in [node] + node.children)
+
+    @pytest.mark.parametrize("symbol", ["&", "|", "-"])
+    def test_heat_map_reads_per_leaf_and_pages_once(self, symbol):
+        instance, store = make_store(2, 8)
+        _top, mid, _narrow = _bases(instance)
+        query = parse_query("(%s %s %s)" % (
+            symbol, _atomic(mid, "sub", "weight<70"), _atomic(mid, "sub", "kind=alpha")
+        ))
+        literal_heat, planned_heat = SubtreeHeatMap(depth=8), SubtreeHeatMap(depth=8)
+        literal_tracer, tracer = Tracer(), Tracer()
+        QueryEngine(store, heatmap=literal_heat, tracer=literal_tracer).run(query)
+        planned_engine(store, heatmap=planned_heat, tracer=tracer).run(query)
+        (literal_cell,) = literal_heat.hottest(10)
+        (planned_cell,) = planned_heat.hottest(10)
+        assert planned_cell["subtree"] == literal_cell["subtree"]
+        assert planned_cell["reads_total"] == literal_cell["reads_total"] == 2
+        leaf_reads = {
+            span.stats["io"].logical_reads
+            for span in literal_tracer.last_root().walk() if span.name == "op:atomic"
+        }
+        assert planned_cell["pages_total"] in leaf_reads and len(leaf_reads) == 1
+        (span,) = shared_spans(tracer)
+        assert span.attrs["filters"] == 2
+        # Each leaf's result size (R7 may have put the smaller first).
+        assert sorted(span.attrs["matches"]) == sorted(
+            len(evaluate(operand, instance)) for operand in query.children()
+        )

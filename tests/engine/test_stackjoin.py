@@ -141,5 +141,6 @@ def test_every_operator_returns_the_first_operands_copies(seed, repeat_step):
             assert id(entry) in holder, op
 
     for entry, label in labeled_merge([first, second, third]):
-        assert id(entry) in own[min(label) - 1]
-        assert entry.values("tag")[-1] == "run%d" % min(label)
+        lowest = (label & -label).bit_length()  # the lowest run holding it
+        assert id(entry) in own[lowest - 1]
+        assert entry.values("tag")[-1] == "run%d" % lowest

@@ -1,10 +1,13 @@
-"""Compiled filters: ``f.predicate(schema)(e) == f.matches(e, schema)``.
+"""Compiled filters: ``f.page_form(schema)(page)`` keeps exactly the
+entries of ``page`` that ``f.matches(e, schema)`` keeps, and
+``f.predicate(schema)(e) == f.matches(e, schema)``.
 
 Every leaf path of the engine (the clustered scan, the index fetch, the
-window scan and the shared scan) tests entries through the closure a
-filter compiles once per scan; the definitional semantics tests them
-through :meth:`~repro.filters.ast.Filter.matches`.  This suite holds the
-two to each other over every filter class, nested ``&``/``|``/``!``
+window scan and the shared scan) tests a page of entries at a time
+through the page form a filter compiles once per scan; the definitional
+semantics tests them through :meth:`~repro.filters.ast.Filter.matches`.
+This suite holds the two to each other over every filter class, nested
+``&``/``|``/``!``
 included, over values of every shape an entry may carry -- ``str``,
 ``int``, ``bool``, an ``int`` subclass, ``DN``, and strings that fail
 the int or the dn coercion -- and with the schema absent, declaring each
@@ -125,6 +128,30 @@ def test_predicate_equals_matches(filter_, batch):
         context = (str(filter_), schema)
         assert compiled == walked, context
         assert compiled_errors == walked_errors, context
+
+
+@settings(max_examples=500, deadline=None)
+@given(filters, st.lists(entries, max_size=6))
+@example(Equality("n", 1), [node(n=[True]), node(n=[Count(1)]), node(n=[1])])
+@example(FilterOr([Equality("r", "no dn"), Equality("n", "x")]), [node(r=["x", 1], n=[1])])
+@example(FilterAnd([Equality("n", "x"), Equality("r", "no dn")]), [node(r=["x"], n=["1"])])
+@example(FilterNot(FilterOr([Presence("s"), Equality("r", "dc=com")])), [node(s=["a"]), node(r=["x"])])
+def test_page_form_equals_matches(filter_, page):
+    """A page in, the matching entries out, in page order, as a new list
+    -- the input (a pager's page) untouched -- with the same evaluation
+    errors counted as the per-entry walk."""
+    for schema in SCHEMAS:
+        original = list(page)
+        with use_registry() as registry:
+            kept = filter_.page_form(schema)(page)
+            page_errors = errors(registry)
+        with use_registry() as registry:
+            walked = [entry for entry in page if filter_.matches(entry, schema)]
+            walked_errors = errors(registry)
+        context = (str(filter_), schema)
+        assert [id(entry) for entry in kept] == [id(entry) for entry in walked], context
+        assert kept is not page and list(map(id, page)) == list(map(id, original)), context
+        assert page_errors == walked_errors, context
 
 
 def test_one_predicate_serves_many_entries():

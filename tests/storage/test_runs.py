@@ -32,6 +32,41 @@ class TestWriter:
         with pytest.raises(RuntimeError):
             writer.append(2)
 
+    @pytest.mark.parametrize("page_size", [1, 3, 4])
+    @pytest.mark.parametrize("prefix", [0, 2, 5])
+    def test_extend_is_the_append_loop_a_page_at_a_time(self, page_size, prefix):
+        """``extend(generator)`` writes what an ``append`` loop writes --
+        the same page contents, page ids and I/O -- and never buffers more
+        than one page of the generator (compaction feeds it a scan of the
+        whole directory)."""
+        records = range(23)
+
+        def written(fill):
+            pager = Pager(page_size=page_size, buffer_pages=2)
+            writer = RunWriter(pager)
+            for record in range(100, 100 + prefix):
+                writer.append(record)
+            fill(writer)
+            run = writer.close()
+            pager.flush()
+            return [pager.read(page) for page in run.page_ids], run.page_ids, pager.stats.as_dict()
+
+        def appended(writer):
+            for record in records:
+                writer.append(record)
+
+        held = []
+
+        def extended(writer):
+            def generator():
+                for record in records:
+                    held.append(len(writer._buffer))
+                    yield record
+            writer.extend(generator())
+
+        assert written(extended) == written(appended)
+        assert max(held) < page_size
+
     def test_free_releases_pages(self):
         pager = Pager(page_size=2)
         run = run_from_iterable(pager, range(6))
