@@ -1,6 +1,7 @@
 """E13 (Section 4.2): the boolean operators are single co-scans -- linear
 I/O, sorted output preserved for the operators above."""
 
+from repro.engine.common import labeled_merge
 from repro.engine.merge import boolean_merge
 
 from ._util import (
@@ -20,7 +21,7 @@ def _cost(op, size):
     pager = fresh_pager()
     left, right = as_runs(pager, subsets)
     result, logical, _physical = measure_io(
-        pager, lambda: boolean_merge(pager, op, left, right)
+        pager, lambda: boolean_merge(pager, op, labeled_merge((left, right)))
     )
     input_pages = left.page_count + right.page_count
     return len(result), logical, input_pages

@@ -321,74 +321,6 @@ def _cmd_top(args) -> int:
     return 0
 
 
-def _cmd_alerts(args) -> int:
-    """Deterministic alert demo: a burst phase drives the search rate over
-    a rule's threshold (firing), then an idle phase under an injected
-    clock lets it resolve.  Exercises the same registry -> rule -> engine
-    path the admin endpoint serves."""
-    import json
-
-    from .obs.alerts import parse_rule
-    from .obs.metrics import MetricsRegistry
-    from .server.service import DirectoryService
-    from .workload.generator import ZipfQueryStream
-
-    instance = _load(args.file, args.schema)
-    registry = MetricsRegistry()
-    service = DirectoryService(
-        instance,
-        page_size=args.page_size,
-        buffer_pages=args.buffer_pages,
-        metrics=registry,
-    )
-    service.bind_anonymous()
-    clock = {"now": 0.0}
-    texts = args.rule or [
-        "rate(repro_searches_total, %g) > %g" % (args.window, args.threshold)
-    ]
-    rules = [parse_rule(text) for text in texts]
-    engine = service.attach_alerts(
-        rules, min_interval_s=0.0, clock=lambda: clock["now"]
-    )
-
-    # Burst: args.queries searches squeezed into args.burst seconds of
-    # injected time -- the windowed rate crosses the threshold and fires.
-    stream = ZipfQueryStream(instance, distinct=8, seed=args.seed)
-    step = args.burst / max(args.queries, 1)
-    for query in stream.take(args.queries):
-        service.search(query)
-        clock["now"] += step
-    # Idle: the clock advances with no searches; once the burst ages out
-    # of the rate window the rule resolves.
-    idle_steps = max(2, int(2 * args.window / args.burst) + 1)
-    for _ in range(idle_steps):
-        clock["now"] += args.burst
-        engine.evaluate()
-
-    status = engine.status()
-    if args.json:
-        print(json.dumps(status, indent=2))
-    else:
-        print("-- %d rules, %d evaluations, %d firing" % (
-            len(engine.rules), status["evaluations"], len(status["firing"])))
-        for rule in engine.rules:
-            print("--   rule %s: %s [%s]" % (
-                rule.name, rule.condition(), rule.severity))
-        for event in status["transitions"]:
-            print("t=%+8.1fs  [%-8s] %-24s value=%s" % (
-                event["ts"], event["to"], event["rule"],
-                "%.2f" % event["value"] if event["value"] is not None
-                else "-"))
-    fired = {e["rule"] for e in status["transitions"] if e["to"] == "firing"}
-    resolved = {e["rule"] for e in status["transitions"]
-                if e["to"] == "resolved"}
-    if not (fired & resolved):
-        print("-- expected at least one firing->resolved cycle",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _expand_bench_paths(paths) -> List[str]:
     """Expand directories to the BENCH_*.json files inside them (a
     directory with none is an error -- an empty artifact set must not
@@ -725,30 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit digest + heatmap snapshots as JSON")
     common(top_cmd)
     top_cmd.set_defaults(handler=_cmd_top)
-
-    alerts_cmd = sub.add_parser(
-        "alerts",
-        help="deterministic alert demo: a query burst fires a rate rule, "
-             "an idle phase resolves it (injected clock)")
-    alerts_cmd.add_argument("file")
-    alerts_cmd.add_argument("--rule", action="append", metavar="RULE",
-                            help="alert rule, e.g. "
-                                 "'rate(repro_searches_total, 30) > 5' "
-                                 "(repeatable; default: one rate rule)")
-    alerts_cmd.add_argument("--queries", type=int, default=200,
-                            help="searches in the burst phase")
-    alerts_cmd.add_argument("--burst", type=float, default=10.0,
-                            help="injected seconds the burst spans")
-    alerts_cmd.add_argument("--window", type=float, default=30.0,
-                            help="rate window for the default rule")
-    alerts_cmd.add_argument("--threshold", type=float, default=5.0,
-                            help="searches/s threshold for the default rule")
-    alerts_cmd.add_argument("--seed", type=int, default=0,
-                            help="workload seed")
-    alerts_cmd.add_argument("--json", action="store_true",
-                            help="emit the engine status as JSON")
-    common(alerts_cmd)
-    alerts_cmd.set_defaults(handler=_cmd_alerts)
 
     bench_cmd = sub.add_parser(
         "bench-check",

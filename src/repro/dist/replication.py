@@ -65,6 +65,11 @@ __all__ = [
 
 ACK_LEVELS = ("primary", "quorum", "all")
 
+#: Records a replica may lag behind its primary before ``/healthz``
+#: reports degraded; :meth:`ReplicatedContext.replication_status`
+#: reports it as ``lag_alert``.
+REPLICATION_LAG_ALERT = 8
+
 
 class ReplicaNode:
     """One member of a replication group.
@@ -705,6 +710,7 @@ class ReplicatedContext:
             "resyncs": self.resyncs,
             "failovers": self.failovers,
             "replicas": replicas,
+            "lag_alert": REPLICATION_LAG_ALERT,
         }
 
     def _update_gauges(self) -> None:

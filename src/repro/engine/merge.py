@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from ..storage.pager import Pager
 from ..storage.runs import Run, RunWriter
-from .common import Labelled, labeled_merge
+from .common import Labelled
 
 __all__ = ["boolean_merge"]
 
@@ -33,15 +33,14 @@ _KEEPS = {
 _ENTRY, _LABEL = itemgetter(0), itemgetter(1)
 
 
-def boolean_merge(pager: Pager, op: str, *operands) -> Run:
+def boolean_merge(pager: Pager, op: str, stream: Labelled) -> Run:
     """Compute ``left OP right`` over one labelled stream of the two
-    operands -- or over the two sorted, duplicate-free runs themselves,
-    read through their labelled merge.  An entry both operands hold is
-    ``left``'s copy.  If the stream raises (a shared scan cut short), the
-    pages written so far are released."""
+    operands (their :func:`~repro.engine.common.labeled_merge`, or one
+    shared scan).  An entry both operands hold is ``left``'s copy.  If
+    the stream raises (a shared scan cut short), the pages written so far
+    are released."""
     if op not in _KEEPS:
         raise ValueError("unknown boolean operator %r" % op)
-    stream: Labelled = operands[0] if len(operands) == 1 else labeled_merge(operands)
     # The label table applied at C level: no Python frame per entry.
     entries, labels = tee(stream)
     kept = compress(map(_ENTRY, entries), map(_KEEPS[op].__getitem__, map(_LABEL, labels)))

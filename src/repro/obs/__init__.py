@@ -25,18 +25,17 @@ The paper proves per-operator I/O bounds; this package makes them
   operator boundaries;
 - :mod:`repro.obs.httpd` -- the stdlib HTTP admin endpoint
   (``/metrics``, ``/healthz``, ``/slowlog``, ``/traces``, plus the
-  workload plane's ``/digest``, ``/heatmap``, ``/alerts``);
+  workload plane's ``/digest``, ``/heatmap``);
 - :mod:`repro.obs.digest` -- the per-query-shape digest table
   (pg_stat_statements style, keyed by the cache's normal-form
   fingerprint);
 - :mod:`repro.obs.heatmap` -- EWMA-decayed load accounting over
-  reversed-DN subtree prefixes (the shard-placement signal);
-- :mod:`repro.obs.alerts` -- level/rate/ratio alert rules, written as
-  text, read straight from the registry with firing/resolved
-  transitions on an injectable clock.
+  reversed-DN subtree prefixes (the shard-placement signal).
+
+Alerting is left to whatever scrapes ``/metrics``, which exposes every
+series an alert rule would read.
 """
 
-from .alerts import AlertEngine, AlertRule, default_rules, parse_rule
 from .budget import BudgetExceeded, BudgetTracker, QueryBudget
 from .digest import QueryDigest, QueryDigestTable
 from .event import SearchEvent
@@ -64,8 +63,6 @@ from .trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "AdminServer",
-    "AlertEngine",
-    "AlertRule",
     "BenchEmitter",
     "BudgetExceeded",
     "BudgetTracker",
@@ -89,11 +86,9 @@ __all__ = [
     "SubtreeHeatMap",
     "Tracer",
     "compare_bench",
-    "default_rules",
     "diff_bench_dirs",
     "get_registry",
     "load_bench",
-    "parse_rule",
     "set_registry",
     "validate_bench",
 ]

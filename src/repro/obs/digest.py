@@ -21,7 +21,7 @@ lock; rows are plain slotted objects, cheap to update on the search
 path.
 
 The clock is injectable (``first_seen``/``last_seen`` stamps), which
-keeps tests and the alert/benchmark harness deterministic.
+keeps tests and the benchmark harness deterministic.
 """
 
 from __future__ import annotations

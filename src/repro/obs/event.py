@@ -4,10 +4,10 @@
 :class:`SearchEvent` when a search starts, fills it in place as the
 search runs and, when the search ends -- success, size-limited, protocol
 error or budget breach alike -- hands the same object to every enabled
-sink: the slow-query ring, the metric instruments, the workload digest,
-the structured event log and the alert engine.  There is no per-sink
-copy, so the sinks agree by construction: one page count, one latency,
-one query text, one classification.
+sink: the slow-query ring, the metric instruments, the workload digest
+and the structured event log.  There is no per-sink copy, so the sinks
+agree by construction: one page count, one latency, one query text, one
+classification.
 
 The slow-query ring (:mod:`repro.obs.slowlog`, which ``/slowlog`` and
 ``/traces`` both read) retains the event itself, which is why it holds

@@ -23,8 +23,6 @@ path        payload
             (``?n=10&by=calls|time|mean_time|pages|qerror``)
 /heatmap    the :class:`~repro.obs.heatmap.SubtreeHeatMap`'s hottest
             subtrees (``?n=10&by=heat|reads|writes|pages|shipped``)
-/alerts     the :class:`~repro.obs.alerts.AlertEngine` status: per-rule
-            state, firing set, recent transitions
 ==========  ============================================================
 
 Response discipline (hardened): every payload carries an explicit
@@ -117,8 +115,6 @@ class AdminServer:
         ``/digest``.
     :param heatmap: a :class:`~repro.obs.heatmap.SubtreeHeatMap` for
         ``/heatmap``.
-    :param alerts: an :class:`~repro.obs.alerts.AlertEngine` for
-        ``/alerts``.
     :param log: an :class:`~repro.obs.log.EventLogger`; requests are
         logged at debug level.
     """
@@ -133,14 +129,12 @@ class AdminServer:
         log=None,
         digest=None,
         heatmap=None,
-        alerts=None,
     ):
         self.registry = registry if registry is not None else get_registry()
         self.slow_queries = slow_queries
         self.health = health
         self.digest = digest
         self.heatmap = heatmap
-        self.alerts = alerts
         self.log = log if log is not None else NULL_LOGGER
         self._host = host
         self._port = port
@@ -255,11 +249,6 @@ class AdminServer:
             return {"enabled": False, "cells": 0, "hottest": []}
         return dict(self.heatmap.snapshot(n, by=by), enabled=True)
 
-    def alerts_payload(self) -> Dict[str, Any]:
-        if self.alerts is None:
-            return {"enabled": False, "rules": [], "firing": []}
-        return dict(self.alerts.status(), enabled=True)
-
     # -- routing -----------------------------------------------------------
 
     def routes(self) -> List[str]:
@@ -274,7 +263,6 @@ class AdminServer:
             "/traces": self._r_traces,
             "/digest": self._r_digest,
             "/heatmap": self._r_heatmap,
-            "/alerts": self._r_alerts,
         }
 
     def _r_metrics(self, params):
@@ -302,9 +290,6 @@ class AdminServer:
             by=_choice_param(params, "by", "heat", HEATMAP_ORDERINGS),
         )
         return _json_body(payload), JSON_TYPE
-
-    def _r_alerts(self, params):
-        return _json_body(self.alerts_payload()), JSON_TYPE
 
     def __repr__(self) -> str:
         return "AdminServer(%s)" % (self.url or "stopped")

@@ -47,7 +47,6 @@ from ..engine.stats import LiveDirectoryStatistics
 from ..model.dn import DN
 from ..model.entry import Entry
 from ..model.instance import DirectoryInstance
-from ..obs.alerts import REPLICATION_LAG_ALERT, AlertEngine, AlertRule, default_rules
 from ..obs.budget import BudgetExceeded
 from ..obs.digest import QueryDigestTable
 from ..obs.event import SearchEvent
@@ -297,8 +296,6 @@ class DirectoryService:
             heat = self.heatmap
             self._heat_listener = lambda record: heat.record_write(record.dn)
             self.directory.add_record_listener(self._heat_listener)
-        #: Alert rules over :attr:`metrics` (:meth:`attach_alerts`).
-        self.alerts: Optional[AlertEngine] = None
         #: What every finished search's :class:`SearchEvent` is handed to,
         #: in order, fixed here from what is enabled.  The slow-query ring
         #: goes first: it owns the threshold, so it is what marks an event
@@ -337,9 +334,8 @@ class DirectoryService:
         through this service's admin plane: ``/healthz`` carries the
         group's epoch and per-replica acked lsn / lag, and the service
         reports ``status: degraded`` while any replica lags more than
-        :data:`~repro.obs.alerts.REPLICATION_LAG_ALERT` records behind the
-        primary (or needs a resync) -- the stock ``replication-lag``
-        rule's threshold."""
+        :data:`~repro.dist.replication.REPLICATION_LAG_ALERT` records
+        behind the primary (or needs a resync)."""
         self._replication = replicated
 
     # -- connection state --------------------------------------------------
@@ -717,40 +713,13 @@ class DirectoryService:
 
     # -- workload observability ----------------------------------------------
 
-    def attach_alerts(
-        self,
-        rules: Optional[List[AlertRule]] = None,
-        min_interval_s: float = 1.0,
-        clock=None,
-    ) -> AlertEngine:
-        """Put an alert engine over this service's registry (or return the
-        attached one).  ``rules`` defaults to
-        :func:`~repro.obs.alerts.default_rules`.  The engine is the last
-        search sink, so each round reads this search's metrics; it runs at
-        most one round per ``min_interval_s``, and ``clock`` injects a
-        deterministic time source (tests, the ``repro alerts`` demo).
-        Firing rules degrade ``/healthz`` and are logged as
-        ``alert.firing`` / ``alert.resolved`` events."""
-        if self.alerts is None:
-            self.alerts = AlertEngine(
-                self.metrics,
-                rules if rules is not None else default_rules(),
-                clock=clock if clock is not None else time.time,
-                min_interval_s=min_interval_s,
-                log=self.log,
-                metrics=self.metrics,
-            )
-            self._sinks.append(self.alerts.observe)
-        return self.alerts
-
     def serve_admin(self, host: str = "127.0.0.1", port: int = 0) -> AdminServer:
         """Start the HTTP admin endpoint for this service (daemon thread;
         ``port=0`` picks a free port).  Returns the started
         :class:`~repro.obs.httpd.AdminServer`; the caller stops it.
 
-        The workload endpoints (``/digest``, ``/heatmap``, ``/alerts``)
-        expose whatever is attached *at start time* -- call
-        :meth:`attach_alerts` first if that pane should be live."""
+        The workload endpoints (``/digest``, ``/heatmap``) expose this
+        service's digest table and heat map."""
 
         def health() -> dict:
             status = {
@@ -768,20 +737,11 @@ class DirectoryService:
                 status["durability"] = self.directory.durability_status()
             if self._replication is not None:
                 replication = self._replication.replication_status()
-                replication["lag_alert"] = REPLICATION_LAG_ALERT
                 status["replication"] = replication
                 if any(
-                    r["lag"] > REPLICATION_LAG_ALERT or r["needs_resync"]
+                    r["lag"] > replication["lag_alert"] or r["needs_resync"]
                     for r in replication["replicas"].values()
                 ):
-                    status["status"] = "degraded"
-            if self.alerts is not None:
-                firing = self.alerts.firing()
-                status["alerts"] = {
-                    "rules": len(self.alerts.rules),
-                    "firing": [f["name"] for f in firing],
-                }
-                if firing:
                     status["status"] = "degraded"
             return status
 
@@ -794,7 +754,6 @@ class DirectoryService:
             log=self.log,
             digest=self.digest,
             heatmap=self.heatmap,
-            alerts=self.alerts,
         )
         return server.start()
 

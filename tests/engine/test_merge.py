@@ -14,7 +14,9 @@ from .conftest import random_sublists, sorted_run
 def test_matches_set_semantics(seed, op):
     _instance, (left, right) = random_sublists(seed, size=80)
     pager = Pager(page_size=8, buffer_pages=6)
-    result = boolean_merge(pager, op, sorted_run(pager, left), sorted_run(pager, right))
+    result = boolean_merge(
+        pager, op, labeled_merge((sorted_run(pager, left), sorted_run(pager, right)))
+    )
     left_dns = {e.dn for e in left}
     right_dns = {e.dn for e in right}
     if op == "and":
@@ -34,14 +36,14 @@ def test_empty_operands():
     empty = sorted_run(pager, [])
     also_empty = sorted_run(pager, [])
     for op in ("and", "or", "diff"):
-        assert boolean_merge(pager, op, empty, also_empty).to_list() == []
+        assert boolean_merge(pager, op, labeled_merge((empty, also_empty))).to_list() == []
 
 
 def test_unknown_op():
     pager = Pager()
     run = sorted_run(pager, [])
     with pytest.raises(ValueError):
-        boolean_merge(pager, "xor", run, run)
+        boolean_merge(pager, "xor", labeled_merge((run, run)))
 
 
 def test_linear_io():
@@ -52,7 +54,7 @@ def test_linear_io():
     right_run = sorted_run(pager, right)
     pager.flush()
     before = pager.stats.snapshot()
-    result = boolean_merge(pager, "or", left_run, right_run)
+    result = boolean_merge(pager, "or", labeled_merge((left_run, right_run)))
     delta = pager.stats.since(before)
     input_pages = left_run.page_count + right_run.page_count
     assert delta.logical_reads <= input_pages + 2
@@ -79,7 +81,7 @@ def test_is_the_label_table_over_the_one_merge(op, seed, page_size, repeat_step)
     pager.flush()
     live = pager.live_pages
     before = pager.stats.snapshot()
-    result = boolean_merge(pager, op, left_run, right_run)
+    result = boolean_merge(pager, op, labeled_merge((left_run, right_run)))
     delta = pager.stats.since(before)
     assert delta.logical_reads == left_run.page_count + right_run.page_count, seed
     assert delta.logical_writes == -(-len(result) // page_size), seed

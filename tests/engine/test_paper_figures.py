@@ -3,7 +3,7 @@ semantics (three-way with the generalised engine, tested elsewhere)."""
 
 import pytest
 
-from repro.engine.paper_figures import (
+from .paper_figures import (
     compute_eragg_dv,
     compute_hsad,
     compute_hsadc,

@@ -135,7 +135,7 @@ def test_every_operator_returns_the_first_operands_copies(seed, repeat_step):
     assert returned
     first_dns = {e.dn for e in copies[0]}
     for op in ("and", "or", "diff"):
-        for entry in boolean_merge(pager, op, first, second).to_list():
+        for entry in boolean_merge(pager, op, labeled_merge((first, second))).to_list():
             # the second operand's copy only where the first has none
             holder = own[0] if entry.dn in first_dns else own[1]
             assert id(entry) in holder, op

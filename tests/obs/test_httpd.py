@@ -116,12 +116,10 @@ class TestWorkloadEndpoints:
     @pytest.fixture
     def workload_server(self):
         from repro.model.dn import DN
-        from repro.obs.alerts import AlertEngine, parse_rule
         from repro.obs.digest import QueryDigestTable
         from repro.obs.heatmap import SubtreeHeatMap
 
         registry = MetricsRegistry()
-        registry.gauge("repro_lag", "lag").set(9)
         digest = QueryDigestTable(capacity=8, clock=lambda: 100.0)
         digest.observe(SearchEvent(key="k1", query_text="(q1)", elapsed=0.010,
                                    pages=4, via="engine", qerror=2.0))
@@ -131,13 +129,8 @@ class TestWorkloadEndpoints:
                                    pages=50, via="engine"))
         heatmap = SubtreeHeatMap(depth=2, clock=lambda: 100.0)
         heatmap.record_read(DN.parse("dc=att, dc=com"), pages=7)
-        alerts = AlertEngine(
-            registry, [parse_rule("repro_lag > 5", name="lag")],
-            clock=lambda: 100.0, metrics=MetricsRegistry(),
-        )
-        alerts.evaluate()
         server = AdminServer(
-            registry=registry, digest=digest, heatmap=heatmap, alerts=alerts,
+            registry=registry, digest=digest, heatmap=heatmap,
         ).start()
         yield server
         server.stop()
@@ -158,26 +151,18 @@ class TestWorkloadEndpoints:
         assert payload["hottest"][0]["subtree"] == "dc=att, dc=com"
 
     def test_history_route_is_gone(self, workload_server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _get(workload_server.url + "/history")
-        assert err.value.code == 404
-        assert json.loads(err.value.read())["endpoints"] == [
-            "/alerts", "/digest", "/healthz", "/heatmap", "/metrics",
-            "/slowlog", "/traces",
-        ]
-
-    def test_alerts_route_serves_engine_status(self, workload_server):
-        _, _, body = _get(workload_server.url + "/alerts")
-        payload = json.loads(body)
-        assert payload["enabled"] is True
-        assert payload["firing"] == ["lag"]
-        assert payload["transitions"][0]["to"] == "firing"
-        assert payload["transitions"][0]["ts"] == 100.0
-        assert payload["rules"][0]["value"] == 9
+        for route in ("/history", "/alerts"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(workload_server.url + route)
+            assert err.value.code == 404
+            assert json.loads(err.value.read())["endpoints"] == [
+                "/digest", "/healthz", "/heatmap", "/metrics",
+                "/slowlog", "/traces",
+            ]
 
     def test_absent_collaborators_serve_disabled_stubs(self):
         with AdminServer(registry=MetricsRegistry()) as server:
-            for route in ("/digest", "/heatmap", "/alerts"):
+            for route in ("/digest", "/heatmap"):
                 status, _, body = _get(server.url + route)
                 assert status == 200
                 assert json.loads(body)["enabled"] is False
@@ -291,6 +276,9 @@ class TestServiceIntegration:
             traces = json.loads(_get(server.url + "/traces")[2])
             kept_reasons = {r for t in traces["traces"] for r in t["reasons"]}
             assert "budget" in kept_reasons
+            digest = json.loads(_get(server.url + "/digest")[2])
+            # The budget-breached search evaluated nothing: one row.
+            assert [row["calls"] for row in digest["top"]] == [1]
         finally:
             server.stop()
 
@@ -335,12 +323,7 @@ class TestReplicationHealth:
             server.stop()
 
     def test_healthz_degrades_on_replication_lag(self):
-        # One policy: /healthz degrades exactly where the stock
-        # replication-lag rule fires.
-        from repro.obs.alerts import default_rules
-
-        stock = {rule.name: rule for rule in default_rules()}
-        assert stock["replication-lag"].threshold == 8
+        # Degraded exactly past the group's lag_alert (8 records).
         service = self._service()
         lagging = self._replicated(children=7)  # never synced: lag 8
         service.attach_replication(lagging)

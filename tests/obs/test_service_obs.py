@@ -266,13 +266,7 @@ class TestSearchPagedEvents:
 
 @pytest.fixture
 def all_sinks():
-    """A service with every sink on and a deterministic alert clock."""
-    clock = {"now": 0.0}
-
-    def tick():
-        clock["now"] += 1.0
-        return clock["now"]
-
+    """A service with every sink on."""
     log = CapturingLogger(min_level="info")
     service = DirectoryService(
         make_instance(),
@@ -282,7 +276,6 @@ def all_sinks():
         slow_query_seconds=0.0,
         log=log,
     )
-    service.attach_alerts(min_interval_s=0.0, clock=tick)
     service.bind_anonymous()
     yield service, log
     service.close()
@@ -328,7 +321,7 @@ class TestEverySinkReadsOneEvent:
             latency=latency.sum(), sizes=sizes.sum(), io=io.sum(),
             io_count=io.count(), served=served.value(code=code),
             slow=registry.get("repro_slow_queries_total").value(),
-            digest=service.digest.observed, alerts=service.alerts.evaluations,
+            digest=service.digest.observed,
         )
 
         result = service.search(**arguments)
@@ -397,10 +390,6 @@ class TestEverySinkReadsOneEvent:
                 assert row.calls == 1
                 assert row.pages_total == record["io_total"]
                 assert row.elapsed_total == record["elapsed_s"]
-        # Alerts evaluated once, as the last sink: after the instruments
-        # moved.
-        assert service.alerts.evaluations - before["alerts"] == 1
-        assert service._sinks[-1] == service.alerts.observe
 
 
 class TestSearchPathWorkCounters:
@@ -461,7 +450,6 @@ class TestSearchPathWorkCounters:
             make_instance(), page_size=4, metrics=MetricsRegistry(),
             slow_query_seconds=0.0, log=log,
         )
-        service.attach_alerts(min_interval_s=0.0)
         service.bind_anonymous()
         service.search(QUERY)
         for key in counts:

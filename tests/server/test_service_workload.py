@@ -1,24 +1,13 @@
 """The workload observability plane wired through the service: searches
 populate the digest table and heat map, mutations feed writes through the
-record listener, alert rules evaluate on the search path, and firing
-alerts degrade ``/healthz``."""
-
-import json
-import threading
-import urllib.error
-import urllib.request
+record listener, and a federation's shipped entries land in the
+frontend's heat map."""
 
 import pytest
 
 from tests.obs.test_budget import QUERY, make_instance
-from repro.obs.alerts import parse_rule
 from repro.obs.metrics import MetricsRegistry
 from repro.server import DirectoryService
-
-
-def _get(url):
-    with urllib.request.urlopen(url, timeout=5) as response:
-        return json.loads(response.read())
 
 
 @pytest.fixture
@@ -134,100 +123,3 @@ class TestFederationShipping:
         cells = {c["subtree"]: c for c in service.heatmap.hottest(10)}
         shipped = cells[str(remote_root)]["shipped_total"]
         assert shipped == result.total_size
-
-
-class TestHistoryAndAlerts:
-    def test_search_path_samples_history_and_evaluates_alerts(self, service):
-        clock = {"now": 0.0}
-        engine = service.attach_alerts(
-            [parse_rule("rate(repro_searches_total, 30) > 5", name="burst")],
-            min_interval_s=0.0,
-            clock=lambda: clock["now"],
-        )
-        for _ in range(20):
-            service.search(QUERY)
-            clock["now"] += 0.1
-        assert engine.evaluations == 20
-        assert [f["name"] for f in engine.firing()] == ["burst"]
-        # Idle under the injected clock: the burst ages out and resolves.
-        for _ in range(3):
-            clock["now"] += 30.0
-            engine.evaluate()
-        assert engine.firing() == []
-        to = [t["to"] for t in engine.status()["transitions"]]
-        assert to == ["firing", "resolved"]
-
-    def test_racing_searches_evaluate_once(self, service):
-        """Thread A stops inside the engine's clock read while thread B
-        searches in the same interval.  The interval is claimed under the
-        lock it is checked in, so B's search skips the round: one round,
-        and a ``for 2`` rule cannot fire on one interval's data."""
-        now = {"t": 0.0}
-        a_in_clock = threading.Event()
-        b_done = threading.Event()
-
-        def clock():
-            if threading.current_thread().name == "A":
-                a_in_clock.set()
-                b_done.wait(0.5)
-            return now["t"]
-
-        engine = service.attach_alerts(
-            [parse_rule("rate(repro_searches_total, 30) > 0 for 2",
-                        name="burst")],
-            clock=clock,
-        )
-        service.search(QUERY)  # the interval at t=0: one round
-        assert engine.evaluations == 1
-        now["t"] = 1.0
-
-        def search_b():
-            service.search(QUERY)
-            b_done.set()
-
-        a = threading.Thread(target=service.search, args=(QUERY,), name="A")
-        b = threading.Thread(target=search_b, name="B")
-        a.start()
-        assert a_in_clock.wait(5)
-        b.start()
-        a.join(5)
-        b.join(5)
-        assert not a.is_alive() and not b.is_alive()
-        assert engine.evaluations == 2
-        assert engine.firing() == []
-
-    def test_healthz_degrades_while_an_alert_fires(self, service):
-        clock = {"now": 0.0}
-        service.attach_alerts(
-            [parse_rule("repro_searches_total >= 1", name="any-search")],
-            min_interval_s=0.0,
-            clock=lambda: clock["now"],
-        )
-        for _ in range(3):
-            service.search(QUERY)
-            clock["now"] += 1.0
-        server = service.serve_admin()
-        try:
-            payload = _get(server.url + "/healthz")
-            assert payload["status"] == "degraded"
-            assert payload["alerts"]["firing"] == ["any-search"]
-            alerts = _get(server.url + "/alerts")
-            assert alerts["enabled"] is True
-            assert alerts["firing"] == ["any-search"]
-            assert alerts["evaluations"] == 3
-            digest = _get(server.url + "/digest")
-            assert digest["top"][0]["calls"] == 3
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _get(server.url + "/history")
-            assert err.value.code == 404
-        finally:
-            server.stop()
-
-    def test_attach_alerts_defaults_to_stock_rules(self, service):
-        engine = service.attach_alerts()
-        assert service.attach_alerts() is engine
-        assert service._sinks[-1] == engine.observe
-        assert engine.registry is service.metrics
-        assert {r.name for r in engine.rules} == {
-            "planner-qerror-p95", "replication-lag", "cache-hit-rate-floor",
-        }

@@ -1,17 +1,15 @@
 """Threaded hammers for the workload observability plane: the digest
-table, heat map and alert engine sit directly on the (parallel) search
-path, so their counts must stay exact under concurrent updates from many
-threads -- and every sink must keep reading the *same* search event when
-eight threads publish at once."""
+table and heat map sit directly on the (parallel) search path, so their
+counts must stay exact under concurrent updates from many threads -- and
+every sink must keep reading the *same* search event when eight threads
+publish at once."""
 
 import sys
 import threading
-import time
 
 from tests.obs.test_budget import make_instance
 from tests.obs.test_digest import event
 from repro.model.dn import DN
-from repro.obs.alerts import RATE_POINTS, AlertEngine, parse_rule
 from repro.obs.digest import QueryDigestTable
 from repro.obs.heatmap import SubtreeHeatMap
 from repro.obs.log import CapturingLogger
@@ -127,50 +125,6 @@ class TestHeatmapHammer:
         assert len(heat) == 8  # capacity held despite 12 distinct keys
 
 
-class TestAlertHammer:
-    def test_concurrent_observers_evaluate_once_per_interval(self):
-        """Every thread observes in every interval; the clock only moves
-        once all of them have.  Exactly one round per interval runs."""
-        registry = MetricsRegistry()
-        counter = registry.counter("repro_hits_total", "hits")
-        clock = {"now": 0.0}
-
-        def advance():
-            clock["now"] += 1.0
-
-        def read_clock():
-            # Yield the interpreter lock, so a gap between checking the
-            # interval and claiming it lets the other threads in.
-            time.sleep(0)
-            return clock["now"]
-
-        barrier = threading.Barrier(THREADS, action=advance, timeout=30)
-        rule = parse_rule("rate(repro_hits_total, 60) > 1000000")
-        engine = AlertEngine(
-            registry, [rule], clock=read_clock,
-            min_interval_s=1.0, metrics=MetricsRegistry(),
-        )
-
-        def worker(index):
-            for _ in range(ROUNDS):
-                counter.inc()
-                engine.observe()
-                barrier.wait()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            _hammer(worker)
-        finally:
-            sys.setswitchinterval(interval)
-        assert engine.evaluations == ROUNDS
-        assert len(rule.points) == RATE_POINTS
-        assert [ts for ts, _ in rule.points] == [
-            float(t) for t in range(ROUNDS - RATE_POINTS, ROUNDS)
-        ]
-        assert engine.firing() == []
-
-
 class TestSearchEventHammer:
     SEARCHES = 40  # per thread
 
@@ -181,7 +135,6 @@ class TestSearchEventHammer:
             make_instance(), page_size=4, tracer=Tracer(), metrics=registry,
             slow_query_seconds=0.0, log=log,
         )
-        service.attach_alerts(min_interval_s=0.0)
         service.bind_anonymous()
 
         def worker(index):

@@ -116,7 +116,7 @@ class TestStats:
 
 @pytest.mark.parametrize(
     "command",
-    ["stats", "metrics", "top", "alerts", "serve-admin"],
+    ["stats", "metrics", "top", "serve-admin"],
 )
 def test_index_is_offered_only_where_an_engine_is_built(command, qos_ldif):
     with pytest.raises(SystemExit) as excinfo:
@@ -125,9 +125,8 @@ def test_index_is_offered_only_where_an_engine_is_built(command, qos_ldif):
 
 
 SUBCOMMANDS = {
-    "query", "explain", "plan", "stats", "metrics", "top", "alerts",
-    "bench-check", "bench-diff", "serve-admin", "dump-example", "ldapurl",
-    "wal-dump",
+    "query", "explain", "plan", "stats", "metrics", "top", "bench-check",
+    "bench-diff", "serve-admin", "dump-example", "ldapurl", "wal-dump",
 }
 
 
@@ -137,7 +136,9 @@ def test_the_subcommands_are_pinned():
     assert set(sub.choices) == SUBCOMMANDS
 
 
-@pytest.mark.parametrize("command", ["chaos", "replication-status", "consistency"])
+@pytest.mark.parametrize(
+    "command", ["chaos", "replication-status", "consistency", "alerts"]
+)
 def test_deleted_demo_drivers_are_usage_errors(command, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([command, "--help"])
@@ -434,64 +435,3 @@ class TestTopCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["digest"]["by"] == "pages"
-
-
-#: ``repro alerts qos.ldif --schema qos --queries 80`` (seed 0), byte for
-#: byte.
-ALERTS_TEXT = """\
--- 1 rules, 87 evaluations, 0 firing
---   rule rate(repro_searches_total, 30) > 5: rate(repro_searches_total, 30) > 5 [warning]
-t=    +0.1s  [firing  ] rate(repro_searches_total, 30) > 5 value=8.00
-t=   +20.0s  [resolved] rate(repro_searches_total, 30) > 5 value=3.95
-"""
-
-_ALERTS_RULE = "rate(repro_searches_total, 30) > 5"
-
-
-def _alerts_transition(to, value, ts):
-    return {"rule": _ALERTS_RULE, "to": to, "condition": _ALERTS_RULE,
-            "severity": "warning", "value": value, "ts": ts}
-
-
-#: The same run's ``--json`` status.
-ALERTS_JSON = {
-    "evaluations": 87,
-    "firing": [],
-    "rules": [{
-        "name": _ALERTS_RULE, "condition": _ALERTS_RULE,
-        "severity": "warning", "for_samples": 1, "state": "ok",
-        "streak": 0, "value": 0.0, "since": None,
-    }],
-    "transitions": [
-        _alerts_transition("firing", 8.0, 0.125),
-        _alerts_transition("resolved", 3.95, 20.0),
-    ],
-}
-
-
-class TestAlertsCommand:
-    def test_demo_fires_and_resolves(self, qos_ldif, capsys):
-        code = main(["alerts", qos_ldif, "--schema", "qos",
-                     "--queries", "80"])
-        assert code == 0
-        assert capsys.readouterr().out == ALERTS_TEXT
-
-    def test_json_mode_reports_transitions(self, qos_ldif, capsys):
-        code = main(["alerts", qos_ldif, "--schema", "qos", "--json",
-                     "--queries", "80"])
-        assert code == 0
-        assert capsys.readouterr().out == json.dumps(ALERTS_JSON, indent=2) + "\n"
-
-    def test_custom_rule_text(self, qos_ldif, capsys):
-        code = main(["alerts", qos_ldif, "--schema", "qos", "--json",
-                     "--rule", "rate(repro_searches_total, 20) > 2",
-                     "--queries", "60"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["transitions"][0]["rule"].startswith("rate(")
-
-    def test_bad_rule_reports_error(self, qos_ldif, capsys):
-        code = main(["alerts", qos_ldif, "--schema", "qos",
-                     "--rule", "not a rule"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
