@@ -9,7 +9,7 @@ absolute constants; see EXPERIMENTS.md).
 
 Telemetry: every :func:`record` also persists its table -- and every
 :func:`measure_io` its wall-clock duration -- through
-:class:`repro.obs.telemetry.BenchEmitter`, producing one machine-readable
+:class:`benchmarks.telemetry.BenchEmitter`, producing one machine-readable
 ``BENCH_<experiment>.json`` per benchmark module under
 ``benchmarks/results/`` (override with ``REPRO_BENCH_DIR``).  The
 experiment name is derived from the calling module's file name
@@ -26,10 +26,11 @@ import sys
 import time
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.obs.telemetry import BenchEmitter
 from repro.storage.pager import Pager
 from repro.storage.runs import Run, run_from_iterable
 from repro.workload import balanced_instance, random_instance
+
+from .telemetry import BenchEmitter
 
 PAGE_SIZE = 16
 BUFFER_PAGES = 6

@@ -13,8 +13,6 @@ no faults planned the chaos toolkit is invisible (zero faults, zero
 retries, all exact)."""
 
 from repro.dist import (
-    FaultInjector,
-    FaultPlan,
     FederatedDirectory,
     ResiliencePolicy,
     RetryPolicy,
@@ -22,6 +20,8 @@ from repro.dist import (
 from repro.engine import QueryEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.workload import RandomQueries, balanced_instance
+
+from tests.dist.faults import FaultInjector, FaultPlan
 
 from ._util import record
 

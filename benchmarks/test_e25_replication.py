@@ -22,9 +22,10 @@ entries track the delta; failover re-shipping is bounded by the tail.
 """
 
 from repro.dist import ReplicatedContext, SimulatedNetwork
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.workload import synthetic_schema
+
+from tests.dist.faults import FaultInjector, FaultPlan
 
 from ._util import record
 

@@ -8,7 +8,6 @@ Usage (also via ``python -m repro``)::
     python -m repro explain policies.ldif --schema qos --analyze --json "( ? sub ? objectClass=*)"
     python -m repro stats policies.ldif --schema qos --json
     python -m repro metrics policies.ldif --schema qos --query "( ? sub ? objectClass=*)"
-    python -m repro bench-check benchmarks/results/BENCH_e13_boolean.json
     python -m repro ldapurl "ldap://host/dc=att,dc=com?cn?sub?(surName=jagadish)"
 """
 
@@ -321,129 +320,6 @@ def _cmd_top(args) -> int:
     return 0
 
 
-def _expand_bench_paths(paths) -> List[str]:
-    """Expand directories to the BENCH_*.json files inside them (a
-    directory with none is an error -- an empty artifact set must not
-    pass CI silently)."""
-    import glob
-    import os
-
-    expanded: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            found = sorted(glob.glob(os.path.join(path, "BENCH_*.json")))
-            if not found:
-                raise SystemExit("%s: no BENCH_*.json artifacts inside" % path)
-            expanded.extend(found)
-        else:
-            expanded.append(path)
-    return expanded
-
-
-def _cmd_bench_check(args) -> int:
-    """Validate BENCH_*.json telemetry artifacts (CI's benchmark-smoke).
-    Accepts files or directories; every invalid artifact is listed and
-    any failure exits non-zero."""
-    from .obs.telemetry import load_bench, validate_bench
-
-    failures = 0
-    for path in _expand_bench_paths(args.files):
-        try:
-            payload = load_bench(path)
-        except (OSError, ValueError) as exc:
-            print("%s: unreadable (%s)" % (path, exc))
-            failures += 1
-            continue
-        problems = validate_bench(payload)
-        if problems:
-            failures += 1
-            print("%s: INVALID" % path)
-            for problem in problems:
-                print("  - %s" % problem)
-        else:
-            tables = payload.get("tables", {})
-            rows = sum(len(r) for r in tables.values())
-            print("%s: ok (%d tables, %d rows)" % (path, len(tables), rows))
-    return 1 if failures else 0
-
-
-def _cmd_bench_diff(args) -> int:
-    """Compare fresh benchmark artifacts against committed baselines (the
-    CI perf-gate).  Exits 1 when anything regressed beyond tolerance."""
-    import os
-
-    from .obs.telemetry import compare_bench, diff_bench_dirs, load_bench
-
-    if os.path.isdir(args.old) != os.path.isdir(args.new):
-        raise SystemExit("old and new must both be files or both directories")
-    if os.path.isdir(args.old):
-        report = diff_bench_dirs(
-            args.old, args.new,
-            tolerance=args.tolerance,
-            timing_tolerance=args.timing_tolerance,
-        )
-        artifacts = report["artifacts"]
-    else:
-        single = compare_bench(
-            load_bench(args.old), load_bench(args.new),
-            tolerance=args.tolerance,
-            timing_tolerance=args.timing_tolerance,
-        )
-        single["artifact"] = os.path.basename(args.new)
-        artifacts = [single]
-        report = {
-            "old_dir": args.old,
-            "new_dir": args.new,
-            "tolerance": args.tolerance,
-            "timing_tolerance": args.timing_tolerance,
-            "artifacts": artifacts,
-            "regressions_total": len(single["regressions"]),
-        }
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as stream:
-            json.dump(report, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-    for artifact in artifacts:
-        name = artifact.get("artifact", artifact.get("experiment", "?"))
-        regressions = artifact.get("regressions", [])
-        improvements = artifact.get("improvements", [])
-        if regressions:
-            print("%s: %d REGRESSION(S)" % (name, len(regressions)))
-            for entry in regressions:
-                print("  - %s" % _render_diff_entry(entry))
-        else:
-            print("%s: ok (%d fields compared, %d timing skipped%s)" % (
-                name,
-                artifact.get("compared_fields", 0),
-                artifact.get("skipped_timing_fields", 0),
-                ", %d improved" % len(improvements) if improvements else "",
-            ))
-    total = report["regressions_total"]
-    if total:
-        print("bench-diff: %d regression(s) beyond tolerance %g" % (
-            total, args.tolerance))
-        return 1
-    return 0
-
-
-def _render_diff_entry(entry) -> str:
-    where = entry.get("table", "")
-    if "row" in entry:
-        where += "[%d]" % entry["row"]
-    if "field" in entry:
-        where += ".%s" % entry["field"]
-    if "problem" in entry and "old" not in entry:
-        return "%s: %s" % (where or "artifact", entry["problem"])
-    if "change" in entry:
-        return "%s: %s -> %s (%+g%%)" % (
-            where, entry.get("old"), entry.get("new"),
-            entry["change"] * 100 if entry["change"] != "inf" else float("inf"),
-        )
-    return "%s: %s (%r -> %r)" % (
-        where, entry.get("problem", "changed"), entry.get("old"), entry.get("new"),
-    )
-
-
 def _cmd_serve_admin(args) -> int:
     """Run a directory service with its HTTP admin endpoint up."""
     import time as _time
@@ -657,31 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit digest + heatmap snapshots as JSON")
     common(top_cmd)
     top_cmd.set_defaults(handler=_cmd_top)
-
-    bench_cmd = sub.add_parser(
-        "bench-check",
-        help="validate BENCH_*.json benchmark telemetry files or directories")
-    bench_cmd.add_argument("files", nargs="+",
-                           help="BENCH_*.json files and/or directories of them")
-    bench_cmd.set_defaults(handler=_cmd_bench_check)
-
-    diff_cmd = sub.add_parser(
-        "bench-diff",
-        help="compare benchmark artifacts against baselines and fail on "
-             "regressions (the CI perf-gate)")
-    diff_cmd.add_argument("old", help="baseline BENCH_*.json file or directory")
-    diff_cmd.add_argument("new", help="fresh BENCH_*.json file or directory")
-    diff_cmd.add_argument("--tolerance", type=float, default=0.1,
-                          help="allowed relative drift for deterministic "
-                               "fields (default 0.1)")
-    diff_cmd.add_argument("--timing-tolerance", type=float, default=None,
-                          metavar="T",
-                          help="also gate wall-clock fields, at this relative "
-                               "tolerance (skipped by default: timings are "
-                               "noisy on shared runners)")
-    diff_cmd.add_argument("--report", metavar="PATH",
-                          help="write the full diff report as JSON")
-    diff_cmd.set_defaults(handler=_cmd_bench_diff)
 
     admin_cmd = sub.add_parser(
         "serve-admin",

@@ -1,9 +1,9 @@
 """Distributed directory service: servers, DNS-style location, federation
 (Sections 3.3 and 8.3), log-shipped replication with epoch-fenced
-failover, and the chaos toolkit -- fault injection, retry/backoff,
-circuit breakers and graceful partial-result degradation (footnote 4's
-availability story).  What drives them under chaos and checks the
-outcome is test code: ``tests/dist/`` and benchmark E21."""
+failover, and the resilience toolkit -- retry/backoff, circuit breakers
+and graceful partial-result degradation (footnote 4's availability
+story).  The fault injector that drives them under chaos, and the checks
+of the outcome, are test code: ``tests/dist/`` and benchmark E21."""
 
 from .errors import (
     DistError,
@@ -12,7 +12,6 @@ from .errors import (
     ReferralError,
     ReplicationError,
 )
-from .faults import FaultInjector, FaultPlan
 from .federation import FederatedDirectory, FederatedResult
 from .locator import ServerLocator
 from .network import SimulatedNetwork
@@ -26,8 +25,6 @@ __all__ = [
     "CircuitBreaker",
     "DirectoryServer",
     "DistError",
-    "FaultInjector",
-    "FaultPlan",
     "FederatedDirectory",
     "FederatedResult",
     "LocatorError",

@@ -39,7 +39,8 @@ class DistError(RuntimeError):
 class NetworkError(DistError):
     """A message between servers did not get through.
 
-    Raised by :class:`~repro.dist.faults.FaultInjector` (the plain
+    Raised by a network that injects faults, such as the test suite's
+    ``FaultInjector`` (the plain
     :class:`~repro.dist.network.SimulatedNetwork` never fails); ``server``
     names the endpoint at fault when one is known.
     """

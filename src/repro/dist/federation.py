@@ -20,7 +20,7 @@ algorithms described previously."
   over its own store, given a :class:`_ScatterGather` as its leaf
   provider.
 
-When the network can fail (a :class:`~repro.dist.faults.FaultInjector`),
+When the network can fail (the tests' and E21's fault injector),
 :meth:`FederatedDirectory.enable_resilience` arms the availability story
 (footnote 4): every remote leaf goes through a per-server circuit breaker
 and bounded retries with backoff, and on exhaustion degrades down a

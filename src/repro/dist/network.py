@@ -8,8 +8,8 @@ entries carried.
 Thread-safety: the coordinator's parallel scatter (see
 :mod:`repro.exec`) sends from several worker threads at once, so the
 counters and the optional log are guarded by one reentrant lock
-(reentrant because :class:`~repro.dist.faults.FaultInjector` extends
-:meth:`send` and calls back into it).  ``wire_latency_s`` optionally adds
+(reentrant because a subclass may extend :meth:`send` and call back into
+it, as the test suite's fault injector does).  ``wire_latency_s`` optionally adds
 a *real* ``time.sleep`` per message -- slept outside the lock so
 concurrent sends overlap their waits, which is exactly the wall-clock
 effect the parallel benchmark measures.  It defaults to 0.0: the

@@ -1,4 +1,4 @@
-"""Observability: span tracing, unified metrics, benchmark telemetry.
+"""Observability: span tracing, unified metrics, logs and the workload plane.
 
 The paper proves per-operator I/O bounds; this package makes them
 *measurable* in a running system, end to end:
@@ -16,9 +16,6 @@ The paper proves per-operator I/O bounds; this package makes them
   every sink below reads;
 - :mod:`repro.obs.slowlog` -- the one bounded ring of slow, degraded
   and budget-breached searches (``/slowlog`` and ``/traces``);
-- :mod:`repro.obs.telemetry` -- the ``BENCH_<experiment>.json`` emitter
-  behind the benchmark suite, plus the bench-regression gate
-  (:func:`~repro.obs.telemetry.compare_bench`);
 - :mod:`repro.obs.log` -- JSON-lines structured event logging with
   trace/span correlation (no-op by default, like the tracer);
 - :mod:`repro.obs.budget` -- per-query resource budgets enforced at
@@ -52,18 +49,10 @@ from .metrics import (
 )
 from .slowlog import SlowQueryLog
 from .stats import StatCounters
-from .telemetry import (
-    BenchEmitter,
-    compare_bench,
-    diff_bench_dirs,
-    load_bench,
-    validate_bench,
-)
 from .trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "AdminServer",
-    "BenchEmitter",
     "BudgetExceeded",
     "BudgetTracker",
     "CapturingLogger",
@@ -85,10 +74,6 @@ __all__ = [
     "StatCounters",
     "SubtreeHeatMap",
     "Tracer",
-    "compare_bench",
-    "diff_bench_dirs",
     "get_registry",
-    "load_bench",
     "set_registry",
-    "validate_bench",
 ]

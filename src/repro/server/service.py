@@ -3,8 +3,8 @@
 Everything the repository builds, behind one LDAP-shaped interface:
 
 - **bind** -- associate a connection with a subject (authentication is a
-  lookup of the subject's ``userPassword``-style credential attribute, or
-  anonymous);
+  lookup of the subject's ``userPassword`` values, see
+  :data:`CREDENTIAL_ATTRIBUTE`, or anonymous);
 - **search** -- any L0--L3 query (the paper's syntax, a builder object or
   an AST), honouring access control, a size limit and paged retrieval;
 - **compare** -- LDAP's attribute-value assertion on one entry;
@@ -65,6 +65,9 @@ from ..txn.agent import MaintenanceAgent
 from ..txn.durable import DurableDirectory
 
 __all__ = ["DirectoryService", "ResultCode", "SearchResult", "ServiceError"]
+
+#: The entry attribute whose values a simple bind accepts as credentials.
+CREDENTIAL_ATTRIBUTE = "userPassword"
 
 
 class ResultCode:
@@ -145,7 +148,6 @@ class DirectoryService:
         self,
         instance: Optional[DirectoryInstance],
         acl: Optional[AccessControlList] = None,
-        credential_attribute: str = "userPassword",
         page_size: int = 16,
         buffer_pages: int = 8,
         cache_bytes: int = 512 * 1024,
@@ -253,7 +255,6 @@ class DirectoryService:
         #: Default-open when no ACL is supplied.  (``is None``: a rule-free
         #: ACL is falsy, and a closed one must stay closed.)
         self.acl = acl if acl is not None else AccessControlList(default_allow=True)
-        self.credential_attribute = credential_attribute
         self._bound_subject: Optional[str] = None
         self._maintenance: Optional[MaintenanceAgent] = None
         #: Semantic query cache over *pre-ACL* results; visibility is
@@ -342,14 +343,14 @@ class DirectoryService:
 
     def bind(self, subject_dn: Union[DN, str], credential: str) -> str:
         """Simple bind: compare the credential against the subject entry's
-        credential attribute.  Returns a result code; on success the
-        connection is bound to the subject (its dn string)."""
+        :data:`CREDENTIAL_ATTRIBUTE` values.  Returns a result code; on
+        success the connection is bound to the subject (its dn string)."""
         if isinstance(subject_dn, str):
             subject_dn = DN.parse(subject_dn)
         entry = self.directory.lookup(subject_dn)
         if entry is None:
             return ResultCode.NO_SUCH_OBJECT
-        stored = [str(v) for v in entry.values(self.credential_attribute)]
+        stored = [str(v) for v in entry.values(CREDENTIAL_ATTRIBUTE)]
         if credential not in stored:
             return ResultCode.INVALID_CREDENTIALS
         self._bound_subject = str(subject_dn)

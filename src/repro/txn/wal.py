@@ -17,8 +17,8 @@ Writers that append while a flush is in flight pile up behind the barrier
 and are flushed together by the next leader -- n concurrent committers
 cost far fewer than n fsyncs, which is the entire point.
 
-**Crash points.**  A seeded :class:`CrashPlan` -- in the spirit of
-:class:`~repro.dist.faults.FaultPlan` -- kills the process mid-flush:
+**Crash points.**  A seeded :class:`CrashPlan` -- in the spirit of the
+test suite's network ``FaultPlan`` -- kills the process mid-flush:
 at the scheduled flush the leader writes only a prefix of the batch
 (``torn_bytes``) and raises :class:`SimulatedCrash`; every thread waiting
 on that flush barrier gets the same crash (their commit was never

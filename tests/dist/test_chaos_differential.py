@@ -10,11 +10,13 @@ exclude it.
 
 import pytest
 
-from repro.dist import FaultInjector, FaultPlan, FederatedDirectory, RetryPolicy
+from repro.dist import FederatedDirectory, RetryPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.query.ast import And, Or
 from repro.query.semantics import evaluate
 from repro.workload import RandomQueries, random_instance
+
+from tests.dist.faults import FaultInjector, FaultPlan
 
 
 def monotone_query(queries: RandomQueries, depth: int = 2):

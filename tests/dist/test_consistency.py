@@ -45,8 +45,6 @@ from hypothesis.stateful import (
 
 from repro.dist import (
     AvailabilityRouter,
-    FaultInjector,
-    FaultPlan,
     ReplicatedContext,
     ReplicationError,
 )
@@ -57,6 +55,8 @@ from repro.query.ast import AtomicQuery, Scope
 from repro.txn.durable import DurableDirectory
 from repro.txn.wal import CrashPlan, SimulatedCrash
 from repro.workload import synthetic_schema
+
+from tests.dist.faults import FaultInjector, FaultPlan
 
 CONTEXT = DN.parse("ou=replicated, o=paper")
 EVERYTHING = AtomicQuery(CONTEXT, Scope.SUB, MatchAll())

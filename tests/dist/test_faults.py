@@ -5,8 +5,6 @@ import pytest
 
 from repro.dist import (
     DistError,
-    FaultInjector,
-    FaultPlan,
     LocatorError,
     NetworkError,
     ReferralError,
@@ -15,6 +13,8 @@ from repro.dist import (
     SimulatedNetwork,
 )
 from repro.obs.metrics import MetricsRegistry
+
+from tests.dist.faults import FaultInjector, FaultPlan
 
 
 class TestErrorHierarchy:

@@ -8,10 +8,11 @@ working across worker threads."""
 import pytest
 
 from repro.dist import FederatedDirectory
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.engine import QueryEngine
 from repro.obs.trace import Tracer
 from repro.workload import balanced_instance
+
+from tests.dist.faults import FaultInjector, FaultPlan
 
 ATOMIC_SPANNING = "( ? sub ? kind=alpha)"
 TREE_SPANNING = "(c ( ? sub ? kind=alpha) ( ? sub ? weight>=40))"

@@ -236,7 +236,7 @@ class TestChangelogTruncation:
         assert replicated.changelog_floor == 7
 
     def test_lagging_replica_pins_the_changelog(self):
-        from repro.dist import FaultInjector, FaultPlan
+        from tests.dist.faults import FaultInjector, FaultPlan
         from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary1", 0.0, 1e9)
@@ -255,7 +255,7 @@ class TestChangelogTruncation:
             "repro_replication_changelog_records").value() == 6
 
     def test_quorum_ack_truncates_at_the_quorum_floor(self):
-        from repro.dist import FaultInjector, FaultPlan
+        from tests.dist.faults import FaultInjector, FaultPlan
         from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary1", 0.0, 1e9)
@@ -271,7 +271,7 @@ class TestChangelogTruncation:
         assert replicated.changelog_floor == 6
 
     def test_replica_behind_the_floor_catches_up_by_resync(self):
-        from repro.dist import FaultInjector, FaultPlan
+        from tests.dist.faults import FaultInjector, FaultPlan
         from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary1", 0.0, 5.0)
@@ -305,7 +305,7 @@ class TestAckLevels:
         assert network.messages >= 1  # the write itself shipped
 
     def test_unreachable_quorum_raises_ack_failed(self):
-        from repro.dist import FaultInjector, FaultPlan
+        from tests.dist.faults import FaultInjector, FaultPlan
         from repro.obs.metrics import MetricsRegistry
 
         plan = (FaultPlan()
@@ -393,7 +393,7 @@ class TestEpochFencing:
 
 class TestPromotion:
     def test_picks_the_most_caught_up_live_replica(self):
-        from repro.dist import FaultInjector, FaultPlan
+        from tests.dist.faults import FaultInjector, FaultPlan
         from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary1", 0.0, 1e9)
@@ -407,7 +407,7 @@ class TestPromotion:
         assert replicated.promote(exclude=()) == "secondary0"
 
     def test_a_candidate_missing_a_quorum_acked_write_is_not_promoted(self):
-        from repro.dist import FaultInjector, FaultPlan
+        from tests.dist.faults import FaultInjector, FaultPlan
 
         plan = FaultPlan().partition("primary", "secondary1", 0.0, 1e9)
         replicated = ReplicatedContext(
@@ -477,7 +477,7 @@ class TestBoundedSuffix:
         )
 
     def test_promotion_after_a_trim_matches_the_untrimmed_group(self):
-        from repro.dist import FaultInjector, FaultPlan
+        from tests.dist.faults import FaultInjector, FaultPlan
 
         # A 5-node quorum group: secondary3 and secondary2 fall behind in
         # turn, then the primary is cut off with an unacknowledged tail.
@@ -557,7 +557,7 @@ class TestReplicationStatus:
 
 class TestDurablePrimary:
     def test_resync_uses_checkpoint_plus_wal_suffix(self, tmp_path):
-        from repro.dist import FaultInjector, FaultPlan
+        from tests.dist.faults import FaultInjector, FaultPlan
         from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary0", 0.0, 5.0)
@@ -605,7 +605,7 @@ class TestDurablePrimary:
         node.directory.close()
 
     def test_replica_behind_a_reopened_checkpoint_resyncs(self, tmp_path):
-        from repro.dist import FaultInjector, FaultPlan
+        from tests.dist.faults import FaultInjector, FaultPlan
         from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary0", 1.0, 5.0)

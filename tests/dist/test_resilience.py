@@ -6,8 +6,6 @@ import pytest
 from repro.dist import (
     AvailabilityRouter,
     CircuitBreaker,
-    FaultInjector,
-    FaultPlan,
     FederatedDirectory,
     NetworkError,
     ReplicatedContext,
@@ -19,6 +17,8 @@ from repro.dist import (
 from repro.obs.metrics import MetricsRegistry
 from repro.query.semantics import evaluate
 from repro.workload import random_instance
+
+from tests.dist.faults import FaultInjector, FaultPlan
 
 
 class TestRetryPolicy:

@@ -189,7 +189,7 @@ class TestOneRing:
         assert (ring.offered, ring.kept) == (2, 1)
 
     def test_a_degraded_search_is_kept_but_not_slow(self):
-        from repro.dist import FaultPlan
+        from tests.dist.faults import FaultPlan
         from tests.server.test_federation_frontend import make_frontend
 
         _, service, _, query, _ = make_frontend(
@@ -577,12 +577,12 @@ class TestConstructorSurface:
         one should be a visible diff here."""
         parameters = list(inspect.signature(DirectoryService.__init__).parameters)
         assert parameters == [
-            "self", "instance", "acl", "credential_attribute", "page_size",
-            "buffer_pages", "cache_bytes", "tracer", "metrics",
-            "slow_query_seconds", "log", "budget", "durable_dir",
-            "wal_fsync", "planner", "digest_capacity", "heatmap_depth",
+            "self", "instance", "acl", "page_size", "buffer_pages",
+            "cache_bytes", "tracer", "metrics", "slow_query_seconds", "log",
+            "budget", "durable_dir", "wal_fsync", "planner",
+            "digest_capacity", "heatmap_depth",
         ]
-        assert len(parameters) - 1 == 16
+        assert len(parameters) - 1 == 15
 
 
 class TestListenerHardening:

@@ -3,18 +3,15 @@ degradation warnings surfacing on results, metrics and the slow log."""
 
 import pytest
 
-from repro.dist import (
-    FaultInjector,
-    FaultPlan,
-    FederatedDirectory,
-    RetryPolicy,
-)
+from repro.dist import FederatedDirectory, RetryPolicy
 from repro.obs.log import CapturingLogger
 from repro.obs.metrics import MetricsRegistry
 from repro.query.semantics import evaluate
 from repro.query.parser import parse_query
 from repro.server import DirectoryService
 from repro.workload import random_instance
+
+from tests.dist.faults import FaultInjector, FaultPlan
 
 
 def make_frontend(plan=None, slow_query_seconds=None, log=None):

@@ -94,7 +94,8 @@ class TestHeatmapWiring:
 
 class TestFederationShipping:
     def test_remote_shipping_lands_in_the_frontends_heatmap(self):
-        from repro.dist import FaultInjector, FaultPlan, FederatedDirectory
+        from repro.dist import FederatedDirectory
+        from tests.dist.faults import FaultInjector, FaultPlan
         from repro.workload import random_instance
 
         registry = MetricsRegistry()

@@ -2,7 +2,6 @@
 
 import argparse
 import json
-from pathlib import Path
 
 import pytest
 
@@ -125,8 +124,8 @@ def test_index_is_offered_only_where_an_engine_is_built(command, qos_ldif):
 
 
 SUBCOMMANDS = {
-    "query", "explain", "plan", "stats", "metrics", "top", "bench-check",
-    "bench-diff", "serve-admin", "dump-example", "ldapurl", "wal-dump",
+    "query", "explain", "plan", "stats", "metrics", "top", "serve-admin",
+    "dump-example", "ldapurl", "wal-dump",
 }
 
 
@@ -137,7 +136,9 @@ def test_the_subcommands_are_pinned():
 
 
 @pytest.mark.parametrize(
-    "command", ["chaos", "replication-status", "consistency", "alerts"]
+    "command",
+    ["chaos", "replication-status", "consistency", "alerts", "bench-check",
+     "bench-diff"],
 )
 def test_deleted_demo_drivers_are_usage_errors(command, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -212,49 +213,6 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert "slow queries" in err
         assert "objectClass" in err
-
-
-class TestBenchCheck:
-    def write(self, tmp_path, payload):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def valid_payload(self):
-        return {
-            "schema_version": 1,
-            "experiment": "x",
-            "tables": {"t": [{"n": 1, "io": 2}]},
-            "timings_s": {"count": 1, "total": 0.1, "max": 0.1},
-            "meta": {},
-        }
-
-    def test_valid_file_passes(self, tmp_path, capsys):
-        path = self.write(tmp_path, self.valid_payload())
-        assert main(["bench-check", path]) == 0
-        assert "ok (1 tables, 1 rows)" in capsys.readouterr().out
-
-    def test_invalid_file_fails(self, tmp_path, capsys):
-        bad = self.valid_payload()
-        bad["tables"] = {}
-        path = self.write(tmp_path, bad)
-        assert main(["bench-check", path]) == 1
-        assert "INVALID" in capsys.readouterr().out
-
-    def test_missing_file_fails(self, capsys):
-        assert main(["bench-check", "/does/not/exist.json"]) == 1
-        assert "unreadable" in capsys.readouterr().out
-
-
-class TestBenchDiffUsage:
-    @pytest.mark.parametrize("order", ["dir-file", "file-dir"])
-    def test_a_file_and_a_directory_is_a_usage_error(self, order, capsys):
-        pair = ["benchmarks/baselines", "benchmarks/baselines/BENCH_e20_cache.json"]
-        if order == "file-dir":
-            pair.reverse()
-        with pytest.raises(SystemExit, match="both be files or both directories"):
-            main(["bench-diff"] + pair)
-        assert "missing" not in capsys.readouterr().out
 
 
 class TestLdapUrl:
@@ -341,33 +299,6 @@ class TestStatsDepthQuantiles:
         quantiles = payload["depth_quantiles"]
         assert set(quantiles) == {"p50", "p95", "p99"}
         assert quantiles["p50"] <= quantiles["p95"] <= quantiles["p99"]
-
-
-class TestBenchCheckDirectories:
-    def test_directory_of_valid_artifacts_passes(self, capsys):
-        assert main(["bench-check", "benchmarks/baselines"]) == 0
-        out = capsys.readouterr().out
-        baselines = len(list(Path("benchmarks/baselines").glob("BENCH_*.json")))
-        assert out.count(": ok") == baselines >= 7
-
-    def test_directory_with_an_invalid_artifact_lists_it(self, tmp_path, capsys):
-        good = json.dumps({
-            "schema_version": 1, "experiment": "e1",
-            "tables": {"T": [{"a": 1}]},
-            "timings_s": {"count": 1, "total": 0.5, "max": 0.5},
-            "meta": {},
-        })
-        (tmp_path / "BENCH_good.json").write_text(good)
-        (tmp_path / "BENCH_bad.json").write_text('{"schema_version": 99}')
-        code = main(["bench-check", str(tmp_path)])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "BENCH_bad.json: INVALID" in out
-        assert "BENCH_good.json: ok" in out
-
-    def test_empty_directory_is_an_error(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["bench-check", str(tmp_path)])
 
 
 class TestServeAdmin:
