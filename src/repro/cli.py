@@ -86,7 +86,8 @@ def _cmd_query(args) -> int:
     if args.trace:
         from .obs.trace import Tracer
 
-        engine.tracer = Tracer(probes={"io": engine.pager.stats})
+        engine.tracer = Tracer()
+        engine.tracer.io = engine.pager.stats
     try:
         result = engine.run(args.query, budget=_budget_from(args))
     except BudgetExceeded as exc:

@@ -193,7 +193,7 @@ class FederatedDirectory:
         self.servers[server.name] = server
         if self.tracer.enabled and not server.tracer.enabled:
             # A tracing federation gives each member its own tracer (one
-            # per pager, so I/O probes attribute correctly); remote spans
+            # per pager, so each brackets its own pager's I/O); remote spans
             # still join the coordinator's trace via the carried context.
             from ..obs.trace import Tracer
 
@@ -271,11 +271,7 @@ class FederatedDirectory:
             raise ValueError("pass a policy or keyword arguments, not both")
         self.resilience = policy if policy is not None else ResiliencePolicy(**kwargs)
         self._breakers = {}
-        self._stale = (
-            StaleStore(self.resilience.stale_keys)
-            if self.resilience.serve_stale
-            else None
-        )
+        self._stale = StaleStore() if self.resilience.serve_stale else None
         return self.resilience
 
     def attach_replica(self, server_name: str, router: "AvailabilityRouter") -> None:
@@ -337,9 +333,9 @@ class FederatedDirectory:
             leaves=leaves,
         )
         if self.tracer.enabled:
-            # Rebind the I/O probe to *this* coordinator's pager (queries
-            # may be issued at different servers over the tracer's life).
-            self.tracer.add_probe("io", engine.pager.stats)
+            # Bracket *this* coordinator's pager (queries may be issued at
+            # different servers over the tracer's life).
+            self.tracer.io = engine.pager.stats
         messages_before = self.network.messages
         shipped_before = self.network.entries_shipped
         with self.tracer.span("fed-query", at=at):
@@ -467,7 +463,7 @@ class _ScatterGather:
         cache = fed.leaf_cache
         tracer = fed.tracer
         want_key = cache is not None or fed._stale is not None
-        scatter_context = tracer.context()
+        scatter_parent = tracer.current
 
         def scatter(owner: str) -> _LeafOutcome:
             server = fed.servers[owner]
@@ -477,7 +473,7 @@ class _ScatterGather:
             outcome = _LeafOutcome(owner, key)
             if server is self.coordinator:
                 return outcome  # evaluated at the gather, on our pager
-            token = tracer.adopt(scatter_context)
+            token = tracer.adopt(scatter_parent)
             try:
                 # Served from the sublist cache when possible, otherwise
                 # request out + result entries shipped back.

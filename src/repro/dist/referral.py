@@ -9,8 +9,8 @@ strategies can be compared on identical data:
 
 - :class:`ReferralServer` wraps a federation server: atomic queries for
   bases it owns are answered; others earn a referral to the owner;
-- :class:`ReferralClient` chases referrals up to a hop limit, counting
-  messages on the federation's network.
+- :class:`ReferralClient` chases referrals up to :data:`MAX_HOPS`
+  hops, counting messages on the federation's network.
 
 Only atomic (single base + scope) requests referral-route, as in LDAP;
 composite queries must be decomposed by the client -- which is precisely
@@ -29,6 +29,9 @@ from .federation import FederatedDirectory
 
 __all__ = ["Referral", "ReferralError", "ReferralClient"]
 
+#: Referrals a client follows for one request before giving up.
+MAX_HOPS = 8
+
 
 class Referral:
     """The 'try that server instead' response."""
@@ -43,10 +46,9 @@ class Referral:
 class ReferralClient:
     """A client bound to a federation, starting at some home server."""
 
-    def __init__(self, federation: FederatedDirectory, home: str, max_hops: int = 8):
+    def __init__(self, federation: FederatedDirectory, home: str):
         self.federation = federation
         self.home = home
-        self.max_hops = max_hops
         #: (server asked, outcome) per request, for inspection.
         self.trace: List[Tuple[str, str]] = []
 
@@ -93,7 +95,7 @@ class ReferralClient:
         result = self._ask(server_name, query)
         while isinstance(result, Referral):
             hops += 1
-            if hops > self.max_hops:
+            if hops > MAX_HOPS:
                 raise ReferralError(
                     "referral limit exceeded for %s" % query,
                     code=ReferralError.LIMIT_EXCEEDED,

@@ -86,10 +86,10 @@ class CircuitBreaker:
 
     Closed counts consecutive failures; at ``failure_threshold`` it
     opens.  Open rejects everything until ``reset_timeout_s`` of
-    (simulated) time has passed, then half-opens and admits up to
-    ``half_open_probes`` trial calls: one success closes it, one failure
-    re-opens it.  ``transitions`` keeps the full history for tests and
-    the chaos report.
+    (simulated) time has passed, then half-opens and admits one trial
+    call: its success closes the breaker, its failure re-opens it.
+    ``transitions`` keeps the full history for tests and the chaos
+    report.
     """
 
     CLOSED = "closed"
@@ -100,7 +100,6 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 5,
         reset_timeout_s: float = 30.0,
-        half_open_probes: int = 1,
         name: str = "",
         metrics=None,
         log=None,
@@ -110,15 +109,14 @@ class CircuitBreaker:
         self._log = log
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
-        self.half_open_probes = half_open_probes
         self.name = name
         self.state = self.CLOSED
         self.failures = 0
         self.opened_at = 0.0
-        self._probes = 0
+        self._probing = False
         # One breaker may be consulted by several scatter workers at
         # once; state reads+transitions must be atomic or two threads can
-        # both win a half-open probe slot / tear a transition append.
+        # both win the half-open trial / tear a transition append.
         self._lock = threading.Lock()
         #: (now, from_state, to_state) per transition, oldest first.
         self.transitions: List[Tuple[float, str, str]] = []
@@ -152,7 +150,7 @@ class CircuitBreaker:
         elif to == self.OPEN:
             self.opened_at = now
         elif to == self.HALF_OPEN:
-            self._probes = 0
+            self._probing = False
 
     def allow(self, now: float) -> bool:
         """Whether a call may be attempted at (simulated) time ``now``."""
@@ -163,10 +161,10 @@ class CircuitBreaker:
                 return True
             if self.state == self.OPEN:
                 return False
-            if self._probes < self.half_open_probes:
-                self._probes += 1
-                return True
-            return False
+            if self._probing:
+                return False
+            self._probing = True
+            return True
 
     def record_success(self, now: float) -> None:
         with self._lock:
@@ -253,26 +251,21 @@ class ResiliencePolicy:
         retry: Optional[RetryPolicy] = None,
         breaker_failure_threshold: int = 5,
         breaker_reset_s: float = 30.0,
-        breaker_half_open_probes: int = 1,
         mode: str = "partial",
         serve_stale: bool = True,
-        stale_keys: int = 256,
     ):
         if mode not in self.MODES:
             raise ValueError("mode must be one of %s" % (self.MODES,))
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker_failure_threshold = breaker_failure_threshold
         self.breaker_reset_s = breaker_reset_s
-        self.breaker_half_open_probes = breaker_half_open_probes
         self.mode = mode
         self.serve_stale = serve_stale
-        self.stale_keys = stale_keys
 
     def make_breaker(self, name: str, metrics=None, log=None) -> CircuitBreaker:
         return CircuitBreaker(
             failure_threshold=self.breaker_failure_threshold,
             reset_timeout_s=self.breaker_reset_s,
-            half_open_probes=self.breaker_half_open_probes,
             name=name,
             metrics=metrics,
             log=log,

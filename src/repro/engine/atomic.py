@@ -122,14 +122,17 @@ class SharedScan:
     with no run written or read back.  Iterate it once.  ``reads`` counts
     the logical page reads the scan made -- its pages, and the overlay
     charge of a pinned view -- not those its consumer makes between
-    pages: the heat map's charge for the node."""
+    pages: the heat map's charge for the node.  ``matches[i]`` counts the
+    entries leaf ``i + 1`` matched, a page at a time: the traced pass's
+    per-leaf result sizes."""
 
-    __slots__ = ("store", "leaves", "reads")
+    __slots__ = ("store", "leaves", "reads", "matches")
 
     def __init__(self, store: DirectoryStore, leaves: Sequence[AtomicQuery]):
         self.store = store
         self.leaves = leaves
         self.reads = 0
+        self.matches = [0] * len(leaves)
 
     def __iter__(self) -> Iterator[Tuple[Entry, int]]:
         return chain.from_iterable(self._pages())
@@ -139,27 +142,29 @@ class SharedScan:
         base = leaves[0].base
         reaches = [Scope.MAX_DEPTH[leaf.scope] for leaf in leaves]
         widest = None if None in reaches else max(reaches)
-        # (bit, page form, deepest key length) per leaf; None where the
-        # scan's own depth bound is the leaf's.
+        # (index, bit, page form, deepest key length) per leaf; None where
+        # the scan's own depth bound is the leaf's.
         tests = [
-            (1 << index, leaf.filter.page_form(store.schema),
+            (index, 1 << index, leaf.filter.page_form(store.schema),
              None if reach == widest else len(base.key()) + reach)
             for index, (leaf, reach) in enumerate(zip(leaves, reaches))
         ]
-        stats = store.pager.stats
+        stats, matches = store.pager.stats, self.matches
         pulled = stats.logical_reads
         for page in store.scan_pages(base, widest):
             self.reads += stats.logical_reads - pulled
             masks = [0] * len(page)
-            for bit, select, deepest in tests:
+            for index, bit, select, deepest in tests:
                 if deepest is not None:
                     page_of_leaf = [e for e in page if len(e._dn._key) <= deepest]
                 else:
                     page_of_leaf = page
+                selected = select(page_of_leaf)
+                matches[index] += len(selected)
                 # The leaf's matches are a subsequence of the page: walk
                 # the page once to find where each lies.
                 at = 0
-                for entry in select(page_of_leaf):
+                for entry in selected:
                     while page[at] is not entry:
                         at += 1
                     masks[at] |= bit

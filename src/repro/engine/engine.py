@@ -137,7 +137,8 @@ class QueryEngine:
         #: path, :meth:`atomic_run`.  A provider that can also read the
         #: atomic operands of one base together has a ``shared_scan(leaves)
         #: -> (entry, mask) stream`` method whose stream counts its own page
-        #: reads in ``reads``, as the local path does (:meth:`shared_scan`);
+        #: reads in ``reads`` and each leaf's matches in ``matches``, as the
+        #: local path does (:meth:`shared_scan`);
         #: a planned engine reads a boolean's or a selection's operands by
         #: one shared scan only through it, so a provider
         #: without one (the federation's scatter/gather) answers every
@@ -180,8 +181,8 @@ class QueryEngine:
         #: :class:`~repro.obs.trace.Tracer` to record one span per
         #: operator with wall time and exact page-I/O attribution.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.tracer.enabled and "io" not in self.tracer.probes:
-            self.tracer.add_probe("io", self.pager.stats)
+        if self.tracer.enabled and self.tracer.io is None:
+            self.tracer.io = self.pager.stats
         #: Records the operators of the current run skipped (summed over
         #: the run's nodes).
         self._eval_errors = 0
@@ -296,7 +297,7 @@ class QueryEngine:
         ``query`` may be bounded to ``within``'s windows.
 
         With a live tracer, every query-tree node gets one span (named
-        ``op:...``) recording its result size and -- via the ``io`` probe
+        ``op:...``) recording its result size and -- via the tracer's ``io``
         -- the page transfers it caused, children included; the span tree
         mirrors the query tree exactly (minus operands a decided node
         skipped, and with one :data:`SHARED_SCAN_SPAN` in place of the
@@ -396,9 +397,8 @@ class QueryEngine:
             result = self._labelled_node(query, shared)
         else:
             with self.tracer.span(SHARED_SCAN_SPAN, filters=len(leaves)) as span:
-                matches = [0] * len(leaves)
-                result = self._labelled_node(query, _counted(shared, matches))
-                span.set(rows=len(result), matches=matches)
+                result = self._labelled_node(query, shared)
+                span.set(rows=len(result), matches=shared.matches)
         if self.heatmap is not None:
             self.heatmap.record_read(
                 leaves[0].base, pages=shared.reads, amount=len(leaves)
@@ -473,17 +473,6 @@ def _decides_when_empty(query: Query, index: int) -> bool:
         and isinstance(query, (HierarchySelect, EmbeddedRef))
         and query.agg is None
     )
-
-
-def _counted(stream: Labelled, matches: List[int]):
-    """``stream`` unchanged, counting each operand's entries in
-    ``matches`` (a traced pass only)."""
-    bits = [(1 << index, index) for index in range(len(matches))]
-    for entry, label in stream:
-        for bit, index in bits:
-            if label & bit:
-                matches[index] += 1
-        yield entry, label
 
 
 def _span_name(query: Query) -> str:

@@ -837,14 +837,14 @@ def explain(
         eval_errors = 0
         if span is not None:
             actual = span.attrs.get("rows")
-            actual_io = span.exclusive("io", "total")
-            actual_logical = span.exclusive("io", "logical_total")
+            actual_io = span.exclusive("total")
+            actual_logical = span.exclusive("logical_total")
             elapsed = span.elapsed
             eval_errors = span.attrs.get("eval_errors", 0)
             if scan is not None:
                 # The pass the shared scan fed is this node's own work.
-                actual_io += scan.exclusive("io", "total")
-                actual_logical += scan.exclusive("io", "logical_total")
+                actual_io += scan.exclusive("total")
+                actual_logical += scan.exclusive("logical_total")
         elif shared is not None:
             # The leaf's entries were counted as the scan passed them; its
             # pages and its time are the node's.

@@ -1,15 +1,17 @@
 """Hierarchical span tracing with exact I/O attribution.
 
 The paper proves *I/O bounds per operator*; this tracer makes them
-observable per operator at runtime.  A :class:`Tracer` maintains a stack of
-open :class:`Span`\\ s; each span records wall time plus the delta of every
-registered counter block (see :class:`~repro.obs.stats.StatCounters`) over
-its lifetime, so wrapping each engine operator in a span yields the actual
-page transfers that operator caused -- inclusive of its children, with
-:meth:`Span.exclusive` subtracting them back out.  The exclusive costs of a
-span tree always sum to the root's inclusive cost, which is how EXPLAIN
-``--analyze`` reconciles per-operator I/O against the pager's global
-:class:`~repro.storage.pager.IOStats`.
+observable per operator at runtime.  A :class:`Tracer` brackets one live
+counter block, :attr:`Tracer.io` -- the pager's
+:class:`~repro.storage.pager.IOStats`, bound by the engine or federation
+that owns the pager.  Each :class:`Span` is its own context manager: it
+records wall time plus the delta of the block bound when it opened, so
+wrapping each engine operator in a span yields the page transfers that
+operator caused -- inclusive of its children, with :meth:`Span.exclusive`
+subtracting back out the children that bracketed the same block.  The
+exclusive costs of a span tree always sum to the root's inclusive cost,
+which is how EXPLAIN ``--analyze`` reconciles per-operator I/O against the
+pager's global counters.
 
 Tracing is **off by default and free when off**: :data:`NULL_TRACER` is a
 process-wide singleton whose :meth:`~NullTracer.span` returns the tracer
@@ -23,72 +25,97 @@ can ride along a remote call; the remote side passes it to
 (same ``trace_id``, parented under the caller's span id).
 
 Concurrency: the span stack is **per thread** (a worker pool's threads
-each nest their own spans), and a parallel worker inherits the
-scattering span's identity via :meth:`Tracer.adopt`.  When a span closes
-on a thread whose stack is empty, it is grafted onto its parent by id if
-the parent is still open on another thread -- so a scatter-gather keeps
-producing one connected span tree; attachment order among concurrent
-siblings follows completion order.  Root and children lists are guarded
-by one tracer lock.
+each nest their own spans).  A worker adopts the scattering thread's
+:attr:`Tracer.current` span via :meth:`Tracer.adopt`, and a span it
+opens on an empty stack nests under that span.  Each span attaches itself
+to its parent when it closes, under the tracer's lock: while the parent
+is open it joins the parent's children -- so a scatter-gather keeps
+producing one connected span tree, concurrent siblings in completion
+order -- and once the parent has closed it becomes a root that carries
+the parent's ids.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
+from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 
 class Span:
-    """One traced phase: name, attributes, timing, counter deltas,
-    children."""
+    """One traced phase and the context manager that brackets it: name,
+    attributes, ids, wall time, the I/O delta over the block it
+    bracketed, children."""
 
-    __slots__ = (
-        "name",
-        "attrs",
-        "trace_id",
-        "span_id",
-        "parent_id",
-        "elapsed",
-        "stats",
-        "children",
-        "_started",
-        "_before",
-    )
+    __slots__ = ("name", "attrs", "trace_id", "span_id", "parent_id", "elapsed",
+                 "io", "children", "closed", "_tracer", "_parent", "_block",
+                 "_before", "_started")
 
-    def __init__(
-        self,
-        name: str,
-        attrs: Dict[str, Any],
-        trace_id: str,
-        span_id: str,
-        parent_id: Optional[str],
-    ):
+    def __init__(self, tracer: "Tracer", parent: Optional["Span"], name: str,
+                 attrs: Dict[str, Any], trace_id: str, parent_id: Optional[str]):
         self.name = name
         self.attrs = attrs
         self.trace_id = trace_id
-        self.span_id = span_id
+        self.span_id = "s%d" % next(tracer._ids)
         self.parent_id = parent_id
         self.elapsed = 0.0
-        #: Per-probe counter deltas over the span (inclusive of children).
-        self.stats: Dict[str, Any] = {}
+        #: The bracketed block's counter delta over the span (inclusive
+        #: of children); None when no block was bound at open.
+        self.io = None
         self.children: List["Span"] = []
+        self.closed = False
+        self._tracer = tracer
+        #: The in-process parent (None for a root or a remote caller's).
+        self._parent = parent
+        self._block = None
+        self._before = None
         self._started = 0.0
-        self._before: Dict[str, Any] = {}
+
+    def __enter__(self) -> "Span":
+        block = self._tracer.io
+        if block is not None:
+            self._block = block
+            self._before = block.snapshot()
+        self._tracer._tls.stack.append(self)
+        self._started = perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, _tb) -> bool:
+        self.elapsed = perf_counter() - self._started
+        if self._block is not None:
+            self.io = self._block.since(self._before)
+            self._before = None
+        if exc_type is not None:
+            self.attrs["error"] = "%s: %s" % (exc_type.__name__, exc)
+        tracer = self._tracer
+        tracer._tls.stack.pop()
+        parent = self._parent
+        self._parent = None
+        with tracer._lock:
+            self.closed = True
+            if parent is not None and not parent.closed:
+                parent.children.append(self)
+            else:
+                tracer.root_spans.append(self)
+                if tracer.keep_roots is not None:
+                    del tracer.root_spans[: -tracer.keep_roots]
+        return False
 
     def set(self, **attrs: Any) -> "Span":
         """Attach attributes mid-span (e.g. ``rows=`` once known)."""
         self.attrs.update(attrs)
         return self
 
-    def exclusive(self, probe: str, field: str) -> int:
-        """This span's own share of a counter: inclusive minus children."""
-        own = getattr(self.stats.get(probe), field, 0)
+    def exclusive(self, field: str) -> int:
+        """This span's own share of an I/O counter: its delta minus the
+        deltas of its children that bracketed the same block."""
+        own = getattr(self.io, field, 0)
         for child in self.children:
-            own -= getattr(child.stats.get(probe), field, 0)
+            if child._block is self._block:
+                own -= getattr(child.io, field, 0)
         return own
 
     def find(self, name: str) -> Optional["Span"]:
@@ -108,7 +135,7 @@ class Span:
                 yield span
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (counter deltas flattened per probe)."""
+        """JSON-ready form (the I/O delta flattened under ``stats.io``)."""
         return {
             "name": self.name,
             "trace_id": self.trace_id,
@@ -116,9 +143,7 @@ class Span:
             "parent_id": self.parent_id,
             "elapsed_s": self.elapsed,
             "attrs": dict(self.attrs),
-            "stats": {
-                probe: delta.as_dict() for probe, delta in self.stats.items()
-            },
+            "stats": {"io": self.io.as_dict()} if self.io is not None else {},
             "children": [child.as_dict() for child in self.children],
         }
 
@@ -129,153 +154,89 @@ class Span:
                 " ".join("%s=%s" % (k, v) for k, v in sorted(self.attrs.items()))
             )
         parts.append("%.3fms" % (self.elapsed * 1e3))
-        io = self.stats.get("io")
-        if io is not None:
-            parts.append("io=%d" % getattr(io, "total", 0))
+        if self.io is not None:
+            parts.append("io=%d" % self.io.total)
         line = "  ".join(parts)
         return "\n".join([line] + [c.render(indent + 1) for c in self.children])
 
     def __repr__(self) -> str:
         return "Span(%s, %d children, %.3fms)" % (
-            self.name,
-            len(self.children),
-            self.elapsed * 1e3,
-        )
+            self.name, len(self.children), self.elapsed * 1e3)
 
 
-class _ActiveSpan:
-    """Context manager binding one span to a tracer's stack."""
+class _ThreadState(threading.local):
+    """One thread's span stack and adopted parent."""
 
-    __slots__ = ("tracer", "span")
-
-    def __init__(self, tracer: "Tracer", span: Span):
-        self.tracer = tracer
-        self.span = span
-
-    def __enter__(self) -> Span:
-        span = self.span
-        tracer = self.tracer
-        span._before = {
-            name: live.snapshot() for name, live in tracer.probes.items()
-        }
-        span._started = time.perf_counter()
-        tracer._thread_stack().append(span)
-        with tracer._lock:
-            tracer._open[span.span_id] = span
-        return span
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        span = self.span
-        tracer = self.tracer
-        span.elapsed = time.perf_counter() - span._started
-        # Diff only probes that existed when the span opened (a probe
-        # registered mid-span has no baseline to diff against).
-        for name, before in span._before.items():
-            live = tracer.probes.get(name)
-            if live is not None:
-                span.stats[name] = live.since(before)
-        span._before = {}
-        if exc_type is not None:
-            span.attrs["error"] = "%s: %s" % (exc_type.__name__, exc)
-        stack = tracer._thread_stack()
-        stack.pop()
-        if stack:
-            # Same-thread nesting: the parent owns its children list here.
-            stack[-1].children.append(span)
-            with tracer._lock:
-                tracer._open.pop(span.span_id, None)
-            return False
-        with tracer._lock:
-            tracer._open.pop(span.span_id, None)
-            parent = (
-                tracer._open.get(span.parent_id)
-                if span.parent_id is not None
-                else None
-            )
-            if parent is not None:
-                # A worker-thread span closing under a scatter span that is
-                # still open elsewhere: graft by id.
-                parent.children.append(span)
-            else:
-                tracer.root_spans.append(span)
-                if tracer.keep_roots is not None:
-                    del tracer.root_spans[: -tracer.keep_roots]
-        return False
+    def __init__(self):
+        self.stack: List[Span] = []
+        self.adopted: Optional[Span] = None
 
 
 class Tracer:
-    """A live tracer: probes to bracket, a span stack, finished roots."""
+    """A live tracer: the block to bracket, per-thread span stacks,
+    finished roots."""
 
     enabled = True
 
-    def __init__(self, probes: Optional[Dict[str, Any]] = None, keep_roots: Optional[int] = 256):
-        #: name -> live :class:`StatCounters`-like object (must offer
-        #: ``snapshot()``/``since()``); bracketed around every span.
-        self.probes: Dict[str, Any] = dict(probes or {})
+    def __init__(self, keep_roots: Optional[int] = 256):
+        #: The live counter block every span brackets (must offer
+        #: ``snapshot()``/``since()``): the owning engine binds its
+        #: pager's :class:`~repro.storage.pager.IOStats` when None, and a
+        #: federation rebinds it to each query's coordinator.
+        self.io = None
         #: Completed top-level spans, oldest first (bounded by keep_roots).
         self.root_spans: List[Span] = []
         self.keep_roots = keep_roots
-        self._tls = threading.local()
+        self._tls = _ThreadState()
         self._lock = threading.Lock()
-        #: span_id -> Span for every span currently open on any thread.
-        self._open: Dict[str, Span] = {}
         self._ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
 
-    def _thread_stack(self) -> List[Span]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
-    def add_probe(self, name: str, live: Any) -> None:
-        """Register a counter block to bracket around future spans."""
-        self.probes[name] = live
-
-    def adopt(self, context: Optional[Dict[str, str]]):
-        """Make ``context`` the calling thread's inherited parent: spans
-        opened on this thread with an empty stack nest under it.  Worker
-        pools call this around each task with the scattering span's
-        :meth:`context`.  Returns a token for :meth:`release`."""
-        previous = getattr(self._tls, "inherited", None)
-        self._tls.inherited = context
+    def adopt(self, parent: Optional[Span]):
+        """Make ``parent`` (another thread's :attr:`current`) the calling
+        thread's inherited parent: spans opened on this thread with an
+        empty stack nest under it.  Worker pools call this around each
+        task.  Returns a token for :meth:`release`."""
+        tls = self._tls
+        previous = tls.adopted
+        tls.adopted = parent
         return previous
 
     def release(self, token) -> None:
-        """Restore the inherited context replaced by :meth:`adopt`."""
-        self._tls.inherited = token
+        """Restore the inherited parent replaced by :meth:`adopt`."""
+        self._tls.adopted = token
 
-    def span(self, name: str, context: Optional[Dict[str, str]] = None, **attrs: Any):
-        """Open a span.  ``context`` (a :meth:`context` dict from a remote
-        caller) grafts this span into the caller's trace."""
-        stack = self._thread_stack()
-        if not stack and context is None:
-            context = getattr(self._tls, "inherited", None)
+    def span(self, name: str, context: Optional[Dict[str, str]] = None, **attrs: Any) -> Span:
+        """A span to open with ``with``.  ``context`` (a :meth:`context`
+        dict from a remote caller) grafts a span opened on an empty stack
+        into the caller's trace."""
+        tls = self._tls
+        stack = tls.stack
         if stack:
             parent = stack[-1]
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-        elif context is not None:
-            trace_id = context["trace_id"]
-            parent_id = context["span_id"]
         else:
-            trace_id = "t%d" % next(self._trace_ids)
-            parent_id = None
-        span = Span(name, attrs, trace_id, "s%d" % next(self._ids), parent_id)
-        return _ActiveSpan(self, span)
+            parent = tls.adopted if context is None else None
+        if parent is not None:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        elif context is not None:
+            trace_id, parent_id = context["trace_id"], context["span_id"]
+        else:
+            trace_id, parent_id = "t%d" % next(self._trace_ids), None
+        return Span(self, parent, name, attrs, trace_id, parent_id)
 
     @property
     def current(self) -> Optional[Span]:
-        stack = self._thread_stack()
-        return stack[-1] if stack else None
+        """The span a span opened now on this thread would nest under:
+        the top of its stack, else the span it adopted."""
+        tls = self._tls
+        return tls.stack[-1] if tls.stack else tls.adopted
 
     def context(self) -> Optional[Dict[str, str]]:
         """The current span's identity, as a dict that can cross a
-        process/network boundary (the thread's adopted context when no
-        span is open on it; None outside any span)."""
+        process/network boundary (None outside any span)."""
         span = self.current
         if span is None:
-            return getattr(self._tls, "inherited", None)
+            return None
         return {"trace_id": span.trace_id, "span_id": span.span_id}
 
     def last_root(self) -> Optional[Span]:
@@ -285,11 +246,7 @@ class Tracer:
         self.root_spans = []
 
     def __repr__(self) -> str:
-        return "Tracer(%d roots, %d open, probes=%s)" % (
-            len(self.root_spans),
-            len(self._open),
-            sorted(self.probes),
-        )
+        return "Tracer(%d roots)" % len(self.root_spans)
 
 
 class NullTracer:
@@ -313,10 +270,7 @@ class NullTracer:
     def set(self, **attrs: Any) -> "NullTracer":
         return self
 
-    def add_probe(self, name: str, live: Any) -> None:
-        pass
-
-    def adopt(self, context: Optional[Dict[str, str]]) -> None:
+    def adopt(self, parent: Optional[Span]) -> None:
         return None
 
     def release(self, token) -> None:

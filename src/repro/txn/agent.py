@@ -34,14 +34,14 @@ __all__ = ["MaintenanceAgent"]
 
 
 class _Request:
-    __slots__ = ("kind", "action", "context")
+    __slots__ = ("kind", "action", "parent")
 
-    def __init__(self, kind: str, action: Callable[[], None], context=None):
+    def __init__(self, kind: str, action: Callable[[], None], parent=None):
         self.kind = kind
         self.action = action
-        #: The submitter's trace context (:meth:`Tracer.context`), adopted
+        #: The submitter's current span (:attr:`Tracer.current`), adopted
         #: by the worker so background spans join the foreground trace.
-        self.context = context
+        self.parent = parent
 
 
 class MaintenanceAgent:
@@ -49,8 +49,8 @@ class MaintenanceAgent:
 
     def __init__(self, metrics=None, log=None, tracer=None):
         #: Span tracer.  Each executed request runs under a
-        #: ``maintenance.<kind>`` span that adopts the *submitter's* trace
-        #: context, so an agent-triggered compaction carries the same
+        #: ``maintenance.<kind>`` span that adopts the *submitter's* current
+        #: span, so an agent-triggered compaction carries the same
         #: trace id as the write that requested it.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._queue: "queue.Queue[Optional[_Request]]" = queue.Queue()
@@ -127,7 +127,7 @@ class MaintenanceAgent:
                     return False
                 self._inflight.add(kind)
         self._m_requests.inc(kind=kind)
-        self._queue.put(_Request(kind, action, context=self.tracer.context()))
+        self._queue.put(_Request(kind, action, parent=self.tracer.current))
         return True
 
     def drain(self) -> None:
@@ -142,7 +142,7 @@ class MaintenanceAgent:
                 if not self._running:
                     return
                 continue
-            token = self.tracer.adopt(request.context)
+            token = self.tracer.adopt(request.parent)
             try:
                 with self.tracer.span("maintenance.%s" % request.kind,
                                       kind=request.kind):

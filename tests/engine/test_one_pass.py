@@ -237,23 +237,23 @@ class TestAccounting:
         # engine's leaves -- all scan the same range -- reads, not the
         # pages the pass writes or reads back.
         leaf_reads = {
-            span.stats["io"].logical_reads
+            span.io.logical_reads
             for span in literal_tracer.last_root().walk() if span.name == "op:atomic"
         }
         assert planned_cell["pages_total"] in leaf_reads and len(leaf_reads) == 1
         assert planned_cell["pages_total"] < literal_cell["pages_total"]
         (span,) = shared_spans(tracer)
-        assert planned_cell["pages_total"] < span.stats["io"].logical_total
+        assert planned_cell["pages_total"] < span.io.logical_total
         if op in ("c", "d", "dc"):
             # These defer survivors and read them back during the pass.
-            assert planned_cell["pages_total"] < span.stats["io"].logical_reads
+            assert planned_cell["pages_total"] < span.io.logical_reads
 
     def test_budget_is_checked_after_the_node(self):
         _instance, store, query = _fused(3)
         tracer = Tracer()
         engine = planned_engine(store, tracer=tracer)
         full = engine.run(query)
-        pages = tracer.last_root().find("op:hs:dc").stats["io"].logical_total
+        pages = tracer.last_root().find("op:hs:dc").io.logical_total
         live = store.pager.live_pages
         for max_pages in range(pages):
             with pytest.raises(BudgetExceeded):
@@ -500,7 +500,7 @@ class TestFusedBoolean:
         assert planned_cell["subtree"] == literal_cell["subtree"]
         assert planned_cell["reads_total"] == literal_cell["reads_total"] == 2
         leaf_reads = {
-            span.stats["io"].logical_reads
+            span.io.logical_reads
             for span in literal_tracer.last_root().walk() if span.name == "op:atomic"
         }
         assert planned_cell["pages_total"] in leaf_reads and len(leaf_reads) == 1

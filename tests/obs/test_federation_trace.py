@@ -111,3 +111,36 @@ class TestFederationMetrics:
         lookups = registry.get("repro_fed_leaf_cache_lookups_total")
         assert lookups.value(outcome="miss") == 1
         assert lookups.value(outcome="hit") == 1
+
+
+class TestRebinding:
+    def test_a_span_open_across_a_rebinding_keeps_its_own_block(self):
+        # Each query rebinds the shared tracer's block to its coordinator's
+        # pager.  A span opened over server0's pager must still diff
+        # server0's pager at close, not the one bound by then.
+        instance = random_instance(29, size=100, forest_roots=2)
+        roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
+        assignments = {"server%d" % i: [root] for i, root in enumerate(roots)}
+        tracer = Tracer()
+        fed = FederatedDirectory.partition(
+            instance, assignments, page_size=8, leaf_cache_bytes=0,
+            tracer=tracer, metrics=MetricsRegistry(),
+        )
+        query = "( ? sub ? kind=alpha)"
+        for _ in range(30):
+            fed.query("server0", query)
+        pagers = [fed.servers[name].engine.pager for name in ("server0", "server1")]
+        before = [pager.stats.snapshot() for pager in pagers]
+        with tracer.span("outer"):
+            fed.query("server1", query)
+        outer = tracer.last_root()
+        (fed_query,) = outer.children
+        assert outer.io.as_dict() == pagers[0].stats.since(before[0]).as_dict()
+        assert fed_query.io.as_dict() == pagers[1].stats.since(before[1]).as_dict()
+        assert fed_query.io.total > 0
+        for span in outer.walk():
+            assert min(span.io.as_dict().values()) >= 0, span.name
+            for field in ("total", "logical_total"):
+                assert span.exclusive(field) >= 0, (span.name, field)
+        # The child bracketed another block: nothing of it is subtracted.
+        assert outer.exclusive("total") == outer.io.total

@@ -3,13 +3,18 @@ path (ISSUE satellite: spans nest correctly and attribute I/O deltas to
 the right operator on a known query tree; the disabled tracer allocates
 no spans)."""
 
+import threading
+
 import pytest
 
 from repro.engine.engine import QueryEngine
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 from repro.query.parser import parse_query
 from repro.query.semantics import evaluate
+from repro.storage.pager import Pager
 from repro.workload import random_instance
+
+from tests.server.test_hit_path import _calls
 
 QUERY = "(& ( ? sub ? kind=alpha) ( ? sub ? weight<50))"
 
@@ -50,10 +55,10 @@ class TestSpanTree:
         engine.run(QUERY)
         root = tracer.last_root()
         exclusive_sum = sum(
-            span.exclusive("io", "total") for span in root.walk()
+            span.exclusive("total") for span in root.walk()
         )
-        assert exclusive_sum == root.stats["io"].total
-        assert root.stats["io"].total > 0
+        assert exclusive_sum == root.io.total
+        assert root.io.total > 0
 
     def test_root_io_matches_pager_delta(self, traced):
         _instance, engine, tracer = traced
@@ -61,8 +66,8 @@ class TestSpanTree:
         engine.run(QUERY)
         delta = engine.pager.stats.since(before)
         root = tracer.last_root()
-        assert root.stats["io"].total == delta.total
-        assert root.stats["io"].logical_total == delta.logical_total
+        assert root.io.total == delta.total
+        assert root.io.logical_total == delta.logical_total
 
     def test_leaves_carry_the_scan_cost(self, traced):
         # Atomic leaves do the scanning; the merge's own share is the
@@ -72,11 +77,11 @@ class TestSpanTree:
         root = tracer.last_root()
         merge = root.find("op:and")
         leaf_io = sum(
-            child.stats["io"].total for child in merge.children
+            child.io.total for child in merge.children
         )
         assert leaf_io > 0
-        assert merge.exclusive("io", "total") == (
-            merge.stats["io"].total - leaf_io
+        assert merge.exclusive("total") == (
+            merge.io.total - leaf_io
         )
 
     def test_tracing_does_not_change_results(self, traced):
@@ -131,6 +136,93 @@ class TestSpanIdentity:
         assert payload["name"] == "execute"
         assert payload["stats"]["io"]["logical_reads"] >= 0
         assert len(payload["children"]) == 1
+
+
+def _on_worker(tracer, parent, name):
+    """Open and close one span named ``name`` on a new thread that adopted
+    ``parent``."""
+
+    def work():
+        token = tracer.adopt(parent)
+        try:
+            with tracer.span(name):
+                pass
+        finally:
+            tracer.release(token)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join()
+
+
+class TestGrafting:
+    def test_a_worker_span_joins_its_open_parent(self):
+        tracer = Tracer()
+        with tracer.span("scatter") as scatter:
+            _on_worker(tracer, tracer.current, "task")
+        (root,) = tracer.root_spans
+        assert root is scatter
+        (task,) = scatter.children
+        assert (task.trace_id, task.parent_id) == (scatter.trace_id, scatter.span_id)
+
+    def test_a_worker_span_outliving_its_parent_is_a_root_with_its_ids(self):
+        tracer = Tracer()
+        with tracer.span("update") as update:
+            parent = tracer.current
+        _on_worker(tracer, parent, "maintenance")
+        assert [span.name for span in tracer.root_spans] == ["update", "maintenance"]
+        maintenance = tracer.root_spans[1]
+        assert update.children == []
+        assert (maintenance.trace_id, maintenance.parent_id) == (
+            update.trace_id, update.span_id,
+        )
+
+    def test_context_is_the_adopted_parents_identity(self):
+        tracer = Tracer()
+        seen = []
+        with tracer.span("scatter") as scatter:
+            parent = tracer.current
+
+            def work():
+                tracer.adopt(parent)
+                seen.append(tracer.context())
+
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join()
+        assert seen == [{"trace_id": scatter.trace_id, "span_id": scatter.span_id}]
+
+
+class TestSpanCost:
+    """Tripwire: the interpreter calls (``_calls``) one span makes over a
+    pager's ``IOStats``.  The budgets are the counts when they were set
+    (20 and 37, down from 94 and 184 while every span diffed a dict of
+    probes through a separate context manager, registered itself in a
+    lock-guarded registry and read each counter block's field names off
+    its class hierarchy) plus 10 %."""
+
+    @pytest.fixture
+    def tracer(self):
+        tracer = Tracer()
+        tracer.io = Pager().stats
+        with tracer.span("warm-up"):
+            pass
+        return tracer
+
+    def test_a_root_span(self, tracer):
+        def root():
+            with tracer.span("root"):
+                pass
+
+        assert _calls(root) <= 22
+
+    def test_a_nested_pair(self, tracer):
+        def pair():
+            with tracer.span("root"):
+                with tracer.span("child"):
+                    pass
+
+        assert _calls(pair) <= 40
 
 
 class TestDisabledPath:
