@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import operator
 import re
+from functools import cache
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..model.dn import DN, DNSyntaxError
 from ..model.entry import Entry
 from ..model.schema import DirectorySchema
-from ..obs.metrics import get_registry
+from ..obs.metrics import Counter, get_registry
 
 __all__ = [
     "Filter",
@@ -437,15 +438,15 @@ def _mistyped(schema: Optional[DirectorySchema], attribute: str, type_name: str)
     )
 
 
-def _count_eval_error(kind: str) -> None:
-    """Count one silently-absorbed evaluation failure.  The registry is
-    looked up per call (errors are rare) so a :func:`set_registry` swap
-    is always observed."""
-    get_registry().counter(
+@cache
+def _eval_errors() -> Counter:
+    """``repro_filter_eval_errors_total`` in the process registry, resolved
+    on the first absorbed failure, so a clean run never registers it."""
+    return get_registry().counter(
         "repro_filter_eval_errors_total",
         "Filter evaluations that failed to coerce a value and matched false",
         labelnames=("kind",),
-    ).inc(kind=kind)
+    )
 
 
 def _values_equal(value: Any, target: Any) -> bool:
@@ -462,13 +463,13 @@ def _values_equal(value: Any, target: Any) -> bool:
             left = value if isinstance(value, DN) else DN.parse(str(value))
             right = target if isinstance(target, DN) else DN.parse(str(target))
         except DNSyntaxError:
-            _count_eval_error("dn-coerce")
+            _eval_errors().inc(kind="dn-coerce")
             return False
         return left == right
     if isinstance(value, int) and not isinstance(value, bool):
         try:
             return value == int(target)
         except (TypeError, ValueError):
-            _count_eval_error("int-coerce")
+            _eval_errors().inc(kind="int-coerce")
             return False
     return str(value) == str(target)

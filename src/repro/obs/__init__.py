@@ -45,7 +45,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    set_registry,
 )
 from .slowlog import SlowQueryLog
 from .stats import StatCounters
@@ -75,5 +74,4 @@ __all__ = [
     "SubtreeHeatMap",
     "Tracer",
     "get_registry",
-    "set_registry",
 ]

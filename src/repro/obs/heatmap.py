@@ -14,12 +14,13 @@ of the entry's sort key) and keeps, per bucket:
   bucket (fed from the federation's per-server transfer path).
 
 Counters are **EWMA-decayed**: every cell's decayed values halve each
-``half_life_s`` of inactivity, so ``hottest(n)`` ranks *current* load,
-not lifetime totals (which are kept too, undecayed, for accounting).
+:data:`HALF_LIFE_S` seconds of inactivity, so ``hottest(n)`` ranks
+*current* load, not lifetime totals (which are kept too, undecayed, for
+accounting).
 The decay clock is injectable -- under an injected clock the whole map
 is deterministic, which the tests and the E26 benchmark rely on.
 
-The map is bounded: at ``capacity`` cells the coldest cell (smallest
+The map is bounded: at :data:`CAPACITY` cells the coldest cell (smallest
 decayed heat) is evicted, so cardinality cannot grow with the keyspace.
 All mutation and ranking take one lock; the federation's scatter workers
 and the service's search threads update it concurrently.
@@ -37,6 +38,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 __all__ = ["SubtreeHeatMap"]
 
 _FIELDS = ("reads", "writes", "pages", "shipped")
+
+#: How many cells a map holds before it evicts the coldest.
+CAPACITY = 512
+#: Seconds of inactivity that halve a cell's decayed counters.
+HALF_LIFE_S = 300.0
 
 
 class _Cell:
@@ -70,10 +76,10 @@ class _Cell:
         self.last = now
         self.first_seen = now
 
-    def decay(self, now: float, half_life_s: float) -> None:
+    def decay(self, now: float) -> None:
         elapsed = now - self.last
         if elapsed > 0:
-            factor = 0.5 ** (elapsed / half_life_s)
+            factor = 0.5 ** (elapsed / HALF_LIFE_S)
             self.reads *= factor
             self.writes *= factor
             self.pages *= factor
@@ -106,22 +112,10 @@ class _Cell:
 class SubtreeHeatMap:
     """EWMA-decayed per-subtree load counters at a fixed prefix depth."""
 
-    def __init__(
-        self,
-        depth: int = 2,
-        capacity: int = 512,
-        half_life_s: float = 300.0,
-        clock: Callable[[], float] = time.time,
-    ):
+    def __init__(self, depth: int = 2, clock: Callable[[], float] = time.time):
         if depth < 1:
             raise ValueError("depth must be positive (0 disables the map)")
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if half_life_s <= 0:
-            raise ValueError("half_life_s must be positive")
         self.depth = depth
-        self.capacity = capacity
-        self.half_life_s = half_life_s
         self._clock = clock
         self._cells: Dict[Tuple[str, ...], _Cell] = {}
         self._lock = threading.Lock()
@@ -134,7 +128,7 @@ class SubtreeHeatMap:
         key = dn.key()[: self.depth]
         cell = self._cells.get(key)
         if cell is None:
-            if len(self._cells) >= self.capacity:
+            if len(self._cells) >= CAPACITY:
                 self._evict_locked(now)
             cell = _Cell(key, now)
             self._cells[key] = cell
@@ -143,7 +137,7 @@ class SubtreeHeatMap:
     def _evict_locked(self, now: float) -> None:
         coldest = None
         for cell in self._cells.values():
-            cell.decay(now, self.half_life_s)
+            cell.decay(now)
             if coldest is None or cell.heat < coldest.heat:
                 coldest = cell
         if coldest is not None:
@@ -156,7 +150,7 @@ class SubtreeHeatMap:
         now = self._clock()
         with self._lock:
             cell = self._cell_locked(base, now)
-            cell.decay(now, self.half_life_s)
+            cell.decay(now)
             cell.reads += amount
             cell.pages += pages
             cell.reads_total += amount
@@ -167,7 +161,7 @@ class SubtreeHeatMap:
         now = self._clock()
         with self._lock:
             cell = self._cell_locked(dn, now)
-            cell.decay(now, self.half_life_s)
+            cell.decay(now)
             cell.writes += amount
             cell.writes_total += amount
 
@@ -177,7 +171,7 @@ class SubtreeHeatMap:
         now = self._clock()
         with self._lock:
             cell = self._cell_locked(base, now)
-            cell.decay(now, self.half_life_s)
+            cell.decay(now)
             cell.shipped += entries
             cell.shipped_total += entries
 
@@ -194,7 +188,7 @@ class SubtreeHeatMap:
         now = self._clock()
         with self._lock:
             for cell in self._cells.values():
-                cell.decay(now, self.half_life_s)
+                cell.decay(now)
             cells = sorted(
                 self._cells.values(),
                 key=lambda c: (getattr(c, by), c.label),
@@ -207,8 +201,8 @@ class SubtreeHeatMap:
         cells when ``n`` is 0)."""
         return {
             "depth": self.depth,
-            "capacity": self.capacity,
-            "half_life_s": self.half_life_s,
+            "capacity": CAPACITY,
+            "half_life_s": HALF_LIFE_S,
             "cells": len(self),
             "evicted": self.evicted,
             "by": by,

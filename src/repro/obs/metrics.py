@@ -16,8 +16,9 @@ asking the registry for an instrument that already exists returns it
 (mismatched kind or labels raise), so any layer can declare the metrics
 it needs without coordination.
 
-:func:`get_registry` returns the process-wide default registry; services
-accept an explicit registry for isolation (tests, multi-tenant).
+:func:`get_registry` returns the one process-wide registry, the same
+object for the life of the process; services accept an explicit registry
+for isolation (tests, multi-tenant).
 
 Thread safety: registration (get-or-create) and every observation
 (``inc``/``set``/``observe``) are guarded by locks -- one per registry
@@ -25,14 +26,6 @@ for the instrument table, one per instrument for its series -- so
 concurrent workers (the federation's scatter-gather pool) never lose
 increments or race two creations of the same instrument.  Exposition
 reads under the same locks and therefore sees consistent totals.
-
-Swapping the default registry (:func:`set_registry`) *adopts* the
-previous registry's instruments by default: handles created before the
-swap stay registered -- same objects, same totals -- in the new default,
-so long-lived layers that cached a counter keep being scraped instead of
-silently writing into a stranded registry.  Pass ``adopt=False`` for a
-hermetic swap (tests that want fresh counts); :func:`use_registry` is
-the context-manager form that restores the previous default on exit.
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -49,8 +41,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "set_registry",
-    "use_registry",
 ]
 
 #: Default latency buckets, in seconds (tuned for an in-process engine).
@@ -389,21 +379,6 @@ class MetricsRegistry:
             self._instruments[instrument.name] = instrument
             return instrument
 
-    def adopt(self, other: "MetricsRegistry") -> int:
-        """Register every instrument of ``other`` not already present here
-        (same objects, totals preserved).  Returns how many were adopted.
-        This is what keeps live handles visible across a default-registry
-        swap."""
-        adopted = 0
-        with other._lock:
-            instruments = dict(other._instruments)
-        with self._lock:
-            for name, instrument in instruments.items():
-                if name not in self._instruments:
-                    self._instruments[name] = instrument
-                    adopted += 1
-        return adopted
-
     def counter(
         self, name: str, help_text: str = "", labelnames: Sequence[str] = ()
     ) -> Counter:
@@ -462,43 +437,10 @@ class MetricsRegistry:
         return "MetricsRegistry(%d instruments)" % len(self._instruments)
 
 
-#: The process-wide default registry.
+#: The process-wide registry.
 _REGISTRY = MetricsRegistry()
-_REGISTRY_LOCK = threading.Lock()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide default registry (every layer's fallback)."""
+    """The process-wide registry (every layer's fallback)."""
     return _REGISTRY
-
-
-def set_registry(registry: MetricsRegistry, adopt: bool = True) -> MetricsRegistry:
-    """Swap the process-wide registry; returns the previous one.
-
-    By default the new registry adopts the previous registry's
-    instruments (same objects, totals preserved), so handles cached by
-    long-lived layers are not stranded: they keep being exposed by the
-    new default.  Pass ``adopt=False`` for a hermetic swap where the new
-    registry starts empty (old handles then write into the previous
-    registry only -- deliberate test isolation)."""
-    global _REGISTRY
-    with _REGISTRY_LOCK:
-        previous = _REGISTRY
-        if adopt and registry is not previous:
-            registry.adopt(previous)
-        _REGISTRY = registry
-        return previous
-
-
-@contextmanager
-def use_registry(registry: Optional[MetricsRegistry] = None, adopt: bool = False):
-    """Temporarily make ``registry`` (default: a fresh, empty one) the
-    process-wide default; restores the previous default on exit.  The
-    hermetic ``adopt=False`` is the default here because the scoped form
-    exists for isolation."""
-    registry = registry if registry is not None else MetricsRegistry()
-    previous = set_registry(registry, adopt=adopt)
-    try:
-        yield registry
-    finally:
-        set_registry(previous, adopt=False)

@@ -23,6 +23,9 @@ from .event import SearchEvent
 
 __all__ = ["SlowQueryLog"]
 
+#: How many retained searches the ring holds (the newest).
+CAPACITY = 64
+
 
 class SlowQueryLog:
     """Retain interesting searches, judging ``slow`` against
@@ -33,12 +36,10 @@ class SlowQueryLog:
     ring wraps) and ``offered >= kept`` hold under any interleaving.
     """
 
-    def __init__(self, threshold_seconds: Optional[float] = None, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+    def __init__(self, threshold_seconds: Optional[float] = None):
         self.threshold_seconds = threshold_seconds
         self._lock = threading.Lock()
-        self._ring: Deque[SearchEvent] = deque(maxlen=capacity)
+        self._ring: Deque[SearchEvent] = deque(maxlen=CAPACITY)
         #: Searches offered / retained since construction.
         self.offered = 0
         self.kept = 0

@@ -6,12 +6,12 @@ The repository observes itself through plain-integer counter blocks --
 way to measure one phase is to *bracket* it: snapshot the live counters,
 run the phase, subtract (every span of :mod:`repro.obs.trace` brackets
 the pager's ``IOStats`` so).  :class:`StatCounters` factors that protocol out
-so every block offers the same four operations and new blocks get them for
+so every block offers the same three operations and new blocks get them for
 free:
 
 - :meth:`~StatCounters.snapshot` -- an immutable-by-convention copy;
-- :meth:`~StatCounters.since` / :meth:`~StatCounters.delta` -- the
-  counter-wise difference from an earlier snapshot;
+- :meth:`~StatCounters.since` -- the counter-wise difference from an
+  earlier snapshot;
 - :meth:`~StatCounters.as_dict` -- the counters as a plain dict (the
   machine-readable form every exporter consumes).
 
@@ -99,7 +99,3 @@ class StatCounters:
             return type(self)(*map(sub, values(self), values(earlier)))
         with lock:
             return type(self)(*map(sub, values(self), values(earlier)))
-
-    def delta(self, earlier: "StatCounters") -> "StatCounters":
-        """Alias of :meth:`since` (the name exporters use)."""
-        return self.since(earlier)

@@ -3,15 +3,15 @@
 The paper proves *I/O bounds per operator*; this tracer makes them
 observable per operator at runtime.  A :class:`Tracer` brackets one live
 counter block, :attr:`Tracer.io` -- the pager's
-:class:`~repro.storage.pager.IOStats`, bound by the engine or federation
-that owns the pager.  Each :class:`Span` is its own context manager: it
-records wall time plus the delta of the block bound when it opened, so
-wrapping each engine operator in a span yields the page transfers that
-operator caused -- inclusive of its children, with :meth:`Span.exclusive`
-subtracting back out the children that bracketed the same block.  The
-exclusive costs of a span tree always sum to the root's inclusive cost,
-which is how EXPLAIN ``--analyze`` reconciles per-operator I/O against the
-pager's global counters.
+:class:`~repro.storage.pager.IOStats`, bound by the service, engine or
+federation that owns the pager.  Each :class:`Span` is its own context
+manager: it records wall time plus the delta of the block bound when it
+opened, so wrapping each engine operator in a span yields the page
+transfers that operator caused -- inclusive of its children, with
+:meth:`Span.exclusive` subtracting back out the children that bracketed
+the same block.  The exclusive costs of a span tree always sum to the
+root's inclusive cost, which is how EXPLAIN ``--analyze`` reconciles
+per-operator I/O against the pager's global counters.
 
 Tracing is **off by default and free when off**: :data:`NULL_TRACER` is a
 process-wide singleton whose :meth:`~NullTracer.span` returns the tracer
@@ -43,6 +43,9 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
+
+#: How many finished root spans a live tracer keeps (the newest).
+KEEP_ROOTS = 256
 
 
 class Span:
@@ -100,8 +103,7 @@ class Span:
                 parent.children.append(self)
             else:
                 tracer.root_spans.append(self)
-                if tracer.keep_roots is not None:
-                    del tracer.root_spans[: -tracer.keep_roots]
+                del tracer.root_spans[:-KEEP_ROOTS]
         return False
 
     def set(self, **attrs: Any) -> "Span":
@@ -178,15 +180,15 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, keep_roots: Optional[int] = 256):
+    def __init__(self):
         #: The live counter block every span brackets (must offer
-        #: ``snapshot()``/``since()``): the owning engine binds its
-        #: pager's :class:`~repro.storage.pager.IOStats` when None, and a
-        #: federation rebinds it to each query's coordinator.
+        #: ``snapshot()``/``since()``): the owning service or engine binds
+        #: its pager's :class:`~repro.storage.pager.IOStats` when None, and
+        #: a federation rebinds it to each query's coordinator.
         self.io = None
-        #: Completed top-level spans, oldest first (bounded by keep_roots).
+        #: The newest :data:`KEEP_ROOTS` completed top-level spans, oldest
+        #: first.
         self.root_spans: List[Span] = []
-        self.keep_roots = keep_roots
         self._tls = _ThreadState()
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -242,9 +244,6 @@ class Tracer:
     def last_root(self) -> Optional[Span]:
         return self.root_spans[-1] if self.root_spans else None
 
-    def clear(self) -> None:
-        self.root_spans = []
-
     def __repr__(self) -> str:
         return "Tracer(%d roots)" % len(self.root_spans)
 
@@ -285,9 +284,6 @@ class NullTracer:
 
     def last_root(self) -> None:
         return None
-
-    def clear(self) -> None:
-        pass
 
     def __repr__(self) -> str:
         return "NullTracer()"

@@ -201,6 +201,10 @@ class DirectoryService:
                 metrics=self.metrics,
                 log=self.log,
             )
+        # Bound here rather than by the first engine, so the first
+        # search's spans carry I/O too: every compaction reuses this pager.
+        if self.tracer.enabled and self.tracer.io is None:
+            self.tracer.io = self.directory.store.pager.stats
         self._m_search_seconds = self.metrics.histogram(
             "repro_search_seconds", "Search latency, end to end"
         )

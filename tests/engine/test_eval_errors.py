@@ -15,7 +15,7 @@ from repro.model.dn import DN
 from repro.model.entry import Entry
 from repro.model.instance import DirectoryInstance
 from repro.model.schema import DirectorySchema
-from repro.obs.metrics import use_registry
+from repro.obs.metrics import get_registry
 from repro.query.parser import parse_query
 from repro.storage.store import DirectoryStore
 
@@ -124,24 +124,28 @@ class TestQueryResultSurface:
         assert total(node.as_dict()) == 1
 
 
+def coercion_errors(kind):
+    counter = get_registry().get("repro_filter_eval_errors_total")
+    return counter.value(kind=kind) if counter is not None else 0
+
+
 class TestFilterCoercionCounter:
-    """Absorbed coercion failures increment the labelled metric."""
+    """Absorbed coercion failures increment the labelled metric in the
+    process registry."""
 
     def test_dn_coercion_failure_is_counted(self):
         bearer = Entry(
             DN.parse("cn=x, dc=com"), ["node"], {"ref": [DN.parse("cn=y, dc=com")]}
         )
-        with use_registry() as registry:
-            assert not Equality("ref", BAD_REF).matches(bearer)
-            counter = registry.get("repro_filter_eval_errors_total")
-            assert counter.value(kind="dn-coerce") == 1
+        before = coercion_errors("dn-coerce")
+        assert not Equality("ref", BAD_REF).matches(bearer)
+        assert coercion_errors("dn-coerce") - before == 1
 
     def test_int_coercion_failure_is_counted(self):
         bearer = Entry(DN.parse("cn=x, dc=com"), ["node"], {"n": [5]})
-        with use_registry() as registry:
-            assert not Equality("n", "abc").matches(bearer)
-            counter = registry.get("repro_filter_eval_errors_total")
-            assert counter.value(kind="int-coerce") == 1
+        before = coercion_errors("int-coerce")
+        assert not Equality("n", "abc").matches(bearer)
+        assert coercion_errors("int-coerce") - before == 1
 
     def test_successful_comparisons_count_nothing(self):
         bearer = Entry(
@@ -149,7 +153,8 @@ class TestFilterCoercionCounter:
             ["node"],
             {"ref": [DN.parse("cn=y, dc=com")], "n": [5]},
         )
-        with use_registry() as registry:
-            assert Equality("ref", "cn=y, dc=com").matches(bearer)
-            assert Equality("n", "5").matches(bearer)
-            assert registry.get("repro_filter_eval_errors_total") is None
+        kinds = ("dn-coerce", "int-coerce")
+        before = [coercion_errors(kind) for kind in kinds]
+        assert Equality("ref", "cn=y, dc=com").matches(bearer)
+        assert Equality("n", "5").matches(bearer)
+        assert [coercion_errors(kind) for kind in kinds] == before

@@ -35,7 +35,7 @@ from repro.filters.ast import (
 from repro.model.dn import DN
 from repro.model.entry import Entry
 from repro.model.schema import DirectorySchema
-from repro.obs.metrics import use_registry
+from repro.obs.metrics import get_registry
 
 ATTRIBUTES = ("s", "n", "r")
 ERROR_KINDS = ("dn-coerce", "int-coerce")
@@ -97,9 +97,16 @@ entries = st.fixed_dictionaries(
 ).map(lambda attrs: Entry(DN.parse("cn=x, dc=com"), ["node"], attrs))
 
 
-def errors(registry):
-    counter = registry.get("repro_filter_eval_errors_total")
+def errors():
+    counter = get_registry().get("repro_filter_eval_errors_total")
     return tuple(counter.value(kind=kind) if counter else 0 for kind in ERROR_KINDS)
+
+
+def counted(run):
+    """``run()``'s result and the evaluation errors it counted, per kind."""
+    before = errors()
+    result = run()
+    return result, tuple(after - was for after, was in zip(errors(), before))
 
 
 def node(**attrs):
@@ -118,13 +125,12 @@ def node(**attrs):
 @example(FilterNot(Equality("r", DN.parse("dc=com"))), [node(r=["no dn", 1])])
 def test_predicate_equals_matches(filter_, batch):
     for schema in SCHEMAS:
-        with use_registry() as registry:
-            test = filter_.predicate(schema)
-            compiled = [test(entry) for entry in batch]
-            compiled_errors = errors(registry)
-        with use_registry() as registry:
-            walked = [filter_.matches(entry, schema) for entry in batch]
-            walked_errors = errors(registry)
+        compiled, compiled_errors = counted(
+            lambda: list(map(filter_.predicate(schema), batch))
+        )
+        walked, walked_errors = counted(
+            lambda: [filter_.matches(entry, schema) for entry in batch]
+        )
         context = (str(filter_), schema)
         assert compiled == walked, context
         assert compiled_errors == walked_errors, context
@@ -142,12 +148,10 @@ def test_page_form_equals_matches(filter_, page):
     errors counted as the per-entry walk."""
     for schema in SCHEMAS:
         original = list(page)
-        with use_registry() as registry:
-            kept = filter_.page_form(schema)(page)
-            page_errors = errors(registry)
-        with use_registry() as registry:
-            walked = [entry for entry in page if filter_.matches(entry, schema)]
-            walked_errors = errors(registry)
+        kept, page_errors = counted(lambda: filter_.page_form(schema)(page))
+        walked, walked_errors = counted(
+            lambda: [entry for entry in page if filter_.matches(entry, schema)]
+        )
         context = (str(filter_), schema)
         assert [id(entry) for entry in kept] == [id(entry) for entry in walked], context
         assert kept is not page and list(map(id, page)) == list(map(id, original)), context

@@ -4,7 +4,8 @@ injected clock, coldest-cell eviction, and ranking."""
 import pytest
 
 from repro.model.dn import DN
-from repro.obs.heatmap import SubtreeHeatMap
+from repro.obs import heatmap
+from repro.obs.heatmap import CAPACITY, HALF_LIFE_S, SubtreeHeatMap
 
 
 class FakeClock:
@@ -53,19 +54,15 @@ class TestKeying:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             SubtreeHeatMap(depth=0)
-        with pytest.raises(ValueError):
-            SubtreeHeatMap(capacity=0)
-        with pytest.raises(ValueError):
-            SubtreeHeatMap(half_life_s=0)
 
 
 class TestDecay:
     def test_one_half_life_halves_the_decayed_counters(self):
         clock = FakeClock()
-        heat = SubtreeHeatMap(depth=1, half_life_s=60.0, clock=clock)
+        heat = SubtreeHeatMap(depth=1, clock=clock)
         for _ in range(10):
             heat.record_read(COM, pages=2)
-        clock.now += 60.0
+        clock.now += HALF_LIFE_S
         cell = heat.hottest(1)[0]
         assert cell["reads"] == pytest.approx(5.0)
         assert cell["pages"] == pytest.approx(10.0)
@@ -74,10 +71,10 @@ class TestDecay:
 
     def test_ranking_follows_current_load_not_lifetime(self):
         clock = FakeClock()
-        heat = SubtreeHeatMap(depth=2, half_life_s=10.0, clock=clock)
+        heat = SubtreeHeatMap(depth=2, clock=clock)
         for _ in range(100):
             heat.record_read(ATT)          # historically hot
-        clock.now += 200.0                  # 20 half-lives: ~0
+        clock.now += 20 * HALF_LIFE_S       # 20 half-lives: ~0
         for _ in range(3):
             heat.record_read(COM)          # currently hot
         ranked = heat.hottest(2)
@@ -85,13 +82,13 @@ class TestDecay:
         assert ranked[0]["reads_total"] == 3
         assert ranked[1]["reads_total"] == 100
 
-    def test_coldest_cell_is_evicted_at_capacity(self):
+    def test_coldest_cell_is_evicted_at_capacity(self, monkeypatch):
+        monkeypatch.setattr(heatmap, "CAPACITY", 2)
         clock = FakeClock()
-        heat = SubtreeHeatMap(depth=2, capacity=2, half_life_s=10.0,
-                              clock=clock)
+        heat = SubtreeHeatMap(depth=2, clock=clock)
         heat.record_read(ATT, amount=100)
         heat.record_read(COM)              # cold
-        clock.now += 5.0
+        clock.now += HALF_LIFE_S / 2
         # A genuinely new prefix at capacity evicts the coldest cell.
         heat.record_read(DN.parse("dc=example, dc=org"))
         labels = {c["subtree"] for c in heat.hottest(10)}
@@ -118,12 +115,13 @@ class TestRanking:
         import json
 
         clock = FakeClock()
-        heat = SubtreeHeatMap(depth=2, half_life_s=60.0, clock=clock)
+        heat = SubtreeHeatMap(depth=2, clock=clock)
         heat.record_read(ATT, pages=3)
         snap = heat.snapshot(n=5)
         json.dumps(snap)
         assert snap["depth"] == 2 and snap["cells"] == 1
-        assert snap["half_life_s"] == 60.0
+        assert snap["capacity"] == CAPACITY == 512
+        assert snap["half_life_s"] == HALF_LIFE_S == 300.0
         assert snap["hottest"][0]["subtree"] == "dc=att, dc=com"
 
     def test_reset(self):

@@ -9,8 +9,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
-    set_registry,
 )
 
 
@@ -122,15 +120,6 @@ class TestRegistry:
         )
         text = registry.to_prometheus()
         assert '\\"hi\\"' in text and "\\n" in text
-
-    def test_process_registry_swap(self):
-        mine = MetricsRegistry()
-        previous = set_registry(mine)
-        try:
-            assert get_registry() is mine
-        finally:
-            set_registry(previous)
-        assert get_registry() is previous
 
 
 class TestHistogramQuantiles:

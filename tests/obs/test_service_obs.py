@@ -82,6 +82,15 @@ class TestSearchSpans:
         assert root.find("cache-lookup").attrs["hit"] is True
         assert root.attrs["cached"] is True
 
+    def test_first_search_spans_carry_io(self, observed):
+        # The service binds the tracer to its pager before any engine
+        # exists, so the very first search is attributed like the rest.
+        service, tracer, _registry = observed
+        service.search(QUERY)
+        root = tracer.last_root()
+        for span in (root, root.find("parse"), root.find("cache-lookup")):
+            assert span.io is not None, span.name
+        assert root.io.logical_reads > 0
 
     def test_search_after_write_carries_pending_and_no_compact_span(self, observed):
         service, tracer, registry = observed

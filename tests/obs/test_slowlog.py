@@ -1,9 +1,8 @@
 """The slow-query log: threshold, ring capacity, disabled default."""
 
+from repro.obs import slowlog
 from repro.obs.event import SearchEvent
 from repro.obs.slowlog import SlowQueryLog
-
-import pytest
 
 
 class TestSlowQueryLog:
@@ -24,8 +23,9 @@ class TestSlowQueryLog:
         assert record.pages == 7
         assert record.rows == 3
 
-    def test_ring_keeps_newest(self):
-        log = SlowQueryLog(threshold_seconds=0.0, capacity=2)
+    def test_ring_keeps_newest(self, monkeypatch):
+        monkeypatch.setattr(slowlog, "CAPACITY", 2)
+        log = SlowQueryLog(threshold_seconds=0.0)
         for i in range(5):
             log.record(SearchEvent(query_text="q%d" % i, elapsed=1.0))
         assert [r.query_text for r in log.records()] == ["q3", "q4"]
@@ -43,10 +43,6 @@ class TestSlowQueryLog:
             "cached": True,
             "result_size": 2,
         }
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SlowQueryLog(threshold_seconds=0.0, capacity=0)
 
 
 class TestTraceCorrelation:

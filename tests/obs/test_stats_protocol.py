@@ -47,14 +47,6 @@ class TestIOStats:
         assert delta.logical_reads == 2
         assert delta.allocated == 0
 
-    def test_delta_is_alias_of_since(self):
-        pager = busy_pager()
-        before = pager.stats.snapshot()
-        pager.read(0)
-        assert pager.stats.delta(before).as_dict() == (
-            pager.stats.since(before).as_dict()
-        )
-
     def test_since_rejects_foreign_type(self):
         with pytest.raises(TypeError):
             IOStats().since(CacheStats())

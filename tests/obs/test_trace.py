@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.engine.engine import QueryEngine
+from repro.obs import trace
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 from repro.query.parser import parse_query
 from repro.query.semantics import evaluate
@@ -119,8 +120,10 @@ class TestSpanIdentity:
         root = tracer.last_root()
         assert "RuntimeError" in root.attrs["error"]
 
-    def test_root_ring_is_bounded(self):
-        tracer = Tracer(keep_roots=2)
+    def test_root_ring_is_bounded(self, monkeypatch):
+        # A live tracer keeps exactly its newest KEEP_ROOTS roots.
+        monkeypatch.setattr(trace, "KEEP_ROOTS", 2)
+        tracer = Tracer()
         for i in range(5):
             with tracer.span("s%d" % i):
                 pass

@@ -11,6 +11,7 @@ from tests.obs.test_budget import make_instance
 from tests.obs.test_digest import event
 from repro.model.dn import DN
 from repro.obs.digest import QueryDigestTable
+from repro.obs import heatmap
 from repro.obs.heatmap import SubtreeHeatMap
 from repro.obs.log import CapturingLogger
 from repro.obs.metrics import MetricsRegistry
@@ -77,7 +78,7 @@ class TestDigestHammer:
 
 class TestHeatmapHammer:
     def test_lifetime_totals_are_exact_under_contention(self):
-        heat = SubtreeHeatMap(depth=2, capacity=64, clock=lambda: 0.0)
+        heat = SubtreeHeatMap(depth=2, clock=lambda: 0.0)
         subtrees = [
             DN.parse("ou=t%d, dc=com" % index) for index in range(THREADS)
         ]
@@ -97,8 +98,9 @@ class TestHeatmapHammer:
         assert sum(c["writes_total"] for c in cells) == THREADS * ROUNDS
         assert sum(c["shipped_total"] for c in cells) == THREADS * ROUNDS * 3
 
-    def test_ranking_while_writers_run(self):
-        heat = SubtreeHeatMap(depth=1, capacity=8, clock=lambda: 0.0)
+    def test_ranking_while_writers_run(self, monkeypatch):
+        monkeypatch.setattr(heatmap, "CAPACITY", 8)
+        heat = SubtreeHeatMap(depth=1, clock=lambda: 0.0)
         stop = threading.Event()
 
         def reader(_index):
