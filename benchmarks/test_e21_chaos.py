@@ -18,7 +18,6 @@ from repro.dist import (
     RetryPolicy,
 )
 from repro.engine import QueryEngine
-from repro.obs.metrics import MetricsRegistry
 from repro.workload import RandomQueries, balanced_instance
 
 from tests.dist.faults import FaultInjector, FaultPlan
@@ -38,10 +37,8 @@ def _build(drop_rate):
     assignments = {"hq": [root]}
     for index, subnet in enumerate(subnets):
         assignments["subnet%d" % index] = [subnet]
-    registry = MetricsRegistry()
     network = FaultInjector(
         FaultPlan(seed=SEED, drop_rate=drop_rate, latency_s=0.001),
-        metrics=registry,
     )
     federation = FederatedDirectory.partition(
         instance,
@@ -49,7 +46,6 @@ def _build(drop_rate):
         page_size=16,
         network=network,
         leaf_cache_bytes=0,  # every remote leaf goes over the faulty wire
-        metrics=registry,
     )
     federation.enable_resilience(
         ResiliencePolicy(

@@ -23,7 +23,6 @@ import time
 
 from repro.dist import FederatedDirectory, SimulatedNetwork
 from repro.engine import QueryEngine
-from repro.obs.metrics import MetricsRegistry
 from repro.workload import balanced_instance
 
 from ._util import record
@@ -54,7 +53,6 @@ def _build(max_workers, wire_latency_s=WIRE_LATENCY_S):
         page_size=16,
         network=network,
         leaf_cache_bytes=0,  # every remote leaf goes over the wire
-        metrics=MetricsRegistry(),
         max_workers=max_workers,
     )
     return instance, federation, network

@@ -22,10 +22,10 @@ entries track the delta; failover re-shipping is bounded by the tail.
 """
 
 from repro.dist import ReplicatedContext, SimulatedNetwork
-from repro.obs.metrics import MetricsRegistry
 from repro.workload import synthetic_schema
 
 from tests.dist.faults import FaultInjector, FaultPlan
+from tests.meter import Meter
 
 from ._util import record
 
@@ -41,7 +41,6 @@ def _group(network=None, ack="primary"):
         secondaries=SECONDARIES,
         network=network if network is not None else SimulatedNetwork(),
         ack=ack,
-        metrics=MetricsRegistry(),
     )
     replicated.add("name=r", ["node"], name="r")
     return replicated
@@ -57,6 +56,7 @@ def _load(replicated, count, prefix="e"):
 
 def _shipping_run(size):
     """Bulk ship ``size`` writes, then an incremental ``DELTA`` catch-up."""
+    meter = Meter()
     network = SimulatedNetwork()
     replicated = _group(network)
     _load(replicated, size)
@@ -70,10 +70,7 @@ def _shipping_run(size):
         "bulk_messages": bulk_messages,
         "bulk_entries": bulk_entries,
         "incremental_entries": incremental_entries,
-        "shipped_records": int(
-            replicated.metrics.get(
-                "repro_replication_shipped_records_total").value()
-        ),
+        "shipped_records": int(meter("repro_replication_shipped_records_total")),
         "changelog_after": replicated.changelog_length(),
     }
 
@@ -82,7 +79,7 @@ def _resync_run(size):
     """One replica sits out ``size`` writes behind a quorum floor, then
     rejoins: the catch-up is a snapshot resync, not a log replay."""
     plan = FaultPlan().partition("primary", "secondary1", 0.0, 5.0)
-    network = FaultInjector(plan, metrics=MetricsRegistry())
+    network = FaultInjector(plan)
     replicated = _group(network, ack="quorum")
     _load(replicated, size)
     # secondary0 acked everything via quorum writes; the changelog floor

@@ -18,7 +18,6 @@ import time
 from collections import Counter
 
 from repro.cache import fingerprint
-from repro.obs.metrics import MetricsRegistry
 from repro.server import DirectoryService
 from repro.workload import ZipfQueryStream, random_instance
 
@@ -39,7 +38,6 @@ def make_service(obs: bool, cache_bytes: int = 8 * 1024 * 1024):
         page_size=16,
         buffer_pages=8,
         cache_bytes=cache_bytes,
-        metrics=MetricsRegistry(),
         digest_capacity=256 if obs else 0,
         heatmap_depth=HEAT_DEPTH if obs else 0,
     )

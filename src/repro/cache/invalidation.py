@@ -61,13 +61,11 @@ class IncrementalCacheMaintainer:
         self,
         directory: UpdatableDirectory,
         cache: QueryCache,
-        metrics=None,
     ):
         self.directory = directory
         self.cache = cache
         self.schema = directory.schema
-        registry = metrics if metrics is not None else get_registry()
-        self._m_actions = registry.counter(
+        self._m_actions = get_registry().counter(
             "repro_cache_maintainer_actions_total",
             "Incremental cache maintenance outcomes per touched resident",
             labelnames=("action",),

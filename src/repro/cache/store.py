@@ -99,7 +99,6 @@ class QueryCache:
     def __init__(
         self,
         byte_budget: int = 512 * 1024,
-        stats: Optional[CacheStats] = None,
         log=None,
     ):
         if byte_budget < 1:
@@ -109,7 +108,7 @@ class QueryCache:
         #: at debug level); None/no-op by default.
         self.log = log
         self._lock = threading.RLock()
-        self.stats = stats or CacheStats()
+        self.stats = CacheStats()
         self.stats.attach_lock(self._lock)
         self._entries: Dict[str, CachedResult] = {}
         self._bytes = 0

@@ -223,16 +223,14 @@ def _cmd_stats(args) -> int:
 def _cmd_metrics(args) -> int:
     """Run searches through a full DirectoryService and dump the populated
     metrics registry (Prometheus text by default, --json for JSON)."""
-    from .obs.metrics import MetricsRegistry
+    from .obs.metrics import get_registry
     from .server.service import DirectoryService
 
     instance = _load(args.file, args.schema)
-    registry = MetricsRegistry()
     service = DirectoryService(
         instance,
         page_size=args.page_size,
         buffer_pages=args.buffer_pages,
-        metrics=registry,
         slow_query_seconds=(
             args.slow_ms / 1e3 if args.slow_ms is not None else None
         ),
@@ -240,6 +238,7 @@ def _cmd_metrics(args) -> int:
     service.bind_anonymous()
     for query in args.query or ():
         service.search(query)
+    registry = get_registry()
     if args.json:
         print(registry.to_json(indent=2))
     else:
@@ -272,17 +271,14 @@ def _cmd_top(args) -> int:
     the workload observability plane."""
     import json
 
-    from .obs.metrics import MetricsRegistry
     from .server.service import DirectoryService
     from .workload.generator import ZipfQueryStream
 
     instance = _load(args.file, args.schema)
-    registry = MetricsRegistry()
     service = DirectoryService(
         instance,
         page_size=args.page_size,
         buffer_pages=args.buffer_pages,
-        metrics=registry,
         heatmap_depth=args.depth,
     )
     service.bind_anonymous()

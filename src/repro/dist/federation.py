@@ -111,7 +111,6 @@ class FederatedDirectory:
         network: Optional[SimulatedNetwork] = None,
         leaf_cache_bytes: int = 256 * 1024,
         tracer=None,
-        metrics=None,
         max_workers: int = 1,
         log=None,
         heatmap=None,
@@ -135,38 +134,38 @@ class FederatedDirectory:
         #: The coordinator-side tracer; spans cross to remote servers via
         #: the trace context carried with each request.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else get_registry()
-        self._m_remote_requests = self.metrics.counter(
+        registry = get_registry()
+        self._m_remote_requests = registry.counter(
             "repro_fed_remote_requests_total",
             "Atomic sub-queries routed to a remote owner",
             labelnames=("server",),
         )
-        self._m_shipped_sublists = self.metrics.counter(
+        self._m_shipped_sublists = registry.counter(
             "repro_fed_shipped_sublists_total",
             "Result sublists shipped back from remote servers",
             labelnames=("server",),
         )
-        self._m_shipped_entries = self.metrics.counter(
+        self._m_shipped_entries = registry.counter(
             "repro_fed_shipped_entries_total",
             "Entries shipped back from remote servers",
             labelnames=("server",),
         )
-        self._m_leaf_cache = self.metrics.counter(
+        self._m_leaf_cache = registry.counter(
             "repro_fed_leaf_cache_lookups_total",
             "Remote-sublist cache lookups",
             labelnames=("outcome",),
         )
-        self._m_retries = self.metrics.counter(
+        self._m_retries = registry.counter(
             "repro_fed_retries_total",
             "Remote atomic call retries",
             labelnames=("server",),
         )
-        self._m_remote_failures = self.metrics.counter(
+        self._m_remote_failures = registry.counter(
             "repro_fed_remote_failures_total",
             "Remote atomic call failures (per attempt)",
             labelnames=("server", "code"),
         )
-        self._m_degraded = self.metrics.counter(
+        self._m_degraded = registry.counter(
             "repro_fed_degraded_total",
             "Remote leaves answered by a degradation rung",
             labelnames=("mode",),
@@ -212,7 +211,6 @@ class FederatedDirectory:
         network: Optional[SimulatedNetwork] = None,
         leaf_cache_bytes: int = 256 * 1024,
         tracer=None,
-        metrics=None,
         max_workers: int = 1,
         log=None,
     ) -> "FederatedDirectory":
@@ -227,7 +225,6 @@ class FederatedDirectory:
             network,
             leaf_cache_bytes=leaf_cache_bytes,
             tracer=tracer,
-            metrics=metrics,
             max_workers=max_workers,
             log=log,
         )
@@ -291,9 +288,7 @@ class FederatedDirectory:
         with self._breaker_lock:
             breaker = self._breakers.get(server_name)
             if breaker is None:
-                breaker = self.resilience.make_breaker(
-                    server_name, metrics=self.metrics, log=self.log
-                )
+                breaker = self.resilience.make_breaker(server_name, log=self.log)
                 self._breakers[server_name] = breaker
             return breaker
 

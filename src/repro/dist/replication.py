@@ -87,21 +87,18 @@ class ReplicaNode:
         directory: Optional[UpdatableDirectory] = None,
         page_size: int = 16,
         buffer_pages: int = 8,
-        metrics=None,
         log=None,
     ):
         self.name = name
         self.schema = schema
         self._page_size = page_size
         self._buffer_pages = buffer_pages
-        self._metrics = metrics
         self._log = log if log is not None else NULL_LOGGER
         if directory is None:
             directory = UpdatableDirectory.from_instance(
                 DirectoryInstance(schema),
                 page_size=page_size,
                 buffer_pages=buffer_pages,
-                metrics=metrics,
                 log=self._log,
             )
         self.directory = directory
@@ -184,7 +181,6 @@ class ReplicaNode:
         self.directory = UpdatableDirectory(
             store,
             start_lsn=snapshot_lsn,
-            metrics=self._metrics,
             log=self._log,
         )
         self.directory.add_record_listener(self._track)
@@ -234,7 +230,6 @@ class ReplicatedContext:
         ack: str = "primary",
         durable_dir: Optional[str] = None,
         wal_fsync: bool = False,
-        metrics=None,
         log=None,
     ):
         if ack not in ACK_LEVELS:
@@ -246,7 +241,6 @@ class ReplicatedContext:
         self.network = network or SimulatedNetwork()
         self.ack = ack
         self.log = log if log is not None else NULL_LOGGER
-        self.metrics = metrics if metrics is not None else get_registry()
         self._page_size = page_size
         self._buffer_pages = buffer_pages
 
@@ -258,22 +252,19 @@ class ReplicatedContext:
                 page_size=page_size,
                 buffer_pages=buffer_pages,
                 fsync=wal_fsync,
-                metrics=metrics,
                 log=self.log,
             )
         self.nodes: Dict[str, ReplicaNode] = {}
         primary = ReplicaNode(
             "primary", schema, directory=primary_directory,
-            page_size=page_size, buffer_pages=buffer_pages,
-            metrics=metrics, log=self.log,
+            page_size=page_size, buffer_pages=buffer_pages, log=self.log,
         )
         primary.role = "primary"
         self.nodes[primary.name] = primary
         for index in range(secondaries):
             node = ReplicaNode(
                 "secondary%d" % index, schema,
-                page_size=page_size, buffer_pages=buffer_pages,
-                metrics=metrics, log=self.log,
+                page_size=page_size, buffer_pages=buffer_pages, log=self.log,
             )
             self.nodes[node.name] = node
 
@@ -295,40 +286,41 @@ class ReplicatedContext:
         self.resyncs = 0
         self.failovers = 0
 
-        self._m_shipped = self.metrics.counter(
+        registry = get_registry()
+        self._m_shipped = registry.counter(
             "repro_replication_shipped_records_total",
             "Change records shipped to and applied by secondaries",
         )
-        self._m_changelog = self.metrics.gauge(
+        self._m_changelog = registry.gauge(
             "repro_replication_changelog_records",
             "Outstanding (untruncated) replication changelog records",
         )
-        self._m_epoch = self.metrics.gauge(
+        self._m_epoch = registry.gauge(
             "repro_replication_epoch", "Current replication epoch"
         )
-        self._m_lag = self.metrics.gauge(
+        self._m_lag = registry.gauge(
             "repro_replication_lag_records",
             "Records a replica is behind the primary",
             labelnames=("replica",),
         )
-        self._m_acked = self.metrics.gauge(
+        self._m_acked = registry.gauge(
             "repro_replication_acked_lsn",
             "Highest lsn a replica has acknowledged",
             labelnames=("replica",),
         )
-        self._m_fenced = self.metrics.counter(
+        self._m_fenced = registry.counter(
             "repro_replication_fenced_total",
             "Writes/ships rejected because the issuer's epoch was stale",
         )
-        self._m_failovers = self.metrics.counter(
+        self._m_failovers = registry.counter(
             "repro_replication_failovers_total",
             "Promotions of a secondary to primary",
         )
-        self._m_resyncs = self.metrics.counter(
+        self._m_resyncs = registry.counter(
             "repro_replication_resyncs_total",
             "Replica catch-ups via checkpoint snapshot + log suffix",
         )
-        self._m_ack_failures = self.metrics.counter(
+        self._m_ack_failures = registry.counter(
             "repro_replication_ack_failures_total",
             "Writes that missed their acknowledgment level",
         )
@@ -668,7 +660,6 @@ class ReplicatedContext:
             page_size=self._page_size,
             buffer_pages=self._buffer_pages,
             fsync=directory.wal.fsync,
-            metrics=self.metrics,
             log=self.log,
         )
         survived = reopened.wal.records_since(reopened.checkpoint_lsn)

@@ -27,6 +27,8 @@ import threading
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
+from ..obs.metrics import get_registry
+
 __all__ = ["RetryPolicy", "CircuitBreaker", "StaleStore", "ResiliencePolicy"]
 
 
@@ -101,7 +103,6 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         reset_timeout_s: float = 30.0,
         name: str = "",
-        metrics=None,
         log=None,
     ):
         if failure_threshold < 1:
@@ -120,14 +121,10 @@ class CircuitBreaker:
         self._lock = threading.Lock()
         #: (now, from_state, to_state) per transition, oldest first.
         self.transitions: List[Tuple[float, str, str]] = []
-        self._m_transitions = (
-            metrics.counter(
-                "repro_breaker_transitions_total",
-                "Circuit-breaker state transitions",
-                labelnames=("server", "to"),
-            )
-            if metrics is not None
-            else None
+        self._m_transitions = get_registry().counter(
+            "repro_breaker_transitions_total",
+            "Circuit-breaker state transitions",
+            labelnames=("server", "to"),
         )
 
     def _transition(self, to: str, now: float) -> None:
@@ -135,8 +132,7 @@ class CircuitBreaker:
             return
         self.transitions.append((now, self.state, to))
         previous, self.state = self.state, to
-        if self._m_transitions is not None:
-            self._m_transitions.inc(server=self.name, to=to)
+        self._m_transitions.inc(server=self.name, to=to)
         if self._log is not None and self._log.enabled:
             self._log.warning(
                 "breaker.transition",
@@ -262,12 +258,11 @@ class ResiliencePolicy:
         self.mode = mode
         self.serve_stale = serve_stale
 
-    def make_breaker(self, name: str, metrics=None, log=None) -> CircuitBreaker:
+    def make_breaker(self, name: str, log=None) -> CircuitBreaker:
         return CircuitBreaker(
             failure_threshold=self.breaker_failure_threshold,
             reset_timeout_s=self.breaker_reset_s,
             name=name,
-            metrics=metrics,
             log=log,
         )
 

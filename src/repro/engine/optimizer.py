@@ -81,16 +81,18 @@ the windows :meth:`AccessPlanner.witness_windows`
 derives from its first operand, and reports the run-level Q-error of
 every query it executes; EXPLAIN and ``repro plan`` render the same
 ``plan()``.  :class:`PlannedEngine` is only a constructor: a
-``QueryEngine`` whose planner is built from ``stats=`` / ``metrics=``.
+``QueryEngine`` whose planner is built from ``stats=``.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, List, Optional, Tuple
 
 from ..filters.ast import Comparison, Equality, MatchAll, Presence, Substring
 from ..model.dn import DN
 from ..model.schema import OBJECT_CLASS
+from ..obs.metrics import Histogram, get_registry
 
 from ..query.ast import (
     And,
@@ -301,9 +303,11 @@ QERROR_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 QERROR_ALERT = 4.0
 
 
-def qerror_histogram(registry):
-    """The shared ``repro_planner_qerror`` histogram (idempotent)."""
-    return registry.histogram(
+@cache
+def qerror_histogram() -> Histogram:
+    """``repro_planner_qerror`` in the process registry, resolved on the
+    first observation."""
+    return get_registry().histogram(
         "repro_planner_qerror",
         "Planner Q-error max(est/actual, actual/est), per planned run and "
         "per analyzed operator",
@@ -477,18 +481,15 @@ class AccessPlanner:
     """The engine's plan step: rewrites and orders a query once
     (:meth:`plan`), chooses scan vs index per atomic leaf, cost-estimated
     in pages (:meth:`plan_leaf`), and scores every run's root estimate
-    (:meth:`run_qerror`; ``metrics``, a registry, enables the
-    ``repro_planner_qerror`` histogram)."""
+    (:meth:`run_qerror`)."""
 
     def __init__(
         self,
         store: DirectoryStore,
         estimator: Optional[CardinalityEstimator] = None,
-        metrics=None,
     ):
         self.store = store
         self.estimator = estimator or CardinalityEstimator(store)
-        self._m_qerror = qerror_histogram(metrics) if metrics is not None else None
 
     def plan(self, query: Query) -> Tuple[Query, List[str]]:
         """Rewrite + cost-order ``query``; returns (planned query, applied
@@ -499,10 +500,7 @@ class AccessPlanner:
     def run_qerror(self, query: Query, rows: int) -> float:
         """Close the feedback loop for one executed plan: the Q-error of
         its root estimate against the ``rows`` it actually returned."""
-        factor = qerror(estimate_cardinality(query, self.estimator), rows)
-        if self._m_qerror is not None:
-            self._m_qerror.observe(factor)
-        return factor
+        return qerror(estimate_cardinality(query, self.estimator), rows)
 
     def _scan_pages(self, base: DN, max_depth: Optional[int]) -> int:
         """Estimated pages ``scan_pages(base, max_depth)`` reads: the
@@ -641,21 +639,18 @@ class PlannedEngine(QueryEngine):
     ``stats`` may be a static :class:`~repro.engine.stats.
     DirectoryStatistics` snapshot or a :class:`~repro.engine.stats.
     LiveDirectoryStatistics` (estimates then track the directory).
-    ``metrics`` (a registry) enables the ``repro_planner_qerror``
-    histogram; extra keyword arguments (``tracer``, ``heatmap``, ...) pass
-    through to the engine.
+    Extra keyword arguments (``tracer``, ``heatmap``, ...) pass through to
+    the engine.
     """
 
-    def __init__(
-        self, store: DirectoryStore, stats=None, metrics=None, **engine_options
-    ):
+    def __init__(self, store: DirectoryStore, stats=None, **engine_options):
         self.estimator = CardinalityEstimator(store, stats)
         # Touch the statistics now: a lazy first collection would land its
         # scan inside the first query's measured I/O window.
         self.estimator.stats
         super().__init__(
             store,
-            planner=AccessPlanner(store, self.estimator, metrics=metrics),
+            planner=AccessPlanner(store, self.estimator),
             **engine_options,
         )
 
@@ -759,7 +754,6 @@ def explain(
     query: Query,
     analyze: bool = False,
     planner: Optional[AccessPlanner] = None,
-    metrics=None,
 ) -> ExplainNode:
     """Build the EXPLAIN tree for ``query`` (post-rewrite, post-reorder:
     the tree shows the plan an engine with this planner would execute).
@@ -769,9 +763,8 @@ def explain(
     harvested from the span tree -- which mirrors the query tree exactly
     -- so the per-operator actuals sum to the pager's global delta for
     the run, and every per-operator Q-error is observed into the
-    ``repro_planner_qerror`` histogram (``metrics`` overrides the
-    process-wide registry).  An operand the engine skipped because an
-    empty operand decided its node has no actuals and says so
+    ``repro_planner_qerror`` histogram.  An operand the engine skipped
+    because an empty operand decided its node has no actuals and says so
     (``skipped: decided by empty first operand``); a leaf read over
     windows is labelled ``via window[k roots]``, and the leaves a shared
     scan read ``via shared scan[k filters]`` -- each with its own result
@@ -873,9 +866,7 @@ def explain(
     if applied:
         root.label += "  [rewrites: %s]" % "; ".join(applied)
     if analyze:
-        from ..obs.metrics import get_registry
-
-        histogram = qerror_histogram(metrics if metrics is not None else get_registry())
+        histogram = qerror_histogram()
 
         def observe(node: ExplainNode) -> None:
             if node.qerror is not None:

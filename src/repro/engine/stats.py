@@ -236,7 +236,7 @@ class LiveDirectoryStatistics:
     (correctness never depends on them).
     """
 
-    def __init__(self, directory, metrics=None):
+    def __init__(self, directory):
         from ..obs.metrics import get_registry
 
         self.directory = directory
@@ -245,7 +245,7 @@ class LiveDirectoryStatistics:
         self._stale = True
         self.rebuilds = 0
         self.deltas_applied = 0
-        registry = metrics if metrics is not None else get_registry()
+        registry = get_registry()
         self._m_rebuilds = registry.counter(
             "repro_stats_rebuilds_total",
             "Full statistics rebuilds (initial collection included)",

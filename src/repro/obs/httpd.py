@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
 from .log import NULL_LOGGER
-from .metrics import Histogram, MetricsRegistry, get_registry
+from .metrics import Histogram, get_registry
 
 __all__ = ["AdminServer"]
 
@@ -105,8 +105,6 @@ HEATMAP_ORDERINGS = ("heat", "reads", "writes", "pages", "shipped")
 class AdminServer:
     """The operations-plane HTTP endpoint, on a daemon thread.
 
-    :param registry: metrics registry to expose (process default when
-        omitted).
     :param slow_queries: a :class:`~repro.obs.slowlog.SlowQueryLog`
         (``/slowlog`` and ``/traces`` serve an empty ring without one).
     :param health: zero-argument callable returning extra ``/healthz``
@@ -121,7 +119,6 @@ class AdminServer:
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry] = None,
         slow_queries=None,
         health: Optional[Callable[[], Dict[str, Any]]] = None,
         host: str = "127.0.0.1",
@@ -130,7 +127,6 @@ class AdminServer:
         digest=None,
         heatmap=None,
     ):
-        self.registry = registry if registry is not None else get_registry()
         self.slow_queries = slow_queries
         self.health = health
         self.digest = digest
@@ -208,7 +204,7 @@ class AdminServer:
     # -- payloads ----------------------------------------------------------
 
     def metrics_text(self) -> str:
-        return self.registry.to_prometheus()
+        return get_registry().to_prometheus()
 
     def healthz(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -226,7 +222,7 @@ class AdminServer:
             "total": getattr(log, "total", 0),
             "records": log.as_dicts() if log is not None else [],
         }
-        histogram = self.registry.get(SEARCH_LATENCY_METRIC)
+        histogram = get_registry().get(SEARCH_LATENCY_METRIC)
         if isinstance(histogram, Histogram):
             payload["latency_quantiles"] = histogram.quantiles()
         return payload

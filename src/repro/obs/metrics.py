@@ -17,8 +17,7 @@ asking the registry for an instrument that already exists returns it
 it needs without coordination.
 
 :func:`get_registry` returns the one process-wide registry, the same
-object for the life of the process; services accept an explicit registry
-for isolation (tests, multi-tenant).
+object for the life of the process.
 
 Thread safety: registration (get-or-create) and every observation
 (``inc``/``set``/``observe``) are guarded by locks -- one per registry

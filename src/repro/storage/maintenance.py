@@ -322,7 +322,6 @@ class UpdatableDirectory:
         store: DirectoryStore,
         auto_compact_at: int = 1024,
         start_lsn: int = 0,
-        metrics=None,
         log=None,
     ):
         self.store = store
@@ -352,35 +351,35 @@ class UpdatableDirectory:
         #: past failures; see :meth:`_dispatch`).
         self.listener_errors = 0
         self.log = log if log is not None else NULL_LOGGER
-        self.metrics = metrics if metrics is not None else get_registry()
-        self._compactions_metric = self.metrics.counter(
+        registry = get_registry()
+        self._compactions_metric = registry.counter(
             "repro_compactions_total",
             "Update-log compactions merged into the master run",
         )
-        self._compaction_seconds = self.metrics.histogram(
+        self._compaction_seconds = registry.histogram(
             "repro_compaction_seconds",
             "Wall time of one overlay compaction (merge + index rebuild)",
         )
-        self._updates_metric = self.metrics.counter(
+        self._updates_metric = registry.counter(
             "repro_updates_total",
             "Committed directory updates by kind",
             labelnames=("kind",),
         )
-        self._update_errors_metric = self.metrics.counter(
+        self._update_errors_metric = registry.counter(
             "repro_update_errors_total",
             "Rejected directory updates by structured error code",
             labelnames=("code",),
         )
-        self._pending_metric = self.metrics.gauge(
+        self._pending_metric = registry.gauge(
             "repro_overlay_pending",
             "Overlay actions committed but not yet compacted into the master run",
         )
-        self._overlay_merged_metric = self.metrics.counter(
+        self._overlay_merged_metric = registry.counter(
             "repro_overlay_merged_entries_total",
             "Overlay entries walked by overlay-merged scans (searches, write "
             "validation and compaction alike)",
         )
-        self._listener_errors_metric = self.metrics.counter(
+        self._listener_errors_metric = registry.counter(
             "repro_update_listener_errors_total",
             "Update listeners that raised during dispatch (skipped, not fatal)",
             labelnames=("kind",),

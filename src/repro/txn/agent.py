@@ -47,7 +47,7 @@ class _Request:
 class MaintenanceAgent:
     """One worker thread executing named maintenance requests in order."""
 
-    def __init__(self, metrics=None, log=None, tracer=None):
+    def __init__(self, log=None, tracer=None):
         #: Span tracer.  Each executed request runs under a
         #: ``maintenance.<kind>`` span that adopts the *submitter's* current
         #: span, so an agent-triggered compaction carries the same
@@ -62,7 +62,7 @@ class MaintenanceAgent:
         self.log = log if log is not None else NULL_LOGGER
         #: Requests whose action raised (counted, logged, not re-raised).
         self.failures = 0
-        registry = metrics if metrics is not None else get_registry()
+        registry = get_registry()
         self._m_requests = registry.counter(
             "repro_maintenance_requests_total",
             "Maintenance requests accepted by the agent",

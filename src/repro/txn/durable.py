@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 from ..model.instance import DirectoryInstance
 from ..model.ldif import dumps_ldif, loads_ldif
 from ..model.schema import DirectorySchema
+from ..obs.metrics import get_registry
 from ..storage.maintenance import UpdatableDirectory
 from ..storage.store import DirectoryStore
 from .records import ChangeRecord
@@ -106,11 +107,12 @@ class DurableDirectory(UpdatableDirectory):
         #: Records replayed (and torn tail seen) by the last open().
         self.recovered_records = 0
         self.recovered_torn = False
-        self._m_checkpoints = self.metrics.counter(
+        registry = get_registry()
+        self._m_checkpoints = registry.counter(
             "repro_checkpoints_total",
             "Checkpoints written (LDIF dump + WAL truncation)",
         )
-        self._m_recovered = self.metrics.counter(
+        self._m_recovered = registry.counter(
             "repro_recovered_records_total",
             "WAL records replayed during recovery",
         )
@@ -136,7 +138,6 @@ class DurableDirectory(UpdatableDirectory):
         fsync: bool = False,
         crash_plan=None,
         flush_delay_s: float = 0.0,
-        metrics=None,
         log=None,
         **options,
     ) -> "DurableDirectory":
@@ -189,7 +190,6 @@ class DurableDirectory(UpdatableDirectory):
             fsync=fsync,
             crash_plan=crash_plan,
             flush_delay_s=flush_delay_s,
-            metrics=metrics,
             log=log,
         )
         if wal.durable_lsn < checkpoint_lsn:
@@ -203,7 +203,6 @@ class DurableDirectory(UpdatableDirectory):
             wal,
             data_dir=data_dir,
             checkpoint_lsn=checkpoint_lsn,
-            metrics=metrics,
             log=log,
             **options,
         )

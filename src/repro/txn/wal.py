@@ -229,7 +229,6 @@ class WriteAheadLog:
         fsync: bool = True,
         crash_plan: Optional[CrashPlan] = None,
         flush_delay_s: float = 0.0,
-        metrics=None,
         log=None,
     ):
         self.path = path
@@ -254,7 +253,7 @@ class WriteAheadLog:
         #: over this object's lifetime, and the bytes the last one cut.
         self.torn_truncations = 0
         self.torn_bytes_truncated = 0
-        registry = metrics if metrics is not None else get_registry()
+        registry = get_registry()
         self._m_appends = registry.counter(
             "repro_wal_appends_total", "Records appended to the WAL"
         )

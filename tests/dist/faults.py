@@ -122,7 +122,7 @@ class FaultInjector(SimulatedNetwork):
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None, keep_log: bool = False,
-                 metrics=None, wire_latency_s: float = 0.0, log=None):
+                 wire_latency_s: float = 0.0, log=None):
         super().__init__(keep_log=keep_log, wire_latency_s=wire_latency_s)
         self.plan = plan or FaultPlan()
         #: Structured event logger; each injected fault is logged as a
@@ -138,8 +138,7 @@ class FaultInjector(SimulatedNetwork):
         self.attempts = 0
         #: Injected faults by :class:`NetworkError` code.
         self.faults: Dict[str, int] = {}
-        registry = metrics if metrics is not None else get_registry()
-        self._m_faults = registry.counter(
+        self._m_faults = get_registry().counter(
             "repro_net_faults_total",
             "Injected network faults",
             labelnames=("code",),

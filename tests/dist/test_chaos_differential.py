@@ -11,7 +11,6 @@ exclude it.
 import pytest
 
 from repro.dist import FederatedDirectory, RetryPolicy
-from repro.obs.metrics import MetricsRegistry
 from repro.query.ast import And, Or
 from repro.query.semantics import evaluate
 from repro.workload import RandomQueries, random_instance
@@ -32,18 +31,16 @@ def monotone_query(queries: RandomQueries, depth: int = 2):
 def build_federation(instance, drop_rate, seed, max_attempts, crashed=None):
     roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
     assignments = {"server%d" % i: [root] for i, root in enumerate(roots)}
-    registry = MetricsRegistry()
     plan = FaultPlan(seed=seed, drop_rate=drop_rate)
     if crashed is not None:
         plan.crash(crashed)  # down for the whole run
-    network = FaultInjector(plan, metrics=registry)
+    network = FaultInjector(plan)
     fed = FederatedDirectory.partition(
         instance,
         assignments,
         page_size=8,
         network=network,
         leaf_cache_bytes=0,  # every leaf goes over the wire
-        metrics=registry,
     )
     fed.enable_resilience(
         retry=RetryPolicy(max_attempts=max_attempts, backoff_s=0.001, seed=seed),

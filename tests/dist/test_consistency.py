@@ -50,7 +50,6 @@ from repro.dist import (
 )
 from repro.filters.ast import MatchAll
 from repro.model.dn import DN
-from repro.obs.metrics import MetricsRegistry
 from repro.query.ast import AtomicQuery, Scope
 from repro.txn.durable import DurableDirectory
 from repro.txn.wal import CrashPlan, SimulatedCrash
@@ -102,12 +101,11 @@ class ReplicationMachine(RuleBasedStateMachine):
         super().__init__()
         self.tally = tally if tally is not None else Tally()
         self.data_dir = tempfile.mkdtemp(prefix="replication-") if durable else None
-        metrics = MetricsRegistry()
         self.plan = FaultPlan()
-        self.injector = FaultInjector(self.plan, metrics=metrics)
+        self.injector = FaultInjector(self.plan)
         self.replicated = ReplicatedContext(
             CONTEXT, synthetic_schema(), secondaries=2, network=self.injector,
-            ack=ack, durable_dir=self.data_dir, metrics=metrics,
+            ack=ack, durable_dir=self.data_dir,
         )
         self.router = AvailabilityRouter(self.replicated)
         #: lsn -> committed record of the current lineage (cut at every

@@ -12,9 +12,9 @@ from repro.dist import (
     ServerLocator,
     SimulatedNetwork,
 )
-from repro.obs.metrics import MetricsRegistry
 
 from tests.dist.faults import FaultInjector, FaultPlan
+from tests.meter import Meter
 
 
 class TestErrorHierarchy:
@@ -57,7 +57,7 @@ class TestFaultPlan:
 class TestFaultInjector:
     def test_default_plan_matches_plain_network(self):
         plain = SimulatedNetwork(keep_log=True)
-        injected = FaultInjector(keep_log=True, metrics=MetricsRegistry())
+        injected = FaultInjector(keep_log=True)
         for network in (plain, injected):
             network.send("a", "b", "request")
             network.send("b", "a", "result", entry_count=3)
@@ -68,9 +68,7 @@ class TestFaultInjector:
 
     def test_seeded_drop_schedule_replays_identically(self):
         def run():
-            injector = FaultInjector(
-                FaultPlan(seed=42, drop_rate=0.3), metrics=MetricsRegistry()
-            )
+            injector = FaultInjector(FaultPlan(seed=42, drop_rate=0.3))
             outcomes = []
             for index in range(50):
                 try:
@@ -85,9 +83,7 @@ class TestFaultInjector:
         assert "dropped" in first and "ok" in first
 
     def test_scripted_drop_by_index(self):
-        injector = FaultInjector(
-            FaultPlan().drop_message(0, 2), metrics=MetricsRegistry()
-        )
+        injector = FaultInjector(FaultPlan().drop_message(0, 2))
         with pytest.raises(NetworkError) as caught:
             injector.send("a", "b", "request")
         assert caught.value.code == NetworkError.DROPPED
@@ -100,7 +96,7 @@ class TestFaultInjector:
 
     def test_crash_window_faults_both_directions(self):
         plan = FaultPlan().crash("s1", 0.0, 10.0)
-        injector = FaultInjector(plan, metrics=MetricsRegistry())
+        injector = FaultInjector(plan)
         for source, destination in (("coord", "s1"), ("s1", "coord")):
             with pytest.raises(NetworkError) as caught:
                 injector.send(source, destination, "request")
@@ -112,7 +108,7 @@ class TestFaultInjector:
 
     def test_partition_faults_the_pair_only(self):
         plan = FaultPlan().partition("a", "b")
-        injector = FaultInjector(plan, metrics=MetricsRegistry())
+        injector = FaultInjector(plan)
         with pytest.raises(NetworkError) as caught:
             injector.send("a", "b", "request")
         assert caught.value.code == NetworkError.PARTITIONED
@@ -121,32 +117,24 @@ class TestFaultInjector:
         assert injector.messages == 2
 
     def test_latency_advances_clock_and_timeouts(self):
-        injector = FaultInjector(
-            FaultPlan(latency_s=0.5), metrics=MetricsRegistry()
-        )
+        injector = FaultInjector(FaultPlan(latency_s=0.5))
         injector.send("a", "b", "request")
         assert injector.now == pytest.approx(0.5)
-        timed = FaultInjector(
-            FaultPlan(latency_s=0.5, timeout_s=0.1), metrics=MetricsRegistry()
-        )
+        timed = FaultInjector(FaultPlan(latency_s=0.5, timeout_s=0.1))
         with pytest.raises(NetworkError) as caught:
             timed.send("a", "b", "request")
         assert caught.value.code == NetworkError.TIMEOUT
 
     def test_faults_land_in_metrics(self):
-        registry = MetricsRegistry()
-        injector = FaultInjector(
-            FaultPlan().drop_message(0), metrics=registry
-        )
+        injector = FaultInjector(FaultPlan().drop_message(0))
+        meter = Meter()
         with pytest.raises(NetworkError):
             injector.send("a", "b", "request")
-        counter = registry.get("repro_net_faults_total")
-        assert counter.value(code="dropped") == 1
+        assert meter("repro_net_faults_total", code="dropped") == 1
 
     def test_reset_restores_the_schedule(self):
         injector = FaultInjector(
             FaultPlan(seed=3, drop_rate=0.5, latency_s=0.1),
-            metrics=MetricsRegistry(),
         )
         first = []
         for _ in range(20):

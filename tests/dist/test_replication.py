@@ -4,9 +4,10 @@ import pytest
 
 from repro.dist.network import SimulatedNetwork
 from repro.dist.replication import AvailabilityRouter, ReplicatedContext, ReplicationError
-from repro.obs.metrics import MetricsRegistry
 from repro.query.parser import parse_query
 from repro.workload import synthetic_schema
+
+from tests.meter import Meter, reading
 
 
 @pytest.fixture
@@ -14,7 +15,6 @@ def context():
     network = SimulatedNetwork()
     replicated = ReplicatedContext(
         "name=r", synthetic_schema(), secondaries=2, network=network,
-        metrics=MetricsRegistry(),
     )
     replicated.add("name=r", ["node"], name="r", kind="alpha")
     for index in range(6):
@@ -237,13 +237,11 @@ class TestChangelogTruncation:
 
     def test_lagging_replica_pins_the_changelog(self):
         from tests.dist.faults import FaultInjector, FaultPlan
-        from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary1", 0.0, 1e9)
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2,
-            network=FaultInjector(plan, metrics=MetricsRegistry()),
-            metrics=MetricsRegistry(),
+            network=FaultInjector(plan),
         )
         _fill(replicated)
         replicated.sync()
@@ -251,18 +249,15 @@ class TestChangelogTruncation:
         # ack="primary" the floor is the *minimum* acked lsn.
         assert replicated.changelog_length() == 6
         assert replicated.lag("secondary1") == 6
-        assert replicated.metrics.get(
-            "repro_replication_changelog_records").value() == 6
+        assert reading("repro_replication_changelog_records") == 6
 
     def test_quorum_ack_truncates_at_the_quorum_floor(self):
         from tests.dist.faults import FaultInjector, FaultPlan
-        from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary1", 0.0, 1e9)
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2, ack="quorum",
-            network=FaultInjector(plan, metrics=MetricsRegistry()),
-            metrics=MetricsRegistry(),
+            network=FaultInjector(plan),
         )
         _fill(replicated)
         # Quorum = 2 of 3 = primary + secondary0; the unreachable replica
@@ -272,13 +267,12 @@ class TestChangelogTruncation:
 
     def test_replica_behind_the_floor_catches_up_by_resync(self):
         from tests.dist.faults import FaultInjector, FaultPlan
-        from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary1", 0.0, 5.0)
-        network = FaultInjector(plan, metrics=MetricsRegistry())
+        network = FaultInjector(plan)
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2, ack="quorum",
-            network=network, metrics=MetricsRegistry(),
+            network=network,
         )
         _fill(replicated)
         assert replicated.changelog_floor == 6  # secondary1's records are gone
@@ -293,12 +287,11 @@ class TestChangelogTruncation:
 class TestAckLevels:
     def test_quorum_write_ships_synchronously(self):
         from repro.dist import SimulatedNetwork
-        from repro.obs.metrics import MetricsRegistry
 
         network = SimulatedNetwork()
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2, ack="quorum",
-            network=network, metrics=MetricsRegistry(),
+            network=network,
         )
         replicated.add("name=r", ["node"], name="r")
         assert replicated.lag("secondary0") == 0 or replicated.lag("secondary1") == 0
@@ -306,22 +299,21 @@ class TestAckLevels:
 
     def test_unreachable_quorum_raises_ack_failed(self):
         from tests.dist.faults import FaultInjector, FaultPlan
-        from repro.obs.metrics import MetricsRegistry
 
         plan = (FaultPlan()
                 .partition("primary", "secondary0", 0.0, 1e9)
                 .partition("primary", "secondary1", 0.0, 1e9))
-        metrics = MetricsRegistry()
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2, ack="quorum",
-            network=FaultInjector(plan, metrics=metrics), metrics=metrics,
+            network=FaultInjector(plan),
         )
+        meter = Meter()
         with pytest.raises(ReplicationError) as caught:
             replicated.add("name=r", ["node"], name="r")
         assert caught.value.code == ReplicationError.ACK_FAILED
         # The write committed locally -- it is just not acknowledged.
         assert replicated.primary.applied_lsn == 1
-        assert metrics.get("repro_replication_ack_failures_total").value() == 1
+        assert meter("repro_replication_ack_failures_total") == 1
 
     def test_ack_level_is_validated(self):
         with pytest.raises(ValueError):
@@ -345,12 +337,12 @@ class TestEpochFencing:
         _network, replicated = context
         replicated.sync()
         replicated.promote()
+        meter = Meter()
         with pytest.raises(ReplicationError) as caught:
             replicated.write_via("primary", "add", "name=x, name=r", ["node"],
                                  {"name": ["x"]})
         assert caught.value.code == ReplicationError.FENCED
-        assert replicated.metrics.get(
-            "repro_replication_fenced_total").value() == 1
+        assert meter("repro_replication_fenced_total") == 1
 
     def test_deposed_primary_ships_are_fenced(self, context):
         _network, replicated = context
@@ -394,13 +386,11 @@ class TestEpochFencing:
 class TestPromotion:
     def test_picks_the_most_caught_up_live_replica(self):
         from tests.dist.faults import FaultInjector, FaultPlan
-        from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary1", 0.0, 1e9)
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2,
-            network=FaultInjector(plan, metrics=MetricsRegistry()),
-            metrics=MetricsRegistry(),
+            network=FaultInjector(plan),
         )
         _fill(replicated)
         replicated.sync()  # secondary0 at lsn 6, secondary1 unreachable at 0
@@ -412,8 +402,7 @@ class TestPromotion:
         plan = FaultPlan().partition("primary", "secondary1", 0.0, 1e9)
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2, ack="quorum",
-            network=FaultInjector(plan, metrics=MetricsRegistry()),
-            metrics=MetricsRegistry(),
+            network=FaultInjector(plan),
         )
         replicated.add("name=r", ["node"], name="r")  # primary + secondary0
         # With secondary0 down too, promoting secondary1 (lsn 0) would lose
@@ -459,7 +448,7 @@ class TestBoundedSuffix:
     def test_every_node_trims_at_the_minimum_acked_lsn(self):
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2,
-            network=SimulatedNetwork(), metrics=MetricsRegistry(),
+            network=SimulatedNetwork(),
         )
         replicated.add("name=r", ["node"], name="r")  # lsn 1
         for lsn in range(2, 2002):
@@ -486,10 +475,10 @@ class TestBoundedSuffix:
                 .partition("primary", "secondary2", 3.0, 10.0)
                 .partition("primary", "secondary0", 5.0, 10.0)
                 .partition("primary", "secondary1", 5.0, 10.0))
-        network = FaultInjector(plan, metrics=MetricsRegistry())
+        network = FaultInjector(plan)
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=4, ack="quorum",
-            network=network, metrics=MetricsRegistry(),
+            network=network,
         )
         _fill(replicated, count=1)
         network.sleep(2.0)
@@ -545,27 +534,23 @@ class TestReplicationStatus:
 
     def test_gauges_track_epoch_and_lag(self, context):
         _network, replicated = context
-        registry = replicated.metrics
-        assert registry.get("repro_replication_epoch").value() == 1
-        assert registry.get("repro_replication_lag_records").value(
-            replica="secondary0") == 7
+        meter = Meter()
+        assert reading("repro_replication_epoch") == 1
+        assert reading("repro_replication_lag_records", replica="secondary0") == 7
         replicated.sync()
-        assert registry.get("repro_replication_lag_records").value(
-            replica="secondary0") == 0
-        assert registry.get("repro_replication_shipped_records_total").value() == 14
+        assert reading("repro_replication_lag_records", replica="secondary0") == 0
+        assert meter("repro_replication_shipped_records_total") == 14
 
 
 class TestDurablePrimary:
     def test_resync_uses_checkpoint_plus_wal_suffix(self, tmp_path):
         from tests.dist.faults import FaultInjector, FaultPlan
-        from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary0", 0.0, 5.0)
-        network = FaultInjector(plan, keep_log=True, metrics=MetricsRegistry())
+        network = FaultInjector(plan, keep_log=True)
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2, network=network,
             ack="quorum", durable_dir=str(tmp_path / "primary"),
-            metrics=MetricsRegistry(),
         )
         replicated.add("name=r", ["node"], name="r")
         replicated.primary.directory.checkpoint()  # checkpoint at lsn 1
@@ -593,7 +578,7 @@ class TestDurablePrimary:
     ):
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2, ack="quorum",
-            durable_dir=str(tmp_path / "primary"), metrics=MetricsRegistry(),
+            durable_dir=str(tmp_path / "primary"),
         )
         replicated.promote()  # nothing written: the old primary keeps up
         replicated.add("name=r", ["node"], name="r")  # shipped to it
@@ -606,13 +591,12 @@ class TestDurablePrimary:
 
     def test_replica_behind_a_reopened_checkpoint_resyncs(self, tmp_path):
         from tests.dist.faults import FaultInjector, FaultPlan
-        from repro.obs.metrics import MetricsRegistry
 
         plan = FaultPlan().partition("primary", "secondary0", 1.0, 5.0)
-        network = FaultInjector(plan, metrics=MetricsRegistry())
+        network = FaultInjector(plan)
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=1, network=network,
-            durable_dir=str(tmp_path / "primary"), metrics=MetricsRegistry(),
+            durable_dir=str(tmp_path / "primary"),
         )
         replicated.add("name=r", ["node"], name="r")
         replicated.sync()  # secondary0 at lsn 1
@@ -637,13 +621,12 @@ class TestDurablePrimary:
         assert len(replica) == 5
 
     def test_primary_crash_recovery_rejoins_the_group(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
         from repro.txn.wal import CrashPlan, SimulatedCrash
 
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=1,
             network=SimulatedNetwork(),
-            durable_dir=str(tmp_path / "primary"), metrics=MetricsRegistry(),
+            durable_dir=str(tmp_path / "primary"),
         )
         replicated.add("name=r", ["node"], name="r")
         replicated.sync()

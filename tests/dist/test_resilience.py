@@ -14,11 +14,11 @@ from repro.dist import (
     SimulatedNetwork,
     StaleStore,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.query.semantics import evaluate
 from repro.workload import random_instance
 
 from tests.dist.faults import FaultInjector, FaultPlan
+from tests.meter import Meter
 
 
 class TestRetryPolicy:
@@ -51,10 +51,8 @@ class TestRetryPolicy:
 
 class TestCircuitBreaker:
     def test_full_transition_cycle(self):
-        registry = MetricsRegistry()
-        breaker = CircuitBreaker(
-            failure_threshold=2, reset_timeout_s=10.0, name="s1", metrics=registry
-        )
+        meter = Meter()
+        breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=10.0, name="s1")
         assert breaker.allow(0.0)
         breaker.record_failure(0.0)
         assert breaker.state == CircuitBreaker.CLOSED
@@ -70,9 +68,8 @@ class TestCircuitBreaker:
             ("closed", "open"), ("open", "half_open"), ("half_open", "closed"),
         ]
         assert breaker.open_count() == 1
-        counter = registry.get("repro_breaker_transitions_total")
-        assert counter.value(server="s1", to="open") == 1
-        assert counter.value(server="s1", to="closed") == 1
+        assert meter("repro_breaker_transitions_total", server="s1", to="open") == 1
+        assert meter("repro_breaker_transitions_total", server="s1", to="closed") == 1
 
     def test_half_open_failure_reopens(self):
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0)
@@ -118,18 +115,16 @@ def _make_fed(plan=None, seed=23, size=80, leaf_cache_bytes=0):
     """Two-server federation over an injected network; returns
     (instance, fed, network, remote_query) where remote_query targets
     server1's root from server0."""
-    registry = MetricsRegistry()
     instance = random_instance(seed, size=size, forest_roots=2)
     roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
     assignments = {"server%d" % i: [root] for i, root in enumerate(roots)}
-    network = FaultInjector(plan or FaultPlan(), metrics=registry)
+    network = FaultInjector(plan or FaultPlan())
     fed = FederatedDirectory.partition(
         instance,
         assignments,
         page_size=8,
         network=network,
         leaf_cache_bytes=leaf_cache_bytes,
-        metrics=registry,
     )
     remote_query = "(%s ? sub ? objectClass=*)" % roots[1]
     return instance, fed, network, remote_query
@@ -145,16 +140,15 @@ class TestFederatedRetry:
     def test_scripted_drop_is_retried_transparently(self):
         instance, fed, network, query = _make_fed(FaultPlan().drop_message(0))
         fed.enable_resilience(retry=RetryPolicy(max_attempts=3, backoff_s=0.01))
+        meter = Meter()
         result = fed.query("server0", query)
         assert result.dns() == _oracle(instance, query)
         assert result.retries == 1
         assert not result.partial and not result.warnings
         assert network.faults == {"dropped": 1}
-        assert fed.metrics.get("repro_fed_retries_total").value(server="server1") == 1
+        assert meter("repro_fed_retries_total", server="server1") == 1
         assert (
-            fed.metrics.get("repro_fed_remote_failures_total").value(
-                server="server1", code="dropped"
-            )
+            meter("repro_fed_remote_failures_total", server="server1", code="dropped")
             == 1
         )
 
@@ -187,14 +181,13 @@ class TestFederatedRetry:
         fed.enable_resilience(
             retry=RetryPolicy(max_attempts=2, backoff_s=0.01), serve_stale=False
         )
+        meter = Meter()
         result = fed.query("server0", query)
         assert result.partial
         assert result.missing_servers == ["server1"]
         assert any("serverDown" in warning for warning in result.warnings)
         assert result.dns() == []  # nothing under server1's root is reachable
-        assert (
-            fed.metrics.get("repro_fed_degraded_total").value(mode="partial") == 1
-        )
+        assert meter("repro_fed_degraded_total", mode="partial") == 1
 
     def test_strict_mode_raises_after_exhaustion(self):
         plan = FaultPlan().crash("server1", 0.0, 1e9)
@@ -217,6 +210,7 @@ class TestFederatedRetry:
             breaker_reset_s=1e6,
             serve_stale=False,
         )
+        meter = Meter()
         first = fed.query("server0", query)
         assert first.partial
         assert fed.breakers["server1"].state == CircuitBreaker.OPEN
@@ -226,8 +220,9 @@ class TestFederatedRetry:
         # The open breaker means the second query never touched the network.
         assert network.attempts == attempts_after_first
         assert (
-            fed.metrics.get("repro_fed_remote_failures_total").value(
-                server="server1", code=NetworkError.BREAKER_OPEN
+            meter(
+                "repro_fed_remote_failures_total",
+                server="server1", code=NetworkError.BREAKER_OPEN,
             )
             == 1
         )
@@ -255,6 +250,7 @@ class TestServeStale:
         fed.enable_resilience(
             retry=RetryPolicy(max_attempts=2, backoff_s=0.01), serve_stale=True
         )
+        meter = Meter()
         fresh = fed.query("server0", query)
         expected = _oracle(instance, query)
         assert fresh.dns() == expected and not fresh.warnings
@@ -264,7 +260,7 @@ class TestServeStale:
         assert not stale.partial  # degraded, but not missing data
         assert any("last known good" in warning for warning in stale.warnings)
         assert fed._stale.served == 1
-        assert fed.metrics.get("repro_fed_degraded_total").value(mode="stale") == 1
+        assert meter("repro_fed_degraded_total", mode="stale") == 1
 
     def test_stale_serves_survive_cache_invalidation(self):
         """The leaf cache is dropped for correctness; the stale store is
@@ -312,14 +308,13 @@ class TestReplicaFailover:
             retry=RetryPolicy(max_attempts=2, backoff_s=0.01), serve_stale=False
         )
         replicated, router = self._attach_replica(instance, fed)
+        meter = Meter()
         result = fed.query("server0", query)
         assert not result.partial
         assert result.dns() == _oracle(instance, query)
         assert any("served by replica primary" in w for w in result.warnings)
         assert router.served_by == ["primary"]
-        assert (
-            fed.metrics.get("repro_fed_degraded_total").value(mode="replica") == 1
-        )
+        assert meter("repro_fed_degraded_total", mode="replica") == 1
 
     def test_secondary_takes_over_when_the_replica_primary_is_down(self):
         plan = FaultPlan().crash("server1", 0.0, 1e9)
@@ -363,12 +358,10 @@ class TestZeroOverheadDefault:
 
         plain_fed = FederatedDirectory.partition(
             instance, assignments, page_size=8,
-            network=SimulatedNetwork(), metrics=MetricsRegistry(),
+            network=SimulatedNetwork(),
         )
         chaos_fed = FederatedDirectory.partition(
-            instance, assignments, page_size=8,
-            network=FaultInjector(metrics=MetricsRegistry()),
-            metrics=MetricsRegistry(),
+            instance, assignments, page_size=8, network=FaultInjector(),
         )
         chaos_fed.enable_resilience()  # armed, but nothing ever fails
 

@@ -360,20 +360,17 @@ class TestQError:
         assert "qerr=" in str(node)
 
     def test_analyze_observes_histogram(self, store):
-        from repro.obs.metrics import MetricsRegistry
+        from tests.meter import Meter
 
         _instance, s = store
-        registry = MetricsRegistry()
+        meter = Meter()
         explain(
             s,
             parse_query("(& ( ? sub ? kind=alpha) ( ? sub ? weight<50))"),
             analyze=True,
-            metrics=registry,
         )
-        histogram = registry.get("repro_planner_qerror")
-        assert histogram is not None
         # One observation per analyzed operator: the And and two leaves.
-        assert histogram.count() == 3
+        assert meter("repro_planner_qerror") == 3
 
     def test_estimate_cardinality_matches_explain(self, store):
         _instance, s = store

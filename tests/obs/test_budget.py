@@ -10,10 +10,11 @@ from repro.engine import QueryEngine
 from repro.model.instance import DirectoryInstance
 from repro.model.schema import DirectorySchema
 from repro.obs.budget import BudgetExceeded, BudgetTracker, QueryBudget
-from repro.obs.metrics import MetricsRegistry
 from repro.server import DirectoryService, ResultCode
 from repro.storage.pager import Pager
 from repro.workload import random_instance
+
+from tests.meter import Meter
 
 QUERY = "(dc=com ? sub ? grade=5)"
 MERGE_QUERY = "(a (dc=com ? sub ? grade=4) (dc=com ? sub ? grade=5))"
@@ -124,15 +125,12 @@ class TestEngineCancellation:
 
 class TestServiceSurface:
     def make_service(self, **kwargs):
-        registry = MetricsRegistry()
-        service = DirectoryService(
-            make_instance(), page_size=4, metrics=registry, **kwargs
-        )
+        service = DirectoryService(make_instance(), page_size=4, **kwargs)
         service.bind_anonymous()
-        return service, registry
+        return service, Meter()
 
     def test_breach_returns_admin_limit_exceeded(self):
-        service, registry = self.make_service()
+        service, meter = self.make_service()
         result = service.search(QUERY, budget=QueryBudget(max_pages=0))
         assert result.code == ResultCode.ADMIN_LIMIT_EXCEEDED
         assert result.entries == [] and result.total_size == 0
@@ -140,8 +138,7 @@ class TestServiceSurface:
         assert result.budget_error.resource == BudgetExceeded.PAGES
         assert result.budget_error.query_text == QUERY
         assert result.warnings and "cancelled" in result.warnings[0]
-        counter = registry.get("repro_budget_exceeded_total")
-        assert counter.value(resource="pages") == 1
+        assert meter("repro_budget_exceeded_total", resource="pages") == 1
 
     def test_service_wide_default_budget(self):
         service, _ = self.make_service(budget=QueryBudget(max_pages=0))
@@ -200,12 +197,12 @@ class TestServiceSurface:
         assert records[0].rows == 0
 
     def test_breach_does_not_poison_later_searches(self):
-        service, registry = self.make_service()
+        service, meter = self.make_service()
         service.search(QUERY, budget=QueryBudget(max_pages=0))
         # The breached evaluation must not have cached a partial result.
         ok = service.search(QUERY)
         assert ok.code == ResultCode.SUCCESS and len(ok.entries) == 4
-        assert registry.get("repro_searches_total").value(code="success") == 1
+        assert meter("repro_searches_total", code="success") == 1
 
 
 class TestFederatedBudget:
@@ -215,7 +212,6 @@ class TestFederatedBudget:
         assignments = {"server%d" % i: [root] for i, root in enumerate(roots)}
         fed = FederatedDirectory.partition(
             instance, assignments, page_size=8, leaf_cache_bytes=0,
-            metrics=MetricsRegistry(),
         )
         return fed, roots
 

@@ -5,9 +5,10 @@ import pytest
 
 from repro.dist import FederatedDirectory
 from repro.dist.network import SimulatedNetwork
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.workload import random_instance
+
+from tests.meter import Meter
 
 
 @pytest.fixture
@@ -16,14 +17,13 @@ def traced_federation():
     roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
     assignments = {"server%d" % i: [root] for i, root in enumerate(roots)}
     tracer = Tracer()
-    registry = MetricsRegistry()
     fed = FederatedDirectory.partition(
         instance, assignments, page_size=8,
         network=SimulatedNetwork(keep_log=True),
         leaf_cache_bytes=0,  # always ship, so every query traces remotely
-        tracer=tracer, metrics=registry,
+        tracer=tracer,
     )
-    return fed, tracer, registry
+    return fed, tracer, Meter()
 
 
 def remote_query(fed):
@@ -34,7 +34,7 @@ def remote_query(fed):
 
 class TestTracePropagation:
     def test_remote_span_joins_the_coordinator_trace(self, traced_federation):
-        fed, tracer, _registry = traced_federation
+        fed, tracer, _meter = traced_federation
         at, text = remote_query(fed)
         fed.query(at, text)
         root = tracer.last_root()
@@ -51,7 +51,7 @@ class TestTracePropagation:
         assert served.attrs["server"] == "server1"
 
     def test_network_log_carries_the_trace_id(self, traced_federation):
-        fed, tracer, _registry = traced_federation
+        fed, tracer, _meter = traced_federation
         at, text = remote_query(fed)
         fed.query(at, text)
         root = tracer.last_root()
@@ -59,7 +59,7 @@ class TestTracePropagation:
         assert set(fed.network.trace_ids) == {root.trace_id}
 
     def test_local_leaves_join_too(self, traced_federation):
-        fed, tracer, _registry = traced_federation
+        fed, tracer, _meter = traced_federation
         local_context = fed.servers["server0"].contexts[0]
         fed.query("server0", "(%s ? sub ? kind=alpha)" % local_context)
         root = tracer.last_root()
@@ -67,7 +67,7 @@ class TestTracePropagation:
         assert served.trace_id == root.trace_id
 
     def test_members_get_their_own_tracers(self, traced_federation):
-        fed, tracer, _registry = traced_federation
+        fed, tracer, _meter = traced_federation
         tracers = {name: server.tracer for name, server in fed.servers.items()}
         assert all(t.enabled for t in tracers.values())
         assert all(t is not tracer for t in tracers.values())
@@ -76,41 +76,34 @@ class TestTracePropagation:
         instance = random_instance(31, size=60, forest_roots=2)
         roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
         assignments = {"s%d" % i: [root] for i, root in enumerate(roots)}
-        fed = FederatedDirectory.partition(
-            instance, assignments, page_size=8, metrics=MetricsRegistry()
-        )
+        fed = FederatedDirectory.partition(instance, assignments, page_size=8)
         assert not fed.tracer.enabled
         assert all(not s.tracer.enabled for s in fed.servers.values())
 
 
 class TestFederationMetrics:
     def test_shipping_is_counted_per_server(self, traced_federation):
-        fed, _tracer, registry = traced_federation
+        fed, _tracer, meter = traced_federation
         at, text = remote_query(fed)
         result = fed.query(at, text)
-        requests = registry.get("repro_fed_remote_requests_total")
-        sublists = registry.get("repro_fed_shipped_sublists_total")
-        entries = registry.get("repro_fed_shipped_entries_total")
-        assert requests.value(server="server1") == 1
-        assert sublists.value(server="server1") == 1
-        assert entries.value(server="server1") == result.entries_shipped
-        assert requests.value(server="server2") == 0
+        assert meter("repro_fed_remote_requests_total", server="server1") == 1
+        assert meter("repro_fed_shipped_sublists_total", server="server1") == 1
+        shipped = meter("repro_fed_shipped_entries_total", server="server1")
+        assert shipped == result.entries_shipped
+        assert meter("repro_fed_remote_requests_total", server="server2") == 0
 
     def test_leaf_cache_outcomes_counted(self):
         instance = random_instance(31, size=120, forest_roots=3)
         roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
         assignments = {"server%d" % i: [root] for i, root in enumerate(roots)}
-        registry = MetricsRegistry()
-        fed = FederatedDirectory.partition(
-            instance, assignments, page_size=8, metrics=registry
-        )
+        fed = FederatedDirectory.partition(instance, assignments, page_size=8)
+        meter = Meter()
         at = "server0"
         text = "(%s ? sub ? kind=alpha)" % fed.servers["server1"].contexts[0]
         fed.query(at, text)
         fed.query(at, text)
-        lookups = registry.get("repro_fed_leaf_cache_lookups_total")
-        assert lookups.value(outcome="miss") == 1
-        assert lookups.value(outcome="hit") == 1
+        assert meter("repro_fed_leaf_cache_lookups_total", outcome="miss") == 1
+        assert meter("repro_fed_leaf_cache_lookups_total", outcome="hit") == 1
 
 
 class TestRebinding:
@@ -124,7 +117,7 @@ class TestRebinding:
         tracer = Tracer()
         fed = FederatedDirectory.partition(
             instance, assignments, page_size=8, leaf_cache_bytes=0,
-            tracer=tracer, metrics=MetricsRegistry(),
+            tracer=tracer,
         )
         query = "( ? sub ? kind=alpha)"
         for _ in range(30):

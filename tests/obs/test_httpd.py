@@ -10,9 +10,11 @@ import pytest
 from repro.obs.event import SearchEvent
 from repro.obs.httpd import AdminServer
 from repro.obs.log import CapturingLogger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import get_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Tracer
+
+from tests.meter import Meter, reading
 
 
 def _get(url):
@@ -22,15 +24,13 @@ def _get(url):
 
 @pytest.fixture
 def stack():
-    registry = MetricsRegistry()
-    registry.counter("repro_searches_total", "Searches", labelnames=("code",)).inc(
-        3, code="success"
-    )
-    latency = registry.histogram(
-        "repro_search_seconds", "Latency", buckets=(0.001, 0.01, 0.1, 1.0)
-    )
-    for value in (0.002, 0.003, 0.004, 0.02):
-        latency.observe(value)
+    from tests.obs.test_budget import QUERY, make_instance
+    from repro.server import DirectoryService
+
+    meter = Meter()
+    service = DirectoryService(make_instance(), page_size=4)
+    for _ in range(3):
+        service.search(QUERY)
     tracer = Tracer()
     with tracer.span("search") as span:
         span.set(code="success")
@@ -39,22 +39,26 @@ def stack():
     slowlog = SlowQueryLog(threshold_seconds=0.0)
     slowlog.record(event)
     server = AdminServer(
-        registry=registry,
         slow_queries=slowlog,
         health=lambda: {"entries": 20},
     ).start()
-    yield server, registry
+    yield server, meter
     server.stop()
+    service.close()
 
 
 class TestEndpoints:
     def test_metrics_is_byte_identical_to_the_registry_export(self, stack):
-        server, registry = stack
+        server, meter = stack
         status, headers, body = _get(server.url + "/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
-        assert body == registry.to_prometheus().encode("utf-8")
-        assert b'repro_searches_total{code="success"} 3' in body
+        assert body == get_registry().to_prometheus().encode("utf-8")
+        assert meter("repro_searches_total", code="success") == 3
+        line = 'repro_searches_total{code="success"} %d' % reading(
+            "repro_searches_total", code="success"
+        )
+        assert line.encode("utf-8") in body.splitlines()
 
     def test_healthz_reports_status_uptime_and_owner_fields(self, stack):
         server, _ = stack
@@ -89,7 +93,7 @@ class TestEndpoints:
         assert sample["spans"]["name"] == "search"
 
     def test_trailing_slash_and_query_string_are_normalised(self, stack):
-        server, registry = stack
+        server, _ = stack
         _, _, plain = _get(server.url + "/metrics")
         _, _, slashed = _get(server.url + "/metrics/")
         _, _, queried = _get(server.url + "/metrics?scrape=1")
@@ -104,7 +108,7 @@ class TestEndpoints:
 
     def test_scrapes_are_logged_at_debug(self):
         log = CapturingLogger(min_level="debug")
-        with AdminServer(registry=MetricsRegistry(), log=log) as server:
+        with AdminServer(log=log) as server:
             _get(server.url + "/healthz")
         events = [e["event"] for e in log.events()]
         assert events[0] == "admin.start"
@@ -119,7 +123,6 @@ class TestWorkloadEndpoints:
         from repro.obs.digest import QueryDigestTable
         from repro.obs.heatmap import SubtreeHeatMap
 
-        registry = MetricsRegistry()
         digest = QueryDigestTable(capacity=8, clock=lambda: 100.0)
         digest.observe(SearchEvent(key="k1", query_text="(q1)", elapsed=0.010,
                                    pages=4, via="engine", qerror=2.0))
@@ -129,9 +132,7 @@ class TestWorkloadEndpoints:
                                    pages=50, via="engine"))
         heatmap = SubtreeHeatMap(depth=2, clock=lambda: 100.0)
         heatmap.record_read(DN.parse("dc=att, dc=com"), pages=7)
-        server = AdminServer(
-            registry=registry, digest=digest, heatmap=heatmap,
-        ).start()
+        server = AdminServer(digest=digest, heatmap=heatmap).start()
         yield server
         server.stop()
 
@@ -161,7 +162,7 @@ class TestWorkloadEndpoints:
             ]
 
     def test_absent_collaborators_serve_disabled_stubs(self):
-        with AdminServer(registry=MetricsRegistry()) as server:
+        with AdminServer() as server:
             for route in ("/digest", "/heatmap"):
                 status, _, body = _get(server.url + route)
                 assert status == 200
@@ -211,7 +212,7 @@ class TestHardening:
 
     def test_every_route_declares_a_content_type(self, stack):
         server, _ = stack
-        for route in AdminServer(registry=MetricsRegistry()).routes():
+        for route in AdminServer().routes():
             _, headers, _ = _get(server.url + route)
             expected = ("text/plain" if route == "/metrics"
                         else "application/json")
@@ -220,7 +221,7 @@ class TestHardening:
 
 class TestLifecycle:
     def test_port_zero_binds_ephemerally(self):
-        server = AdminServer(registry=MetricsRegistry())
+        server = AdminServer()
         assert server.url is None and not server.running
         server.start()
         try:
@@ -231,7 +232,7 @@ class TestLifecycle:
             server.stop()
 
     def test_stop_is_idempotent_and_restart_rejected_while_running(self):
-        server = AdminServer(registry=MetricsRegistry()).start()
+        server = AdminServer().start()
         with pytest.raises(RuntimeError):
             server.start()
         server.stop()
@@ -239,7 +240,7 @@ class TestLifecycle:
         assert not server.running
 
     def test_empty_collaborators_serve_empty_payloads(self):
-        with AdminServer(registry=MetricsRegistry()) as server:
+        with AdminServer() as server:
             _, _, slow = _get(server.url + "/slowlog")
             _, _, traces = _get(server.url + "/traces")
         assert json.loads(slow)["records"] == []
@@ -252,11 +253,10 @@ class TestServiceIntegration:
         from repro.obs.budget import QueryBudget
         from repro.server import DirectoryService
 
-        registry = MetricsRegistry()
         service = DirectoryService(
-            make_instance(), page_size=4, metrics=registry,
-            tracer=Tracer(), slow_query_seconds=0.0,
+            make_instance(), page_size=4, tracer=Tracer(), slow_query_seconds=0.0,
         )
+        meter = Meter()
         service.bind_anonymous()
         service.search(QUERY)
         # A different query: the first one is now cached, and cache hits
@@ -267,8 +267,9 @@ class TestServiceIntegration:
             _, _, body = _get(server.url + "/metrics")
             # The acceptance bar: the scrape is byte-identical to what
             # ``python -m repro metrics`` prints for the same registry.
-            assert body == registry.to_prometheus().encode("utf-8")
+            assert body == get_registry().to_prometheus().encode("utf-8")
             assert b"repro_budget_exceeded_total" in body
+            assert meter("repro_budget_exceeded_total", resource="pages") == 1
             payload = json.loads(_get(server.url + "/healthz")[2])
             assert payload["entries"] == 13
             slow = json.loads(_get(server.url + "/slowlog")[2])
@@ -288,8 +289,7 @@ class TestReplicationHealth:
         from tests.obs.test_budget import make_instance
         from repro.server import DirectoryService
 
-        registry = MetricsRegistry()
-        return DirectoryService(make_instance(), page_size=4, metrics=registry)
+        return DirectoryService(make_instance(), page_size=4)
 
     def _replicated(self, children=4):
         from repro.dist import ReplicatedContext, SimulatedNetwork
@@ -297,7 +297,7 @@ class TestReplicationHealth:
 
         replicated = ReplicatedContext(
             "name=r", synthetic_schema(), secondaries=2,
-            network=SimulatedNetwork(), metrics=MetricsRegistry(),
+            network=SimulatedNetwork(),
         )
         replicated.add("name=r", ["node"], name="r")
         for index in range(children):

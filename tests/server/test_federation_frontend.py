@@ -5,49 +5,47 @@ import pytest
 
 from repro.dist import FederatedDirectory, RetryPolicy
 from repro.obs.log import CapturingLogger
-from repro.obs.metrics import MetricsRegistry
 from repro.query.semantics import evaluate
 from repro.query.parser import parse_query
 from repro.server import DirectoryService
 from repro.workload import random_instance
 
 from tests.dist.faults import FaultInjector, FaultPlan
+from tests.meter import Meter
 
 
 def make_frontend(plan=None, slow_query_seconds=None, log=None):
-    registry = MetricsRegistry()
     instance = random_instance(29, size=100, forest_roots=2)
     roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
     assignments = {"server%d" % i: [root] for i, root in enumerate(roots)}
-    network = FaultInjector(plan or FaultPlan(), metrics=registry)
+    network = FaultInjector(plan or FaultPlan())
     fed = FederatedDirectory.partition(
         instance,
         assignments,
         page_size=8,
         network=network,
         leaf_cache_bytes=0,
-        metrics=registry,
     )
     fed.enable_resilience(
         retry=RetryPolicy(max_attempts=2, backoff_s=0.01), serve_stale=False
     )
     service = DirectoryService(
-        instance, metrics=registry, slow_query_seconds=slow_query_seconds, log=log
+        instance, slow_query_seconds=slow_query_seconds, log=log
     )
     service.attach_federation(fed, "server0")
     remote_query = "(%s ? sub ? objectClass=*)" % roots[1]
-    return instance, service, network, remote_query, registry
+    return instance, service, network, remote_query
 
 
 class TestFrontend:
     def test_attach_validates_the_coordinator(self):
-        _, service, _, _, _ = make_frontend()
+        _, service, _, _ = make_frontend()
         fed = service._federation[0]
         with pytest.raises(KeyError):
             service.attach_federation(fed, "nonesuch")
 
     def test_search_is_answered_distributedly(self):
-        instance, service, network, query, _ = make_frontend()
+        instance, service, network, query = make_frontend()
         result = service.search(query)
         expected = [str(e.dn) for e in evaluate(parse_query(query), instance)]
         assert result.dns() == expected
@@ -56,15 +54,16 @@ class TestFrontend:
 
     def test_degradation_warnings_surface_on_the_result(self):
         plan = FaultPlan().crash("server1", 0.0, 1e9)
-        instance, service, network, query, registry = make_frontend(plan)
+        instance, service, network, query = make_frontend(plan)
+        meter = Meter()
         result = service.search(query)
         assert result.dns() == []
         assert any("result is partial" in w for w in result.warnings)
-        assert registry.get("repro_degraded_searches_total").value() == 1
+        assert meter("repro_degraded_searches_total") == 1
 
     def test_degraded_search_lands_in_the_slow_log_with_context(self):
         plan = FaultPlan().drop_message(0).crash("server1", 10.0, 1e9)
-        instance, service, network, query, registry = make_frontend(
+        instance, service, network, query = make_frontend(
             plan, slow_query_seconds=0.0  # record everything
         )
         result = service.search(query)  # drop then retry: clean answer
@@ -81,9 +80,8 @@ class TestFrontend:
         # The evaluation ran on the coordinator's pager, not the
         # frontend's local one: a bracket around the local pager reads 0.
         log = CapturingLogger()
-        _, service, _, query, registry = make_frontend(
-            slow_query_seconds=0.0, log=log
-        )
+        _, service, _, query = make_frontend(slow_query_seconds=0.0, log=log)
+        meter = Meter()
         service.search(query)
         (record,) = service.slow_queries.records()
         (line,) = log.events("search")
@@ -94,10 +92,10 @@ class TestFrontend:
         assert pages > 0
         assert line["pages"] == slow_line["pages"] == pages
         assert row.pages_total == pages
-        assert registry.get("repro_search_logical_io").sum() == pages
+        assert meter.sum("repro_search_logical_io") == pages
 
     def test_mutations_keep_using_the_local_directory(self):
-        instance, service, network, query, _ = make_frontend()
+        instance, service, network, query = make_frontend()
         root = next(iter(instance.roots())).dn
         before = network.attempts
         service.add("name=added, %s" % root, ["node"], name="added")

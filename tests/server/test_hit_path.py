@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from repro.obs import CapturingLogger, MetricsRegistry, Tracer
+from repro.obs import CapturingLogger, Tracer
 from repro.server import DirectoryService
 from repro.workload import balanced_instance
 
@@ -51,7 +51,7 @@ _COMPREHENSIONS = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
 
 @pytest.fixture(scope="module")
 def service():
-    svc = DirectoryService(balanced_instance(2000, seed=11), metrics=MetricsRegistry())
+    svc = DirectoryService(balanced_instance(2000, seed=11))
     yield svc
     svc.close()
 
@@ -59,8 +59,8 @@ def service():
 def all_sinks_service(**options) -> DirectoryService:
     """The benchmark instance served with every search sink enabled."""
     return DirectoryService(
-        balanced_instance(2000, seed=11), metrics=MetricsRegistry(),
-        tracer=Tracer(), slow_query_seconds=0.0, log=CapturingLogger(),
+        balanced_instance(2000, seed=11), tracer=Tracer(),
+        slow_query_seconds=0.0, log=CapturingLogger(),
         **options,
     )
 

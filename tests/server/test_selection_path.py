@@ -19,7 +19,6 @@ default sinks and again with every sink on.
 
 import pytest
 
-from repro.obs import MetricsRegistry
 from repro.server import DirectoryService
 from repro.workload import balanced_instance
 
@@ -78,8 +77,7 @@ ALL_SINKS = {"ac": 5033, "d": 6869, "and": 3463, "or": 4318, "diff": 4186}
 @pytest.fixture(scope="module")
 def service():
     svc = DirectoryService(
-        balanced_instance(2000, seed=11), metrics=MetricsRegistry(),
-        page_size=64, buffer_pages=64,
+        balanced_instance(2000, seed=11), page_size=64, buffer_pages=64,
     )
     yield svc
     svc.close()

@@ -6,15 +6,12 @@ frontend's heat map."""
 import pytest
 
 from tests.obs.test_budget import QUERY, make_instance
-from repro.obs.metrics import MetricsRegistry
 from repro.server import DirectoryService
 
 
 @pytest.fixture
 def service():
-    svc = DirectoryService(
-        make_instance(), page_size=4, metrics=MetricsRegistry()
-    )
+    svc = DirectoryService(make_instance(), page_size=4)
     svc.bind_anonymous()
     yield svc
     svc.close()
@@ -48,17 +45,13 @@ class TestDigestWiring:
         assert row.calls == 2 and row.cache_hits == 1
 
     def test_digest_capacity_zero_disables(self):
-        service = DirectoryService(
-            make_instance(), metrics=MetricsRegistry(), digest_capacity=0
-        )
+        service = DirectoryService(make_instance(), digest_capacity=0)
         service.bind_anonymous()
         service.search(QUERY)
         assert service.digest is None
 
     def test_planner_qerror_lands_in_the_row(self):
-        service = DirectoryService(
-            make_instance(), metrics=MetricsRegistry(), planner="cost"
-        )
+        service = DirectoryService(make_instance(), planner="cost")
         service.bind_anonymous()
         service.search(QUERY)
         row = service.digest.top(1)[0]
@@ -77,9 +70,7 @@ class TestHeatmapWiring:
         assert write_cell["writes_total"] == 1
 
     def test_depth_zero_disables(self):
-        service = DirectoryService(
-            make_instance(), metrics=MetricsRegistry(), heatmap_depth=0
-        )
+        service = DirectoryService(make_instance(), heatmap_depth=0)
         service.bind_anonymous()
         service.search(QUERY)
         assert service.heatmap is None
@@ -98,7 +89,6 @@ class TestFederationShipping:
         from tests.dist.faults import FaultInjector, FaultPlan
         from repro.workload import random_instance
 
-        registry = MetricsRegistry()
         instance = random_instance(29, size=100, forest_roots=2)
         roots = sorted(
             {e.dn for e in instance.roots()}, key=lambda dn: dn.key()
@@ -107,13 +97,10 @@ class TestFederationShipping:
             instance,
             {"server%d" % i: [root] for i, root in enumerate(roots)},
             page_size=8,
-            network=FaultInjector(FaultPlan(), metrics=registry),
+            network=FaultInjector(FaultPlan()),
             leaf_cache_bytes=0,
-            metrics=registry,
         )
-        service = DirectoryService(
-            instance, metrics=registry, heatmap_depth=1
-        )
+        service = DirectoryService(instance, heatmap_depth=1)
         service.bind_anonymous()
         service.attach_federation(fed, "server0")
         # attach_federation shares the frontend's map with the federation.

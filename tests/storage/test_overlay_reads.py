@@ -40,6 +40,8 @@ from repro.storage.maintenance import UpdatableDirectory
 from repro.storage.store import DirectoryStore
 from repro.workload import RandomQueries, balanced_instance, random_instance
 
+from tests.meter import Meter, reading
+
 SEEDS = range(6)
 STEPS = 24
 KINDS = ("alpha", "beta", "gamma", "delta")
@@ -391,7 +393,6 @@ def test_bounded_scopes_read_through_the_overlay():
     levels below the base, a modified child, a point-deleted child, a
     recursively deleted child subtree, an add under a deleted root."""
     from repro.engine.atomic import scope_admits
-    from repro.obs.metrics import MetricsRegistry
 
     instance = balanced_instance(340, fanout=4, seed=5)
     base = [e.dn for e in instance if e.dn.depth() == 2][1]
@@ -399,10 +400,9 @@ def test_bounded_scopes_read_through_the_overlay():
     lone = base.child("name=lone")
     instance.add(lone, ["node"], name="lone", kind="alpha")  # a leaf child
     model = Model(instance)
-    registry = MetricsRegistry()
     subject = UpdatableDirectory(
         DirectoryStore.from_instance(instance, page_size=8, buffer_pages=6),
-        auto_compact_at=NEVER, metrics=registry,
+        auto_compact_at=NEVER,
     )
     twin = make_directory(instance, indexed=False)
     ops = [
@@ -425,7 +425,6 @@ def test_bounded_scopes_read_through_the_overlay():
     folded = twin.engine().store  # compact-then-read
     pager = subject.store.pager
     live_before = pager.live_pages
-    merged = registry.get("repro_overlay_merged_entries_total")
     bases = [ROOT_DN, base.parent, base, lone, kids[0].child("name=g1")] + kids
     with subject.acquire_view() as view:
         for probe in bases:
@@ -437,9 +436,9 @@ def test_bounded_scopes_read_through_the_overlay():
                 query = AtomicQuery(probe, scope, MatchAll())
                 assert signature(evaluate(query, model_instance)) == want, context
                 assert signature(folded.scan_subtree(probe, max_depth)) == want, context
-                walked = merged.value()
+                walked = reading("repro_overlay_merged_entries_total")
                 assert signature(view.scan_subtree(probe, max_depth)) == want, context
-                walked = merged.value() - walked
+                walked = reading("repro_overlay_merged_entries_total") - walked
                 if scope == Scope.SUB and probe == base:
                     # Eight overlay images under the base plus its two
                     # deleted roots: what the unbounded merge always cost.
@@ -461,17 +460,16 @@ def test_bounded_scopes_read_through_the_overlay():
 
 
 def test_overlay_entries_are_charged_as_logical_page_reads():
-    from repro.obs.metrics import MetricsRegistry
-
     instance = balanced_instance(200, fanout=4, seed=5)
-    registry = MetricsRegistry()
     directory = UpdatableDirectory.from_instance(
-        instance, page_size=8, auto_compact_at=NEVER, metrics=registry
+        instance, page_size=8, auto_compact_at=NEVER
     )
     pager = directory.store.pager
     root = next(iter(instance.roots())).dn
-    merged = registry.get("repro_overlay_merged_entries_total")
-    pending = registry.get("repro_overlay_pending")
+    meter = Meter()
+
+    def merged():
+        return meter("repro_overlay_merged_entries_total")
 
     def scan_cost():
         before = pager.stats.snapshot()
@@ -480,22 +478,22 @@ def test_overlay_entries_are_charged_as_logical_page_reads():
         return count, pager.stats.since(before)
 
     count, clean = scan_cost()
-    assert merged.value() == 0  # an empty overlay costs a scan nothing
+    assert merged() == 0  # an empty overlay costs a scan nothing
     for i in range(20):  # 20 overlay entries = ceil(20 / 8) = 3 pages
         directory.add(root.child("name=x%d" % i), ["node"], name="x%d" % i)
-    merged_before = merged.value()
+    merged_before = merged()
     grown, dirty = scan_cost()
     assert grown == count + 20
     assert dirty.logical_reads == clean.logical_reads + 3
     assert dirty.reads <= clean.reads  # memory resident: no transfers
-    assert merged.value() == merged_before + 20
-    assert pending.value() == 20
+    assert merged() == merged_before + 20
+    assert reading("repro_overlay_pending") == 20
     # A scan whose range holds no overlay entry is the store's own scan.
     leaf = [e.dn for e in instance if e.dn.depth() == 3][0]
-    merged_before = merged.value()
+    merged_before = merged()
     with directory.acquire_view() as view:
         list(view.scan_subtree(leaf))
-    assert merged.value() == merged_before
+    assert merged() == merged_before
     # An abandoned scan (a base-scope probe stops after the base entry)
     # is charged what it walked, not the 20-entry slice under its base.
     before = pager.stats.snapshot()
@@ -503,10 +501,10 @@ def test_overlay_entries_are_charged_as_logical_page_reads():
         scan = view.scan_subtree(root)
         assert next(scan).dn == root
         scan.close()
-    assert merged.value() == merged_before
+    assert merged() == merged_before
     assert pager.stats.since(before).logical_reads <= 1  # the base's page
     directory.compact()
-    assert pending.value() == 0
+    assert reading("repro_overlay_pending") == 0
 
 
 # -- the key successor (ROADMAP 3a) --------------------------------------------------

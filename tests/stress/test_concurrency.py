@@ -18,6 +18,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import CAPACITY, SlowQueryLog
 from repro.storage.pager import Pager
 
+from tests.meter import Meter
+
 THREADS = 8
 COM_SUB = Footprint.subtree("dc=com")
 
@@ -184,19 +186,19 @@ class TestAdminScrapeUnderLoad:
         from repro.server import DirectoryService
         from repro.workload import random_instance
 
-        registry = MetricsRegistry()
         instance = random_instance(31, size=120, forest_roots=2)
         roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
         assignments = {"server%d" % i: [root] for i, root in enumerate(roots)}
         fed = FederatedDirectory.partition(
             instance, assignments, page_size=8, leaf_cache_bytes=0,
-            metrics=registry, max_workers=4,
+            max_workers=4,
         )
-        service = DirectoryService(instance, metrics=registry)
+        service = DirectoryService(instance)
         service.attach_federation(fed, "server0")
         service.bind_anonymous()
         queries = ["(%s ? sub ? objectClass=*)" % root for root in roots]
         server = service.serve_admin()
+        meter = Meter()
         scrapes = []
         searches_per_thread = 12
         try:
@@ -224,8 +226,7 @@ class TestAdminScrapeUnderLoad:
             for line in text.splitlines():
                 assert line.startswith(("#", "repro_")) or " " in line
         # The counters never lost an increment to a concurrent scrape.
-        searches = registry.get("repro_searches_total")
-        assert searches.value(code="success") == 4 * searches_per_thread
+        assert meter("repro_searches_total", code="success") == 4 * searches_per_thread
 
 
 class TestSnapshotIsolation:

@@ -9,12 +9,12 @@ import threading
 
 from tests.obs.test_budget import make_instance
 from tests.obs.test_digest import event
+from tests.meter import Meter
 from repro.model.dn import DN
 from repro.obs.digest import QueryDigestTable
 from repro.obs import heatmap
 from repro.obs.heatmap import SubtreeHeatMap
 from repro.obs.log import CapturingLogger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.server import DirectoryService
 
@@ -132,11 +132,11 @@ class TestSearchEventHammer:
 
     def test_sinks_agree_per_event_under_contention(self):
         log = CapturingLogger(min_level="info")
-        registry = MetricsRegistry()
         service = DirectoryService(
-            make_instance(), page_size=4, tracer=Tracer(), metrics=registry,
+            make_instance(), page_size=4, tracer=Tracer(),
             slow_query_seconds=0.0, log=log,
         )
+        meter = Meter()
         service.bind_anonymous()
 
         def worker(index):
@@ -167,8 +167,8 @@ class TestSearchEventHammer:
         assert slow.total == total and slow.total >= len(slow) == 64
         assert slow.offered == slow.kept == total
         assert service.digest.observed == total
-        assert registry.get("repro_searches_total").value(code="success") == total
-        assert registry.get("repro_search_seconds").count() == total
+        assert meter("repro_searches_total", code="success") == total
+        assert meter("repro_search_seconds") == total
         lines = {line["trace_id"]: line for line in log.events("search")}
         assert len(lines) == total  # one line per search, ids never shared
         assert len(log.events("slow_query")) == total

@@ -2,9 +2,14 @@
 
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -187,32 +192,56 @@ class TestExplainJson:
         assert "total_io" not in payload
 
 
+def run_metrics(*args) -> subprocess.CompletedProcess:
+    """``python -m repro metrics ARGS`` in a fresh interpreter, whose one
+    process registry then holds this command's searches alone."""
+    package_root = pathlib.Path(repro.__file__).resolve().parent.parent
+    path = os.pathsep.join(
+        filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "metrics", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    return completed
+
+
 class TestMetricsCommand:
-    def test_prometheus_dump(self, qos_ldif, capsys):
-        code = main(["metrics", qos_ldif, "--schema", "qos",
-                     "--query", "( ? sub ? objectClass=*)"])
-        assert code == 0
-        out = capsys.readouterr().out
+    def test_prometheus_dump(self, qos_ldif):
+        out = run_metrics(qos_ldif, "--schema", "qos",
+                          "--query", "( ? sub ? objectClass=*)").stdout
         assert "# TYPE repro_searches_total counter" in out
         assert 'repro_searches_total{code="success"} 1' in out
         assert "repro_search_seconds_bucket" in out
 
-    def test_json_dump(self, qos_ldif, capsys):
-        code = main(["metrics", qos_ldif, "--schema", "qos", "--json",
-                     "--query", "( ? sub ? objectClass=*)",
-                     "--query", "( ? sub ? objectClass=*)"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_json_dump(self, qos_ldif):
+        out = run_metrics(qos_ldif, "--schema", "qos", "--json",
+                          "--query", "( ? sub ? objectClass=*)",
+                          "--query", "( ? sub ? objectClass=*)").stdout
+        payload = json.loads(out)
         assert payload["repro_searches_total"]["values"][0]["value"] == 2
         assert payload["repro_cache_lookups_total"]["kind"] == "counter"
 
-    def test_slow_log_printed(self, qos_ldif, capsys):
-        code = main(["metrics", qos_ldif, "--schema", "qos", "--slow-ms", "0",
-                     "--query", "( ? sub ? objectClass=*)"])
-        assert code == 0
-        err = capsys.readouterr().err
+    def test_slow_log_printed(self, qos_ldif):
+        err = run_metrics(qos_ldif, "--schema", "qos", "--slow-ms", "0",
+                          "--query", "( ? sub ? objectClass=*)").stderr
         assert "slow queries" in err
         assert "objectClass" in err
+
+    def test_filter_coercion_failures_are_printed(self, qos_ldif):
+        # An integer and a dn attribute compared with values that do not
+        # coerce: each failure matches false and is counted by kind.
+        lines = run_metrics(
+            qos_ldif, "--schema", "qos",
+            "--query", "(dc=com ? sub ? DSInProfilePeakRate=abc)",
+            "--query", "(dc=com ? sub ? SLATPRef=notadn)",
+        ).stdout.splitlines()
+        assert 'repro_filter_eval_errors_total{kind="dn-coerce"} 4' in lines
+        assert 'repro_filter_eval_errors_total{kind="int-coerce"} 3' in lines
 
 
 class TestLdapUrl:
@@ -281,13 +310,9 @@ class TestQueryBudget:
 
 
 class TestMetricsLatencySummary:
-    def test_slow_section_reports_quantiles(self, qos_ldif, capsys):
-        code = main([
-            "metrics", qos_ldif, "--schema", "qos", "--slow-ms", "0",
-            "--query", "( ? sub ? objectClass=*)",
-        ])
-        assert code == 0
-        err = capsys.readouterr().err
+    def test_slow_section_reports_quantiles(self, qos_ldif):
+        err = run_metrics(qos_ldif, "--schema", "qos", "--slow-ms", "0",
+                          "--query", "( ? sub ? objectClass=*)").stderr
         assert "-- search latency:" in err
         assert "p50=" in err and "p95=" in err and "p99=" in err
 

@@ -3,7 +3,6 @@ join the submitting request's trace, not start an orphan one."""
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.txn.agent import MaintenanceAgent
 
@@ -11,7 +10,7 @@ from repro.txn.agent import MaintenanceAgent
 @pytest.fixture
 def agent_stack():
     tracer = Tracer()
-    agent = MaintenanceAgent(metrics=MetricsRegistry(), tracer=tracer).start()
+    agent = MaintenanceAgent(tracer=tracer).start()
     yield tracer, agent
     agent.stop()
 
@@ -75,7 +74,7 @@ class TestTracePropagation:
         assert checkpoint.parent_id is None
 
     def test_default_null_tracer_keeps_the_agent_working(self):
-        agent = MaintenanceAgent(metrics=MetricsRegistry()).start()
+        agent = MaintenanceAgent().start()
         try:
             done = []
             agent.submit("compact", lambda: done.append(1))

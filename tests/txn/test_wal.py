@@ -23,6 +23,8 @@ from repro.txn.wal import (
     scan_wal,
 )
 
+from tests.meter import Meter
+
 
 def _record(lsn, name="x", kind="add"):
     dn = DN.parse("name=%s, dc=com" % name)
@@ -182,32 +184,22 @@ class TestGroupCommit:
         wal.close()
 
     def test_group_commit_batch_metric_accounts_every_record(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        wal = WriteAheadLog(
-            str(tmp_path / "w"), fsync=False, metrics=registry
-        )
+        meter = Meter()
+        wal = WriteAheadLog(str(tmp_path / "w"), fsync=False)
         for lsn in range(1, 6):
             wal.commit(_record(lsn))
         wal.close()
-        batches = registry.get("repro_wal_group_commit_batch").as_dict()
-        row = batches["values"][0]
         # One flush per solo commit; the batch sizes sum to the records.
-        assert row["count"] == wal.flushes
-        assert row["sum"] == wal.appends == 5
-        fsyncs = registry.get("repro_wal_fsync_seconds").as_dict()
-        assert fsyncs["values"][0]["count"] == wal.flushes
+        assert meter("repro_wal_group_commit_batch") == wal.flushes
+        assert meter.sum("repro_wal_group_commit_batch") == wal.appends == 5
+        assert meter("repro_wal_fsync_seconds") == wal.flushes
 
     def test_group_commit_batch_metric_sees_shared_flushes(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
+        meter = Meter()
         wal = WriteAheadLog(
             str(tmp_path / "w"),
             fsync=False,
             flush_delay_s=0.003,
-            metrics=registry,
         )
         threads = 8
         lock = threading.Lock()
@@ -231,10 +223,11 @@ class TestGroupCommit:
         for t in workers:
             t.join()
         wal.close()
-        row = registry.get("repro_wal_group_commit_batch").as_dict()["values"][0]
-        assert row["sum"] == threads * 4       # every record in some batch
-        assert row["count"] == wal.flushes     # one observation per flush
-        assert row["count"] < threads * 4      # and batching actually happened
+        batches = meter("repro_wal_group_commit_batch")
+        records = meter.sum("repro_wal_group_commit_batch")
+        assert records == threads * 4     # every record in some batch
+        assert batches == wal.flushes     # one observation per flush
+        assert batches < threads * 4      # and batching actually happened
 
     def test_crash_poisons_every_waiter(self, tmp_path):
         wal = WriteAheadLog(
@@ -427,7 +420,6 @@ class TestScanReport:
 class TestTornTruncationObservability:
     def test_metric_warning_and_status_flag(self, tmp_path):
         from repro.obs.log import CapturingLogger
-        from repro.obs.metrics import MetricsRegistry
         from repro.txn.wal import scan_wal_report
 
         path = str(tmp_path / "wal.log")
@@ -440,16 +432,16 @@ class TestTornTruncationObservability:
             stream.write(fragment[:-4])
         expected_garbage = scan_wal_report(path).garbage_bytes
 
-        metrics = MetricsRegistry()
+        meter = Meter()
         log = CapturingLogger()
         wal2, records, torn = WriteAheadLog.open_existing(
-            path, fsync=False, metrics=metrics, log=log)
+            path, fsync=False, log=log)
         wal2.close()
         assert torn
         assert [r.lsn for r in records] == [1, 2]
         assert wal2.torn_truncations == 1
         assert wal2.torn_bytes_truncated == expected_garbage
-        assert metrics.get("repro_wal_torn_truncations_total").value() == 1
+        assert meter("repro_wal_torn_truncations_total") == 1
         events = log.events("wal.torn_truncated")
         assert len(events) == 1
         assert events[0]["truncated_bytes"] == expected_garbage
@@ -458,18 +450,17 @@ class TestTornTruncationObservability:
 
     def test_clean_open_reports_no_truncation(self, tmp_path):
         from repro.obs.log import CapturingLogger
-        from repro.obs.metrics import MetricsRegistry
 
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(path, fsync=False)
         wal.commit(_record(1))
         wal.close()
-        metrics = MetricsRegistry()
+        meter = Meter()
         log = CapturingLogger()
         wal2, _records, torn = WriteAheadLog.open_existing(
-            path, fsync=False, metrics=metrics, log=log)
+            path, fsync=False, log=log)
         wal2.close()
         assert not torn
         assert wal2.torn_truncations == 0
-        assert metrics.get("repro_wal_torn_truncations_total").value() == 0
+        assert meter("repro_wal_torn_truncations_total") == 0
         assert log.events("wal.torn_truncated") == []
