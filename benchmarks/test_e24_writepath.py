@@ -1,6 +1,6 @@
 """E24 (extension): the durable write path under a mixed read/write load.
 
-Three claims, all deterministic (fixed seeds, no wall-clock fields):
+Four claims, all deterministic (fixed seeds, no wall-clock fields):
 
 1. *Incremental cache maintenance pays.*  On a Zipf read stream with
    interleaved point writes, patching cached results in place retains at
@@ -12,6 +12,11 @@ Three claims, all deterministic (fixed seeds, no wall-clock fields):
    way.
 3. *Recovery is deterministic.*  A seeded crash yields the same
    recovered record count and head lsn on every reopen.
+4. *A write costs O(depth + touched residents).*  The cache maintainer's
+   function calls for one single-entry modify stay within 10 % from 64
+   to 4 096 residents, the same five of which hold the written entry: the
+   cache's prefix index names the touched residents, so the rest are
+   never visited.
 """
 
 import random
@@ -23,6 +28,8 @@ from repro.txn.durable import DurableDirectory
 from repro.txn.records import ChangeRecord
 from repro.txn.wal import CrashPlan, SimulatedCrash, WriteAheadLog, scan_wal
 from repro.workload import ZipfQueryStream, random_instance
+
+from tests.cache.test_call_counts import TOUCHED, maintainer_calls
 
 from ._util import record
 
@@ -217,5 +224,24 @@ def test_e24_crash_recovery_determinism(benchmark, tmp_path):
         "E24: seeded crash recovery (acked commits always survive)",
         ("crash at flush", "torn bytes", "acked", "recovered", "head lsn"),
         rows,
+    )
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def test_e24_maintainer_calls_per_write(benchmark):
+    rows = []
+    for residents in (64, 256, 1024, 4096):
+        calls, (resident, patched, evicted) = maintainer_calls(residents)
+        rows.append((residents, len(TOUCHED), patched, evicted, calls))
+    counts = [row[-1] for row in rows]
+    record(
+        benchmark,
+        "E24: maintainer function calls per single-entry modify",
+        ("residents", "touched", "patched", "evicted", "calls"),
+        rows,
+    )
+    assert max(counts) <= 1.1 * min(counts), (
+        "maintainer calls per write should not grow with residents: %s"
+        % counts
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

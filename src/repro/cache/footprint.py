@@ -5,9 +5,9 @@ contiguous range of the reverse-dn key order.  A query plan therefore has
 a finite read set: each atomic leaf reads the contiguous range of its
 ``(base, scope)``, and every composite operator combines only the entries
 its operands produced.  A :class:`Footprint` describes that read set as a
-set of ranges, each either one dn (a *point*) or a whole subtree, and
-answers the only question invalidation needs: *can an update at dn ``u``
-change this query's result?*
+set of ranges, each either one dn (a *point*) or a whole subtree: an
+update at dn ``u`` can change the query's result only if a range holds
+``u``, which the cache asks of its prefix index over all residents' ranges.
 
 Soundness argument, by induction over the AST:
 
@@ -99,35 +99,6 @@ class Footprint:
     def descendant_closure(self) -> "Footprint":
         """Close every point downward into its whole subtree."""
         return Footprint((dn, True) for dn, _subtree in self._ranges)
-
-    # -- the invalidation question ------------------------------------------
-
-    def covers(self, dn: Union[DN, str]) -> bool:
-        """Can an update of the single entry at ``dn`` be read by this
-        footprint?"""
-        dn = _as_dn(dn)
-        for root, subtree in self._ranges:
-            if subtree:
-                if root.is_prefix_of(dn):
-                    return True
-            elif root == dn:
-                return True
-        return False
-
-    def intersects_subtree(self, dn: Union[DN, str]) -> bool:
-        """Does this footprint intersect the whole subtree at ``dn`` (the
-        region a recursive delete updates)?"""
-        dn = _as_dn(dn)
-        for root, subtree in self._ranges:
-            if dn.is_prefix_of(root):
-                return True
-            if subtree and root.is_prefix_of(dn):
-                return True
-        return False
-
-    def touches(self, dn: Union[DN, str], subtree: bool = False) -> bool:
-        """Dispatch on the shape of the updated region."""
-        return self.intersects_subtree(dn) if subtree else self.covers(dn)
 
     # -- introspection -----------------------------------------------------
 

@@ -18,7 +18,8 @@ its footprint:
 - anything else (hierarchy, aggregates, embedded references, a resident
   admitted without its query AST, a patched result that outgrows the byte
   budget) is *evicted* -- exactly the residents whose footprint
-  intersects the updated region, never the rest.
+  intersects the updated region, which the cache's prefix index names
+  (:meth:`~repro.cache.store.QueryCache.touching`): no other is visited.
 
 Because maintenance happens at *log-append* time -- not at compaction --
 a cached result that survives a burst of updates is still valid after the
@@ -93,9 +94,7 @@ class IncrementalCacheMaintainer:
             self.cache.advance_epoch()
             late = record.lsn < self._applied_lsn
             self._applied_lsn = max(self._applied_lsn, record.lsn)
-            for cached in self.cache:  # iteration snapshots under the lock
-                if not cached.footprint.touches(record.dn, subtree=record.subtree):
-                    continue
+            for cached in self.cache.touching(record.dn, record.subtree):
                 action, rows = (
                     ("evict", None) if late else self._delta(cached, record)
                 )

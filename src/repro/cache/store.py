@@ -16,18 +16,21 @@ and sizes are equal, and to cost-ordered eviction when recency is equal
 
 Entries carry their :class:`~repro.cache.footprint.Footprint` and an
 optional opaque *tag* (the federation tags remote sublists with the
-owning server), so :meth:`QueryCache.invalidate` can evict precisely the
-footprint-intersecting entries and :meth:`QueryCache.invalidate_tag` can
-drop one origin wholesale.
+owning server), so :meth:`QueryCache.invalidate_tag` can drop one origin
+wholesale and :meth:`QueryCache.invalidate` can evict exactly the
+residents whose footprint intersects the updated region, which a
+:class:`~repro.model.prefix_index.PrefixIndex` over the footprints names.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..model.entry import Entry
+from ..model.prefix_index import PrefixIndex
 from ..query.ast import AtomicQuery, Scope
 from .footprint import Footprint
 from .stats import CacheStats
@@ -49,6 +52,8 @@ class CachedResult:
         "query",
         "hits",
         "priority",
+        "seq",
+        "superset_key",
     )
 
     def __init__(
@@ -74,6 +79,11 @@ class CachedResult:
         self.query = query
         self.hits = 0
         self.priority = 0.0
+        self.seq = 0  # admission order: residence order is ascending seq
+        #: A ``sub`` atomic query's root in the superset index, else None.
+        self.superset_key = None
+        if isinstance(query, AtomicQuery) and query.scope == Scope.SUB:
+            self.superset_key = (str(query.filter),) + query.base.key()
 
     def __repr__(self) -> str:
         return "CachedResult(%s, %d entries, cost=%d, %dB)" % (
@@ -123,6 +133,10 @@ class QueryCache:
         # (priority, key) candidates (stale heap items are skipped).
         self._floor = 0.0
         self._heap: List[Tuple[float, str]] = []
+        self._seq = 0
+        # Residents at their footprints' ranges, and ``sub`` atomic ones at
+        # filter text + base key (so a base's ancestors are key prefixes).
+        self._scopes, self._supersets = PrefixIndex(), PrefixIndex()
 
     # -- lookups -----------------------------------------------------------
 
@@ -147,24 +161,13 @@ class QueryCache:
         wider subtree's matches restricted to ``subtree(base)`` are
         exactly the narrower query's result -- so the planner can serve
         the narrow query by filtering the resident's entries, no page I/O
-        at all.  Picks the deepest (smallest) covering resident and
-        accounts it as a hit."""
+        at all.  Picks the deepest (smallest) covering resident, the
+        later admitted of two on one base, and accounts it as a hit."""
         with self._lock:
-            best: Optional[CachedResult] = None
-            for entry in self._entries.values():
-                query = entry.query
-                if not (
-                    isinstance(query, AtomicQuery)
-                    and query.scope == Scope.SUB
-                    and str(query.filter) == filter_text
-                    and query.base.is_prefix_of(base)
-                    and query.base != base
-                ):
-                    continue
-                if best is None or best.query.base.is_prefix_of(query.base):
-                    best = entry
-            if best is None:
+            covering = self._supersets.innermost((filter_text,) + base.key())
+            if not covering:
                 return None
+            best = max(covering, key=_residence)
             self.stats.hits += 1
             self.stats.superset_hits += 1
             self.stats.saved_logical_io += best.cost_io
@@ -188,6 +191,17 @@ class QueryCache:
     def __iter__(self) -> Iterator[CachedResult]:
         with self._lock:
             return iter(list(self._entries.values()))
+
+    def touching(self, dn, subtree: bool = False) -> List[CachedResult]:
+        """The residents whose footprint touches one dn (or its subtree),
+        in residence order: a patch that outgrows the budget evicts itself,
+        so which patches fit depends on the ones before it."""
+        key = dn.key()
+        with self._lock:
+            hits = self._scopes.containing(key)
+            if subtree:
+                hits |= self._scopes.under(key)
+            return sorted(hits, key=_residence)
 
     @property
     def resident_bytes(self) -> int:
@@ -243,6 +257,12 @@ class QueryCache:
                 self._evict_one()
             self._entries[key] = entry
             self._bytes += entry.size_bytes
+            self._seq += 1
+            entry.seq = self._seq
+            for root, subtree in footprint.ranges:
+                self._scopes.add(entry, root.key(), subtree)
+            if entry.superset_key is not None:
+                self._supersets.add(entry, entry.superset_key, True)
             self._reprioritise(entry)
             self.stats.insertions += 1
             return entry
@@ -301,13 +321,9 @@ class QueryCache:
         Returns how many were evicted."""
         with self._lock:
             self._invalidation_epoch += 1
-            doomed = [
-                entry.key
-                for entry in self._entries.values()
-                if entry.footprint.touches(dn, subtree=subtree)
-            ]
-            for key in doomed:
-                self._remove(key)
+            doomed = self.touching(dn, subtree)
+            for entry in doomed:
+                self._remove(entry.key)
             self.stats.invalidations += len(doomed)
             if doomed and self.log is not None and self.log.enabled_for("debug"):
                 self.log.debug(
@@ -333,6 +349,7 @@ class QueryCache:
             self._invalidation_epoch += 1
             count = len(self._entries)
             self._entries.clear()
+            self._scopes, self._supersets = PrefixIndex(), PrefixIndex()
             self._heap = []
             self._bytes = 0
             self.stats.invalidations += count
@@ -364,6 +381,10 @@ class QueryCache:
     def _remove(self, key: str) -> None:
         entry = self._entries.pop(key)
         self._bytes -= entry.size_bytes
+        for root, subtree in entry.footprint.ranges:
+            self._scopes.discard(entry, root.key(), subtree)
+        if entry.superset_key is not None:
+            self._supersets.discard(entry, entry.superset_key, True)
 
     def __repr__(self) -> str:
         return "QueryCache(%d entries, %d/%d bytes, %r)" % (
@@ -372,6 +393,9 @@ class QueryCache:
             self.byte_budget,
             self.stats,
         )
+
+
+_residence = attrgetter("seq")
 
 
 def _approx_bytes(entries: Sequence[Entry]) -> int:

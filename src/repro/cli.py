@@ -238,6 +238,7 @@ def _cmd_metrics(args) -> int:
     service.bind_anonymous()
     for query in args.query or ():
         service.search(query)
+    service.refresh_gauges()
     registry = get_registry()
     if args.json:
         print(registry.to_json(indent=2))

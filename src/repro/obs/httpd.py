@@ -115,6 +115,8 @@ class AdminServer:
         ``/heatmap``.
     :param log: an :class:`~repro.obs.log.EventLogger`; requests are
         logged at debug level.
+    :param gauges: zero-argument callable that sets the served object's
+        point-in-time gauges; ``/metrics`` calls it just before rendering.
     """
 
     def __init__(
@@ -126,8 +128,10 @@ class AdminServer:
         log=None,
         digest=None,
         heatmap=None,
+        gauges: Optional[Callable[[], None]] = None,
     ):
         self.slow_queries = slow_queries
+        self.gauges = gauges
         self.health = health
         self.digest = digest
         self.heatmap = heatmap
@@ -204,6 +208,8 @@ class AdminServer:
     # -- payloads ----------------------------------------------------------
 
     def metrics_text(self) -> str:
+        if self.gauges is not None:
+            self.gauges()
         return get_registry().to_prometheus()
 
     def healthz(self) -> Dict[str, Any]:

@@ -223,6 +223,10 @@ class DirectoryService:
             "repro_buffer_hit_rate",
             "Buffer-pool hit rate of the storage pager (lifetime)",
         )
+        self._m_pending = registry.gauge(
+            "repro_overlay_pending",
+            "Overlay actions committed but not yet compacted into the master run",
+        )
         self._m_search_io = registry.histogram(
             "repro_search_logical_io",
             "Logical page I/O per uncached search",
@@ -666,7 +670,12 @@ class DirectoryService:
             self._m_budget_exceeded.inc(resource=event.budget_error.resource)
         if event.qerror is not None:
             qerror_histogram().observe(event.qerror)
+
+    def refresh_gauges(self) -> None:
+        """Set the point-in-time process gauges from this service, just
+        before an exposition of it renders (no write or search sets them)."""
         self._m_buffer_hit_rate.set(self.directory.store.pager.stats.buffer_hit_rate)
+        self._m_pending.set(self.directory.pending())
 
     def _log_search(self, event: SearchEvent) -> None:
         """The structured event log: one ``search`` line per search, plus
@@ -744,6 +753,7 @@ class DirectoryService:
             log=self.log,
             digest=self.digest,
             heatmap=self.heatmap,
+            gauges=self.refresh_gauges,
         )
         return server.start()
 

@@ -370,10 +370,6 @@ class UpdatableDirectory:
             "Rejected directory updates by structured error code",
             labelnames=("code",),
         )
-        self._pending_metric = registry.gauge(
-            "repro_overlay_pending",
-            "Overlay actions committed but not yet compacted into the master run",
-        )
         self._overlay_merged_metric = registry.counter(
             "repro_overlay_merged_entries_total",
             "Overlay entries walked by overlay-merged scans (searches, write "
@@ -710,9 +706,7 @@ class UpdatableDirectory:
         self._agent = None
 
     def _maybe_compact(self) -> None:
-        pending = self.pending()
-        self._pending_metric.set(pending)
-        if pending < self.auto_compact_at:
+        if self.pending() < self.auto_compact_at:
             return
         agent = self._agent
         if agent is not None:
@@ -756,7 +750,6 @@ class UpdatableDirectory:
                 elapsed = time.perf_counter() - started
                 self.compactions += 1
                 self._compactions_metric.inc()
-                self._pending_metric.set(self.pending())
                 self._compaction_seconds.observe(elapsed)
                 self.log.info(
                     "maintenance.compact",

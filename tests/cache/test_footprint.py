@@ -1,8 +1,14 @@
-"""Static read footprints: ranges, closures and the coverage tests."""
+"""Static read footprints: ranges, closures and the coverage tests.
+
+Coverage is asked of the cache's prefix index in the program; here it is
+asked of one footprint through the linear-walk oracle the index is held
+to (``tests/cache/test_prefix_index.py``)."""
 
 from repro.cache import Footprint, query_footprint
 from repro.model.dn import DN, ROOT_DN
 from repro.query.parser import parse_query
+
+from tests.cache.test_prefix_index import covers, intersects_subtree
 
 
 COM = DN.parse("dc=com")
@@ -14,27 +20,27 @@ ORG = DN.parse("dc=org")
 class TestFootprintAlgebra:
     def test_point_covers_only_itself(self):
         fp = Footprint.point(ATT)
-        assert fp.covers(ATT)
-        assert not fp.covers(COM)
-        assert not fp.covers(RESEARCH)
+        assert covers(fp, ATT)
+        assert not covers(fp, COM)
+        assert not covers(fp, RESEARCH)
 
     def test_subtree_covers_descendants(self):
         fp = Footprint.subtree(ATT)
-        assert fp.covers(ATT)
-        assert fp.covers(RESEARCH)
-        assert not fp.covers(COM)
-        assert not fp.covers(ORG)
+        assert covers(fp, ATT)
+        assert covers(fp, RESEARCH)
+        assert not covers(fp, COM)
+        assert not covers(fp, ORG)
 
     def test_everything(self):
         fp = Footprint.everything()
         for dn in (ROOT_DN, COM, RESEARCH, ORG):
-            assert fp.covers(dn)
+            assert covers(fp, dn)
 
     def test_union_and_prune(self):
         fp = Footprint.subtree(COM) | Footprint.point(RESEARCH)
         # the point under dc=com is subsumed by the subtree range
         assert len(fp) == 1
-        assert fp.covers(RESEARCH)
+        assert covers(fp, RESEARCH)
 
     def test_nested_subtrees_prune(self):
         fp = Footprint.subtree(COM) | Footprint.subtree(ATT)
@@ -43,48 +49,48 @@ class TestFootprintAlgebra:
     def test_intersects_subtree(self):
         fp = Footprint.point(RESEARCH)
         # deleting the subtree at dc=att wipes the point inside it
-        assert fp.intersects_subtree(ATT)
-        assert not fp.intersects_subtree(ORG)
+        assert intersects_subtree(fp, ATT)
+        assert not intersects_subtree(fp, ORG)
         # a subtree range intersects an updated region containing it ...
-        assert Footprint.subtree(ATT).intersects_subtree(COM)
+        assert intersects_subtree(Footprint.subtree(ATT), COM)
         # ... and one inside it
-        assert Footprint.subtree(COM).intersects_subtree(ATT)
+        assert intersects_subtree(Footprint.subtree(COM), ATT)
 
     def test_ancestor_closure_adds_chain_points(self):
         fp = Footprint.subtree(RESEARCH).ancestor_closure()
-        assert fp.covers(ATT)
-        assert fp.covers(COM)
-        assert not fp.covers(ORG)
+        assert covers(fp, ATT)
+        assert covers(fp, COM)
+        assert not covers(fp, ORG)
 
     def test_descendant_closure_widens_points(self):
         fp = Footprint.point(ATT).descendant_closure()
-        assert fp.covers(RESEARCH)
-        assert not fp.covers(COM)
+        assert covers(fp, RESEARCH)
+        assert not covers(fp, COM)
 
 
 class TestQueryFootprint:
     def test_atomic_base_scope_is_point(self):
         fp = query_footprint(parse_query("(dc=att, dc=com ? base ? a=*)"))
-        assert fp.covers(ATT)
-        assert not fp.covers(RESEARCH)
+        assert covers(fp, ATT)
+        assert not covers(fp, RESEARCH)
 
     def test_atomic_sub_scope_is_subtree(self):
         fp = query_footprint(parse_query("(dc=att, dc=com ? sub ? a=*)"))
-        assert fp.covers(RESEARCH)
-        assert not fp.covers(COM)
+        assert covers(fp, RESEARCH)
+        assert not covers(fp, COM)
 
     def test_atomic_one_scope_conservative_subtree(self):
         fp = query_footprint(parse_query("(dc=com ? one ? a=*)"))
-        assert fp.covers(ATT)
-        assert fp.covers(RESEARCH)  # conservative over-approximation
+        assert covers(fp, ATT)
+        assert covers(fp, RESEARCH)  # conservative over-approximation
 
     def test_boolean_union(self):
         fp = query_footprint(
             parse_query("(| (dc=att, dc=com ? sub ? a=*) (dc=org ? base ? a=*))")
         )
-        assert fp.covers(RESEARCH)
-        assert fp.covers(ORG)
-        assert not fp.covers(COM)
+        assert covers(fp, RESEARCH)
+        assert covers(fp, ORG)
+        assert not covers(fp, COM)
 
     def test_ancestor_operator_widens_upward(self):
         # (a Q1 Q2): ancestors outside the operand subtrees can matter
@@ -94,15 +100,15 @@ class TestQueryFootprint:
                 "   (dc=research, dc=att, dc=com ? sub ? b=*))"
             )
         )
-        assert fp.covers(ATT)
-        assert fp.covers(COM)
-        assert not fp.covers(ORG)
+        assert covers(fp, ATT)
+        assert covers(fp, COM)
+        assert not covers(fp, ORG)
 
     def test_descendant_operator_widens_downward(self):
         fp = query_footprint(
             parse_query("(d (dc=com ? base ? a=*) (dc=com ? base ? b=*))")
         )
-        assert fp.covers(RESEARCH)
+        assert covers(fp, RESEARCH)
 
     def test_aggregate_variant_takes_both_closures(self):
         fp = query_footprint(
@@ -111,15 +117,15 @@ class TestQueryFootprint:
                 " count($2) > 1)"
             )
         )
-        assert fp.covers(COM)       # ancestor closure
-        assert fp.covers(RESEARCH)  # descendant closure
+        assert covers(fp, COM)       # ancestor closure
+        assert covers(fp, RESEARCH)  # descendant closure
 
     def test_simple_agg_keeps_operand_footprint(self):
         fp = query_footprint(
             parse_query("(g (dc=att, dc=com ? sub ? a=*) count($1.a) > 0)")
         )
-        assert fp.covers(RESEARCH)
-        assert not fp.covers(ORG)
+        assert covers(fp, RESEARCH)
+        assert not covers(fp, ORG)
 
     def test_embedded_ref_widens_to_everything(self):
         fp = query_footprint(
@@ -127,4 +133,4 @@ class TestQueryFootprint:
                 "(vd (dc=att, dc=com ? sub ? a=*) (dc=att, dc=com ? sub ? b=*) ref)"
             )
         )
-        assert fp.covers(ORG)  # refs may point anywhere
+        assert covers(fp, ORG)  # refs may point anywhere

@@ -124,6 +124,7 @@ class TestSearchSpans:
         assert root.attrs["pending"] == 1
         assert root.find("compact") is None
         assert "execute" in [child.name for child in root.children]
+        service.refresh_gauges()
         assert reading("repro_overlay_pending") == 1
         assert meter("repro_overlay_merged_entries_total") >= 1
         assert meter("repro_compactions_total") == 0
@@ -140,6 +141,7 @@ class TestSearchMetrics:
         assert meter("repro_search_seconds") == 2
         assert meter("repro_search_result_entries") == 2
         assert meter("repro_search_logical_io") == 1  # uncached only
+        service.refresh_gauges()
         assert 0.0 <= reading("repro_buffer_hit_rate") <= 1.0
 
     def test_exposition_includes_service_metrics(self, observed):
@@ -152,6 +154,47 @@ class TestSearchMetrics:
         )
         assert line in text.splitlines()
         assert "repro_search_seconds_bucket" in text
+
+    def test_served_gauges_read_the_served_service(self):
+        """The point-in-time gauges are unlabelled process series, so
+        ``/metrics`` must render the served service's own values, not
+        those of whichever directory or service in the process wrote
+        last."""
+        from repro.dist.replication import ReplicatedContext
+        from repro.workload import balanced_instance, synthetic_schema
+
+        instance = balanced_instance(50)
+        root = next(iter(instance.roots())).dn
+        service = DirectoryService(instance)
+        other = DirectoryService(balanced_instance(50), page_size=4, buffer_pages=2)
+        admin = service.serve_admin()
+        try:
+            for i in range(2):
+                service.add(root.child("name=p%d" % i), ["node"], name="p%d" % i)
+            service.search("( ? sub ? kind=alpha)")
+            # Another service searches and another directory commits last.
+            other.search("( ? sub ? kind=alpha)")
+            replicated = ReplicatedContext("name=r", synthetic_schema(), secondaries=1)
+            replicated.add("name=r", ["node"], name="r", kind="alpha")
+            lines = admin.metrics_text().splitlines()
+            hit_rate = service.directory.store.pager.stats.buffer_hit_rate
+            assert hit_rate != other.directory.store.pager.stats.buffer_hit_rate
+            assert service.directory.pending() == 2
+            assert "repro_overlay_pending 2" in lines
+            assert "repro_buffer_hit_rate %s" % _gauge_text(hit_rate) in lines
+        finally:
+            admin.stop()
+            other.close()
+            service.close()
+
+
+def _gauge_text(value):
+    """A gauge value as the exposition renders it."""
+    from repro.obs.metrics import MetricsRegistry
+
+    gauge = MetricsRegistry().gauge("g", "one value")
+    gauge.set(value)
+    return gauge.expose()[-1].split(" ", 1)[1]
 
 
 class TestSlowQueryLog:

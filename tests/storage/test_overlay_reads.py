@@ -487,7 +487,7 @@ def test_overlay_entries_are_charged_as_logical_page_reads():
     assert dirty.logical_reads == clean.logical_reads + 3
     assert dirty.reads <= clean.reads  # memory resident: no transfers
     assert merged() == merged_before + 20
-    assert reading("repro_overlay_pending") == 20
+    assert directory.pending() == 20
     # A scan whose range holds no overlay entry is the store's own scan.
     leaf = [e.dn for e in instance if e.dn.depth() == 3][0]
     merged_before = merged()
@@ -504,7 +504,7 @@ def test_overlay_entries_are_charged_as_logical_page_reads():
     assert merged() == merged_before
     assert pager.stats.since(before).logical_reads <= 1  # the base's page
     directory.compact()
-    assert reading("repro_overlay_pending") == 0
+    assert directory.pending() == 0
 
 
 # -- the key successor (ROADMAP 3a) --------------------------------------------------

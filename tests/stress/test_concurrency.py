@@ -10,14 +10,16 @@ ones the locks exist to protect.
 import random
 import threading
 
-from repro.cache import Footprint, QueryCache
+from repro.cache import Footprint, QueryCache, query_footprint
 from repro.model.dn import DN
 from repro.model.entry import Entry
 from repro.obs.event import SearchEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import CAPACITY, SlowQueryLog
+from repro.query.parser import parse_query
 from repro.storage.pager import Pager
 
+from tests.cache.test_prefix_index import indexes_match_a_rebuild
 from tests.meter import Meter
 
 THREADS = 8
@@ -126,6 +128,60 @@ class TestCacheHammer:
         # The structure is still live, not wedged.
         cache.put("after", "(q)", _entries(1, "z"), COM_SUB, cost_io=1)
         assert cache.get("after") is not None
+
+
+class TestCacheIndexHammer:
+    def test_index_equals_a_rebuild_after_racing_puts_patches_and_drops(self):
+        """Readers admit results while writers patch (often past the byte
+        budget, which evicts the patched resident), drop and invalidate,
+        and admissions evict to make room.  Afterwards both prefix indexes
+        hold exactly the residents: no stale root, none missing."""
+        cache = QueryCache(byte_budget=3_000)
+        bases = ("", "dc=com", "dc=att, dc=com", "dc=org", "name=p1, dc=com")
+        queries = [
+            parse_query("(%s ? %s ? kind=%s)" % (base, scope, kind))
+            for base in bases
+            for scope in ("base", "sub")
+            for kind in ("alpha", "beta")
+        ]
+        queries.append(parse_query(
+            "(d (dc=com ? sub ? kind=alpha) (dc=att, dc=com ? base ? kind=beta))"
+        ))
+
+        def worker(index):
+            rng = random.Random(index)  # seeded: rerunnable interleavings
+            for _ in range(1_500):
+                query = rng.choice(queries)
+                key = "%s#%d" % (query, rng.randrange(2))
+                if index % 2 == 0:  # a reader
+                    cache.put(
+                        key, str(query), _entries(rng.randrange(1, 6), "r"),
+                        query_footprint(query), cost_io=rng.randrange(1, 50),
+                        query=query,
+                    )
+                    cache.find_superset(DN.parse("name=p1, dc=com"), "kind=alpha")
+                    continue
+                action = rng.random()  # a writer
+                if action < 0.5:
+                    cache.patch(key, _entries(rng.randrange(0, 12), "w"))
+                elif action < 0.7:
+                    cache.drop(key)
+                elif action < 0.9:
+                    touched = cache.touching(
+                        DN.parse(rng.choice(bases)), subtree=rng.random() < 0.5
+                    )
+                    for cached in touched:
+                        cache.patch(cached.key, _entries(rng.randrange(0, 3), "t"))
+                else:
+                    cache.invalidate(
+                        DN.parse(rng.choice(bases)), subtree=rng.random() < 0.5
+                    )
+
+        _hammer(worker)
+        assert indexes_match_a_rebuild(cache)
+        assert cache.resident_bytes == sum(e.size_bytes for e in cache)
+        assert cache.resident_bytes <= 3_000
+        assert cache.stats.evictions > 0 and len(cache) > 0
 
 
 class TestSlowLogHammer:
