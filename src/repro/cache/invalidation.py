@@ -13,8 +13,9 @@ its footprint:
   admits or rejects one entry by re-evaluating ``scope_admits`` and the
   filter against the record's post-image -- so the result is *patched* in
   place: an add inserts one row (at its reverse-dn position, preserving
-  run order), a delete removes rows, a modify replaces one.  No
-  re-evaluation, no eviction;
+  run order), a delete removes rows, a modify replaces one.  The rows are
+  sorted by key, so the touched range is found by bisection: no
+  re-evaluation, no eviction, no walk over the rows;
 - anything else (hierarchy, aggregates, embedded references, a resident
   admitted without its query AST, a patched result that outgrows the byte
   budget) is *evicted* -- exactly the residents whose footprint
@@ -31,13 +32,14 @@ wholesale.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
+from ..model.dn import subtree_upper_bound
 from ..model.entry import Entry
 from ..obs.metrics import get_registry
 from ..query.ast import And, AtomicQuery, Diff, Or, Query
 from ..storage.maintenance import UpdatableDirectory
+from ..storage.store import lower_bound
 from ..txn.records import ChangeRecord
 from .store import CachedResult, QueryCache
 
@@ -95,7 +97,7 @@ class IncrementalCacheMaintainer:
             late = record.lsn < self._applied_lsn
             self._applied_lsn = max(self._applied_lsn, record.lsn)
             for cached in self.cache.touching(record.dn, record.subtree):
-                action, rows = (
+                action, splice = (
                     ("evict", None) if late else self._delta(cached, record)
                 )
                 if action == "evict":
@@ -103,29 +105,33 @@ class IncrementalCacheMaintainer:
                     self._m_actions.inc(action="evicted")
                 elif action == "keep":
                     self._m_actions.inc(action="kept")
-                elif self.cache.patch(cached.key, rows) is not None:
+                elif self.cache.patch(cached.key, *splice) is not None:
                     self._m_actions.inc(action="patched")
                 else:
                     self._m_actions.inc(action="evicted")
 
     def _delta(
         self, cached: CachedResult, record: ChangeRecord
-    ) -> Tuple[str, Optional[List[Entry]]]:
+    ) -> Tuple[str, Optional[Tuple[int, int, Tuple[Entry, ...]]]]:
+        """The action for one touched resident; a patch comes with its
+        splice ``(low, high, added)``: rows ``[low, high)`` -- the record's
+        dn, or its subtree -- give way to ``added``."""
         query = cached.query
         if query is None or not _locally_decidable(query):
             return ("evict", None)
         rows = cached.entries
+        key = record.dn.key()
+        low = lower_bound(rows, key)
         if record.subtree:
-            kept = [e for e in rows if not record.dn.is_prefix_of(e.dn)]
+            high = lower_bound(rows, subtree_upper_bound(key), low)
         else:
-            kept = [e for e in rows if e.dn != record.dn]
+            high = low + (low < len(rows) and rows[low]._dn._key == key)
         # add / modify: the record carries the post-image.
         if record.kind != "delete" and _admits(query, record.entry, self.schema):
-            keys = [e.dn.key() for e in kept]
-            kept.insert(bisect_left(keys, record.entry.dn.key()), record.entry)
-        elif len(kept) == len(rows):
+            return ("patch", (low, high, (record.entry,)))
+        if low == high:
             return ("keep", None)  # nothing resident removed, nothing admitted
-        return ("patch", kept)
+        return ("patch", (low, high, ()))
 
     def __repr__(self) -> str:
         return "IncrementalCacheMaintainer(%r -> %r)" % (

@@ -31,6 +31,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..model.entry import Entry
 from ..model.prefix_index import PrefixIndex
+from ..obs.log import LOG
 from ..query.ast import AtomicQuery, Scope
 from .footprint import Footprint
 from .stats import CacheStats
@@ -106,17 +107,10 @@ class QueryCache:
     for a removed key.
     """
 
-    def __init__(
-        self,
-        byte_budget: int = 512 * 1024,
-        log=None,
-    ):
+    def __init__(self, byte_budget: int = 512 * 1024):
         if byte_budget < 1:
             raise ValueError("byte_budget must be positive")
         self.byte_budget = byte_budget
-        #: Structured event logger (``cache.evict`` / ``cache.invalidate``
-        #: at debug level); None/no-op by default.
-        self.log = log
         self._lock = threading.RLock()
         self.stats = CacheStats()
         self.stats.attach_lock(self._lock)
@@ -269,9 +263,11 @@ class QueryCache:
 
     # -- incremental maintenance --------------------------------------------
 
-    def patch(self, key: str, entries: Sequence[Entry]) -> Optional[CachedResult]:
-        """Replace a resident result's entry list in place (the delta was
-        applied by the caller), re-account its bytes and keep it resident
+    def patch(
+        self, key: str, low: int, high: int, added: Sequence[Entry]
+    ) -> Optional[CachedResult]:
+        """Replace rows ``[low, high)`` of a resident result with ``added``
+        in place, re-account its bytes by that delta and keep it resident
         if it still fits; returns the patched result, or None if ``key``
         was not resident or the patched result no longer fits."""
         with self._lock:
@@ -281,8 +277,11 @@ class QueryCache:
             entry = self._entries.get(key)
             if entry is None:
                 return None
-            new_entries: Tuple[Entry, ...] = tuple(entries)
-            new_bytes = _approx_bytes(new_entries)
+            rows = entry.entries
+            new_entries = rows[:low] + tuple(added) + rows[high:]
+            new_bytes = (
+                entry.size_bytes - _approx_bytes(rows[low:high]) + _approx_bytes(added)
+            )
             if self._bytes - entry.size_bytes + new_bytes > self.byte_budget:
                 # Patching must not trigger an eviction storm against
                 # innocent residents; a grown result that no longer fits
@@ -295,8 +294,8 @@ class QueryCache:
             entry.size_bytes = new_bytes
             self._reprioritise(entry)
             self.stats.patched += 1
-            if self.log is not None and self.log.enabled_for("debug"):
-                self.log.debug(
+            if LOG.enabled:
+                LOG.debug(
                     "cache.patch", query=entry.query_text,
                     rows=len(new_entries), bytes=new_bytes,
                 )
@@ -325,8 +324,8 @@ class QueryCache:
             for entry in doomed:
                 self._remove(entry.key)
             self.stats.invalidations += len(doomed)
-            if doomed and self.log is not None and self.log.enabled_for("debug"):
-                self.log.debug(
+            if doomed and LOG.enabled:
+                LOG.debug(
                     "cache.invalidate", dn=str(dn), subtree=subtree,
                     dropped=len(doomed),
                 )
@@ -340,8 +339,8 @@ class QueryCache:
             for key in doomed:
                 self._remove(key)
             self.stats.invalidations += len(doomed)
-            if doomed and self.log is not None and self.log.enabled_for("debug"):
-                self.log.debug("cache.invalidate", tag=tag, dropped=len(doomed))
+            if doomed and LOG.enabled:
+                LOG.debug("cache.invalidate", tag=tag, dropped=len(doomed))
             return len(doomed)
 
     def clear(self) -> int:
@@ -370,8 +369,8 @@ class QueryCache:
             self._remove(key)
             self._floor = priority
             self.stats.evictions += 1
-            if self.log is not None and self.log.enabled_for("debug"):
-                self.log.debug(
+            if LOG.enabled:
+                LOG.debug(
                     "cache.evict", query=entry.query_text,
                     priority=round(priority, 6), bytes=entry.size_bytes,
                 )

@@ -322,12 +322,13 @@ def _cmd_serve_admin(args) -> int:
     """Run a directory service with its HTTP admin endpoint up."""
     import time as _time
 
-    from .obs.log import EventLogger
+    from .obs.log import configure
     from .obs.trace import Tracer
     from .server.service import DirectoryService
 
     instance = _load(args.file, args.schema)
-    log = EventLogger(min_level=args.log_level) if args.log else None
+    if args.log:
+        configure(sys.stderr, args.log_level)
     service = DirectoryService(
         instance,
         page_size=args.page_size,
@@ -336,7 +337,6 @@ def _cmd_serve_admin(args) -> int:
         slow_query_seconds=(
             args.slow_ms / 1e3 if args.slow_ms is not None else None
         ),
-        log=log,
         budget=_budget_from(args),
     )
     service.bind_anonymous()

@@ -45,7 +45,7 @@ from ..model.dn import DN
 from ..model.entry import Entry
 from ..model.instance import DirectoryInstance
 from ..model.schema import DirectorySchema
-from ..obs.log import NULL_LOGGER
+from ..obs.log import LOG
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER
 from ..query.ast import AtomicQuery, Query
@@ -112,7 +112,6 @@ class FederatedDirectory:
         leaf_cache_bytes: int = 256 * 1024,
         tracer=None,
         max_workers: int = 1,
-        log=None,
         heatmap=None,
     ):
         #: Optional :class:`~repro.obs.heatmap.SubtreeHeatMap`; per-server
@@ -123,9 +122,6 @@ class FederatedDirectory:
         self.network = network or SimulatedNetwork()
         self.locator = ServerLocator()
         self.servers: Dict[str, DirectoryServer] = {}
-        #: Structured event logger shared by the resilience ladder (see
-        #: :mod:`repro.obs.log`); no-op by default.
-        self.log = log if log is not None else NULL_LOGGER
         #: Scatter pool for remote atomic leaves: each leaf's remote
         #: owners fan out across up to ``max_workers`` threads, gathered
         #: back in owner order.  The default single worker runs everything
@@ -212,7 +208,6 @@ class FederatedDirectory:
         leaf_cache_bytes: int = 256 * 1024,
         tracer=None,
         max_workers: int = 1,
-        log=None,
     ) -> "FederatedDirectory":
         """Split one logical instance across servers.
 
@@ -226,7 +221,6 @@ class FederatedDirectory:
             leaf_cache_bytes=leaf_cache_bytes,
             tracer=tracer,
             max_workers=max_workers,
-            log=log,
         )
         for name, contexts in assignments.items():
             dn_contexts = [
@@ -288,7 +282,7 @@ class FederatedDirectory:
         with self._breaker_lock:
             breaker = self._breakers.get(server_name)
             if breaker is None:
-                breaker = self.resilience.make_breaker(server_name, log=self.log)
+                breaker = self.resilience.make_breaker(server_name)
                 self._breakers[server_name] = breaker
             return breaker
 
@@ -626,8 +620,8 @@ class _ScatterGather:
                         break
                     outcome.retries += 1
                     fed._m_retries.inc(server=owner)
-                    if fed.log.enabled:
-                        fed.log.warning(
+                    if LOG.enabled:
+                        LOG.warning(
                             "fed.retry",
                             server=owner,
                             attempt=attempts,
@@ -650,8 +644,8 @@ class _ScatterGather:
             stale = fed._stale.get(outcome.key)
             if stale is not None:
                 fed._m_degraded.inc(mode="stale")
-                if fed.log.enabled:
-                    fed.log.warning(
+                if LOG.enabled:
+                    LOG.warning(
                         "fed.degraded", server=owner, mode="stale", cause=cause
                     )
                 outcome.warnings.append(
@@ -671,8 +665,8 @@ class _ScatterGather:
                 )
             else:
                 fed._m_degraded.inc(mode="replica")
-                if fed.log.enabled:
-                    fed.log.warning(
+                if LOG.enabled:
+                    LOG.warning(
                         "fed.degraded", server=owner, mode="replica", cause=cause
                     )
                 outcome.warnings.append(
@@ -686,8 +680,8 @@ class _ScatterGather:
                 "%s unreachable" % owner, code=NetworkError.OTHER, server=owner
             )
         fed._m_degraded.inc(mode="partial")
-        if fed.log.enabled:
-            fed.log.warning(
+        if LOG.enabled:
+            LOG.warning(
                 "fed.degraded", server=owner, mode="partial", cause=cause
             )
         outcome.missing = True

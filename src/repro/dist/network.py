@@ -7,9 +7,9 @@ entries carried.
 
 Thread-safety: the coordinator's parallel scatter (see
 :mod:`repro.exec`) sends from several worker threads at once, so the
-counters and the optional log are guarded by one reentrant lock
-(reentrant because a subclass may extend :meth:`send` and call back into
-it, as the test suite's fault injector does).  ``wire_latency_s`` optionally adds
+counters are guarded by one reentrant lock (reentrant because a subclass
+may extend :meth:`send` and call back into it, as the test suite's fault
+injector does).  ``wire_latency_s`` optionally adds
 a *real* ``time.sleep`` per message -- slept outside the lock so
 concurrent sends overlap their waits, which is exactly the wall-clock
 effect the parallel benchmark measures.  It defaults to 0.0: the
@@ -20,29 +20,23 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import List, Optional, Tuple
+from typing import Optional
 
 __all__ = ["SimulatedNetwork"]
 
 
 class SimulatedNetwork:
-    """Message/entry counters plus an optional log of traffic."""
+    """Message and entry counters."""
 
-    def __init__(self, keep_log: bool = False, wire_latency_s: float = 0.0):
+    def __init__(self, wire_latency_s: float = 0.0):
         if wire_latency_s < 0:
             raise ValueError("wire_latency_s must be non-negative")
         self._lock = threading.RLock()
         self.messages = 0
         self.entries_shipped = 0
-        self.keep_log = keep_log
         #: Real seconds slept per delivered message (0.0 = purely
         #: simulated, no wall-clock cost).
         self.wire_latency_s = wire_latency_s
-        self.log: List[Tuple[str, str, str, int]] = []
-        #: Trace ids riding along logged messages, parallel to ``log``
-        #: (None for untraced traffic) -- how span identity crosses the
-        #: simulated wire.
-        self.trace_ids: List[Optional[str]] = []
 
     def send(
         self,
@@ -53,14 +47,12 @@ class SimulatedNetwork:
         trace_id: Optional[str] = None,
     ) -> None:
         """Record one message; ``entry_count`` is the number of directory
-        entries in its payload (0 for pure requests).  ``trace_id`` tags
-        the message with the sending span's trace."""
+        entries in its payload (0 for pure requests).  ``trace_id`` is the
+        sending span's trace, which the message carries (the counters
+        ignore it)."""
         with self._lock:
             self.messages += 1
             self.entries_shipped += entry_count
-            if self.keep_log:
-                self.log.append((source, destination, kind, entry_count))
-                self.trace_ids.append(trace_id)
         if self.wire_latency_s > 0:
             time.sleep(self.wire_latency_s)
 
@@ -68,8 +60,6 @@ class SimulatedNetwork:
         with self._lock:
             self.messages = 0
             self.entries_shipped = 0
-            self.log = []
-            self.trace_ids = []
 
     def __repr__(self) -> str:
         return "SimulatedNetwork(messages=%d, entries_shipped=%d)" % (

@@ -46,7 +46,7 @@ from ..model.dn import DN
 from ..model.entry import Entry
 from ..model.instance import DirectoryInstance
 from ..model.schema import DirectorySchema
-from ..obs.log import NULL_LOGGER
+from ..obs.log import LOG
 from ..obs.metrics import get_registry
 from ..query.ast import AtomicQuery
 from ..storage.maintenance import UpdatableDirectory
@@ -87,19 +87,16 @@ class ReplicaNode:
         directory: Optional[UpdatableDirectory] = None,
         page_size: int = 16,
         buffer_pages: int = 8,
-        log=None,
     ):
         self.name = name
         self.schema = schema
         self._page_size = page_size
         self._buffer_pages = buffer_pages
-        self._log = log if log is not None else NULL_LOGGER
         if directory is None:
             directory = UpdatableDirectory.from_instance(
                 DirectoryInstance(schema),
                 page_size=page_size,
                 buffer_pages=buffer_pages,
-                log=self._log,
             )
         self.directory = directory
         #: Highest epoch this node has heard (writes/batches below it are
@@ -178,11 +175,7 @@ class ReplicaNode:
         )
         if isinstance(self.directory, DurableDirectory):
             self.directory.close()  # the snapshot replaces its WAL'd state
-        self.directory = UpdatableDirectory(
-            store,
-            start_lsn=snapshot_lsn,
-            log=self._log,
-        )
+        self.directory = UpdatableDirectory(store, start_lsn=snapshot_lsn)
         self.directory.add_record_listener(self._track)
         self.epoch = epoch
         if self.role == "deposed":
@@ -230,7 +223,6 @@ class ReplicatedContext:
         ack: str = "primary",
         durable_dir: Optional[str] = None,
         wal_fsync: bool = False,
-        log=None,
     ):
         if ack not in ACK_LEVELS:
             raise ValueError("ack must be one of %s" % (ACK_LEVELS,))
@@ -240,7 +232,6 @@ class ReplicatedContext:
         self.schema = schema
         self.network = network or SimulatedNetwork()
         self.ack = ack
-        self.log = log if log is not None else NULL_LOGGER
         self._page_size = page_size
         self._buffer_pages = buffer_pages
 
@@ -252,19 +243,18 @@ class ReplicatedContext:
                 page_size=page_size,
                 buffer_pages=buffer_pages,
                 fsync=wal_fsync,
-                log=self.log,
             )
         self.nodes: Dict[str, ReplicaNode] = {}
         primary = ReplicaNode(
             "primary", schema, directory=primary_directory,
-            page_size=page_size, buffer_pages=buffer_pages, log=self.log,
+            page_size=page_size, buffer_pages=buffer_pages,
         )
         primary.role = "primary"
         self.nodes[primary.name] = primary
         for index in range(secondaries):
             node = ReplicaNode(
                 "secondary%d" % index, schema,
-                page_size=page_size, buffer_pages=buffer_pages, log=self.log,
+                page_size=page_size, buffer_pages=buffer_pages,
             )
             self.nodes[node.name] = node
 
@@ -360,7 +350,7 @@ class ReplicatedContext:
         if node.role in ("primary", "deposed"):
             node.role = "deposed"
             self._m_fenced.inc()
-            self.log.warning(
+            LOG.warning(
                 "replication.fenced",
                 node=node.name, action=action,
                 node_epoch=node.epoch, group_epoch=self.epoch,
@@ -430,7 +420,7 @@ class ReplicatedContext:
         )
         if acked < required:
             self._m_ack_failures.inc()
-            self.log.warning(
+            LOG.warning(
                 "replication.ack_failed",
                 lsn=lsn, acked=acked, required=required, ack=self.ack,
             )
@@ -496,8 +486,8 @@ class ReplicatedContext:
                 ("ship", self.epoch, replica.name, batch[0].lsn, batch[-1].lsn)
             )
             self._m_shipped.inc(len(applied))
-            if self.log.enabled_for("debug"):
-                self.log.debug(
+            if LOG.enabled:
+                LOG.debug(
                     "replication.ship",
                     replica=replica.name, records=len(batch),
                     epoch=self.epoch, upto_lsn=batch[-1].lsn,
@@ -505,8 +495,8 @@ class ReplicatedContext:
             return replica.applied_lsn - before
         except NetworkError as exc:
             self.last_ship_errors[replica.name] = exc
-            if self.log.enabled_for("debug"):
-                self.log.debug(
+            if LOG.enabled:
+                LOG.debug(
                     "replication.ship_failed",
                     replica=replica.name, code=exc.code,
                 )
@@ -543,7 +533,7 @@ class ReplicatedContext:
             ("resync", self.epoch, replica.name, snapshot_lsn,
              replica.applied_lsn)
         )
-        self.log.info(
+        LOG.info(
             "replication.resync",
             replica=replica.name, snapshot_lsn=snapshot_lsn,
             suffix_records=len(suffix), entries=len(entries),
@@ -629,7 +619,7 @@ class ReplicatedContext:
         self.ship_log.append(
             ("promote", self.epoch, pick.name, fork_lsn, fork_lsn)
         )
-        self.log.info(
+        LOG.info(
             "replication.promoted",
             new_primary=pick.name, deposed=old.name,
             epoch=self.epoch, fork_lsn=fork_lsn,
@@ -660,13 +650,12 @@ class ReplicatedContext:
             page_size=self._page_size,
             buffer_pages=self._buffer_pages,
             fsync=directory.wal.fsync,
-            log=self.log,
         )
         survived = reopened.wal.records_since(reopened.checkpoint_lsn)
         node.adopt_directory(reopened, survived, reopened.checkpoint_lsn)
         self.changelog_floor = max(self.changelog_floor, reopened.checkpoint_lsn)
         self._acked[node.name] = node.applied_lsn
-        self.log.info(
+        LOG.info(
             "replication.primary_recovered",
             node=node.name, head_lsn=node.applied_lsn,
             recovered_records=len(survived),

@@ -27,6 +27,7 @@ import threading
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
+from ..obs.log import LOG
 from ..obs.metrics import get_registry
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "StaleStore", "ResiliencePolicy"]
@@ -103,11 +104,9 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         reset_timeout_s: float = 30.0,
         name: str = "",
-        log=None,
     ):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be positive")
-        self._log = log
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
         self.name = name
@@ -133,8 +132,8 @@ class CircuitBreaker:
         self.transitions.append((now, self.state, to))
         previous, self.state = self.state, to
         self._m_transitions.inc(server=self.name, to=to)
-        if self._log is not None and self._log.enabled:
-            self._log.warning(
+        if LOG.enabled:
+            LOG.warning(
                 "breaker.transition",
                 server=self.name,
                 at=now,
@@ -258,12 +257,11 @@ class ResiliencePolicy:
         self.mode = mode
         self.serve_stale = serve_stale
 
-    def make_breaker(self, name: str, log=None) -> CircuitBreaker:
+    def make_breaker(self, name: str) -> CircuitBreaker:
         return CircuitBreaker(
             failure_threshold=self.breaker_failure_threshold,
             reset_timeout_s=self.breaker_reset_s,
             name=name,
-            log=log,
         )
 
     def __repr__(self) -> str:

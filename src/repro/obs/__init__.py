@@ -16,8 +16,8 @@ The paper proves per-operator I/O bounds; this package makes them
   every sink below reads;
 - :mod:`repro.obs.slowlog` -- the one bounded ring of slow, degraded
   and budget-breached searches (``/slowlog`` and ``/traces``);
-- :mod:`repro.obs.log` -- JSON-lines structured event logging with
-  trace/span correlation (no-op by default, like the tracer);
+- :mod:`repro.obs.log` -- the one process event log: JSON lines with
+  trace/span correlation, off until :func:`repro.obs.log.configure`;
 - :mod:`repro.obs.budget` -- per-query resource budgets enforced at
   operator boundaries;
 - :mod:`repro.obs.httpd` -- the stdlib HTTP admin endpoint
@@ -38,7 +38,7 @@ from .digest import QueryDigest, QueryDigestTable
 from .event import SearchEvent
 from .heatmap import SubtreeHeatMap
 from .httpd import AdminServer
-from .log import CapturingLogger, EventLogger, NULL_LOGGER, NullLogger
+from .log import LOG, EventLogger
 from .metrics import (
     Counter,
     Gauge,
@@ -54,15 +54,13 @@ __all__ = [
     "AdminServer",
     "BudgetExceeded",
     "BudgetTracker",
-    "CapturingLogger",
     "Counter",
     "EventLogger",
     "Gauge",
     "Histogram",
+    "LOG",
     "MetricsRegistry",
-    "NULL_LOGGER",
     "NULL_TRACER",
-    "NullLogger",
     "NullTracer",
     "QueryBudget",
     "QueryDigest",

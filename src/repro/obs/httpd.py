@@ -49,7 +49,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
-from .log import NULL_LOGGER
+from .log import LOG
 from .metrics import Histogram, get_registry
 
 __all__ = ["AdminServer"]
@@ -113,8 +113,6 @@ class AdminServer:
         ``/digest``.
     :param heatmap: a :class:`~repro.obs.heatmap.SubtreeHeatMap` for
         ``/heatmap``.
-    :param log: an :class:`~repro.obs.log.EventLogger`; requests are
-        logged at debug level.
     :param gauges: zero-argument callable that sets the served object's
         point-in-time gauges; ``/metrics`` calls it just before rendering.
     """
@@ -125,7 +123,6 @@ class AdminServer:
         health: Optional[Callable[[], Dict[str, Any]]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        log=None,
         digest=None,
         heatmap=None,
         gauges: Optional[Callable[[], None]] = None,
@@ -135,7 +132,6 @@ class AdminServer:
         self.health = health
         self.digest = digest
         self.heatmap = heatmap
-        self.log = log if log is not None else NULL_LOGGER
         self._host = host
         self._port = port
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -159,8 +155,8 @@ class AdminServer:
             daemon=True,
         )
         self._thread.start()
-        if self.log.enabled:
-            self.log.info("admin.start", url=self.url)
+        if LOG.enabled:
+            LOG.info("admin.start", url=self.url)
         return self
 
     def stop(self) -> None:
@@ -173,8 +169,8 @@ class AdminServer:
             self._thread.join(timeout=5)
         self._httpd = None
         self._thread = None
-        if self.log.enabled:
-            self.log.info("admin.stop")
+        if LOG.enabled:
+            LOG.info("admin.stop")
 
     close = stop
 
@@ -397,8 +393,8 @@ def _make_handler(server: AdminServer):
             self._log_request(status, len(body))
 
         def _log_request(self, status: int, size: int) -> None:
-            if server.log.enabled:
-                server.log.debug(
+            if LOG.enabled:
+                LOG.debug(
                     "admin.request", method=self.command, path=self.path,
                     status=status, bytes=size,
                 )

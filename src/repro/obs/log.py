@@ -1,4 +1,4 @@
-"""Structured logging: one JSON object per line, correlated by trace id.
+"""Structured logging: one process event log, one JSON object per line.
 
 Metrics aggregate and traces dissect; the event log *narrates*: retries,
 breaker transitions, degradations, cache evictions, budget breaches and
@@ -8,118 +8,80 @@ is deliberately tiny:
 .. code-block:: json
 
     {"ts": 1700000000.123456, "level": "warning", "event": "fed.retry",
-     "server": "server2", "attempt": 2, "code": "dropped",
-     "trace_id": "t17"}
+     "server": "server2", "attempt": 2, "code": "dropped"}
 
 ``ts`` (unix seconds), ``level`` and ``event`` are always present; every
-other field is event-specific, and ``trace_id``/``span_id`` appear
-whenever the emitting layer runs under a live tracer, so a log line can
-be joined to its span tree (and a slow-query record to both).
+other field is event-specific, and a search's lines carry its
+``trace_id`` when it ran under a live tracer, so a log line can be
+joined to its span tree (and a slow-query record to both).
 
-Logging is **off by default and free when off**, mirroring
-:data:`~repro.obs.trace.NULL_TRACER`: :data:`NULL_LOGGER` is a singleton
-whose methods are no-ops, and hot paths guard field construction with
-``if log.enabled:`` so the disabled path costs one attribute read.
+Every layer writes to the one process log, :data:`LOG`, the way every
+layer reports into the one metrics registry.  It is **off by default**
+and never rebound: :func:`configure` turns it on, onto a stream at a
+least severity (``python -m repro serve-admin --log`` does), or off
+again.  Emitters guard field construction with ``if LOG.enabled:``, so
+the disabled path costs one attribute read.
 
-Writers are thread-safe: one lock per stream (shared by every logger
-:meth:`EventLogger.bind` derives), each line written with a single
-``write`` call -- concurrent workers never interleave partial lines.
+Writes are thread-safe: each line is written with a single ``write``
+call under the log's lock, so concurrent workers never interleave
+partial lines.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, Optional, TextIO
 
-__all__ = ["CapturingLogger", "EventLogger", "NullLogger", "NULL_LOGGER", "LEVELS"]
+__all__ = ["EventLogger", "LEVELS", "LOG", "configure"]
 
 #: Severity order (syslog-ish subset; higher is more severe).
 LEVELS: Dict[str, int] = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
+#: The threshold of a log that is off: above every level.
+_OFF = max(LEVELS.values()) + 1
+
 
 class EventLogger:
-    """A JSON-lines event logger over any text stream.
+    """A JSON-lines event log over a text stream; off while it has none."""
 
-    :param stream: writable text stream (default ``sys.stderr``).
-    :param min_level: least severe level actually written; events below
-        it are counted in :attr:`suppressed` and dropped.
-    :param clock: timestamp source (tests inject a fixed clock).
-    :param bound: fields merged into every emitted event (see
-        :meth:`bind`).
-    """
+    def __init__(self):
+        self._lock = threading.Lock()
+        #: Whether events are written at all -- the guard emitters read.
+        self.enabled = False
+        self.stream: Optional[TextIO] = None
+        self.min_level = "info"
+        self._threshold = _OFF
 
-    enabled = True
-
-    def __init__(
-        self,
-        stream: Optional[TextIO] = None,
-        min_level: str = "info",
-        clock=time.time,
-        bound: Optional[Dict[str, Any]] = None,
-        _lock: Optional[threading.Lock] = None,
-    ):
+    def configure(self, stream: Optional[TextIO], min_level: str = "info") -> None:
+        """Write events at ``min_level`` and above to ``stream`` from now
+        on, or nothing when ``stream`` is None."""
         if min_level not in LEVELS:
-            raise ValueError(
-                "min_level must be one of %s" % sorted(LEVELS)
-            )
-        self.stream = stream if stream is not None else sys.stderr
-        self.min_level = min_level
-        self._threshold = LEVELS[min_level]
-        self.clock = clock
-        self.bound = dict(bound or {})
-        #: One lock per stream; children from :meth:`bind` share it.
-        self._lock = _lock if _lock is not None else threading.Lock()
-        #: Events written / dropped below ``min_level`` (process counters,
-        #: not part of the metrics registry -- the log observes itself).
-        self.emitted = 0
-        self.suppressed = 0
-
-    @classmethod
-    def to_path(cls, path: str, **kwargs) -> "EventLogger":
-        """A logger appending to ``path`` (line-buffered)."""
-        stream = open(path, "a", encoding="utf-8", buffering=1)
-        return cls(stream, **kwargs)
-
-    def bind(self, **fields: Any) -> "EventLogger":
-        """A child logger whose events always carry ``fields`` (same
-        stream, same lock, same threshold)."""
-        merged = dict(self.bound)
-        merged.update(fields)
-        child = EventLogger(
-            self.stream,
-            min_level=self.min_level,
-            clock=self.clock,
-            bound=merged,
-            _lock=self._lock,
-        )
-        return child
-
-    def enabled_for(self, level: str) -> bool:
-        return LEVELS.get(level, 0) >= self._threshold
+            raise ValueError("min_level must be one of %s" % sorted(LEVELS))
+        with self._lock:
+            self.stream = stream
+            self.min_level = min_level
+            self._threshold = LEVELS[min_level] if stream is not None else _OFF
+            self.enabled = stream is not None
 
     def log(self, level: str, event: str, **fields: Any) -> None:
         """Emit one event; ``None``-valued fields are elided so call
         sites can pass optional context unconditionally."""
-        if LEVELS.get(level, 0) < self._threshold:
-            self.suppressed += 1
+        if LEVELS[level] < self._threshold:
             return
         payload: Dict[str, Any] = {
-            "ts": round(self.clock(), 6),
+            "ts": round(time.time(), 6),
             "level": level,
             "event": event,
         }
-        payload.update(self.bound)
         for key, value in fields.items():
             if value is not None:
                 payload[key] = value
-        line = json.dumps(payload, sort_keys=True, default=str)
+        line = json.dumps(payload, sort_keys=True, default=str) + "\n"
         with self._lock:
-            self.stream.write(line + "\n")
-            self.emitted += 1
+            if self.stream is not None:
+                self.stream.write(line)
 
     def debug(self, event: str, **fields: Any) -> None:
         self.log("debug", event, **fields)
@@ -134,64 +96,14 @@ class EventLogger:
         self.log("error", event, **fields)
 
     def __repr__(self) -> str:
-        return "EventLogger(min_level=%r, emitted=%d)" % (
-            self.min_level, self.emitted,
-        )
+        if not self.enabled:
+            return "EventLogger(off)"
+        return "EventLogger(min_level=%r)" % self.min_level
 
 
-class CapturingLogger(EventLogger):
-    """An :class:`EventLogger` over an in-memory buffer, with parsed-line
-    access -- the test and demo double."""
+#: The one process event log.
+LOG = EventLogger()
 
-    def __init__(self, min_level: str = "debug", clock=time.time):
-        super().__init__(io.StringIO(), min_level=min_level, clock=clock)
-
-    def lines(self) -> List[str]:
-        with self._lock:
-            text = self.stream.getvalue()
-        return [line for line in text.splitlines() if line]
-
-    def events(self, event: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Every captured event as a dict, optionally filtered by name."""
-        parsed = [json.loads(line) for line in self.lines()]
-        if event is not None:
-            parsed = [record for record in parsed if record["event"] == event]
-        return parsed
-
-
-class NullLogger:
-    """The disabled logger: every operation is a no-op; ``bind`` returns
-    the singleton itself, so a default-configured stack allocates no
-    logger objects at all."""
-
-    enabled = False
-    emitted = 0
-    suppressed = 0
-
-    def bind(self, **fields: Any) -> "NullLogger":
-        return self
-
-    def enabled_for(self, level: str) -> bool:
-        return False
-
-    def log(self, level: str, event: str, **fields: Any) -> None:
-        pass
-
-    def debug(self, event: str, **fields: Any) -> None:
-        pass
-
-    def info(self, event: str, **fields: Any) -> None:
-        pass
-
-    def warning(self, event: str, **fields: Any) -> None:
-        pass
-
-    def error(self, event: str, **fields: Any) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "NullLogger()"
-
-
-#: The process-wide disabled logger (the default everywhere).
-NULL_LOGGER = NullLogger()
+#: Turn the process log on (``configure(stream, min_level)``) or off
+#: (``configure(None)``).
+configure = LOG.configure

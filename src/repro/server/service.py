@@ -52,7 +52,7 @@ from ..obs.digest import QueryDigestTable
 from ..obs.event import SearchEvent
 from ..obs.heatmap import SubtreeHeatMap
 from ..obs.httpd import AdminServer
-from ..obs.log import NULL_LOGGER
+from ..obs.log import LOG
 from ..obs.metrics import get_registry
 from ..obs.slowlog import SlowQueryLog
 from ..obs.trace import NULL_TRACER
@@ -153,7 +153,6 @@ class DirectoryService:
         cache_bytes: int = 512 * 1024,
         tracer=None,
         slow_query_seconds: Optional[float] = None,
-        log=None,
         budget=None,
         durable_dir: Optional[str] = None,
         wal_fsync: bool = False,
@@ -164,9 +163,6 @@ class DirectoryService:
         #: Span tracer for per-search phase timing and I/O attribution
         #: (disabled -- and free -- by default).
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Structured event logger (see :mod:`repro.obs.log`); the no-op
-        #: default writes nothing and costs one attribute read per guard.
-        self.log = log if log is not None else NULL_LOGGER
         #: Service-wide default :class:`~repro.obs.budget.QueryBudget`
         #: applied to every search (per-call budgets override it); None
         #: means unlimited.
@@ -184,7 +180,6 @@ class DirectoryService:
                 page_size=page_size,
                 buffer_pages=buffer_pages,
                 fsync=wal_fsync,
-                log=self.log,
             )
         else:
             if instance is None:
@@ -193,7 +188,6 @@ class DirectoryService:
                 instance,
                 page_size=page_size,
                 buffer_pages=buffer_pages,
-                log=self.log,
             )
         # Bound here rather than by the first engine, so the first
         # search's spans carry I/O too: every compaction reuses this pager.
@@ -262,7 +256,7 @@ class DirectoryService:
         #: re-filtered per bound subject on every hit.  ``cache_bytes=0``
         #: disables caching.
         self.cache: Optional[QueryCache] = (
-            QueryCache(byte_budget=cache_bytes, log=self.log) if cache_bytes else None
+            QueryCache(byte_budget=cache_bytes) if cache_bytes else None
         )
         #: Keeps the cache current from the directory's change records:
         #: touched L0 residents are patched in place, the rest evicted.
@@ -299,15 +293,15 @@ class DirectoryService:
         #: What every finished search's :class:`SearchEvent` is handed to,
         #: in order, fixed here from what is enabled.  The slow-query ring
         #: goes first: it owns the threshold, so it is what marks an event
-        #: ``slow`` for the sinks after it.
+        #: ``slow`` for the sinks after it.  The process event log comes
+        #: last and is asked per search (:meth:`_publish`), since it may be
+        #: configured after this service is built.
         self._sinks = []
         if self.slow_queries.enabled:
             self._sinks.append(self.slow_queries.record)
         self._sinks.append(self._count)
         if self.digest is not None:
             self._sinks.append(self.digest.observe)
-        if self.log.enabled:
-            self._sinks.append(self._log_search)
 
     # -- federation frontend ------------------------------------------------
 
@@ -652,6 +646,8 @@ class DirectoryService:
         event.elapsed = time.perf_counter() - started
         for sink in self._sinks:
             sink(event)
+        if LOG.enabled:
+            self._log_search(event)
 
     # -- sinks (the ones that are not another object's method) -----------------
 
@@ -678,10 +674,10 @@ class DirectoryService:
         self._m_pending.set(self.directory.pending())
 
     def _log_search(self, event: SearchEvent) -> None:
-        """The structured event log: one ``search`` line per search, plus
+        """The process event log: one ``search`` line per search, plus
         ``slow_query`` / ``budget_exceeded`` warnings."""
         elapsed_s = round(event.elapsed, 6)
-        self.log.info(
+        LOG.info(
             "search",
             code=event.code,
             rows=event.rows,
@@ -693,7 +689,7 @@ class DirectoryService:
             trace_id=event.trace_id,
         )
         if event.slow:
-            self.log.warning(
+            LOG.warning(
                 "slow_query",
                 query=event.query_text,
                 elapsed_s=elapsed_s,
@@ -702,7 +698,7 @@ class DirectoryService:
             )
         if event.budget:
             error = event.budget_error
-            self.log.warning(
+            LOG.warning(
                 "budget_exceeded",
                 query=event.query_text,
                 trace_id=event.trace_id,
@@ -750,7 +746,6 @@ class DirectoryService:
             health=health,
             host=host,
             port=port,
-            log=self.log,
             digest=self.digest,
             heatmap=self.heatmap,
             gauges=self.refresh_gauges,
@@ -810,9 +805,7 @@ class DirectoryService:
         background maintenance agent and route the directory's
         auto-compaction through it."""
         if self._maintenance is None:
-            self._maintenance = MaintenanceAgent(
-                log=self.log, tracer=self.tracer
-            ).start()
+            self._maintenance = MaintenanceAgent(tracer=self.tracer).start()
             self.directory.attach_maintenance(self._maintenance)
         return self._maintenance
 

@@ -64,7 +64,7 @@ from ..model.dn import DN, subtree_upper_bound
 from ..model.entry import Entry
 from ..model.instance import DirectoryInstance, InstanceError
 from ..model.schema import OBJECT_CLASS, DirectorySchema
-from ..obs.log import NULL_LOGGER
+from ..obs.log import LOG
 from ..obs.metrics import get_registry
 from ..txn.mvcc import Snapshot, VersionChain
 from ..txn.records import ChangeRecord
@@ -322,7 +322,6 @@ class UpdatableDirectory:
         store: DirectoryStore,
         auto_compact_at: int = 1024,
         start_lsn: int = 0,
-        log=None,
     ):
         self.store = store
         self.schema = store.schema
@@ -350,7 +349,6 @@ class UpdatableDirectory:
         #: Count of listener callbacks that raised (dispatch continues
         #: past failures; see :meth:`_dispatch`).
         self.listener_errors = 0
-        self.log = log if log is not None else NULL_LOGGER
         registry = get_registry()
         self._compactions_metric = registry.counter(
             "repro_compactions_total",
@@ -751,7 +749,7 @@ class UpdatableDirectory:
                 self.compactions += 1
                 self._compactions_metric.inc()
                 self._compaction_seconds.observe(elapsed)
-                self.log.info(
+                LOG.info(
                     "maintenance.compact",
                     seconds=round(elapsed, 6),
                     folded=folded,

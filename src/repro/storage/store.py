@@ -172,10 +172,10 @@ class DirectoryStore:
         for page_index in range(start, end):
             records = read(page_ids[page_index])
             if page_index == start or page_index == end - 1:
-                first = _lower_bound(records, low) if page_index == start else 0
+                first = lower_bound(records, low) if page_index == start else 0
                 last = len(records)
                 if page_index == end - 1:
-                    last = _lower_bound(records, high, first)
+                    last = lower_bound(records, high, first)
                 if first == last:
                     continue
                 records = records[first:last]
@@ -194,10 +194,10 @@ class DirectoryStore:
         page_index = start
         while page_index < end:
             records = read(page_ids[page_index])
-            at = _lower_bound(records, seek)
+            at = lower_bound(records, seek)
             stop = len(records)
             if page_index == end - 1:
-                stop = _lower_bound(records, high, at)
+                stop = lower_bound(records, high, at)
             taken = []
             while at < stop:
                 entry = records[at]
@@ -209,7 +209,7 @@ class DirectoryStore:
                         continue
                 seek = subtree_upper_bound(key[:depth])
                 if at < stop and len(records[at]._dn._key) > depth:
-                    at = _lower_bound(records, seek, at)  # seek <= high: <= stop
+                    at = lower_bound(records, seek, at)  # seek <= high: <= stop
             if taken:
                 yield taken
             # The page holding the first key >= seek: the last one that
@@ -231,7 +231,7 @@ class DirectoryStore:
         )
 
 
-def _lower_bound(records: List[Entry], key: tuple, lo: int = 0) -> int:
+def lower_bound(records: List[Entry], key: tuple, lo: int = 0) -> int:
     """``bisect_left`` over the records' dn keys (``bisect(key=)`` needs
     Python 3.10, and six probes beat building a page's key list): the
     index of the first record at or after ``key``.  Scans read an entry's

@@ -26,7 +26,7 @@ import queue
 import threading
 from typing import Callable, Optional
 
-from ..obs.log import NULL_LOGGER
+from ..obs.log import LOG
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER
 
@@ -47,7 +47,7 @@ class _Request:
 class MaintenanceAgent:
     """One worker thread executing named maintenance requests in order."""
 
-    def __init__(self, log=None, tracer=None):
+    def __init__(self, tracer=None):
         #: Span tracer.  Each executed request runs under a
         #: ``maintenance.<kind>`` span that adopts the *submitter's* current
         #: span, so an agent-triggered compaction carries the same
@@ -59,7 +59,6 @@ class MaintenanceAgent:
         self._inflight: set = set()
         self._thread: Optional[threading.Thread] = None
         self._running = False
-        self.log = log if log is not None else NULL_LOGGER
         #: Requests whose action raised (counted, logged, not re-raised).
         self.failures = 0
         registry = get_registry()
@@ -150,7 +149,7 @@ class MaintenanceAgent:
             except Exception as exc:  # noqa: BLE001 - isolation by design
                 self.failures += 1
                 self._m_failures.inc(kind=request.kind)
-                self.log.warning(
+                LOG.warning(
                     "maintenance.failed", kind=request.kind, error=str(exc)
                 )
             finally:

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 from ..model.instance import DirectoryInstance
 from ..model.ldif import dumps_ldif, loads_ldif
 from ..model.schema import DirectorySchema
+from ..obs.log import LOG
 from ..obs.metrics import get_registry
 from ..storage.maintenance import UpdatableDirectory
 from ..storage.store import DirectoryStore
@@ -138,7 +139,6 @@ class DurableDirectory(UpdatableDirectory):
         fsync: bool = False,
         crash_plan=None,
         flush_delay_s: float = 0.0,
-        log=None,
         **options,
     ) -> "DurableDirectory":
         """Open (or create) the durable directory at ``data_dir``.
@@ -190,7 +190,6 @@ class DurableDirectory(UpdatableDirectory):
             fsync=fsync,
             crash_plan=crash_plan,
             flush_delay_s=flush_delay_s,
-            log=log,
         )
         if wal.durable_lsn < checkpoint_lsn:
             # Everything up to the checkpoint is durable in base.ldif even
@@ -203,13 +202,12 @@ class DurableDirectory(UpdatableDirectory):
             wal,
             data_dir=data_dir,
             checkpoint_lsn=checkpoint_lsn,
-            log=log,
             **options,
         )
         directory._replay(records)
         directory.recovered_torn = torn
         if records or torn:
-            directory.log.info(
+            LOG.info(
                 "txn.recovered",
                 records=directory.recovered_records,
                 torn_tail=torn,
@@ -258,7 +256,7 @@ class DurableDirectory(UpdatableDirectory):
             self.wal.truncate(lsn)
             self.checkpoint_lsn = lsn
         self._m_checkpoints.inc()
-        self.log.info("txn.checkpoint", lsn=lsn, entries=len(entries))
+        LOG.info("txn.checkpoint", lsn=lsn, entries=len(entries))
         return lsn
 
     # -- status and lifecycle ------------------------------------------------

@@ -43,6 +43,7 @@ import time
 import zlib
 from typing import List, Optional, Tuple
 
+from ..obs.log import LOG
 from ..obs.metrics import get_registry
 from .records import ChangeRecord, RecordError
 
@@ -229,13 +230,11 @@ class WriteAheadLog:
         fsync: bool = True,
         crash_plan: Optional[CrashPlan] = None,
         flush_delay_s: float = 0.0,
-        log=None,
     ):
         self.path = path
         self.fsync = fsync
         self.crash_plan = crash_plan
         self.flush_delay_s = flush_delay_s
-        self.log = log
         self._file = open(path, "ab")
         self._cond = threading.Condition()
         self._buffer = bytearray()
@@ -371,8 +370,8 @@ class WriteAheadLog:
         self._m_bytes.inc(len(batch))
         self._m_group_commit.observe(batch_records)
         self._m_fsync.observe(time.perf_counter() - started)
-        if self.log is not None and self.log.enabled_for("debug"):
-            self.log.debug(
+        if LOG.enabled:
+            LOG.debug(
                 "wal.flush", records=batch_records, bytes=len(batch),
                 lsn=batch_lsn,
             )
@@ -404,8 +403,8 @@ class WriteAheadLog:
             wal.torn_truncations += 1
             wal.torn_bytes_truncated = report.garbage_bytes
             wal._m_torn.inc()
-            if wal.log is not None and wal.log.enabled:
-                wal.log.warning(
+            if LOG.enabled:
+                LOG.warning(
                     "wal.torn_truncated",
                     path=path,
                     truncated_bytes=report.garbage_bytes,

@@ -1,12 +1,14 @@
 """Tripwire: a write, a superset probe and an index lookup cost
-O(depth + hits), not O(residents).
+O(depth + hits), not O(residents), and a patch costs O(log rows), not
+O(rows).
 
 Each count is the interpreter's function calls (``_calls`` of
 ``tests/server/test_hit_path.py``) of one operation, taken at several
-cache or index sizes that differ only in residents the operation does not
-touch.  The counts must stay within 10 % of each other across the sweep.
-A linear walk over the residents grows with every size step and fails
-here before any benchmark runs.  E24 records the maintainer row.
+cache, index or result sizes that differ only in residents or rows the
+operation does not touch.  The counts must stay within 10 % of each other
+across the sweep.  A linear walk over the residents or rows grows with
+every size step and fails here before any benchmark runs.  E24 records
+the maintainer row.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from repro.model.instance import DirectoryInstance
 from repro.model.prefix_index import PrefixIndex
 from repro.query.parser import parse_query
 from repro.storage.maintenance import UpdatableDirectory
-from repro.workload import synthetic_schema
+from repro.workload import balanced_instance, synthetic_schema
 
 from tests.server.test_hit_path import _calls
 
@@ -87,6 +89,32 @@ def maintainer_calls(residents):
     return calls, (len(cache), stats.patched, stats.invalidations)
 
 
+def patch_calls(size):
+    """Calls the maintainer makes patching one single-entry modify into
+    the one resident ``( ? sub ? objectClass=*)`` over
+    ``balanced_instance(size)``, whose ``size`` rows it holds.  The
+    modified entry is the last one three RDNs deep at every size, so the
+    dn's depth (which the prefix index probes) stays put."""
+    directory = UpdatableDirectory.from_instance(balanced_instance(size, seed=3))
+    text = "( ? sub ? objectClass=*)"
+    with directory.acquire_view() as view:
+        rows = QueryEngine(view).run(parse_query(text)).entries
+    cache = QueryCache(byte_budget=1 << 30)
+    _put(cache, text, rows)
+    maintainer = IncrementalCacheMaintainer(directory, cache)
+    maintainer.detach()  # the count below applies the record itself
+    records = []
+    directory.add_record_listener(records.append)
+    position = max(i for i, row in enumerate(rows) if len(row.dn.key()) == 3)
+    directory.modify(rows[position].dn, replace={"weight": [7]})
+    (record,) = records
+    calls = _calls(lambda: maintainer._on_record(record))
+    (resident,) = cache
+    assert cache.stats.patched == 1 and len(resident.entries) == size
+    assert resident.entries[position] is record.entry
+    return calls
+
+
 def superset_calls(residents, covering):
     """Calls of one ``find_superset`` probe at :data:`VICTIM` for
     ``kind=alpha`` in a cache of ``residents`` ``sub`` residents: half on
@@ -139,6 +167,11 @@ def test_maintainer_calls_per_write_are_flat_in_residents():
     assert _flat(counts), results
     for n, (_calls_made, (resident, patched, evicted)) in results.items():
         assert (resident, patched, evicted) == (n - 1, 3, 1), results
+
+
+def test_patch_calls_per_write_are_flat_in_rows():
+    counts = {n: patch_calls(n) for n in (100, 1_000, 4_000)}
+    assert _flat(list(counts.values())), counts
 
 
 @pytest.mark.parametrize("covering", [False, True], ids=["miss", "hit"])

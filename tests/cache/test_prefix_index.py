@@ -26,6 +26,7 @@ from repro.cache import (
 from repro.cache.store import CachedResult
 from repro.engine import QueryEngine
 from repro.model.dn import DN, ROOT_DN
+from repro.model.entry import Entry
 from repro.model.prefix_index import PrefixIndex
 from repro.query.ast import AtomicQuery, Scope
 from repro.query.parser import parse_query
@@ -292,6 +293,14 @@ def _replay(cache_class, budget, script):
         snapshots.append(_snapshot(cache))
         if cache_class is QueryCache:
             assert indexes_match_a_rebuild(cache)
+            for resident in cache:  # patched rows and bytes are exact
+                with directory.acquire_view() as view:
+                    fresh_rows = QueryEngine(view).run(resident.query).entries
+                assert len(resident.entries) == len(fresh_rows)
+                assert all(map(Entry.same_content, resident.entries, fresh_rows))
+                assert resident.size_bytes == sum(
+                    row.approx_bytes() for row in resident.entries
+                )
     actions = {
         action: meter("repro_cache_maintainer_actions_total", action=action)
         for action in ("patched", "kept", "evicted")

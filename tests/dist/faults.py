@@ -30,9 +30,46 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.dist.errors import NetworkError
 from repro.dist.network import SimulatedNetwork
+from repro.obs.log import LOG
 from repro.obs.metrics import get_registry
 
-__all__ = ["FaultPlan", "FaultInjector"]
+__all__ = ["FaultPlan", "FaultInjector", "RecordingNetwork"]
+
+
+class RecordingNetwork(SimulatedNetwork):
+    """A :class:`SimulatedNetwork` that, with ``keep_log``, also keeps a
+    ledger of the messages it delivered.
+
+    ``log`` holds one ``(source, destination, kind, entry_count)`` per
+    message and ``trace_ids`` the trace id each carried (None for
+    untraced traffic) -- how span identity crosses the simulated wire.
+    """
+
+    def __init__(self, keep_log: bool = True, wire_latency_s: float = 0.0):
+        super().__init__(wire_latency_s=wire_latency_s)
+        self.keep_log = keep_log
+        self.log: List[Tuple[str, str, str, int]] = []
+        self.trace_ids: List[Optional[str]] = []
+
+    def send(
+        self,
+        source: str,
+        destination: str,
+        kind: str,
+        entry_count: int = 0,
+        trace_id: Optional[str] = None,
+    ) -> None:
+        super().send(source, destination, kind, entry_count, trace_id)
+        if self.keep_log:
+            with self._lock:
+                self.log.append((source, destination, kind, entry_count))
+                self.trace_ids.append(trace_id)
+
+    def reset(self) -> None:
+        with self._lock:
+            super().reset()
+            self.log = []
+            self.trace_ids = []
 
 
 class FaultPlan:
@@ -111,8 +148,9 @@ class FaultPlan:
         )
 
 
-class FaultInjector(SimulatedNetwork):
-    """A :class:`SimulatedNetwork` that applies a :class:`FaultPlan`.
+class FaultInjector(RecordingNetwork):
+    """A network that applies a :class:`FaultPlan` (and keeps the
+    :class:`RecordingNetwork` ledger only with ``keep_log``).
 
     Delivered messages count in the inherited ``messages`` /
     ``entries_shipped`` (so traffic accounting stays comparable to the
@@ -122,14 +160,9 @@ class FaultInjector(SimulatedNetwork):
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None, keep_log: bool = False,
-                 wire_latency_s: float = 0.0, log=None):
+                 wire_latency_s: float = 0.0):
         super().__init__(keep_log=keep_log, wire_latency_s=wire_latency_s)
         self.plan = plan or FaultPlan()
-        #: Structured event logger; each injected fault is logged as a
-        #: ``fault.injected`` event (None/no-op by default).  Named apart
-        #: from the inherited ``log`` *message list* -- shadowing it broke
-        #: ``keep_log`` accounting.
-        self.event_log = log
         self._rng = random.Random(self.plan.seed)
         #: Simulated clock, in seconds.
         self.now = 0.0
@@ -154,8 +187,8 @@ class FaultInjector(SimulatedNetwork):
         # Called with self._lock held (from send); raising releases it.
         self.faults[code] = self.faults.get(code, 0) + 1
         self._m_faults.inc(code=code)
-        if self.event_log is not None and self.event_log.enabled:
-            self.event_log.info(
+        if LOG.enabled:
+            LOG.info(
                 "fault.injected", code=code, server=server, at=round(self.now, 6)
             )
         raise NetworkError(message, code=code, server=server)

@@ -3,10 +3,12 @@ correctness vs the centralised engine, and network accounting."""
 
 import pytest
 
-from repro.dist import FederatedDirectory, LocatorError, ServerLocator, SimulatedNetwork
+from repro.dist import FederatedDirectory, LocatorError, ServerLocator
 from repro.model.dn import DN
 from repro.query.semantics import evaluate
 from repro.workload import RandomQueries, random_instance
+
+from tests.dist.faults import RecordingNetwork
 
 
 class TestLocator:
@@ -96,6 +98,7 @@ class TestQueries:
         delegated = fed.servers["delegated"]
         context = delegated.contexts[0]
         other = next(name for name in sorted(fed.servers) if name != "delegated")
+        fed.leaf_cache.clear()  # the module's federation: ship, not hit
         result = fed.query(other, "(%s ? sub ? kind=alpha)" % context)
         expected = [
             e for e in instance
@@ -112,6 +115,7 @@ class TestQueries:
         delegated_context = fed.servers["delegated"].contexts[0]
         parent_root = DN(delegated_context.rdns[-1:])  # the forest root above
         at = fed.locator.locate(parent_root)
+        fed.leaf_cache.clear()  # the module's federation: ship, not hit
         result = fed.query(at, "(%s ? sub ? objectClass=*)" % parent_root)
         expected = [e for e in instance if parent_root.is_prefix_of(e.dn)]
         assert len(result) == len(expected)
@@ -120,7 +124,7 @@ class TestQueries:
 
 class TestNetwork:
     def test_counters(self):
-        network = SimulatedNetwork(keep_log=True)
+        network = RecordingNetwork()
         network.send("a", "b", "request")
         network.send("b", "a", "result", entry_count=5)
         assert network.messages == 2

@@ -10,10 +10,9 @@ from repro.dist import (
     ReferralError,
     ReplicationError,
     ServerLocator,
-    SimulatedNetwork,
 )
 
-from tests.dist.faults import FaultInjector, FaultPlan
+from tests.dist.faults import FaultInjector, FaultPlan, RecordingNetwork
 from tests.meter import Meter
 
 
@@ -56,7 +55,7 @@ class TestFaultPlan:
 
 class TestFaultInjector:
     def test_default_plan_matches_plain_network(self):
-        plain = SimulatedNetwork(keep_log=True)
+        plain = RecordingNetwork()
         injected = FaultInjector(keep_log=True)
         for network in (plain, injected):
             network.send("a", "b", "request")

@@ -4,10 +4,10 @@ and federation metrics count shipped work per server."""
 import pytest
 
 from repro.dist import FederatedDirectory
-from repro.dist.network import SimulatedNetwork
 from repro.obs.trace import Tracer
 from repro.workload import random_instance
 
+from tests.dist.faults import RecordingNetwork
 from tests.meter import Meter
 
 
@@ -19,7 +19,7 @@ def traced_federation():
     tracer = Tracer()
     fed = FederatedDirectory.partition(
         instance, assignments, page_size=8,
-        network=SimulatedNetwork(keep_log=True),
+        network=RecordingNetwork(),
         leaf_cache_bytes=0,  # always ship, so every query traces remotely
         tracer=tracer,
     )

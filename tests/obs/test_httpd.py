@@ -9,11 +9,11 @@ import pytest
 
 from repro.obs.event import SearchEvent
 from repro.obs.httpd import AdminServer
-from repro.obs.log import CapturingLogger
 from repro.obs.metrics import get_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Tracer
 
+from tests.logcap import capture
 from tests.meter import Meter, reading
 
 
@@ -107,8 +107,7 @@ class TestEndpoints:
         assert json.loads(err.value.read())["path"] == "/nope"
 
     def test_scrapes_are_logged_at_debug(self):
-        log = CapturingLogger(min_level="debug")
-        with AdminServer(log=log) as server:
+        with capture() as log, AdminServer() as server:
             _get(server.url + "/healthz")
         events = [e["event"] for e in log.events()]
         assert events[0] == "admin.start"

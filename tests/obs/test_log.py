@@ -1,5 +1,5 @@
-"""The structured event log: JSON-lines schema, level gating, bound
-context, and the zero-cost disabled path."""
+"""The process event log: JSON-lines schema, level gating, the one
+configure entry point, and the zero-cost disabled path."""
 
 import io
 import json
@@ -7,120 +7,103 @@ import threading
 
 import pytest
 
-from repro.obs.log import (
-    LEVELS,
-    NULL_LOGGER,
-    CapturingLogger,
-    EventLogger,
-    NullLogger,
-)
+from repro.obs.log import LEVELS, LOG, configure
+
+from tests.logcap import capture
 
 
 class TestEventLogger:
     def test_one_json_object_per_line(self):
-        log = CapturingLogger(clock=lambda: 12.5)
-        log.info("search", code="success", rows=3)
-        log.warning("slow_query", query="(q)")
+        with capture() as log:
+            LOG.info("search", code="success", rows=3)
+            LOG.warning("slow_query", query="(q)")
         lines = log.lines()
         assert len(lines) == 2
         first = json.loads(lines[0])
+        assert isinstance(first.pop("ts"), float)
         assert first == {
-            "ts": 12.5, "level": "info", "event": "search",
-            "code": "success", "rows": 3,
+            "level": "info", "event": "search", "code": "success", "rows": 3,
         }
 
     def test_keys_are_sorted_for_stable_diffs(self):
-        log = CapturingLogger(clock=lambda: 0.0)
-        log.info("e", zebra=1, alpha=2)
+        with capture() as log:
+            LOG.info("e", zebra=1, alpha=2)
         keys = list(json.loads(log.lines()[0]))
         assert keys == sorted(keys)
 
     def test_none_fields_are_elided(self):
-        log = CapturingLogger()
-        log.info("search", cached=None, retries=None, rows=0)
+        with capture() as log:
+            LOG.info("search", cached=None, retries=None, rows=0)
         event = log.events()[0]
         assert "cached" not in event and "retries" not in event
         assert event["rows"] == 0
 
-    def test_min_level_suppresses_and_counts(self):
-        log = EventLogger(io.StringIO(), min_level="warning")
-        log.debug("noise")
-        log.info("noise")
-        log.warning("kept")
-        log.error("kept")
-        assert log.emitted == 2
-        assert log.suppressed == 2
-        assert log.enabled_for("warning") and not log.enabled_for("info")
+    def test_min_level_suppresses(self):
+        with capture(min_level="warning") as log:
+            LOG.debug("noise")
+            LOG.info("noise")
+            LOG.warning("kept")
+            LOG.error("kept")
+        assert [e["level"] for e in log.events()] == ["warning", "error"]
 
     def test_invalid_min_level_rejected(self):
         with pytest.raises(ValueError):
-            EventLogger(io.StringIO(), min_level="loud")
+            configure(io.StringIO(), min_level="loud")
+        assert not LOG.enabled
 
     def test_levels_are_ordered(self):
         assert LEVELS["debug"] < LEVELS["info"] < LEVELS["warning"] < LEVELS["error"]
 
-    def test_bind_merges_fields_and_shares_the_stream(self):
-        log = CapturingLogger(clock=lambda: 1.0)
-        child = log.bind(server="s1", trace_id="t9")
-        grandchild = child.bind(server="s2")  # later bind wins
-        child.info("fed.retry", attempt=2)
-        grandchild.info("fed.retry")
-        events = log.events("fed.retry")  # children write to the parent
-        assert events[0]["server"] == "s1" and events[0]["trace_id"] == "t9"
-        assert events[1]["server"] == "s2" and events[1]["trace_id"] == "t9"
-        assert child._lock is log._lock
-
-    def test_explicit_field_overrides_bound_field(self):
-        log = CapturingLogger()
-        child = log.bind(server="bound")
-        child.info("e", server="explicit")
-        assert log.events()[0]["server"] == "explicit"
-
-    def test_to_path_appends(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        log = EventLogger.to_path(path, clock=lambda: 2.0)
-        log.info("first")
-        log.stream.close()
-        again = EventLogger.to_path(path, clock=lambda: 3.0)
-        again.info("second")
-        again.stream.close()
-        events = [json.loads(line) for line in open(path)]
-        assert [e["event"] for e in events] == ["first", "second"]
-
     def test_default_str_serialisation_for_odd_values(self):
-        log = CapturingLogger()
-        log.info("e", dn=complex(1, 2))  # not JSON-native: falls to str()
+        with capture() as log:
+            LOG.info("e", dn=complex(1, 2))  # not JSON-native: falls to str()
         assert log.events()[0]["dn"] == "(1+2j)"
 
     def test_concurrent_writers_never_interleave_lines(self):
-        log = CapturingLogger()
         per_thread = 400
 
         def worker(index):
-            bound = log.bind(worker=index)
             for i in range(per_thread):
-                bound.info("tick", i=i)
+                LOG.info("tick", worker=index, i=i)
 
-        threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with capture() as log:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         events = log.events("tick")  # json.loads would fail on a torn line
         assert len(events) == 8 * per_thread
 
 
-class TestNullLogger:
-    def test_everything_is_a_cheap_no_op(self):
-        assert NULL_LOGGER.enabled is False
-        assert NULL_LOGGER.enabled_for("error") is False
-        assert NULL_LOGGER.bind(trace_id="t") is NULL_LOGGER
-        NULL_LOGGER.debug("e")
-        NULL_LOGGER.info("e", anything=1)
-        NULL_LOGGER.warning("e")
-        NULL_LOGGER.error("e")
-        NULL_LOGGER.log("info", "e")
-        assert NULL_LOGGER.emitted == 0
+class TestProcessLog:
+    def test_off_by_default_and_a_no_op(self):
+        assert LOG.enabled is False and LOG.stream is None
+        LOG.debug("e")
+        LOG.info("e", anything=1)
+        LOG.warning("e")
+        LOG.error("e")
+        LOG.log("info", "e")
 
-    def test_singleton_is_a_nulllogger(self):
-        assert isinstance(NULL_LOGGER, NullLogger)
+    def test_configure_turns_it_on_and_off(self):
+        stream = io.StringIO()
+        configure(stream, "info")
+        try:
+            assert LOG.enabled and LOG.min_level == "info"
+            LOG.info("on")
+        finally:
+            configure(None)
+        LOG.info("off")
+        assert not LOG.enabled
+        assert [json.loads(line)["event"] for line in stream.getvalue().splitlines()] \
+            == ["on"]
+
+    def test_capture_restores_the_previous_setting(self):
+        with capture(min_level="info") as outer:
+            with capture() as inner:
+                LOG.debug("inner")
+            assert LOG.min_level == "info" and LOG.stream is outer.buffer
+            LOG.info("outer")
+        assert not LOG.enabled
+        assert [e["event"] for e in inner.events()] == ["inner"]
+        assert [e["event"] for e in outer.events()] == ["outer"]

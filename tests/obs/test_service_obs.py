@@ -16,7 +16,6 @@ from repro.model.schema import DirectorySchema
 from repro.obs.budget import BudgetExceeded, QueryBudget
 from repro.obs.event import SearchEvent
 from repro.obs.httpd import AdminServer
-from repro.obs.log import CapturingLogger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.stats import StatCounters
@@ -25,6 +24,7 @@ from repro.query.ast import AtomicQuery
 from repro.server import DirectoryService, ResultCode
 from repro.storage.maintenance import UpdatableDirectory
 
+from tests.logcap import capture
 from tests.meter import Meter, reading
 
 QUERY = "(dc=com ? sub ? grade=5)"
@@ -341,17 +341,16 @@ class TestSearchPagedEvents:
 
 @pytest.fixture
 def all_sinks():
-    """A service with every sink on."""
-    log = CapturingLogger(min_level="info")
+    """A service with every sink on, the process event log included."""
     service = DirectoryService(
         make_instance(),
         page_size=4,
         tracer=Tracer(),
         slow_query_seconds=0.0,
-        log=log,
     )
     service.bind_anonymous()
-    yield service, log
+    with capture(min_level="info") as log:
+        yield service, log
     service.close()
 
 
@@ -506,15 +505,15 @@ class TestSearchPathWorkCounters:
         assert counts["fingerprint_render"] == 1
 
     def test_all_sinks_cache_hit_renders_at_most_once(self, counts):
-        log = CapturingLogger(min_level="info")
         service = DirectoryService(
-            make_instance(), page_size=4, slow_query_seconds=0.0, log=log,
+            make_instance(), page_size=4, slow_query_seconds=0.0,
         )
         service.bind_anonymous()
-        service.search(QUERY)
-        for key in counts:
-            counts[key] = 0
-        assert service.search(QUERY).cached
+        with capture(min_level="info") as log:
+            service.search(QUERY)
+            for key in counts:
+                counts[key] = 0
+            assert service.search(QUERY).cached
         # Read every retained form of the search: still one render.
         service.slow_queries.as_dicts()
         service.slow_queries.traces()
@@ -618,12 +617,12 @@ class TestGoldenKeys:
         }
 
     def test_untraced_log_lines_omit_the_trace_id(self):
-        log = CapturingLogger(min_level="info")
         service = DirectoryService(
-            make_instance(), page_size=4, slow_query_seconds=0.0, log=log,
+            make_instance(), page_size=4, slow_query_seconds=0.0,
         )
         service.bind_anonymous()
-        service.search(QUERY)
+        with capture(min_level="info") as log:
+            service.search(QUERY)
         assert "trace_id" not in log.events("search")[0]
         assert "trace_id" not in log.events("slow_query")[0]
 
@@ -635,11 +634,11 @@ class TestConstructorSurface:
         parameters = list(inspect.signature(DirectoryService.__init__).parameters)
         assert parameters == [
             "self", "instance", "acl", "page_size", "buffer_pages",
-            "cache_bytes", "tracer", "slow_query_seconds", "log",
-            "budget", "durable_dir", "wal_fsync", "planner",
-            "digest_capacity", "heatmap_depth",
+            "cache_bytes", "tracer", "slow_query_seconds", "budget",
+            "durable_dir", "wal_fsync", "planner", "digest_capacity",
+            "heatmap_depth",
         ]
-        assert len(parameters) - 1 == 14
+        assert len(parameters) - 1 == 13
 
 
 class TestListenerHardening:

@@ -4,17 +4,17 @@ degradation warnings surfacing on results, metrics and the slow log."""
 import pytest
 
 from repro.dist import FederatedDirectory, RetryPolicy
-from repro.obs.log import CapturingLogger
 from repro.query.semantics import evaluate
 from repro.query.parser import parse_query
 from repro.server import DirectoryService
 from repro.workload import random_instance
 
 from tests.dist.faults import FaultInjector, FaultPlan
+from tests.logcap import capture
 from tests.meter import Meter
 
 
-def make_frontend(plan=None, slow_query_seconds=None, log=None):
+def make_frontend(plan=None, slow_query_seconds=None):
     instance = random_instance(29, size=100, forest_roots=2)
     roots = sorted({e.dn for e in instance.roots()}, key=lambda dn: dn.key())
     assignments = {"server%d" % i: [root] for i, root in enumerate(roots)}
@@ -29,9 +29,7 @@ def make_frontend(plan=None, slow_query_seconds=None, log=None):
     fed.enable_resilience(
         retry=RetryPolicy(max_attempts=2, backoff_s=0.01), serve_stale=False
     )
-    service = DirectoryService(
-        instance, slow_query_seconds=slow_query_seconds, log=log
-    )
+    service = DirectoryService(instance, slow_query_seconds=slow_query_seconds)
     service.attach_federation(fed, "server0")
     remote_query = "(%s ? sub ? objectClass=*)" % roots[1]
     return instance, service, network, remote_query
@@ -79,10 +77,10 @@ class TestFrontend:
     def test_every_sink_reports_the_coordinator_side_page_cost(self):
         # The evaluation ran on the coordinator's pager, not the
         # frontend's local one: a bracket around the local pager reads 0.
-        log = CapturingLogger()
-        _, service, _, query = make_frontend(slow_query_seconds=0.0, log=log)
+        _, service, _, query = make_frontend(slow_query_seconds=0.0)
         meter = Meter()
-        service.search(query)
+        with capture() as log:
+            service.search(query)
         (record,) = service.slow_queries.records()
         (line,) = log.events("search")
         (slow_line,) = log.events("slow_query")

@@ -162,16 +162,19 @@ class TestCacheIndexHammer:
                     cache.find_superset(DN.parse("name=p1, dc=com"), "kind=alpha")
                     continue
                 action = rng.random()  # a writer
-                if action < 0.5:
-                    cache.patch(key, _entries(rng.randrange(0, 12), "w"))
+                if action < 0.5:  # splice rows at random, past the end too
+                    low = rng.randrange(0, 3)
+                    cache.patch(key, low, low + rng.randrange(0, 4),
+                                _entries(rng.randrange(0, 12), "w"))
                 elif action < 0.7:
                     cache.drop(key)
                 elif action < 0.9:
                     touched = cache.touching(
                         DN.parse(rng.choice(bases)), subtree=rng.random() < 0.5
                     )
-                    for cached in touched:
-                        cache.patch(cached.key, _entries(rng.randrange(0, 3), "t"))
+                    for cached in touched:  # replace every row
+                        cache.patch(cached.key, 0, len(cached.entries),
+                                    _entries(rng.randrange(0, 3), "t"))
                 else:
                     cache.invalidate(
                         DN.parse(rng.choice(bases)), subtree=rng.random() < 0.5

@@ -9,12 +9,12 @@ import threading
 
 from tests.obs.test_budget import make_instance
 from tests.obs.test_digest import event
+from tests.logcap import capture
 from tests.meter import Meter
 from repro.model.dn import DN
 from repro.obs.digest import QueryDigestTable
 from repro.obs import heatmap
 from repro.obs.heatmap import SubtreeHeatMap
-from repro.obs.log import CapturingLogger
 from repro.obs.trace import Tracer
 from repro.server import DirectoryService
 
@@ -131,10 +131,9 @@ class TestSearchEventHammer:
     SEARCHES = 40  # per thread
 
     def test_sinks_agree_per_event_under_contention(self):
-        log = CapturingLogger(min_level="info")
         service = DirectoryService(
             make_instance(), page_size=4, tracer=Tracer(),
-            slow_query_seconds=0.0, log=log,
+            slow_query_seconds=0.0,
         )
         meter = Meter()
         service.bind_anonymous()
@@ -156,7 +155,8 @@ class TestSearchEventHammer:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            _hammer(worker)
+            with capture(min_level="info") as log:
+                _hammer(worker)
         finally:
             sys.setswitchinterval(interval)
             service.close()

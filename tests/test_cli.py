@@ -192,15 +192,15 @@ class TestExplainJson:
         assert "total_io" not in payload
 
 
-def run_metrics(*args) -> subprocess.CompletedProcess:
-    """``python -m repro metrics ARGS`` in a fresh interpreter, whose one
-    process registry then holds this command's searches alone."""
+def run_repro(*args) -> subprocess.CompletedProcess:
+    """``python -m repro ARGS`` in a fresh interpreter, whose one process
+    registry and event log then hold this command's work alone."""
     package_root = pathlib.Path(repro.__file__).resolve().parent.parent
     path = os.pathsep.join(
         filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
     )
     completed = subprocess.run(
-        [sys.executable, "-m", "repro", "metrics", *args],
+        [sys.executable, "-m", "repro", *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -212,14 +212,14 @@ def run_metrics(*args) -> subprocess.CompletedProcess:
 
 class TestMetricsCommand:
     def test_prometheus_dump(self, qos_ldif):
-        out = run_metrics(qos_ldif, "--schema", "qos",
+        out = run_repro("metrics", qos_ldif, "--schema", "qos",
                           "--query", "( ? sub ? objectClass=*)").stdout
         assert "# TYPE repro_searches_total counter" in out
         assert 'repro_searches_total{code="success"} 1' in out
         assert "repro_search_seconds_bucket" in out
 
     def test_json_dump(self, qos_ldif):
-        out = run_metrics(qos_ldif, "--schema", "qos", "--json",
+        out = run_repro("metrics", qos_ldif, "--schema", "qos", "--json",
                           "--query", "( ? sub ? objectClass=*)",
                           "--query", "( ? sub ? objectClass=*)").stdout
         payload = json.loads(out)
@@ -227,7 +227,7 @@ class TestMetricsCommand:
         assert payload["repro_cache_lookups_total"]["kind"] == "counter"
 
     def test_slow_log_printed(self, qos_ldif):
-        err = run_metrics(qos_ldif, "--schema", "qos", "--slow-ms", "0",
+        err = run_repro("metrics", qos_ldif, "--schema", "qos", "--slow-ms", "0",
                           "--query", "( ? sub ? objectClass=*)").stderr
         assert "slow queries" in err
         assert "objectClass" in err
@@ -235,7 +235,8 @@ class TestMetricsCommand:
     def test_filter_coercion_failures_are_printed(self, qos_ldif):
         # An integer and a dn attribute compared with values that do not
         # coerce: each failure matches false and is counted by kind.
-        lines = run_metrics(
+        lines = run_repro(
+            "metrics",
             qos_ldif, "--schema", "qos",
             "--query", "(dc=com ? sub ? DSInProfilePeakRate=abc)",
             "--query", "(dc=com ? sub ? SLATPRef=notadn)",
@@ -311,7 +312,7 @@ class TestQueryBudget:
 
 class TestMetricsLatencySummary:
     def test_slow_section_reports_quantiles(self, qos_ldif):
-        err = run_metrics(qos_ldif, "--schema", "qos", "--slow-ms", "0",
+        err = run_repro("metrics", qos_ldif, "--schema", "qos", "--slow-ms", "0",
                           "--query", "( ? sub ? objectClass=*)").stderr
         assert "-- search latency:" in err
         assert "p50=" in err and "p95=" in err and "p99=" in err
@@ -360,6 +361,17 @@ class TestServeAdmin:
         thread.join()
         assert code == 0
         assert b"repro_searches_total" in captured.get("body", b"")
+
+    def test_log_flag_writes_json_lines_to_stderr(self, qos_ldif):
+        query = "( ? sub ? objectClass=*)"
+        err = run_repro(
+            "serve-admin", qos_ldif, "--schema", "qos", "--port", "0",
+            "--duration", "0", "--log", "--query", query,
+        ).stderr
+        events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert [e["event"] for e in events] == ["search", "admin.start", "admin.stop"]
+        assert events[0]["code"] == "success" and events[0]["rows"] > 0
+        assert all(e["level"] == "info" for e in events)
 
 
 class TestTopCommand:

@@ -23,6 +23,7 @@ from repro.txn.wal import (
     scan_wal,
 )
 
+from tests.logcap import capture
 from tests.meter import Meter
 
 
@@ -419,7 +420,6 @@ class TestScanReport:
 
 class TestTornTruncationObservability:
     def test_metric_warning_and_status_flag(self, tmp_path):
-        from repro.obs.log import CapturingLogger
         from repro.txn.wal import scan_wal_report
 
         path = str(tmp_path / "wal.log")
@@ -433,9 +433,8 @@ class TestTornTruncationObservability:
         expected_garbage = scan_wal_report(path).garbage_bytes
 
         meter = Meter()
-        log = CapturingLogger()
-        wal2, records, torn = WriteAheadLog.open_existing(
-            path, fsync=False, log=log)
+        with capture() as log:
+            wal2, records, torn = WriteAheadLog.open_existing(path, fsync=False)
         wal2.close()
         assert torn
         assert [r.lsn for r in records] == [1, 2]
@@ -449,16 +448,13 @@ class TestTornTruncationObservability:
         assert events[0]["durable_lsn"] == 2
 
     def test_clean_open_reports_no_truncation(self, tmp_path):
-        from repro.obs.log import CapturingLogger
-
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(path, fsync=False)
         wal.commit(_record(1))
         wal.close()
         meter = Meter()
-        log = CapturingLogger()
-        wal2, _records, torn = WriteAheadLog.open_existing(
-            path, fsync=False, log=log)
+        with capture() as log:
+            wal2, _records, torn = WriteAheadLog.open_existing(path, fsync=False)
         wal2.close()
         assert not torn
         assert wal2.torn_truncations == 0
